@@ -3,12 +3,13 @@
 Subcommands: curve-props, curve-implicit, curve-sample, surface-classify,
 surface-mesh, figure, verify.  Machine output (JSON / CSV / OBJ) goes to
 stdout or ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
-1 domain error (invalid spec, degenerate geometry, failed verification),
-2 usage error.
+1 domain error (invalid spec, degenerate geometry, failed verification or
+an internal consistency check), 2 usage error.
 
 Rational options accept ``num/den`` or finite decimal strings, both parsed
-exactly.  ``--q`` additionally accepts ``p=...`` sugar for the base-point
-height, e.g. ``p=i`` for q = -1.  The environment variable ``CHS_SEED``
+exactly, also as a separate negative argument (``--cx -1/2``).  ``--q``
+additionally accepts ``p=...`` sugar for the base-point height, e.g.
+``p=i`` for q = -1.  The environment variable ``CHS_SEED``
 sets the default seed of the randomized checks.
 """
 
@@ -19,6 +20,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List
@@ -54,6 +56,26 @@ def _emit_bytes(stream, data: bytes) -> None:
 
 def _json_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
+_LONG_OPTION = re.compile(r"--\w[\w-]*")
+
+
+def _attach_negative_fractions(argv: List[str]) -> List[str]:
+    """Rewrite ``--opt -num/den`` as ``--opt=-num/den``.
+
+    argparse reads a token such as ``-1/4`` as an unknown flag.  No option
+    of this CLI looks like that, so the token is the value of the option
+    before it.
+    """
+    joined: List[str] = []
+    for token in argv:
+        if joined and _NEGATIVE_FRACTION.fullmatch(token) and _LONG_OPTION.fullmatch(joined[-1]):
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
 
 
 def parse_rational(text: str) -> Fraction:
@@ -286,14 +308,14 @@ def run(argv: List[str], out, err) -> int:
     usage_buffer = io.StringIO()
     try:
         with contextlib.redirect_stderr(usage_buffer), contextlib.redirect_stdout(usage_buffer):
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_attach_negative_fractions(argv))
     except SystemExit as exit_request:
         _emit(err if exit_request.code else out, usage_buffer.getvalue())
         return int(exit_request.code or 0)
     try:
         return _COMMANDS[args.command](args, out, err)
-    except ValueError as domain_error:
-        _emit(err, f"error: {domain_error}\n")
+    except (ValueError, RuntimeError) as failure:
+        _emit(err, f"error: {failure}\n")
         return 1
     except BrokenPipeError:
         return 1

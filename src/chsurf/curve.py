@@ -4,8 +4,9 @@ The polar family is parametrized by coprime positive integers n, d and a
 rational offset a >= 0.  Everything symbolic here is exact: the implicit
 equation is a primitive integer polynomial, the property table (order,
 multiplicity at the pole, multiplicity at the circular points at infinity)
-is integer arithmetic, and the multiplicity checks run over Gaussian
-rationals.  Floating point only enters through the polar/point samplers.
+is integer arithmetic, and the circular-point multiplicity check runs on
+Gaussian integers held as pairs of ints.  Floating point only enters through
+the polar/point samplers.
 
 All functions are pure and the spec types are frozen, so a parameter grid
 can be processed in parallel without any locking.
@@ -23,10 +24,9 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Optional, Sequence, Tuple, Union
 
-from .poly import GAUSSIAN_I, GaussianRational, MultiPoly
+from .poly import MultiPoly
 
 XY = ("x", "y")
-HOMOGENEOUS = ("x0", "x1", "x2")
 
 DEFAULT_SEED = 809
 
@@ -307,22 +307,39 @@ def tangent_cone(spec: CurveSpec) -> MultiPoly:
 # -- multiplicity at the circular points at infinity ------------------------------
 
 
-def absolute_point_multiplicity(spec: CurveSpec, m: Union[int, Fraction, GaussianRational]) -> int:
+# Powers of i as (re, im) pairs, indexed by the exponent mod 4.
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def absolute_point_multiplicity(spec: CurveSpec, m: Union[int, Fraction]) -> int:
     """Intersection multiplicity along the line x2 = i*x1 + m*x0.
 
     The pencil of lines through (0, 1, i) is parametrized by m; for generic
-    m the result is the multiplicity of the circular point itself.
+    m the result is the multiplicity of the circular point itself.  With
+    x1 = 1 and x0 = t the homogeneous equation restricted to the line is
+    g(t) = sum c_ab t^(D-a-b) (i + m t)^b, and the answer is its order at
+    t = 0.  Scaling g by den(m)^D keeps every coefficient a Gaussian integer,
+    held as an (re, im) pair of ints.
     """
-    m = GaussianRational.coerce(m)
-    homogeneous = homogeneous_implicit(spec)
-    line = MultiPoly(
-        HOMOGENEOUS,
-        {(1, 0, 0): m, (0, 1, 0): GAUSSIAN_I},
-    )
-    substituted = homogeneous.substitute("x2", line)
-    if substituted.is_zero():
-        raise RuntimeError("line lies on the curve; implicit equation is broken")
-    return substituted.drop_variable("x2").vanishing_order("x0")
+    m = Fraction(m)
+    implicit = implicit_equation(spec)
+    degree = implicit.total_degree
+    num_powers = [m.numerator**k for k in range(degree + 1)]
+    den_powers = [m.denominator**k for k in range(degree + 1)]
+    re = [0] * (degree + 1)
+    im = [0] * (degree + 1)
+    for (a, b), coeff in implicit.terms.items():
+        c = coeff.re.numerator  # a primitive integer polynomial: real, denominator 1
+        shift = degree - a - b
+        for k in range(b + 1):
+            value = c * comb(b, k) * num_powers[k] * den_powers[degree - k]
+            unit_re, unit_im = _I_POWERS[(b - k) % 4]
+            re[shift + k] += unit_re * value
+            im[shift + k] += unit_im * value
+    for order in range(degree + 1):
+        if re[order] or im[order]:
+            return order
+    raise RuntimeError("line lies on the curve; implicit equation is broken")
 
 
 def _random_rational(rng: random.Random) -> Fraction:

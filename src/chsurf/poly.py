@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials with exact Gaussian-rational coefficients.
 
-A coefficient is a complex number a + b*i with rational a and b, so one
-polynomial type serves both real implicit equations and the complex line
-substitutions used by the multiplicity checks.  Exponent vectors are dense
-tuples (arity here is 2 or 3), term maps are sparse, and integer parts are
-arbitrary precision via :class:`fractions.Fraction`.
+A coefficient is a complex number a + b*i with rational a and b.  The
+implicit equations built here are real, so the imaginary parts are zero in
+practice; they are kept so that the JSON form carries both parts.  Exponent
+vectors are dense tuples (arity here is 2 or 3), term maps are sparse, and
+integer parts are arbitrary precision via :class:`fractions.Fraction`.
 
 Values are immutable after construction; every operation returns a new
 polynomial, so instances can be shared freely across threads.
@@ -111,7 +111,6 @@ class GaussianRational:
 
 GAUSSIAN_ZERO = GaussianRational(0)
 GAUSSIAN_ONE = GaussianRational(1)
-GAUSSIAN_I = GaussianRational(0, 1)
 
 
 def _grlex_key(exponents: tuple) -> tuple:
@@ -272,50 +271,11 @@ class MultiPoly:
 
     # -- structural operations ---------------------------------------------
 
-    def embed(self, variables: Sequence[str]) -> "MultiPoly":
-        """Re-express over a superset variable list (by name)."""
-        variables = tuple(variables)
-        if variables == self.variables:
-            return self
-        try:
-            positions = [variables.index(name) for name in self.variables]
-        except ValueError as exc:
-            raise ValueError(f"{exc}: {self.variables} not contained in {variables}") from None
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for pos, e in zip(positions, exps):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return MultiPoly(variables, terms)
-
     def rename_variables(self, new_names: Sequence[str]) -> "MultiPoly":
         new_names = tuple(new_names)
         if len(new_names) != len(self.variables):
             raise ValueError("variable count mismatch")
         return MultiPoly(new_names, self.terms)
-
-    def substitute(self, name: str, value) -> "MultiPoly":
-        """Replace one variable by a scalar or polynomial (ring morphism)."""
-        if name not in self.variables:
-            raise ValueError(f"unknown variable {name!r}")
-        index = self.variables.index(name)
-        if isinstance(value, MultiPoly):
-            replacement = value.embed(self.variables)
-        else:
-            replacement = MultiPoly.constant(self.variables, value)
-        max_power = max((e[index] for e in self.terms), default=0)
-        powers = [MultiPoly.constant(self.variables, 1)]
-        for _ in range(max_power):
-            powers.append(powers[-1] * replacement)
-        result = MultiPoly.zero(self.variables)
-        for exps, coeff in self.terms.items():
-            rest = list(exps)
-            power = rest[index]
-            rest[index] = 0
-            monom = MultiPoly(self.variables, {tuple(rest): coeff})
-            result = result + monom * powers[power]
-        return result
 
     def homogenize(self, new_var: str) -> "MultiPoly":
         """Prepend ``new_var`` and pad every term up to the total degree."""
@@ -329,35 +289,12 @@ class MultiPoly:
             terms[(degree - sum(exps),) + exps] = coeff
         return MultiPoly((new_var,) + self.variables, terms)
 
-    def drop_variable(self, name: str) -> "MultiPoly":
-        """Remove a variable that no term uses."""
-        if name not in self.variables:
-            raise ValueError(f"unknown variable {name!r}")
-        index = self.variables.index(name)
-        if any(e[index] for e in self.terms):
-            raise ValueError(f"variable {name!r} still occurs")
-        remaining = self.variables[:index] + self.variables[index + 1:]
-        terms = {e[:index] + e[index + 1:]: c for e, c in self.terms.items()}
-        return MultiPoly(remaining, terms)
-
-    def dehomogenize(self, var: str) -> "MultiPoly":
-        return self.substitute(var, 1).drop_variable(var)
-
     def lowest_form(self) -> "MultiPoly":
         """Sum of all terms of minimal total degree (always homogeneous)."""
         if self.is_zero():
             raise ValueError("zero polynomial has no lowest form")
         low = min(sum(e) for e in self.terms)
         return MultiPoly(self.variables, {e: c for e, c in self.terms.items() if sum(e) == low})
-
-    def vanishing_order(self, name: str) -> int:
-        """Largest k such that ``name**k`` divides the polynomial."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has unbounded vanishing order")
-        if name not in self.variables:
-            raise ValueError(f"unknown variable {name!r}")
-        index = self.variables.index(name)
-        return min(e[index] for e in self.terms)
 
     def primitive(self) -> "MultiPoly":
         """Clear denominators, remove integer content, normalize the sign.
@@ -384,36 +321,7 @@ class MultiPoly:
             scaled = -scaled
         return scaled
 
-    # -- evaluation and serialization ---------------------------------------
-
-    def eval_complex(self, point: Sequence[complex]) -> complex:
-        """Evaluate at a complex point, converting coefficients on the fly."""
-        if len(point) != len(self.variables):
-            raise ValueError("point arity does not match variable count")
-        point = [complex(v) for v in point]
-        max_exp = [0] * len(self.variables)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > max_exp[i]:
-                    max_exp[i] = e
-        powers = []
-        for value, top in zip(point, max_exp):
-            row = [1.0 + 0.0j]
-            for _ in range(top):
-                row.append(row[-1] * value)
-            powers.append(row)
-        total = 0.0 + 0.0j
-        for exps, coeff in self.terms.items():
-            term = complex(coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term *= powers[i][e]
-            total += term
-        return total
-
-    def max_coefficient_magnitude(self) -> float:
-        """Largest |coefficient| as a float, 0.0 for the zero polynomial."""
-        return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
+    # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from chsurf.cli import parse_q, parse_rational, run
+from chsurf.surface import CLASSIFICATION_TABLE
 from fractions import Fraction
 
 
@@ -220,3 +221,21 @@ def test_help_exit_0():
     code, out, _ = invoke("--help")
     assert code == 0
     assert "curve-props" in out
+
+
+def test_negative_fractions_as_separate_arguments():
+    base = ("surface-classify", "--n", "3", "--d", "1")
+    separate = invoke(*base, "--q", "-1/4", "--cx", "-1/2")
+    joined = invoke(*base, "--q=-1/4", "--cx=-1/2")
+    assert separate[0] == 0
+    assert separate == joined
+
+
+def test_classification_disagreement_exit_1(monkeypatch):
+    monkeypatch.setitem(CLASSIFICATION_TABLE, (2, "B", "lt"), lambda n, d, j: (1, 1, 1, 1))
+    code, out, err = invoke(
+        "surface-classify", "--n", "9", "--d", "2", "--a", "2", "--q", "-1", "--h", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: classification paths disagree")

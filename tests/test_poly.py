@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from chsurf.poly import GAUSSIAN_I, GaussianRational, MultiPoly
+from chsurf.poly import GaussianRational, MultiPoly
 
 XY = ("x", "y")
 
@@ -40,6 +40,11 @@ def convolution_oracle(p, q):
     return {e: c for e, c in acc.items() if c}
 
 
+def dehomogenized_terms(h):
+    """Term map with the leading (homogenizing) exponent dropped from each term."""
+    return {exps[1:]: coeff for exps, coeff in h.terms.items()}
+
+
 # -- gaussian rationals -------------------------------------------------------
 
 
@@ -47,7 +52,7 @@ def test_gaussian_basics():
     z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
     assert z + z == GaussianRational(1, Fraction(-3, 2))
     assert z - z == GaussianRational(0)
-    assert GAUSSIAN_I * GAUSSIAN_I == GaussianRational(-1)
+    assert GaussianRational(0, 1) * GaussianRational(0, 1) == GaussianRational(-1)
     assert z.conjugate().conjugate() == z
     assert complex(GaussianRational(1, 2)) == 1 + 2j
     assert not GaussianRational(0, 0)
@@ -104,40 +109,6 @@ def test_pow():
         x ** -1
 
 
-# -- substitution -------------------------------------------------------------
-
-
-def test_substitute_scalar():
-    p = poly({(2, 0): 1, (0, 2): 1})
-    assert p.substitute("y", 0) == poly({(2, 0): 1})
-
-
-def test_substitute_imaginary_line():
-    variables = ("x0", "x1", "x2")
-    p = MultiPoly(variables, {(0, 0, 2): 1})  # x2^2
-    ix1 = MultiPoly(variables, {(0, 1, 0): GAUSSIAN_I})
-    assert p.substitute("x2", ix1) == MultiPoly(variables, {(0, 2, 0): -1})
-
-
-def test_substitute_line_through_absolute_point():
-    variables = ("x0", "x1", "x2")
-    p = MultiPoly(variables, {(0, 2, 0): 1, (0, 0, 2): 1})  # x1^2 + x2^2
-    m = Fraction(3, 7)
-    line = MultiPoly(variables, {(0, 1, 0): GAUSSIAN_I, (1, 0, 0): m})
-    result = p.substitute("x2", line)
-    # x1^2 terms cancel; hand expansion gives m^2*x0^2 + 2im*x0*x1
-    expected = MultiPoly(
-        variables,
-        {(2, 0, 0): m * m, (1, 1, 0): GaussianRational(0, 2 * m)},
-    )
-    assert result == expected
-
-
-def test_substitute_unknown_variable():
-    with pytest.raises(ValueError):
-        poly({(1, 0): 1}).substitute("z", 0)
-
-
 # -- homogenization and forms ---------------------------------------------------
 
 
@@ -147,7 +118,7 @@ def test_homogenize_circle():
     assert h.variables == ("x0", "x", "y")
     assert h == MultiPoly(("x0", "x", "y"), {(0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): -1})
     assert h.is_homogeneous()
-    assert h.dehomogenize("x0") == p
+    assert dehomogenized_terms(h) == p.terms
 
 
 def test_homogenize_constant():
@@ -167,33 +138,6 @@ def test_lowest_form():
     assert q.lowest_form() == q
     with pytest.raises(ValueError):
         MultiPoly.zero(XY).lowest_form()
-
-
-def test_vanishing_order():
-    variables = ("x0", "x1")
-    p = MultiPoly(variables, {(2, 3): 1})
-    assert p.vanishing_order("x0") == 2
-    assert MultiPoly(variables, {(0, 5): 1}).vanishing_order("x0") == 0
-    with pytest.raises(ValueError):
-        MultiPoly.zero(variables).vanishing_order("x0")
-
-
-def test_drop_variable():
-    variables = ("x0", "x1", "x2")
-    p = MultiPoly(variables, {(1, 2, 0): 1})
-    dropped = p.drop_variable("x2")
-    assert dropped.variables == ("x0", "x1")
-    with pytest.raises(ValueError):
-        p.drop_variable("x1")
-
-
-# -- evaluation ----------------------------------------------------------------
-
-
-def test_eval_complex():
-    circle = poly({(2, 0): 1, (0, 2): 1, (1, 0): -1})
-    assert abs(circle.eval_complex([1.0, 0.0])) < 1e-15
-    assert poly({(2, 0): 1, (0, 2): 1}).eval_complex([0.0, 1.0]) == 1.0
 
 
 # -- canonical form and serialization -------------------------------------------
@@ -221,11 +165,7 @@ def test_structural_error_paths():
     with pytest.raises(ValueError):
         p.rename_variables(("x",))
     with pytest.raises(ValueError):
-        p.embed(("x", "z"))
-    with pytest.raises(ValueError):
         MultiPoly.zero(XY).leading_coefficient()
-    with pytest.raises(ValueError):
-        p.eval_complex([1.0])
     with pytest.raises(ValueError):
         MultiPoly(XY, {(1,): 1})
     with pytest.raises(ValueError):
@@ -262,13 +202,6 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-@given(polys, polys, polys)
-def test_substitute_is_ring_morphism(p, q, expr):
-    name = "y"
-    assert (p + q).substitute(name, expr) == p.substitute(name, expr) + q.substitute(name, expr)
-    assert (p * q).substitute(name, expr) == p.substitute(name, expr) * q.substitute(name, expr)
-
-
 @given(polys, polys)
 def test_mul_degree_additivity(p, q):
     if p.is_zero() or q.is_zero():
@@ -284,7 +217,7 @@ def test_homogenize_round_trip(p):
     h = p.homogenize("x0")
     assert h.is_homogeneous()
     assert h.total_degree == p.total_degree
-    assert h.dehomogenize("x0") == p
+    assert dehomogenized_terms(h) == p.terms
 
 
 @given(polys)
