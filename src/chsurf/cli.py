@@ -165,7 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd = sub.add_parser("verify", help="run a verification suite")
     verify_cmd.add_argument("suite", choices=list(SUITES))
     verify_cmd.add_argument("--seed", type=int, help="seed (default: CHS_SEED or builtin)")
-    verify_cmd.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    verify_cmd.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers for table1 and residual"
+    )
     verify_cmd.add_argument("--max-nd", type=int, default=9, help="grid bound for n and d")
     verify_cmd.add_argument("--format", choices=["text", "json"], default="text")
     verify_cmd.add_argument("--n", type=int, help="restrict the residual suite to one curve")

@@ -8,14 +8,17 @@ the curve's property table and on how the curve sits relative to the axis;
 ``classify`` computes them twice, once from the general count formulas and
 once from the closed-form classification table, and insists the two agree.
 
-Incidence detection is exact where the data allows (rational placements,
-rational q) and falls back to closed-form angular candidates otherwise,
-so no root can be skipped by a too-coarse grid.
+With the pole on the axis, incidence is decided exactly over the rationals.
+Off the axis it is decided by float residuals at 2d closed-form angular
+candidates, accepted within ``tol`` (the CLI's ``--tol``) and refused with
+:class:`IncidenceAmbiguityError` inside 1000x ``tol``; the candidates are
+closed-form, so no root can be skipped by a too-coarse grid.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -411,22 +414,56 @@ def _periodic_roots(
 # -- singular circles ---------------------------------------------------------------
 
 
-def _circle_center_2d(spec: SurfaceSpec, t: float) -> Optional[Tuple[float, float]]:
-    """Planar center of the generating circle; None when degenerate.
+def _plane_point(spec: SurfaceSpec) -> Callable[[float], Tuple[float, float]]:
+    """(x, y) of the placed curve at parameter t, as a function of t.
+
+    The spec's rationals are converted to floats once, here; the function
+    repeats :func:`chsurf.curve.curve_point`'s operations in the same order,
+    so its coordinates are bit-identical to that one's.
+    """
+    n, d = spec.curve.n, spec.curve.d
+    a = float(spec.curve.a)
+    cx, cy = float(spec.placement.cx), float(spec.placement.cy)
+
+    def point(t: float) -> Tuple[float, float]:
+        r = math.cos(n * t / d) + a
+        return (cx + r * math.cos(t), cy + r * math.sin(t))
+
+    return point
+
+
+def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[float, float]]]:
+    """Planar center of the generating circle at t; None when degenerate.
 
     Away from the axis, two parameters share a generating circle exactly
     when these centers coincide at a nonzero point, so off-center singular
-    circles are self-intersections of this planar trace.
+    circles are self-intersections of this planar trace.  Like
+    :func:`_plane_point`, the returned function converts no rationals.
     """
-    x, y, z = curve_point(spec.curve, spec.placement, t)
-    rho_sq = x * x + y * y
-    if math.sqrt(rho_sq) <= AXIS_EPS * max(1.0, spec.extent):
-        return None
+    point = _plane_point(spec)
+    z = float(spec.placement.height)
+    z_sq = z * z
     q = float(spec.congruence.q)
-    lam = (rho_sq + z * z - q) / (2.0 * rho_sq)
-    if lam * lam * rho_sq + q <= RADICAND_EPS * max(1.0, spec.extent) ** 2:
-        return None  # zero-radius circle on the hyperbolic waist
-    return (lam * x, lam * y)
+    scale = max(1.0, spec.extent)
+    axis_bound = AXIS_EPS * scale
+    waist_bound = RADICAND_EPS * scale ** 2
+
+    def center(t: float) -> Optional[Tuple[float, float]]:
+        x, y = point(t)
+        rho_sq = x * x + y * y
+        if math.sqrt(rho_sq) <= axis_bound:
+            return None
+        lam = (rho_sq + z_sq - q) / (2.0 * rho_sq)
+        if lam * lam * rho_sq + q <= waist_bound:
+            return None  # zero-radius circle on the hyperbolic waist
+        return (lam * x, lam * y)
+
+    return center
+
+
+def _circle_center_2d(spec: SurfaceSpec, t: float) -> Optional[Tuple[float, float]]:
+    """Planar center of the generating circle at t; None when degenerate."""
+    return _center_function(spec)(t)
 
 
 def _compress(point: Tuple[float, float]) -> Tuple[float, float]:
@@ -456,19 +493,22 @@ def _segment_intersection(p1, p2, p3, p4) -> Optional[Tuple[float, float]]:
 
 
 def _polish_coincidence(
-    spec: SurfaceSpec, t1: float, t2: float, domain: float
+    center: Callable[[float], Optional[Tuple[float, float]]],
+    t1: float,
+    t2: float,
+    domain: float,
+    scale: float,
 ) -> Optional[Tuple[float, float]]:
     """Newton-polish (t1, t2) so the two circle centers coincide."""
     step = 1e-7 * domain
 
     def value(a: float, b: float):
-        ca = _circle_center_2d(spec, a % domain)
-        cb = _circle_center_2d(spec, b % domain)
+        ca = center(a % domain)
+        cb = center(b % domain)
         if ca is None or cb is None:
             return None
         return (ca[0] - cb[0], ca[1] - cb[1])
 
-    scale = max(1.0, spec.extent)
     for _ in range(60):
         f = value(t1, t2)
         if f is None:
@@ -502,9 +542,16 @@ def _polish_coincidence(
 def _off_center_coincidences(
     spec: SurfaceSpec, samples: int, domain: float
 ) -> List[Tuple[float, float]]:
-    """Parameter pairs sharing one generating circle with nonzero offset."""
+    """Parameter pairs sharing one generating circle with nonzero offset.
+
+    Crossing segments of the sampled, compressed center trace are polished
+    to exact coincidences.  Candidate pairs come from a sweep over the
+    segments' x-extents and are tested in ascending segment order, so the
+    result is the list an all-pairs scan would give, in the same order.
+    """
+    center = _center_function(spec)
     ts = [domain * i / samples for i in range(samples)]
-    centers = [_circle_center_2d(spec, t) for t in ts]
+    centers = [center(t) for t in ts]
     scale = max(1.0, spec.extent)
 
     segments = []  # (index, t_start, t_end, compressed endpoints)
@@ -515,35 +562,47 @@ def _off_center_coincidences(
         t_end = ts[k] if k else domain
         segments.append((i, ts[i], t_end, _compress(centers[i]), _compress(centers[k])))
 
-    pairs: List[Tuple[float, float]] = []
-    count = len(segments)
-    for a in range(count):
-        ia, t1a, t1b, pa, pb = segments[a]
-        min_ax, max_ax = sorted((pa[0], pb[0]))
-        min_ay, max_ay = sorted((pa[1], pb[1]))
-        for b in range(a + 1, count):
-            ib, t2a, t2b, pc, pd = segments[b]
-            gap = min((ib - ia) % samples, (ia - ib) % samples)
-            if gap <= 1:
+    # Ordered by low x, a segment's x-extent meets (ends included) exactly
+    # the later segments whose low x is at most its high x.  The tests here
+    # are pure, so running them in sweep order changes nothing; crossings are
+    # polished in ascending segment order, as an all-pairs scan would.
+    boxes = [
+        (min(pa[0], pb[0]), max(pa[0], pb[0]), min(pa[1], pb[1]), max(pa[1], pb[1]))
+        for _, _, _, pa, pb in segments
+    ]
+    order = sorted(range(len(segments)), key=lambda a: boxes[a][0])
+    sorted_lows = [boxes[a][0] for a in order]
+    candidates = []
+    for pos, a in enumerate(order):
+        _, x_high, y_low, y_high = boxes[a]
+        ia = segments[a][0]
+        for b in order[pos + 1 : bisect_right(sorted_lows, x_high, pos + 1)]:
+            if boxes[b][2] > y_high or boxes[b][3] < y_low:
+                continue
+            ib = segments[b][0]
+            if min((ib - ia) % samples, (ia - ib) % samples) <= 1:
                 continue  # adjacent samples trace one passage, not two
-            if min(pc[0], pd[0]) > max_ax or max(pc[0], pd[0]) < min_ax:
-                continue
-            if min(pc[1], pd[1]) > max_ay or max(pc[1], pd[1]) < min_ay:
-                continue
-            if _segment_intersection(pa, pb, pc, pd) is None:
-                continue
-            t1 = 0.5 * (t1a + t1b)
-            t2 = 0.5 * (t2a + t2b)
-            polished = _polish_coincidence(spec, t1, t2, domain)
-            if polished is None:
-                continue
-            t1, t2 = polished
-            if min(abs(t1 - t2), domain - abs(t1 - t2)) <= PARAM_DEDUP:
-                continue  # collapsed to a single passage
-            center = _circle_center_2d(spec, t1)
-            if center is None or math.hypot(*center) <= 1e-5 * scale:
-                continue  # axis-centered circles are handled separately
-            pairs.append((t1, t2))
+            candidates.append((a, b) if a < b else (b, a))
+    candidates.sort()
+
+    pairs: List[Tuple[float, float]] = []
+    for a, b in candidates:
+        _, t1a, t1b, pa, pb = segments[a]
+        _, t2a, t2b, pc, pd = segments[b]
+        if _segment_intersection(pa, pb, pc, pd) is None:
+            continue
+        t1 = 0.5 * (t1a + t1b)
+        t2 = 0.5 * (t2a + t2b)
+        polished = _polish_coincidence(center, t1, t2, domain, scale)
+        if polished is None:
+            continue
+        t1, t2 = polished
+        if min(abs(t1 - t2), domain - abs(t1 - t2)) <= PARAM_DEDUP:
+            continue  # collapsed to a single passage
+        at = center(t1)
+        if at is None or math.hypot(*at) <= 1e-5 * scale:
+            continue  # axis-centered circles are handled separately
+        pairs.append((t1, t2))
     return pairs
 
 
@@ -558,16 +617,20 @@ def _axis_centered_groups(
     q = float(spec.congruence.q)
     if q <= 0:
         return []
+    point = _plane_point(spec)
+    z = float(spec.placement.height)
+    z_sq = z * z
 
     def sphere_gap(t: float) -> float:
-        x, y, z = curve_point(spec.curve, spec.placement, t)
-        return x * x + y * y + z * z - q
+        x, y = point(t)
+        return x * x + y * y + z_sq - q
 
     roots = _periodic_roots(sphere_gap, domain, max(4 * samples, 2048), tol)
+    axis_bound = AXIS_EPS * max(1.0, spec.extent)
     planed = []
     for t in roots:
-        x, y, _ = curve_point(spec.curve, spec.placement, t)
-        if math.hypot(x, y) <= AXIS_EPS * max(1.0, spec.extent):
+        x, y = point(t)
+        if math.hypot(x, y) <= axis_bound:
             continue
         planed.append((math.atan2(y, x) % math.pi, t))
     groups: List[List[Tuple[float, float]]] = []
@@ -588,7 +651,11 @@ def singular_circles(
     """Circles met by the curve more than once, with their branch counts.
 
     Off-center circles come from self-intersections of the planar center
-    trace, polished to exact coincidences; axis-centered circles come from
+    trace, sampled at ``samples`` parameters and mapped into the unit disk.
+    A sweep over the segments sorted by x-extent proposes the pairs whose
+    bounding boxes overlap, so the cost grows with the number of
+    overlapping pairs rather than with samples^2.  Each crossing is polished
+    to an exact coincidence.  Axis-centered circles come from
     sphere crossings grouped by meridian plane.  Each connected component of
     the coincidence graph yields one circle whose multiplicity is the number
     of distinct curve passages in it; retraced rose parameters are
@@ -602,13 +669,30 @@ def singular_circles(
         domain /= 2.0  # drop the retraced half
     pairs = _off_center_coincidences(spec, samples, domain)
 
-    # Union-find over deduplicated passage parameters.
+    # Union-find over deduplicated passage parameters.  A parameter joins
+    # the earliest-inserted node within PARAM_DEDUP of it, across the wrap at
+    # domain included.  Nodes are also kept sorted by value; a bisect window
+    # twice PARAM_DEDUP wide around t and its two wrapped images holds every
+    # node the exact distance test can accept.
     nodes: List[float] = []
+    by_value: List[float] = []
+    index_by_value: List[int] = []
+    window = 2.0 * PARAM_DEDUP
 
     def node_index(t: float) -> int:
-        for idx, existing in enumerate(nodes):
-            if min(abs(existing - t), domain - abs(existing - t)) <= PARAM_DEDUP:
-                return idx
+        close = [
+            idx
+            for image in (t - domain, t, t + domain)
+            for idx in index_by_value[
+                bisect_left(by_value, image - window) : bisect_right(by_value, image + window)
+            ]
+            if min(abs(nodes[idx] - t), domain - abs(nodes[idx] - t)) <= PARAM_DEDUP
+        ]
+        if close:
+            return min(close)
+        at = bisect_right(by_value, t)
+        by_value.insert(at, t)
+        index_by_value.insert(at, len(nodes))
         nodes.append(t)
         return len(nodes) - 1
 
@@ -652,11 +736,6 @@ def singular_circles(
 # -- intersections with the zero-radius circle -----------------------------------------
 
 
-def _waist_gap(spec: SurfaceSpec, t: float) -> float:
-    x, y, _ = curve_point(spec.curve, spec.placement, t)
-    return x * x + y * y + float(spec.congruence.q)
-
-
 def zero_circle_parameters(
     spec: SurfaceSpec, tol: float = 1e-9, grid: int = DEFAULT_ROOT_GRID
 ) -> List[float]:
@@ -669,8 +748,14 @@ def zero_circle_parameters(
     """
     if spec.congruence.q >= 0 or spec.placement.height != 0:
         return []
-    period = spec.curve.parameter_period
-    return _periodic_roots(lambda t: _waist_gap(spec, t), period, grid, tol)
+    point = _plane_point(spec)
+    q = float(spec.congruence.q)
+
+    def waist_gap(t: float) -> float:
+        x, y = point(t)
+        return x * x + y * y + q
+
+    return _periodic_roots(waist_gap, spec.curve.parameter_period, grid, tol)
 
 
 def zero_circle_intersections(

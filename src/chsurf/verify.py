@@ -162,7 +162,7 @@ def run_table1(seed: int = DEFAULT_SEED, jobs: int = 1, max_nd: int = 9) -> Repo
 # -- table2: classification dual path -----------------------------------------------
 
 
-def run_table2(seed: int = DEFAULT_SEED, jobs: int = 1, max_nd: int = 9) -> Report:
+def run_table2(seed: int = DEFAULT_SEED, max_nd: int = 9) -> Report:
     report = Report("table2", seed)
     covered: Dict[Tuple[int, str, str], int] = {}
     mismatched: Dict[Tuple[int, str, str], int] = {}
@@ -422,7 +422,7 @@ def _preset_geometry_checks(key: str, count: int = 64) -> List[Check]:
     return checks
 
 
-def run_invariants(seed: int = DEFAULT_SEED, jobs: int = 1, max_nd: int = 9) -> Report:
+def run_invariants(seed: int = DEFAULT_SEED, max_nd: int = 9) -> Report:
     report = Report("invariants", seed)
     report.checks.extend(_cone_constant_checks(max_nd))
     for key in preset_keys():
@@ -452,11 +452,11 @@ def run_suite(
     if suite == "table1":
         return run_table1(seed, jobs, max_nd)
     if suite == "table2":
-        return run_table2(seed, jobs, max_nd)
+        return run_table2(seed, max_nd)
     if suite == "residual":
         return run_residual(seed, jobs, max_nd, only)
     if suite == "invariants":
-        return run_invariants(seed, jobs, max_nd)
+        return run_invariants(seed, max_nd)
     if suite == "all":
         report = Report("all", seed)
         for name in ("table1", "table2", "residual", "invariants"):

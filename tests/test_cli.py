@@ -165,6 +165,11 @@ def test_verify_table2_text_and_json():
     assert record["ok"] is True
 
 
+def test_verify_table2_output_independent_of_jobs():
+    args = ("verify", "table2", "--max-nd", "4")
+    assert invoke(*args, "--jobs", "2") == invoke(*args, "--jobs", "1")
+
+
 def test_verify_single_spec_residual():
     code, out, _ = invoke(
         "verify", "residual", "--n", "7", "--d", "3", "--a", "1/4", "--format", "json"

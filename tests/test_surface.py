@@ -269,6 +269,87 @@ def brute_force_coincidences(spec, probes=240):
     return found
 
 
+def _all_pairs_coincidences(spec, samples, domain):
+    """Reference for the segment sweep: test every pair of center-trace segments."""
+    from chsurf.surface import (
+        PARAM_DEDUP,
+        _center_function,
+        _circle_center_2d,
+        _compress,
+        _polish_coincidence,
+        _segment_intersection,
+    )
+
+    ts = [domain * i / samples for i in range(samples)]
+    centers = [_circle_center_2d(spec, t) for t in ts]
+    scale = max(1.0, spec.extent)
+    segments = []
+    for i in range(samples):
+        k = (i + 1) % samples
+        if centers[i] is None or centers[k] is None:
+            continue
+        t_end = ts[k] if k else domain
+        segments.append((i, ts[i], t_end, _compress(centers[i]), _compress(centers[k])))
+
+    pairs = []
+    count = len(segments)
+    for a in range(count):
+        ia, t1a, t1b, pa, pb = segments[a]
+        min_ax, max_ax = sorted((pa[0], pb[0]))
+        min_ay, max_ay = sorted((pa[1], pb[1]))
+        for b in range(a + 1, count):
+            ib, t2a, t2b, pc, pd = segments[b]
+            gap = min((ib - ia) % samples, (ia - ib) % samples)
+            if gap <= 1:
+                continue
+            if min(pc[0], pd[0]) > max_ax or max(pc[0], pd[0]) < min_ax:
+                continue
+            if min(pc[1], pd[1]) > max_ay or max(pc[1], pd[1]) < min_ay:
+                continue
+            if _segment_intersection(pa, pb, pc, pd) is None:
+                continue
+            polished = _polish_coincidence(
+                _center_function(spec), 0.5 * (t1a + t1b), 0.5 * (t2a + t2b), domain, scale
+            )
+            if polished is None:
+                continue
+            t1, t2 = polished
+            if min(abs(t1 - t2), domain - abs(t1 - t2)) <= PARAM_DEDUP:
+                continue
+            center = _circle_center_2d(spec, t1)
+            if center is None or math.hypot(*center) <= 1e-5 * scale:
+                continue
+            pairs.append((t1, t2))
+    return pairs
+
+
+SWEEP_SPECS = [
+    make_spec(3, 1, q=0, cx=1),  # parabolic, pole off the axis on a triple point
+    make_spec(3, 1, q=1, cx=1),  # elliptic
+    make_spec(2, 3, "1/2", q=-1, cx="-3/2", cy=1, h="1/4"),  # hyperbolic, raised
+    make_spec(5, 3, q="1/4", cx="1/2", cy="-1/2"),  # odd rose
+    make_spec(7, 2, "5/2", q="-9/4", cx="1/2"),  # curtate
+    make_spec(7, 3, "1/4", q=0),  # pole on the axis
+    make_spec(4, 1, "1", q="-1", cx="-1", cy="1/2"),  # cuspidate, pole off the axis
+    make_spec(3, 2, "1/2", q=0, cx="1/2"),  # trident
+]
+
+
+@pytest.mark.parametrize("samples", [256, 512])
+def test_sweep_matches_all_pairs_scan(samples):
+    from chsurf.surface import _off_center_coincidences
+
+    found = 0
+    for spec in SWEEP_SPECS:
+        domain = spec.curve.parameter_period
+        if spec.curve.is_odd_rose:
+            domain /= 2.0
+        expected = _all_pairs_coincidences(spec, samples, domain)
+        assert _off_center_coincidences(spec, samples, domain) == expected, spec
+        found += len(expected)
+    assert found > 0
+
+
 def test_singular_circles_empty_for_centered_circle_curve():
     spec = make_spec(1, 1, q=1)
     assert singular_circles(spec, samples=128) == []
