@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .poly import MultiPoly
 
@@ -111,13 +111,36 @@ def shape_class(spec: CurveSpec) -> ShapeClass:
 def curve_point(
     spec: CurveSpec, placement: Placement, phi: float
 ) -> Tuple[float, float, float]:
-    """Point of the placed curve in 3-space at parameter phi."""
+    """Point of the placed curve in 3-space at parameter phi.
+
+    :func:`point_function` repeats this formula for repeated evaluation.
+    """
     r = polar_radius(spec, phi)
     return (
         float(placement.cx) + r * math.cos(phi),
         float(placement.cy) + r * math.sin(phi),
         float(placement.height),
     )
+
+
+def point_function(
+    spec: CurveSpec, placement: Placement
+) -> Callable[[float], Tuple[float, float, float]]:
+    """:func:`curve_point` for one placed curve, as a function of phi.
+
+    The rationals are converted to floats once, here, and the returned
+    function repeats ``curve_point``'s operations in the same order, so its
+    points are bit-identical to that one's.  Keep the two formulas in step.
+    """
+    n, d = spec.n, spec.d
+    a = float(spec.a)
+    cx, cy, z = float(placement.cx), float(placement.cy), float(placement.height)
+
+    def point(phi: float) -> Tuple[float, float, float]:
+        r = math.cos(n * phi / d) + a
+        return (cx + r * math.cos(phi), cy + r * math.sin(phi), z)
+
+    return point
 
 
 def _branch_below(spec: CurveSpec) -> bool:

@@ -18,12 +18,19 @@ closed-form, so no root can be skipped by a too-coarse grid.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .congruence import CircleKey, CongruenceSpec, circle_through
-from .curve import CurveSpec, Placement, curve_point, curve_properties, polar_radius
+from .curve import (
+    CurveSpec,
+    Placement,
+    curve_point,
+    curve_properties,
+    point_function,
+    polar_radius,
+)
 
 AXIS_EPS = 1e-9
 RADICAND_EPS = 1e-12
@@ -414,46 +421,26 @@ def _periodic_roots(
 # -- singular circles ---------------------------------------------------------------
 
 
-def _plane_point(spec: SurfaceSpec) -> Callable[[float], Tuple[float, float]]:
-    """(x, y) of the placed curve at parameter t, as a function of t.
-
-    The spec's rationals are converted to floats once, here; the function
-    repeats :func:`chsurf.curve.curve_point`'s operations in the same order,
-    so its coordinates are bit-identical to that one's.
-    """
-    n, d = spec.curve.n, spec.curve.d
-    a = float(spec.curve.a)
-    cx, cy = float(spec.placement.cx), float(spec.placement.cy)
-
-    def point(t: float) -> Tuple[float, float]:
-        r = math.cos(n * t / d) + a
-        return (cx + r * math.cos(t), cy + r * math.sin(t))
-
-    return point
-
-
 def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[float, float]]]:
     """Planar center of the generating circle at t; None when degenerate.
 
     Away from the axis, two parameters share a generating circle exactly
     when these centers coincide at a nonzero point, so off-center singular
-    circles are self-intersections of this planar trace.  Like
-    :func:`_plane_point`, the returned function converts no rationals.
+    circles are self-intersections of this planar trace.  The spec's
+    rationals are converted once, when the function is built.
     """
-    point = _plane_point(spec)
-    z = float(spec.placement.height)
-    z_sq = z * z
+    point = point_function(spec.curve, spec.placement)
     q = float(spec.congruence.q)
     scale = max(1.0, spec.extent)
     axis_bound = AXIS_EPS * scale
     waist_bound = RADICAND_EPS * scale ** 2
 
     def center(t: float) -> Optional[Tuple[float, float]]:
-        x, y = point(t)
+        x, y, z = point(t)
         rho_sq = x * x + y * y
         if math.sqrt(rho_sq) <= axis_bound:
             return None
-        lam = (rho_sq + z_sq - q) / (2.0 * rho_sq)
+        lam = (rho_sq + z * z - q) / (2.0 * rho_sq)
         if lam * lam * rho_sq + q <= waist_bound:
             return None  # zero-radius circle on the hyperbolic waist
         return (lam * x, lam * y)
@@ -493,13 +480,10 @@ def _segment_intersection(p1, p2, p3, p4) -> Optional[Tuple[float, float]]:
 
 
 def _polish_coincidence(
-    center: Callable[[float], Optional[Tuple[float, float]]],
-    t1: float,
-    t2: float,
-    domain: float,
-    scale: float,
+    spec: SurfaceSpec, t1: float, t2: float, domain: float
 ) -> Optional[Tuple[float, float]]:
     """Newton-polish (t1, t2) so the two circle centers coincide."""
+    center = _center_function(spec)
     step = 1e-7 * domain
 
     def value(a: float, b: float):
@@ -509,6 +493,7 @@ def _polish_coincidence(
             return None
         return (ca[0] - cb[0], ca[1] - cb[1])
 
+    scale = max(1.0, spec.extent)
     for _ in range(60):
         f = value(t1, t2)
         if f is None:
@@ -593,7 +578,7 @@ def _off_center_coincidences(
             continue
         t1 = 0.5 * (t1a + t1b)
         t2 = 0.5 * (t2a + t2b)
-        polished = _polish_coincidence(center, t1, t2, domain, scale)
+        polished = _polish_coincidence(spec, t1, t2, domain)
         if polished is None:
             continue
         t1, t2 = polished
@@ -617,19 +602,17 @@ def _axis_centered_groups(
     q = float(spec.congruence.q)
     if q <= 0:
         return []
-    point = _plane_point(spec)
-    z = float(spec.placement.height)
-    z_sq = z * z
+    point = point_function(spec.curve, spec.placement)
 
     def sphere_gap(t: float) -> float:
-        x, y = point(t)
-        return x * x + y * y + z_sq - q
+        x, y, z = point(t)
+        return x * x + y * y + z * z - q
 
     roots = _periodic_roots(sphere_gap, domain, max(4 * samples, 2048), tol)
     axis_bound = AXIS_EPS * max(1.0, spec.extent)
     planed = []
     for t in roots:
-        x, y = point(t)
+        x, y, _ = point(t)
         if math.hypot(x, y) <= axis_bound:
             continue
         planed.append((math.atan2(y, x) % math.pi, t))
@@ -671,28 +654,25 @@ def singular_circles(
 
     # Union-find over deduplicated passage parameters.  A parameter joins
     # the earliest-inserted node within PARAM_DEDUP of it, across the wrap at
-    # domain included.  Nodes are also kept sorted by value; a bisect window
-    # twice PARAM_DEDUP wide around t and its two wrapped images holds every
-    # node the exact distance test can accept.
+    # domain included.  ``ordered`` keeps (value, index) sorted by value, so
+    # only the nodes in a window around t and its two wrapped images are
+    # tested; a query has up to a few hundred nodes.
     nodes: List[float] = []
-    by_value: List[float] = []
-    index_by_value: List[int] = []
+    ordered: List[Tuple[float, int]] = []
     window = 2.0 * PARAM_DEDUP
 
     def node_index(t: float) -> int:
         close = [
             idx
             for image in (t - domain, t, t + domain)
-            for idx in index_by_value[
-                bisect_left(by_value, image - window) : bisect_right(by_value, image + window)
+            for existing, idx in ordered[
+                bisect_left(ordered, (image - window,)) : bisect_right(ordered, (image + window, math.inf))
             ]
-            if min(abs(nodes[idx] - t), domain - abs(nodes[idx] - t)) <= PARAM_DEDUP
+            if min(abs(existing - t), domain - abs(existing - t)) <= PARAM_DEDUP
         ]
         if close:
             return min(close)
-        at = bisect_right(by_value, t)
-        by_value.insert(at, t)
-        index_by_value.insert(at, len(nodes))
+        insort(ordered, (t, len(nodes)))
         nodes.append(t)
         return len(nodes) - 1
 
@@ -748,11 +728,11 @@ def zero_circle_parameters(
     """
     if spec.congruence.q >= 0 or spec.placement.height != 0:
         return []
-    point = _plane_point(spec)
+    point = point_function(spec.curve, spec.placement)
     q = float(spec.congruence.q)
 
     def waist_gap(t: float) -> float:
-        x, y = point(t)
+        x, y, _ = point(t)
         return x * x + y * y + q
 
     return _periodic_roots(waist_gap, spec.curve.parameter_period, grid, tol)

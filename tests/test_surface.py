@@ -269,19 +269,32 @@ def brute_force_coincidences(spec, probes=240):
     return found
 
 
+def _curve_point_center(spec, t):
+    """Generating-circle center computed from ``curve_point``, per call."""
+    from chsurf.surface import AXIS_EPS, RADICAND_EPS
+
+    x, y, z = curve_point(spec.curve, spec.placement, t)
+    rho_sq = x * x + y * y
+    if math.sqrt(rho_sq) <= AXIS_EPS * max(1.0, spec.extent):
+        return None
+    q = float(spec.congruence.q)
+    lam = (rho_sq + z * z - q) / (2.0 * rho_sq)
+    if lam * lam * rho_sq + q <= RADICAND_EPS * max(1.0, spec.extent) ** 2:
+        return None
+    return (lam * x, lam * y)
+
+
 def _all_pairs_coincidences(spec, samples, domain):
     """Reference for the segment sweep: test every pair of center-trace segments."""
     from chsurf.surface import (
         PARAM_DEDUP,
-        _center_function,
-        _circle_center_2d,
         _compress,
         _polish_coincidence,
         _segment_intersection,
     )
 
     ts = [domain * i / samples for i in range(samples)]
-    centers = [_circle_center_2d(spec, t) for t in ts]
+    centers = [_curve_point_center(spec, t) for t in ts]
     scale = max(1.0, spec.extent)
     segments = []
     for i in range(samples):
@@ -308,15 +321,13 @@ def _all_pairs_coincidences(spec, samples, domain):
                 continue
             if _segment_intersection(pa, pb, pc, pd) is None:
                 continue
-            polished = _polish_coincidence(
-                _center_function(spec), 0.5 * (t1a + t1b), 0.5 * (t2a + t2b), domain, scale
-            )
+            polished = _polish_coincidence(spec, 0.5 * (t1a + t1b), 0.5 * (t2a + t2b), domain)
             if polished is None:
                 continue
             t1, t2 = polished
             if min(abs(t1 - t2), domain - abs(t1 - t2)) <= PARAM_DEDUP:
                 continue
-            center = _circle_center_2d(spec, t1)
+            center = _curve_point_center(spec, t1)
             if center is None or math.hypot(*center) <= 1e-5 * scale:
                 continue
             pairs.append((t1, t2))
@@ -333,6 +344,20 @@ SWEEP_SPECS = [
     make_spec(4, 1, "1", q="-1", cx="-1", cy="1/2"),  # cuspidate, pole off the axis
     make_spec(3, 2, "1/2", q=0, cx="1/2"),  # trident
 ]
+
+
+def test_float_once_evaluators_match_curve_point():
+    from chsurf.curve import point_function
+    from chsurf.surface import _center_function
+
+    for spec in SWEEP_SPECS:
+        point = point_function(spec.curve, spec.placement)
+        center = _center_function(spec)
+        period = spec.curve.parameter_period
+        for i in range(-300, 601):
+            t = period * i / 300 + 1e-3
+            assert point(t) == curve_point(spec.curve, spec.placement, t), (spec, t)
+            assert center(t) == _curve_point_center(spec, t), (spec, t)
 
 
 @pytest.mark.parametrize("samples", [256, 512])
