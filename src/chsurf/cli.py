@@ -3,8 +3,8 @@
 Subcommands: curve-props, curve-implicit, curve-sample, surface-classify,
 surface-mesh, figure, verify.  Machine output (JSON / CSV / OBJ) goes to
 stdout or ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
-1 domain error (invalid spec, degenerate geometry, failed verification or
-an internal consistency check), 2 usage error.
+1 domain error (invalid spec, degenerate geometry, failed verification,
+an internal consistency check or an unwritable output path), 2 usage error.
 
 Rational options accept ``num/den`` or finite decimal strings, both parsed
 exactly, also as a separate negative argument (``--cx -1/2``).  ``--q``
@@ -268,7 +268,9 @@ def _cmd_figure(args, out, err) -> int:
     if not args.id:
         raise ValueError("give a preset id or --list")
     preset = figure_preset(args.id)
-    mesh = sample(preset.spec, args.nt or preset.nt, args.ntheta or preset.ntheta)
+    nt = args.nt if args.nt is not None else preset.nt
+    ntheta = args.ntheta if args.ntheta is not None else preset.ntheta
+    mesh = sample(preset.spec, nt, ntheta)
     _write_to(args, out, lambda sink: export_obj(mesh, sink))
     return 0
 
@@ -316,10 +318,11 @@ def run(argv: List[str], out, err) -> int:
         return int(exit_request.code or 0)
     try:
         return _COMMANDS[args.command](args, out, err)
-    except (ValueError, RuntimeError) as failure:
-        _emit(err, f"error: {failure}\n")
-        return 1
     except BrokenPipeError:
+        return 1
+    except (ValueError, RuntimeError, OSError) as failure:
+        # OSError: an output path (--out, the CSV sidecars) cannot be written.
+        _emit(err, f"error: {failure}\n")
         return 1
 
 

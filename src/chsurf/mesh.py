@@ -5,7 +5,10 @@ grid, wrapped in both directions.  Rows where the curve crosses the z axis
 are skipped (the affine parametrization is undefined there, so the mesh
 keeps a hole), rows where the generating circle degenerates to a point are
 collapsed to a single vertex, and each surviving quad is split into two
-triangles with exact-zero slivers dropped.
+triangles with exact-zero slivers dropped.  A sampled ``Mesh`` holds numpy
+arrays: ``(N, 3)`` float64 vertices and ``(M, 3)`` int64 triangles.  numpy is
+imported inside ``sample`` and ``export_obj``, so importing this module (and
+the CLI) does not load it.
 
 Preset grid sizes are chosen so that every rational singular parameter of
 a figure lands exactly on a grid row; degenerate rows then coincide with
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import BinaryIO, Dict, List, Sequence, Tuple
+from typing import Any, BinaryIO, Dict, List, Sequence
 
 from .congruence import CongruenceSpec
 from .curve import CurveSpec, Placement, curve_point
@@ -41,8 +44,16 @@ class MeshRow:
 
 @dataclass
 class Mesh:
-    vertices: List[Tuple[float, float, float]] = field(default_factory=list)
-    triangles: List[Tuple[int, int, int]] = field(default_factory=list)
+    """A triangle mesh with the row structure it was sampled on.
+
+    ``sample`` fills ``vertices`` with an ``(N, 3)`` float64 numpy array and
+    ``triangles`` with an ``(M, 3)`` int64 numpy array of 0-based vertex
+    indices.  The fields default to empty lists so that building a ``Mesh``
+    does not import numpy; ``export_obj`` accepts any ``(N, 3)`` sequence.
+    """
+
+    vertices: Any = field(default_factory=list)
+    triangles: Any = field(default_factory=list)
     rows: List[MeshRow] = field(default_factory=list)
     ntheta: int = 0
 
@@ -62,67 +73,80 @@ class Mesh:
         return [row.t for row in self.rows if row.kind in kinds]
 
 
-def _triangle_area(a, b, c) -> float:
-    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    cx = uy * vz - uz * vy
-    cy = uz * vx - ux * vz
-    cz = ux * vy - uy * vx
-    return 0.5 * math.sqrt(cx * cx + cy * cy + cz * cz)
-
-
 def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     """Grid-sample the surface into a triangle mesh.
 
     ``nt`` rows cover one period of the curve parameter, ``ntheta`` columns
     one turn of each generating circle; both seams are closed by reusing the
-    first row/column, never by duplicating vertices.
+    first row/column, never by duplicating vertices.  Each row's kind is
+    decided on scalars; the vertex rings, the triangles and the sliver
+    filter are numpy expressions over all rows at once.
     """
+    import numpy as np  # only meshing needs it; the other commands start faster without
+
     if nt < 8 or ntheta < 8:
         raise ValueError("nt and ntheta must be at least 8")
     period = spec.curve.parameter_period
     thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
-    cos_t = [math.cos(v) for v in thetas]
-    sin_t = [math.sin(v) for v in thetas]
+    cos_t = np.array([math.cos(v) for v in thetas])
+    sin_t = np.array([math.sin(v) for v in thetas])
     q = float(spec.congruence.q)
     axis_tol = AXIS_EPS * max(1.0, spec.extent)
 
     mesh = Mesh(ntheta=ntheta)
+    rings = []  # (vertex_start, x, y, root, norm_sq, half_inv, z_scale) per FULL row
+    apexes = []  # (vertex_start, x, y) per COLLAPSED row
+    count = 0
     for i in range(nt):
         t = period * i / nt
         x, y, z = curve_point(spec.curve, spec.placement, t)
         rho_sq = x * x + y * y
         rho = math.sqrt(rho_sq)
-        start = len(mesh.vertices)
         if rho <= axis_tol:
-            mesh.rows.append(MeshRow(i, t, SKIPPED, start, 0))
+            mesh.rows.append(MeshRow(i, t, SKIPPED, count, 0))
             continue
         value = radicand(spec, t)
         norm_sq = rho_sq + z * z
         if value == 0.0:
             # Point circle: the whole theta ring is one vertex at the center.
             factor = (norm_sq - q) / (2.0 * rho_sq)
-            mesh.vertices.append((x * factor, y * factor, 0.0))
-            mesh.rows.append(MeshRow(i, t, COLLAPSED, start, 1))
+            apexes.append((count, x * factor, y * factor))
+            mesh.rows.append(MeshRow(i, t, COLLAPSED, count, 1))
+            count += 1
             continue
         root = math.sqrt(value)
-        half_inv = 1.0 / (2.0 * rho_sq)
-        z_scale = root / (2.0 * rho)
-        for j in range(ntheta):
-            along = (root * cos_t[j] + norm_sq - q) * half_inv
-            mesh.vertices.append((x * along, y * along, z_scale * sin_t[j]))
-        mesh.rows.append(MeshRow(i, t, FULL, start, ntheta))
+        rings.append((count, x, y, root, norm_sq, 1.0 / (2.0 * rho_sq), root / (2.0 * rho)))
+        mesh.rows.append(MeshRow(i, t, FULL, count, ntheta))
+        count += ntheta
 
     if all(row.kind == SKIPPED for row in mesh.rows):
         raise ValueError("every row degenerated: the curve lies on the z axis")
 
-    scale = max(1.0, max(max(abs(c) for c in v) for v in mesh.vertices))
-    area_floor = ZERO_AREA_EPS * scale * scale
+    columns = np.arange(ntheta, dtype=np.int64)
+    vertices = np.zeros((count, 3))
+    if rings:
+        start, x, y, root, norm_sq, half_inv, z_scale = (
+            np.array(values)[:, None] for values in zip(*rings)
+        )
+        along = (root * cos_t + norm_sq - q) * half_inv
+        ring = (start + columns).ravel()
+        vertices[ring, 0] = (x * along).ravel()
+        vertices[ring, 1] = (y * along).ravel()
+        vertices[ring, 2] = (z_scale * sin_t).ravel()
+    for start, x, y in apexes:
+        vertices[start, :2] = (x, y)
 
-    def emit(a: int, b: int, c: int) -> None:
-        if _triangle_area(mesh.vertices[a], mesh.vertices[b], mesh.vertices[c]) > area_floor:
-            mesh.triangles.append((a, b, c))
+    # Per column j (k = j + 1 around the seam): a quad between FULL rows a, b
+    # is (a_j, b_j, b_k), (a_j, b_k, a_k); a fan from a FULL row to an apex
+    # is (f_j, f_k, apex).  The boolean masks pick, per corner, which of the
+    # two rows' vertex_start is added to the column.
+    nxt = np.roll(columns, -1)
+    quad_columns = np.stack([columns, columns, nxt, columns, nxt, nxt], axis=1).reshape(-1, 3)
+    quad_from_b = np.tile([[False, True, True], [False, True, False]], (ntheta, 1))
+    fan_columns = np.stack([columns, nxt, np.zeros_like(columns)], axis=1)
+    fan_from_apex = np.array([False, False, True])
 
+    blocks = []
     for i in range(nt):
         row_a = mesh.rows[i]
         row_b = mesh.rows[(i + 1) % nt]
@@ -131,31 +155,36 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
         if row_a.kind == COLLAPSED and row_b.kind == COLLAPSED:
             continue
         if row_a.kind == FULL and row_b.kind == FULL:
-            for j in range(ntheta):
-                k = (j + 1) % ntheta
-                a0 = row_a.vertex_start + j
-                a1 = row_a.vertex_start + k
-                b0 = row_b.vertex_start + j
-                b1 = row_b.vertex_start + k
-                emit(a0, b0, b1)
-                emit(a0, b1, a1)
+            offset = np.where(quad_from_b, row_b.vertex_start, row_a.vertex_start)
+            blocks.append(quad_columns + offset)
             continue
         full_row, apex_row = (row_a, row_b) if row_a.kind == FULL else (row_b, row_a)
-        apex = apex_row.vertex_start
-        for j in range(ntheta):
-            k = (j + 1) % ntheta
-            emit(full_row.vertex_start + j, full_row.vertex_start + k, apex)
+        offset = np.where(fan_from_apex, apex_row.vertex_start, full_row.vertex_start)
+        blocks.append(fan_columns + offset)
+    triangles = np.concatenate(blocks) if blocks else np.zeros((0, 3), dtype=np.int64)
+
+    # Drop exact-zero slivers: area from the cross product of b - a and c - a.
+    scale = max(1.0, float(np.abs(vertices).max()))
+    a, b, c = (vertices.take(triangles[:, corner], axis=0) for corner in range(3))
+    u, v = b - a, c - a
+    cx = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
+    cy = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
+    cz = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    area = 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
+    mesh.vertices = vertices
+    mesh.triangles = triangles[area > ZERO_AREA_EPS * scale * scale]
     return mesh
 
 
 def export_obj(mesh: Mesh, sink: BinaryIO) -> None:
     """Write ASCII OBJ with LF endings and 17 significant digits per coordinate."""
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-    for a, b, c in mesh.triangles:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}\n")
-    sink.write("".join(lines).encode("ascii"))
+    import numpy as np
+
+    vertices = np.asarray(mesh.vertices, dtype=np.float64).reshape(-1, 3)
+    faces = np.asarray(mesh.triangles, dtype=np.int64).reshape(-1, 3) + 1
+    text = ("v %.17g %.17g %.17g\n" * len(vertices)) % tuple(vertices.ravel().tolist())
+    text += ("f %d %d %d\n" * len(faces)) % tuple(faces.ravel().tolist())
+    sink.write(text.encode("ascii"))
 
 
 def write_obj(mesh: Mesh, path: str) -> None:

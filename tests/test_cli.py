@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -217,6 +221,43 @@ def test_figure_unknown_preset_exit_1():
     code, _, err = invoke("figure", "zz")
     assert code == 1
     assert "unknown figure preset" in err
+
+
+@pytest.mark.parametrize("option", ["--nt", "--ntheta"])
+def test_figure_zero_resolution_exit_1(option):
+    code, out, err = invoke("figure", "9a", option, "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: nt and ntheta must be at least 8\n"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("figure", "9a", "--nt", "16", "--ntheta", "8"), "--out"),
+        (
+            ("surface-classify", "--n", "3", "--d", "1", "--cx", "1", "--q", "-1"),
+            "--singular-circles-csv",
+        ),
+    ],
+)
+def test_unwritable_output_path_exit_1(tmp_path, argv, option):
+    target = tmp_path / "missing" / "output"
+    code, _, err = invoke(*argv, option, str(target))
+    assert code == 1
+    assert err.startswith("error: ") and str(target) in err
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is imported inside the mesher and the residual check only, so
+    # start-up of every command stays free of it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, chsurf.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 def test_help_exit_0():

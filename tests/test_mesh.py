@@ -4,22 +4,29 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chsurf.congruence import CongruenceSpec, circle_key_close, circle_through
-from chsurf.curve import CurveSpec, Placement
+from chsurf.curve import CurveSpec, Placement, curve_point
 from chsurf.mesh import (
+    COLLAPSED,
     FULL,
+    SKIPPED,
+    ZERO_AREA_EPS,
     Mesh,
+    MeshRow,
     export_obj,
     figure_preset,
     preset_keys,
     sample,
 )
 from chsurf.surface import (
+    AXIS_EPS,
     SurfaceSpec,
     axis_meeting_parameters,
     generating_circle,
+    radicand,
     zero_circle_parameters,
 )
 
@@ -104,6 +111,93 @@ def test_vertices_map_back_to_row_circles():
             assert circle_key_close(key, recovered, 1e-7)
 
 
+def _scalar_sample(spec, nt, ntheta):
+    """The per-vertex, per-triangle loop that ``sample`` replaced, kept as its reference."""
+    period = spec.curve.parameter_period
+    thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
+    cos_t = [math.cos(v) for v in thetas]
+    sin_t = [math.sin(v) for v in thetas]
+    q = float(spec.congruence.q)
+    axis_tol = AXIS_EPS * max(1.0, spec.extent)
+    vertices, triangles, rows = [], [], []
+    for i in range(nt):
+        t = period * i / nt
+        x, y, z = curve_point(spec.curve, spec.placement, t)
+        rho_sq = x * x + y * y
+        rho = math.sqrt(rho_sq)
+        start = len(vertices)
+        if rho <= axis_tol:
+            rows.append(MeshRow(i, t, SKIPPED, start, 0))
+            continue
+        value = radicand(spec, t)
+        norm_sq = rho_sq + z * z
+        if value == 0.0:
+            factor = (norm_sq - q) / (2.0 * rho_sq)
+            vertices.append((x * factor, y * factor, 0.0))
+            rows.append(MeshRow(i, t, COLLAPSED, start, 1))
+            continue
+        root = math.sqrt(value)
+        half_inv = 1.0 / (2.0 * rho_sq)
+        z_scale = root / (2.0 * rho)
+        for j in range(ntheta):
+            along = (root * cos_t[j] + norm_sq - q) * half_inv
+            vertices.append((x * along, y * along, z_scale * sin_t[j]))
+        rows.append(MeshRow(i, t, FULL, start, ntheta))
+
+    scale = max(1.0, max(max(abs(c) for c in v) for v in vertices))
+    area_floor = ZERO_AREA_EPS * scale * scale
+
+    def emit(a, b, c):
+        pa, pb, pc = vertices[a], vertices[b], vertices[c]
+        ux, uy, uz = pb[0] - pa[0], pb[1] - pa[1], pb[2] - pa[2]
+        vx, vy, vz = pc[0] - pa[0], pc[1] - pa[1], pc[2] - pa[2]
+        cx = uy * vz - uz * vy
+        cy = uz * vx - ux * vz
+        cz = ux * vy - uy * vx
+        if 0.5 * math.sqrt(cx * cx + cy * cy + cz * cz) > area_floor:
+            triangles.append((a, b, c))
+
+    for i in range(nt):
+        row_a, row_b = rows[i], rows[(i + 1) % nt]
+        if row_a.kind == SKIPPED or row_b.kind == SKIPPED:
+            continue
+        if row_a.kind == COLLAPSED and row_b.kind == COLLAPSED:
+            continue
+        if row_a.kind == FULL and row_b.kind == FULL:
+            for j in range(ntheta):
+                k = (j + 1) % ntheta
+                a0, a1 = row_a.vertex_start + j, row_a.vertex_start + k
+                b0, b1 = row_b.vertex_start + j, row_b.vertex_start + k
+                emit(a0, b0, b1)
+                emit(a0, b1, a1)
+            continue
+        full_row, apex_row = (row_a, row_b) if row_a.kind == FULL else (row_b, row_a)
+        for j in range(ntheta):
+            k = (j + 1) % ntheta
+            emit(full_row.vertex_start + j, full_row.vertex_start + k, apex_row.vertex_start)
+    return vertices, triangles, rows
+
+
+_EQUIVALENCE_CASES = [
+    pytest.param(figure_preset(key).spec, figure_preset(key).nt, id=key) for key in preset_keys()
+] + [
+    # Skipped rows; preset 6b has collapsed ones.
+    pytest.param(make_spec(3, 1, q=0, cx=-1), 256, id="CH(3,1,0),cx=-1"),
+]
+
+
+@pytest.mark.parametrize("spec, nt", _EQUIVALENCE_CASES)
+def test_sample_matches_scalar_reference(spec, nt):
+    mesh = sample(spec, nt, 24)
+    vertices, triangles, rows = _scalar_sample(spec, nt, 24)
+    assert mesh.rows == rows
+    assert mesh.vertices.dtype == np.float64 and mesh.vertices.shape == (len(vertices), 3)
+    assert mesh.triangles.dtype == np.int64 and mesh.triangles.shape == (len(triangles), 3)
+    # Bytes, not ==, so that a sign flip of a zero coordinate also fails.
+    assert mesh.vertices.tobytes() == np.array(vertices, dtype=np.float64).tobytes()
+    assert mesh.triangles.tolist() == [list(t) for t in triangles]
+
+
 def test_export_obj_single_triangle():
     mesh = Mesh(
         vertices=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
@@ -134,9 +228,9 @@ def test_obj_round_trip_counts_and_coordinates():
     vertices, faces = parse_obj(buffer.getvalue())
     assert len(vertices) == len(mesh.vertices)
     assert len(faces) == len(mesh.triangles)
-    assert faces == mesh.triangles
+    assert faces == [tuple(t) for t in mesh.triangles.tolist()]
     for parsed, original in zip(vertices, mesh.vertices):
-        assert parsed == original  # 17 significant digits round-trip exactly
+        assert parsed == tuple(original.tolist())  # 17 significant digits round-trip exactly
 
 
 def test_preset_registry():
