@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -111,7 +112,9 @@ def _add_placement_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--h", type=parse_rational, default=Fraction(0), help="curve plane height (rational)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; ``parse_args`` returns a fresh namespace per call."""
     parser = argparse.ArgumentParser(
         prog="chsurf",
         description="Exact toolkit for cyclic-harmonic curves and their circular surfaces",
@@ -138,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_curve_options(classify_cmd)
     _add_placement_options(classify_cmd)
     classify_cmd.add_argument("--q", type=parse_q, required=True, help="squared base-point height, or p= sugar")
-    classify_cmd.add_argument("--tol", type=float, default=1e-9)
     classify_cmd.add_argument("--format", choices=["json"], default="json")
     classify_cmd.add_argument(
         "--singular-circles-csv", help="also write singular circles (angle,offset,radius,multiplicity)"
@@ -233,7 +235,7 @@ def _cmd_curve_sample(args, out, err) -> int:
 
 def _cmd_surface_classify(args, out, err) -> int:
     spec = _surface_spec(args)
-    result = classify(spec, tol=args.tol)
+    result = classify(spec)
     _emit(out, _json_line(result.to_dict()))
     if args.singular_circles_csv:
         lines = ["meridian_angle,center_offset,radius,multiplicity\n"]

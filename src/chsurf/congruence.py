@@ -124,13 +124,6 @@ def circle_key_close(k1: CircleKey, k2: CircleKey, tol: float) -> bool:
     return False
 
 
-def meridian_coordinates(point: Sequence[float], key: CircleKey) -> Tuple[float, float]:
-    """Signed (u, z) coordinates of a point in the key's meridian frame."""
-    x, y, z = (float(v) for v in point)
-    u = x * math.cos(key.meridian_angle) + y * math.sin(key.meridian_angle)
-    return u, z
-
-
 def point_on_circle(spec: CongruenceSpec, key: CircleKey, theta: float) -> Tuple[float, float, float]:
     """Point of the keyed circle at angle theta, measured from its center."""
     u = key.center_offset + key.radius * math.cos(theta)

@@ -8,11 +8,10 @@ the curve's property table and on how the curve sits relative to the axis;
 ``classify`` computes them twice, once from the general count formulas and
 once from the closed-form classification table, and insists the two agree.
 
-With the pole on the axis, incidence is decided exactly over the rationals.
-Off the axis it is decided by float residuals at 2d closed-form angular
-candidates, accepted within ``tol`` (the CLI's ``--tol``) and refused with
-:class:`IncidenceAmbiguityError` inside 1000x ``tol``; the candidates are
-closed-form, so no root can be skipped by a too-coarse grid.
+Incidence with the axis is decided exactly over the rationals.  With the
+pole on the axis it is a comparison of the placement with q; off the axis
+the branch count is the degree of a polynomial gcd over Q(i), so no float
+tolerance enters the classification.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .congruence import CircleKey, CongruenceSpec, circle_through
@@ -35,11 +35,8 @@ from .curve import (
 AXIS_EPS = 1e-9
 RADICAND_EPS = 1e-12
 PARAM_DEDUP = 1e-6
+ROOT_EPS = 1e-9
 DEFAULT_ROOT_GRID = 4096
-
-
-class IncidenceAmbiguityError(ValueError):
-    """Raised when an axis-incidence residual is too close to the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -164,80 +161,99 @@ def curve_theta(spec: SurfaceSpec, t: float) -> float:
 # -- incidence with the axis ------------------------------------------------------
 
 
-def _fold_parameter(spec: CurveSpec, phi: float) -> float:
-    """Canonical representative modulo the retrace period of odd roses."""
-    period = spec.parameter_period
-    if spec.is_odd_rose:
-        period /= 2.0
-    return phi % period
+def _gmul(p: Tuple[Fraction, Fraction], q: Tuple[Fraction, Fraction]) -> Tuple[Fraction, Fraction]:
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
 
 
-def axis_meeting_parameters(
-    curve: CurveSpec, placement: Placement, tol: float = 1e-9
-) -> List[float]:
+def _gcd_degree(a: list, b: list) -> int:
+    """Degree of gcd(a, b) over Q(i) by Euclid's algorithm, for b != 0.
+
+    A polynomial is the list of its (re, im) coefficients, lowest degree first.
+    """
+    while True:
+        while b and not (b[-1][0] or b[-1][1]):
+            b.pop()
+        if not b:
+            return len(a) - 1
+        re, im = b[-1]
+        norm = Fraction(re * re + im * im)
+        b = [_gmul(c, (re / norm, -im / norm)) for c in b]  # monic
+        a, shift = list(a), len(b) - 1
+        terms = [(k, c) for k, c in enumerate(b[:shift]) if c[0] or c[1]]
+        for top in range(len(a) - 1, shift - 1, -1):
+            if a[top][0] or a[top][1]:
+                for k, c in terms:
+                    term, old = _gmul(a[top], c), a[top - shift + k]
+                    a[top - shift + k] = (old[0] - term[0], old[1] - term[1])
+        a, b = b, a[:shift]
+
+
+def _axis_passage_count(curve: CurveSpec, placement: Placement) -> int:
+    """Parameters in [0, 2*d*pi) at which the curve meets the axis, pole off it.
+
+    With the axis at (u, v) = (-cx, -cy) from the pole and z = exp(i*phi/d),
+    the 2d angles phi = atan2(v, u) + k*pi aimed at the axis are the simple
+    roots of g(z) = (u^2 + v^2)*z^(2d) - (u+iv)^2, and phi is a passage iff
+    r(phi) = (u-iv)*exp(i*phi), i.e. f(z) = z^(2n) + 2a*z^n + 1 - 2(u-iv)*z^(n+d)
+    vanishes there too.  So the count is deg gcd(f, g), exact over Q(i).
+    """
+    n, d = curve.n, curve.d
+    u, v = -placement.cx, -placement.cy
+    f = [(0, 0)] * (max(2 * n, n + d) + 1)
+    for exponent, (re, im) in ((0, (1, 0)), (n, (2 * curve.a, 0)), (2 * n, (1, 0)), (n + d, (-2 * u, 2 * v))):
+        f[exponent] = (f[exponent][0] + re, f[exponent][1] + im)
+    g = [(v * v - u * u, -2 * u * v)] + [(0, 0)] * (2 * d - 1) + [(u * u + v * v, 0)]
+    return _gcd_degree(f, g)
+
+
+def axis_meeting_parameters(curve: CurveSpec, placement: Placement) -> List[float]:
     """All phi in [0, 2*d*pi) where the placed curve meets the z axis.
 
     Solved in closed form: with the pole on the axis these are the zeros of
-    the radius, otherwise the radius must hit +-|pole offset| at the two
-    angles aimed at the axis, which is a finite candidate list.
+    the radius, otherwise the radius must hit +-|pole offset| at the 2d
+    angles aimed at the axis.  Off the axis the exact passage count picks
+    that many of those candidates, the ones with the smallest residuals.
     """
     n, d, a = curve.n, curve.d, float(curve.a)
     period = curve.parameter_period
-    hits: List[float] = []
     if placement.pole_on_axis:
-        if a > 1.0:
+        if curve.a > 1:
             return []
         base = math.acos(-a)
-        seen = set()
+        hits = []
         for k in range(n):
-            for u in (base + 2.0 * math.pi * k, -base + 2.0 * math.pi * (k + 1)):
-                phi = (d * u / n) % period
-                rounded = round(phi, 9)
-                if rounded not in seen:
-                    seen.add(rounded)
-                    hits.append(phi)
+            hits.append((d * (base + 2.0 * math.pi * k) / n) % period)
+            if curve.a != 1:  # a cusp: both zeros of the radius coincide
+                hits.append((d * (-base + 2.0 * math.pi * (k + 1)) / n) % period)
         return sorted(hits)
     cx, cy = float(placement.cx), float(placement.cy)
     rho_q = math.hypot(cx, cy)
     phi_q = math.atan2(-cy, -cx)
-    residuals = []
+    candidates = []
     for k in range(2 * d):
         phi = (phi_q + math.pi * k) % period
         target = rho_q if k % 2 == 0 else -rho_q
-        residuals.append((phi, abs(polar_radius(curve, phi) - target)))
-    scale = max(1.0, 1.0 + a + rho_q)
-    for phi, residual in residuals:
-        if residual <= tol * scale:
-            hits.append(phi)
-        elif residual <= 1e3 * tol * scale:
-            raise IncidenceAmbiguityError(
-                f"axis incidence residual {residual:.3e} at phi={phi:.12f} is within "
-                f"1000x of tolerance {tol:.1e}; tighten the placement or the tolerance"
-            )
-    return sorted(hits)
+        candidates.append((abs(polar_radius(curve, phi) - target), phi))
+    candidates.sort()
+    return sorted(phi for _, phi in candidates[: _axis_passage_count(curve, placement)])
 
 
-def incidence_type(spec: SurfaceSpec, tol: float = 1e-9) -> IncidenceType:
-    """Detect which classification case the placement realizes.
+def incidence_type(spec: SurfaceSpec) -> IncidenceType:
+    """Detect which classification case the placement realizes, exactly.
 
-    Pole-on-axis tests are exact over the rationals.  Off the axis, the
-    point where the axis pierces the curve plane lies on the curve iff one
-    of the 2d closed-form candidates passes the residual test; j counts the
-    distinct branches through it (retraced parameters identified).
+    With the pole on the axis the kind follows from the height and q.  Off
+    the axis, j counts the parameters of the passages through the axis, odd
+    roses identifying the two retraced halves; a cusp is one parameter, and
+    isolated complex points of the implicit curve are none.
     """
     placement = spec.placement
     q = spec.congruence.q
     if placement.pole_on_axis:
         return IncidenceType(1) if placement.height**2 == q else IncidenceType(2)
-    hits = axis_meeting_parameters(spec.curve, placement, tol)
-    if not hits:
+    passages = _axis_passage_count(spec.curve, placement)
+    if not passages:
         return IncidenceType(5)
-    folded = sorted({round(_fold_parameter(spec.curve, phi), 9) for phi in hits})
-    deduped = [folded[0]]
-    for phi in folded[1:]:
-        if phi - deduped[-1] > PARAM_DEDUP:
-            deduped.append(phi)
-    j = len(deduped)
+    j = passages // 2 if spec.curve.is_odd_rose else passages
     at_directing_point = q >= 0 and placement.height**2 == q
     return IncidenceType(3 if at_directing_point else 4, j)
 
@@ -320,9 +336,9 @@ def incidence_counts(curve: CurveSpec, incidence: IncidenceType) -> Tuple[int, i
     return 0, 0, 0
 
 
-def classify(spec: SurfaceSpec, tol: float = 1e-9) -> SurfaceClassification:
+def classify(spec: SurfaceSpec) -> SurfaceClassification:
     """Order and singular multiplicities of the surface, dual-path checked."""
-    incidence = incidence_type(spec, tol)
+    incidence = incidence_type(spec)
     curve = spec.curve
     props = curve_properties(curve)
     axis_points, p1, p2 = incidence_counts(curve, incidence)
@@ -345,9 +361,7 @@ def classify(spec: SurfaceSpec, tol: float = 1e-9) -> SurfaceClassification:
 # -- periodic root finding ------------------------------------------------------------
 
 
-def _periodic_roots(
-    f: Callable[[float], float], period: float, grid: int, tol: float
-) -> List[float]:
+def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> List[float]:
     """Zeros of a smooth periodic function on [0, period).
 
     Sign changes are refined by bisection; near-zero local minima of |f| are
@@ -406,7 +420,7 @@ def _periodic_roots(
         if here <= abs(vals[i - 1]) and here <= abs(vals[(i + 1) % n_points]):
             if here <= 1e-3 * scale:
                 candidate = golden_min(ts[i] - step, ts[i] + step) % period
-                if abs(f(candidate)) <= tol * scale:
+                if abs(f(candidate)) <= ROOT_EPS * scale:
                     roots.append(candidate)
     roots.sort()
     deduped: List[float] = []
@@ -446,11 +460,6 @@ def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[floa
         return (lam * x, lam * y)
 
     return center
-
-
-def _circle_center_2d(spec: SurfaceSpec, t: float) -> Optional[Tuple[float, float]]:
-    """Planar center of the generating circle at t; None when degenerate."""
-    return _center_function(spec)(t)
 
 
 def _compress(point: Tuple[float, float]) -> Tuple[float, float]:
@@ -591,9 +600,7 @@ def _off_center_coincidences(
     return pairs
 
 
-def _axis_centered_groups(
-    spec: SurfaceSpec, samples: int, domain: float, tol: float
-) -> List[List[float]]:
+def _axis_centered_groups(spec: SurfaceSpec, samples: int, domain: float) -> List[List[float]]:
     """Passage groups on circles centered on the axis (elliptic only).
 
     Such a circle has radius sqrt(q), so its passages are the parameters
@@ -608,7 +615,7 @@ def _axis_centered_groups(
         x, y, z = point(t)
         return x * x + y * y + z * z - q
 
-    roots = _periodic_roots(sphere_gap, domain, max(4 * samples, 2048), tol)
+    roots = _periodic_roots(sphere_gap, domain, max(4 * samples, 2048))
     axis_bound = AXIS_EPS * max(1.0, spec.extent)
     planed = []
     for t in roots:
@@ -628,9 +635,7 @@ def _axis_centered_groups(
     return [[t for _, t in group] for group in groups if len(group) >= 2]
 
 
-def singular_circles(
-    spec: SurfaceSpec, samples: int = 512, tol: float = 1e-9
-) -> List[Tuple[CircleKey, int]]:
+def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[CircleKey, int]]:
     """Circles met by the curve more than once, with their branch counts.
 
     Off-center circles come from self-intersections of the planar center
@@ -706,7 +711,7 @@ def singular_circles(
             continue
         key = generating_circle(spec, min(params))
         results.append((key, len(params)))
-    for params in _axis_centered_groups(spec, samples, domain, tol):
+    for params in _axis_centered_groups(spec, samples, domain):
         key = generating_circle(spec, min(params))
         results.append((key, len(params)))
     results.sort(key=lambda item: (item[0].meridian_angle, item[0].center_offset))
@@ -716,9 +721,7 @@ def singular_circles(
 # -- intersections with the zero-radius circle -----------------------------------------
 
 
-def zero_circle_parameters(
-    spec: SurfaceSpec, tol: float = 1e-9, grid: int = DEFAULT_ROOT_GRID
-) -> List[float]:
+def zero_circle_parameters(spec: SurfaceSpec, grid: int = DEFAULT_ROOT_GRID) -> List[float]:
     """Curve parameters where the curve meets the zero-radius circle.
 
     Finds both transversal crossings (sign changes, refined by bisection)
@@ -735,11 +738,11 @@ def zero_circle_parameters(
         x, y, _ = point(t)
         return x * x + y * y + q
 
-    return _periodic_roots(waist_gap, spec.curve.parameter_period, grid, tol)
+    return _periodic_roots(waist_gap, spec.curve.parameter_period, grid)
 
 
 def zero_circle_intersections(
-    spec: SurfaceSpec, tol: float = 1e-9, grid: int = DEFAULT_ROOT_GRID
+    spec: SurfaceSpec, grid: int = DEFAULT_ROOT_GRID
 ) -> List[Tuple[float, float, float]]:
     """Distinct points where the curve meets the zero-radius circle.
 
@@ -747,7 +750,7 @@ def zero_circle_intersections(
     one point (e.g. every radius zero of a rose sits at its pole), so the
     parameter list is deduplicated by position.
     """
-    params = zero_circle_parameters(spec, tol, grid)
+    params = zero_circle_parameters(spec, grid)
     points: List[Tuple[float, float, float]] = []
     scale = max(1.0, spec.extent)
     for t in params:

@@ -123,6 +123,14 @@ def test_surface_classify_csv_sidecars(tmp_path):
     assert len(waist_lines) == 4  # three distinct contact points
 
 
+@pytest.mark.parametrize("cx", ["-99999999999/100000000000", "-9999999/10000000"])
+def test_surface_classify_near_miss_is_5a(cx):
+    # The petal tip of CH(3,1,0) misses the axis by 1e-11 or 1e-7.
+    code, out, err = invoke("surface-classify", "--n", "3", "--d", "1", "--q", "0", f"--cx={cx}")
+    assert (code, err) == (0, "")
+    assert '"type":"5A"' in out
+
+
 def test_surface_classify_p_sugar():
     code, out, _ = invoke(
         "surface-classify", "--n", "9", "--d", "2", "--a", "2", "--q", "p=i", "--h", "1",
@@ -204,6 +212,29 @@ def test_usage_error_exit_2():
     code, _, err = invoke("curve-props", "--n", "7")
     assert code == 2
     assert "required" in err
+
+
+def test_tol_option_removed_exit_2():
+    code, _, err = invoke("surface-classify", "--n", "3", "--d", "1", "--q", "0", "--tol", "1e-9")
+    assert code == 2
+    assert "--tol" in err
+    code, out, _ = invoke("surface-classify", "--help")
+    assert code == 0
+    assert "--tol" not in out
+
+
+def test_back_to_back_runs_share_no_values():
+    # One parser serves every run; each run must see only its own arguments.
+    tip = ("surface-classify", "--n", "3", "--d", "1", "--q", "0", "--cx=-1")
+    centered = ("surface-classify", "--n", "3", "--d", "1", "--q", "0")
+    first = invoke(*tip)
+    assert json.loads(first[1])["type"] == "3A"
+    second = invoke(*centered)
+    assert json.loads(second[1])["type"] == "1A"
+    usage = invoke("surface-classify", "--n", "3", "--q", "0")
+    assert usage[0] == 2 and usage[1] == "" and "--d" in usage[2]
+    assert invoke(*tip) == first
+    assert invoke(*centered) == second
 
 
 def test_unknown_command_exit_2():
