@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 
 class CongruenceKind(Enum):
@@ -122,14 +122,3 @@ def circle_key_close(k1: CircleKey, k2: CircleKey, tol: float) -> bool:
     if abs(d_angle - math.pi) <= tol and abs(k1.center_offset + k2.center_offset) <= tol * scale:
         return True
     return False
-
-
-def point_on_circle(spec: CongruenceSpec, key: CircleKey, theta: float) -> Tuple[float, float, float]:
-    """Point of the keyed circle at angle theta, measured from its center."""
-    u = key.center_offset + key.radius * math.cos(theta)
-    z = key.radius * math.sin(theta)
-    return (
-        u * math.cos(key.meridian_angle),
-        u * math.sin(key.meridian_angle),
-        z,
-    )

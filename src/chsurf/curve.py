@@ -2,11 +2,13 @@
 
 The polar family is parametrized by coprime positive integers n, d and a
 rational offset a >= 0.  Everything symbolic here is exact: the implicit
-equation is a primitive integer polynomial, the property table (order,
-multiplicity at the pole, multiplicity at the circular points at infinity)
-is integer arithmetic, and the circular-point multiplicity check runs on
-Gaussian integers held as pairs of ints.  Floating point only enters through
-the polar/point samplers.
+equation and the pole tangent cone are built on integer term maps (with
+a = p/r, every radial sum is scaled by r^d = den(a)^d) and wrapped as a
+primitive integer polynomial once, the property table (order, multiplicity
+at the pole, multiplicity at the circular points at infinity) is integer
+arithmetic, and the circular-point multiplicity check runs on Gaussian
+integers held as pairs of ints.  Floating point only enters through the
+polar/point samplers.
 
 All functions are pure and the spec types are frozen, so a parameter grid
 can be processed in parallel without any locking.
@@ -159,107 +161,72 @@ def curve_properties(spec: CurveSpec) -> CurveProperties:
 
 # -- implicit equation ---------------------------------------------------------
 #
-# Writing w = x^2 + y^2 and S = sum_i (-1)^i C(n,2i) x^(n-2i) y^(2i), the
-# defining trigonometric identity splits into an even and an odd part in
-# sqrt(w).  Squaring the appropriate rearrangement eliminates the radical,
-# which yields a polynomial of total degree 2(n+d) for a != 0 (and for the
-# even-product roses), or degree n+d without squaring for odd-product roses.
+# With w = x^2 + y^2 and S = Re (x + iy)^n = sum_i (-1)^i C(n,2i) x^(n-2i) y^(2i),
+# the curve satisfies S = w^(n/2) T_d(sqrt(w) - a), T_d the Chebyshev
+# polynomial.  T_d(sqrt(w) - a) = E(w) + sqrt(w) O(w) splits into an even and
+# an odd part; isolating the part that carries a lone sqrt(w) and squaring
+# eliminates the radical, which yields a polynomial of total degree 2(n+d).
+# For odd-product roses that part is zero and the unsquared side, of degree
+# n+d, is the equation.  Writing a = p/r and scaling S, E and O by r^d keeps
+# every coefficient an integer, so the build runs on {(i, j): int} term maps;
+# they become a MultiPoly once, after the integer content is divided out.
 
 
-def _cos_multiple_angle(n: int) -> MultiPoly:
-    """sum_{2i <= n} (-1)^i C(n,2i) x^(n-2i) y^(2i)."""
-    terms = {}
-    for i in range(n // 2 + 1):
-        terms[(n - 2 * i, 2 * i)] = Fraction((-1) ** i * comb(n, 2 * i))
-    return MultiPoly(XY, terms)
+def _cos_multiple_angle(n: int, scale: int) -> dict:
+    """scale * sum_{2i <= n} (-1)^i C(n,2i) x^(n-2i) y^(2i)."""
+    return {(n - 2 * i, 2 * i): scale * (-1) ** i * comb(n, 2 * i) for i in range(n // 2 + 1)}
 
 
-def _odd_upper_bound(d: int, k: int) -> int:
-    half = (d - 2 * k) // 2
-    return half if d % 2 == 1 else half - 1
+def _radial_coeffs(d: int, p: int, r: int) -> Tuple[list, list]:
+    """Integer coefficients of E and O in r^d T_d(sqrt(w) - p/r) = E(w) + sqrt(w) O(w)."""
+    previous, chebyshev = [1], [0, 1]
+    for _ in range(d - 1):
+        following = [0] + [2 * c for c in chebyshev]
+        for k, c in enumerate(previous):
+            following[k] -= c
+        previous, chebyshev = chebyshev, following
+    # r^d (s - p/r)^m = r^(d-m) (r s - p)^m, collected by powers of s = sqrt(w).
+    coeffs = [0] * (d + 1)
+    for m, t in enumerate(chebyshev):
+        for k in range(m + 1):
+            coeffs[k] += t * comb(m, k) * (-p) ** (m - k) * r ** (d - m + k)
+    return coeffs[0::2], coeffs[1::2]
 
 
-def _radial_even_coeffs(d: int, a: Fraction) -> list:
-    """Coefficients e_l of the even radial sum E(w) = sum_l e_l w^l."""
-    coeffs = [Fraction(0)] * (d // 2 + 1)
-    for j in range(d // 2 + 1):
-        for k in range(j + 1):
-            base = Fraction((-1) ** (d - k) * comb(d, 2 * j) * comb(j, k))
-            for l in range((d - 2 * k) // 2 + 1):
-                exponent = d - 2 * k - 2 * l
-                coeffs[l] += base * comb(d - 2 * k, 2 * l) * a**exponent
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-def _radial_odd_coeffs(d: int, a: Fraction) -> list:
-    """Coefficients o_l of the odd radial sum O(w) = sum_l o_l w^l."""
-    coeffs = [Fraction(0)] * (d // 2 + 1)
-    for j in range(d // 2 + 1):
-        for k in range(j + 1):
-            base = Fraction((-1) ** (d - k - 1) * comb(d, 2 * j) * comb(j, k))
-            for l in range(_odd_upper_bound(d, k) + 1):
-                exponent = d - 2 * k - 2 * l - 1
-                coeffs[l] += base * comb(d - 2 * k, 2 * l + 1) * a**exponent
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _w_power_poly(coeffs: Sequence[Fraction], shift: int) -> MultiPoly:
+def _w_power_poly(coeffs: Sequence[int], shift: int) -> dict:
     """Expand w^shift * sum_l coeffs[l] w^l with w = x^2 + y^2."""
-    w = MultiPoly(XY, {(2, 0): 1, (0, 2): 1})
-    result = MultiPoly.zero(XY)
-    power = w**shift
+    terms = {}
     for l, c in enumerate(coeffs):
-        if c:
-            result = result + power * c
-        power = power * w
-    return result
+        m = l + shift
+        for k in range(m + 1):
+            key = (2 * k, 2 * (m - k))
+            terms[key] = terms.get(key, 0) + c * comb(m, k)
+    return terms
 
 
-def _rose_implicit(spec: CurveSpec) -> MultiPoly:
-    n, d = spec.n, spec.d
-    s_poly = _cos_multiple_angle(n)
-    if (n * d) % 2 == 1:
-        # Single-sheet case: both sides are already polynomial in w.
-        coeffs = {}
-        for k in range(d // 2 + 1):
-            for j in range(k + 1):
-                exp = (n + d) // 2 - k + j
-                value = Fraction((-1) ** (j + k) * comb(d, 2 * k) * comb(k, j))
-                coeffs[exp] = coeffs.get(exp, Fraction(0)) + value
-        highest = max(coeffs)
-        dense = [coeffs.get(e, Fraction(0)) for e in range(highest + 1)]
-        return _w_power_poly(dense, 0) - s_poly
-    # Even-product roses carry a lone sqrt(w): square both sides.
-    by_u = {}
-    for k in range(d // 2 + 1):
-        for j in range(k + 1):
-            u = k - j
-            by_u[u] = by_u.get(u, Fraction(0)) + Fraction((-1) ** u * comb(d, 2 * k) * comb(k, j))
-    base_exp = (n + d - 1) // 2
-    dense = [Fraction(0)] * (base_exp + 1)
-    for u, value in by_u.items():
-        dense[base_exp - u] += value
-    half = _w_power_poly(dense, 0)
-    w = MultiPoly(XY, {(2, 0): 1, (0, 2): 1})
-    return w * half * half - s_poly * s_poly
+def _sub(p: dict, q: dict) -> dict:
+    difference = dict(p)
+    for e, c in q.items():
+        difference[e] = difference.get(e, 0) - c
+    return difference
 
 
-def _offset_implicit(spec: CurveSpec) -> MultiPoly:
-    n, d, a = spec.n, spec.d, spec.a
-    s_poly = _cos_multiple_angle(n)
-    even = _radial_even_coeffs(d, a)
-    odd = _radial_odd_coeffs(d, a)
-    w = MultiPoly(XY, {(2, 0): 1, (0, 2): 1})
-    if n % 2 == 0:
-        body = s_poly - _w_power_poly(even, n // 2)
-        odd_part = _w_power_poly(odd, 0)
-        return body * body - w ** (n + 1) * odd_part * odd_part
-    body = s_poly - _w_power_poly(odd, (n + 1) // 2)
-    even_part = _w_power_poly(even, 0)
-    return body * body - w**n * even_part * even_part
+def _mul(p: dict, q: dict) -> dict:
+    product = {}
+    for (i, j), c in p.items():
+        for (k, l), e in q.items():
+            key = (i + k, j + l)
+            product[key] = product.get(key, 0) + c * e
+    return product
+
+
+def _primitive(terms: dict) -> MultiPoly:
+    """Divide out the integer content, sign pinned by the grlex-leading term."""
+    terms = {e: c for e, c in terms.items() if c}
+    content = gcd(*terms.values())
+    if terms[max(terms, key=lambda e: (sum(e), e))] < 0:
+        content = -content
+    return MultiPoly(XY, {e: c // content for e, c in terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -269,8 +236,18 @@ def implicit_equation(spec: CurveSpec) -> MultiPoly:
     Total degree equals ``curve_properties(spec).order``; the sign is pinned
     by the canonical-order leading coefficient.
     """
-    raw = _rose_implicit(spec) if spec.a == 0 else _offset_implicit(spec)
-    return raw.primitive()
+    n, d, r = spec.n, spec.d, spec.a.denominator
+    even, odd = _radial_coeffs(d, spec.a.numerator, r)
+    # Even n: S - w^(n/2) E = sqrt(w)^(n+1) O.  Odd n: S - w^((n+1)/2) O = sqrt(w)^n E.
+    kept, radical = (even, odd) if n % 2 == 0 else (odd, even)
+    body = _sub(_cos_multiple_angle(n, r**d), _w_power_poly(kept, (n + 1) // 2))
+    if spec.is_odd_rose:
+        return _primitive(body)
+    square = [0] * (2 * len(radical) - 1)
+    for k, c in enumerate(radical):
+        for l, e in enumerate(radical):
+            square[k + l] += c * e
+    return _primitive(_sub(_mul(body, body), _w_power_poly(square, n + 1 - n % 2)))
 
 
 @lru_cache(maxsize=None)
@@ -282,17 +259,10 @@ def homogeneous_implicit(spec: CurveSpec) -> MultiPoly:
 # -- tangent cone at the pole ----------------------------------------------------
 
 
-def _cone_constant(d: int, a: Fraction) -> Fraction:
-    """Double binomial sum scaling the radial part of the pole tangent cone."""
-    total = Fraction(0)
-    for j in range(d // 2 + 1):
-        for k in range(j + 1):
-            total += Fraction((-1) ** (d - k) * comb(d, 2 * j) * comb(j, k)) * a ** (d - 2 * k)
-    return total
-
-
 def origin_cone_constant(spec: CurveSpec) -> Fraction:
-    return _cone_constant(spec.d, spec.a)
+    """T_d(-a), the value E(0)/r^d of the even radial sum at the pole."""
+    r = spec.a.denominator
+    return Fraction(_radial_coeffs(spec.d, spec.a.numerator, r)[0][0], r**spec.d)
 
 
 def origin_cone_constant_closed(spec: CurveSpec) -> complex:
@@ -311,20 +281,18 @@ def tangent_cone(spec: CurveSpec) -> MultiPoly:
     """Degree-2n homogeneous form cutting out the tangent lines at the pole.
 
     Undefined for odd-product roses, whose pole is only an n-fold point; use
-    ``implicit_equation(spec).lowest_form()`` there instead.
+    ``implicit_equation(spec).lowest_form()`` there instead.  The cone
+    constant p/q enters scaled by q, so the form is built on integers.
     """
     if spec.is_odd_rose:
         raise ValueError("odd-product rose: the pole cone is the degree-n lowest form")
     n = spec.n
     constant = origin_cone_constant(spec)
-    s_poly = _cos_multiple_angle(n)
-    w = MultiPoly(XY, {(2, 0): 1, (0, 2): 1})
+    s_terms = _cos_multiple_angle(n, constant.denominator)
     if n % 2 == 0:
-        body = s_poly - w ** (n // 2) * constant
-        cone = body * body
-    else:
-        cone = w**n * (constant * constant) - s_poly * s_poly
-    return cone.primitive()
+        body = _sub(s_terms, _w_power_poly([constant.numerator], n // 2))
+        return _primitive(_mul(body, body))
+    return _primitive(_sub(_w_power_poly([constant.numerator**2], n), _mul(s_terms, s_terms)))
 
 
 # -- multiplicity at the circular points at infinity ------------------------------

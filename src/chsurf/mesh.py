@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Any, BinaryIO, Dict, List, Sequence
 
 from .congruence import CongruenceSpec
-from .curve import CurveSpec, Placement, curve_point
-from .surface import AXIS_EPS, SurfaceSpec, radicand
+from .curve import CurveSpec, Placement, point_function
+from .surface import AXIS_EPS, SurfaceSpec, _radicand_at
 
 ZERO_AREA_EPS = 1e-14
 
@@ -58,10 +58,6 @@ class Mesh:
     ntheta: int = 0
 
     @property
-    def degenerate_rows(self) -> List[int]:
-        return [row.index for row in self.rows if row.kind != FULL]
-
-    @property
     def skipped_rows(self) -> List[int]:
         return [row.index for row in self.rows if row.kind == SKIPPED]
 
@@ -92,6 +88,7 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     sin_t = np.array([math.sin(v) for v in thetas])
     q = float(spec.congruence.q)
     axis_tol = AXIS_EPS * max(1.0, spec.extent)
+    curve_at = point_function(spec.curve, spec.placement)
 
     mesh = Mesh(ntheta=ntheta)
     rings = []  # (vertex_start, x, y, root, norm_sq, half_inv, z_scale) per FULL row
@@ -99,13 +96,14 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     count = 0
     for i in range(nt):
         t = period * i / nt
-        x, y, z = curve_point(spec.curve, spec.placement, t)
+        point = curve_at(t)
+        x, y, z = point
         rho_sq = x * x + y * y
         rho = math.sqrt(rho_sq)
         if rho <= axis_tol:
             mesh.rows.append(MeshRow(i, t, SKIPPED, count, 0))
             continue
-        value = radicand(spec, t)
+        value = _radicand_at(point, q)
         norm_sq = rho_sq + z * z
         if value == 0.0:
             # Point circle: the whole theta ring is one vertex at the center.

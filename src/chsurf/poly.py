@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials with exact Gaussian-rational coefficients.
 
 A coefficient is a complex number a + b*i with rational a and b.  The
-implicit equations built here are real, so the imaginary parts are zero in
+implicit equations are real integer polynomials, built by ``curve`` on plain
+integer term maps and wrapped here once, so the imaginary parts are zero in
 practice; they are kept so that the JSON form carries both parts.  Exponent
 vectors are dense tuples (arity here is 2 or 3), term maps are sparse, and
 integer parts are arbitrary precision via :class:`fractions.Fraction`.
@@ -155,15 +156,6 @@ class MultiPoly:
         variables = tuple(variables)
         return MultiPoly(variables, {(0,) * len(variables): value})
 
-    @staticmethod
-    def variable(variables: Sequence[str], name: str) -> "MultiPoly":
-        variables = tuple(variables)
-        if name not in variables:
-            raise ValueError(f"unknown variable {name!r}")
-        exps = [0] * len(variables)
-        exps[variables.index(name)] = 1
-        return MultiPoly(variables, {tuple(exps): 1})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -176,10 +168,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
     def sorted_terms(self) -> list:
         """Terms in canonical order: graded lexicographic, highest first."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
@@ -188,9 +176,6 @@ class MultiPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.sorted_terms()[0][1]
-
-    def coefficient(self, exponents: Sequence[int]) -> GaussianRational:
-        return self.terms.get(tuple(exponents), GAUSSIAN_ZERO)
 
     # -- ring operations ---------------------------------------------------
 
@@ -217,13 +202,8 @@ class MultiPoly:
                 merged.pop(exps, None)
         return MultiPoly(self.variables, merged)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce_operand(other))
-
-    def __rsub__(self, other) -> "MultiPoly":
-        return self._coerce_operand(other) - self
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
@@ -245,21 +225,6 @@ class MultiPoly:
                 else:
                     product.pop(exps, None)
         return MultiPoly(self.variables, product)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "MultiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = MultiPoly.constant(self.variables, 1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -331,15 +296,6 @@ class MultiPoly:
                 for exps, c in self.sorted_terms()
             ],
         }
-
-    @staticmethod
-    def from_dict(data: Mapping) -> "MultiPoly":
-        variables = tuple(data["vars"])
-        terms = {}
-        for entry in data["terms"]:
-            coeff = GaussianRational(Fraction(entry["re"]), Fraction(entry["im"]))
-            terms[tuple(entry["exp"])] = coeff
-        return MultiPoly(variables, terms)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables!r}, {len(self.terms)} terms)"

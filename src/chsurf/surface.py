@@ -115,8 +115,12 @@ def radicand(spec: SurfaceSpec, t: float) -> float:
     for every q and vanishes exactly where the curve meets the zero-radius
     circle of a hyperbolic family.
     """
-    x, y, z = curve_point(spec.curve, spec.placement, t)
-    q = float(spec.congruence.q)
+    return _radicand_at(curve_point(spec.curve, spec.placement, t), float(spec.congruence.q))
+
+
+def _radicand_at(point: Tuple[float, float, float], q: float) -> float:
+    """:func:`radicand` at a curve point already evaluated, for a float q."""
+    x, y, z = point
     rho_sq = x * x + y * y
     norm_sq = rho_sq + z * z
     value = 4.0 * q * rho_sq + (norm_sq - q) ** 2

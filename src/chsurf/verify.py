@@ -122,7 +122,8 @@ def _table1_case(args: Tuple[int, int, str, int]) -> List[Tuple[str, bool, str]]
     rows.append(
         (f"{label} order", degree == expected.order, f"degree={degree} expected={expected.order}")
     )
-    origin = implicit.lowest_form().total_degree
+    lowest = implicit.lowest_form()
+    origin = lowest.total_degree
     rows.append(
         (
             f"{label} origin multiplicity",
@@ -131,7 +132,7 @@ def _table1_case(args: Tuple[int, int, str, int]) -> List[Tuple[str, bool, str]]
         )
     )
     if not spec.is_odd_rose:
-        cone_matches = implicit.lowest_form().primitive() == tangent_cone(spec)
+        cone_matches = lowest.primitive() == tangent_cone(spec)
         rows.append((f"{label} tangent cone", cone_matches, f"proportional={cone_matches}"))
     absolute = verified_absolute_multiplicity(spec, seed=seed)
     rows.append(
@@ -222,8 +223,10 @@ def max_scaled_residual(spec: CurveSpec, samples: int = 256) -> float:
     import numpy as np  # only this suite needs it; the other commands start faster without
 
     implicit = implicit_equation(spec)
-    exps = np.array(list(implicit.terms.keys()), dtype=np.int64)
-    coeffs = np.array([complex(c) for c in implicit.terms.values()])
+    # Canonical term order, so the float sum does not depend on how the terms were built.
+    terms = implicit.sorted_terms()
+    exps = np.array([e for e, _ in terms], dtype=np.int64)
+    coeffs = np.array([complex(c) for _, c in terms])
     coeff_scale = np.max(np.abs(coeffs))
     degree = implicit.total_degree
 

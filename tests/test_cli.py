@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import io
 import json
 import os
@@ -74,6 +75,18 @@ def test_curve_implicit_schema_and_content():
     assert {"exp": [2, 0], "re": "1/1", "im": "0/1"} in record["terms"]
     code, out, _ = invoke("curve-implicit", "--n", "1", "--d", "1", "--homogeneous")
     assert json.loads(out)["vars"] == ["x0", "x1", "x2"]
+
+
+def test_curve_implicit_bytes_match_recorded_grid():
+    # The benchmark records the sha256 of this output for all 275 grid specs.
+    path = Path(__file__).resolve().parents[1] / "bench" / "references" / "table1_implicit.json"
+    recorded = json.loads(path.read_text())["sha256"]
+    assert len(recorded) == 275
+    for key, digest in recorded.items():
+        n, d, a = key.split(",")
+        code, out, _ = invoke("curve-implicit", f"--n={n}", f"--d={d}", f"--a={a}")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest, key
 
 
 def test_curve_sample_csv(tmp_path):

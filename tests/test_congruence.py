@@ -15,13 +15,19 @@ from chsurf.congruence import (
     circle_key_close,
     circle_through,
     kind,
-    point_on_circle,
     zero_circle_radius,
 )
 
 
 def cong(q):
     return CongruenceSpec(Fraction(q))
+
+
+def point_on_circle(key, theta):
+    """Point of the keyed circle at angle theta, measured from its center."""
+    u = key.center_offset + key.radius * math.cos(theta)
+    z = key.radius * math.sin(theta)
+    return (u * math.cos(key.meridian_angle), u * math.sin(key.meridian_angle), z)
 
 
 def test_kind():
@@ -98,7 +104,7 @@ def test_points_of_circle_map_to_same_key(angle, rho, z, q):
     except DegenerateCircleError:
         return
     for theta in [0.3, 1.8, 2.9, 4.4, 5.6]:
-        sample = point_on_circle(spec, key, theta)
+        sample = point_on_circle(key, theta)
         u = math.hypot(sample[0], sample[1])
         if u < 1e-3 or key.radius < 1e-3:
             continue  # too close to the axis or the waist to recondition

@@ -133,6 +133,66 @@ def test_implicit_matches_elimination_oracle(n):
     assert quotient.is_constant(), f"not proportional: {quotient}"
 
 
+def _laurent_mul(p, q):
+    product = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    return product
+
+
+def _laurent_powers(base, top):
+    powers = [{0: 1}]
+    for _ in range(top):
+        powers.append(_laurent_mul(powers[-1], base))
+    return powers
+
+
+def _substituted_parametrization(curve_spec):
+    """P(x(u), y(u)) exactly, as two integer Laurent polynomials in u = e^(i theta).
+
+    With a = p/q, r = (u^n + u^-n)/2 + a, X = 4q r cos(d theta) and
+    Y = 4q r i sin(d theta) have integer coefficients.  Each term
+    c x^ex y^ey, scaled by (4q)^deg P, is c (4q)^(deg P - ex - ey) X^ex Y^ey
+    times (-i)^ey, so the terms with even and odd ey give the real and the
+    imaginary part of P on the curve.
+    """
+    n, d = curve_spec.n, curve_spec.d
+    p, q = curve_spec.a.numerator, curve_spec.a.denominator
+    radius = {n: q, -n: q, 0: 2 * p}
+    xs = _laurent_powers(_laurent_mul(radius, {d: 1, -d: 1}), 2 * (n + d))
+    ys = _laurent_powers(_laurent_mul(radius, {d: 1, -d: -1}), 2 * (n + d))
+    implicit = implicit_equation(curve_spec)
+    degree = implicit.total_degree
+    parts = ({}, {})
+    for (ex, ey), coeff in implicit.terms.items():
+        scale = coeff.re.numerator * (1, -1, -1, 1)[ey % 4] * (4 * q) ** (degree - ex - ey)
+        part = parts[ey % 2]
+        for e, c in _laurent_mul(xs[ex], ys[ey]).items():
+            part[e] = part.get(e, 0) + scale * c
+    return parts
+
+
+@pytest.mark.parametrize(
+    "n,d,a",
+    [
+        (1, 1, "2/3"), (2, 1, "7/5"), (3, 2, "3/7"), (1, 2, "9/2"),
+        (3, 4, "2/3"), (5, 2, "7/5"), (2, 3, "9/2"), (4, 3, "3/7"),
+    ],
+)
+def test_implicit_vanishes_exactly_off_the_grid(n, d, a):
+    # Denominators 3, 5 and 7 do not occur in the grid; they pin the den(a)^d scaling.
+    s = spec(n, d, a)
+    implicit = implicit_equation(s)
+    coeffs = list(implicit.terms.values())
+    assert all(c.im == 0 and c.re.denominator == 1 for c in coeffs)
+    assert math.gcd(*(c.re.numerator for c in coeffs)) == 1
+    assert implicit.total_degree == curve_properties(s).order
+    real, imaginary = _substituted_parametrization(s)
+    assert not any(real.values()) and not any(imaginary.values())
+    assert tangent_cone(s) == implicit.lowest_form().primitive()
+
+
 def test_implicit_symmetry_in_y():
     # P(x, -y) == P(x, y) exactly when every term has an even y exponent.
     for s in [spec(3, 1, "1/2"), spec(2, 3, "1/2"), spec(7, 3)]:
@@ -215,7 +275,7 @@ def test_tangent_cone_matches_lowest_form():
     for s in [spec(3, 1, "1/2"), spec(2, 3, "1/2"), spec(3, 2, "0"), spec(7, 3, "1")]:
         cone = tangent_cone(s)
         assert cone.total_degree == 2 * s.n
-        assert cone.is_homogeneous()
+        assert {sum(e) for e in cone.terms} == {2 * s.n}
         assert implicit_equation(s).lowest_form().primitive() == cone
 
 
@@ -268,6 +328,6 @@ def test_absolute_multiplicity_sympy_oracle():
 def test_homogeneous_round_trip():
     for s in [spec(3, 1), spec(2, 3, "1/2")]:
         h = homogeneous_implicit(s)
-        assert h.is_homogeneous()
+        assert {sum(e) for e in h.terms} == {implicit_equation(s).total_degree}
         # Dropping the x0 exponent of each term gives back the affine term map.
         assert {exps[1:]: c for exps, c in h.terms.items()} == implicit_equation(s).terms
