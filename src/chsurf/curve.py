@@ -3,12 +3,12 @@
 The polar family is parametrized by coprime positive integers n, d and a
 rational offset a >= 0.  Everything symbolic here is exact: the implicit
 equation and the pole tangent cone are built on integer term maps (with
-a = p/r, every radial sum is scaled by r^d = den(a)^d) and wrapped as a
-primitive integer polynomial once, the property table (order, multiplicity
-at the pole, multiplicity at the circular points at infinity) is integer
-arithmetic, and the circular-point multiplicity check runs on Gaussian
-integers held as pairs of ints.  Floating point only enters through the
-polar/point samplers.
+a = p/r, every radial sum is scaled by r^d = den(a)^d) and wrapped once as
+an integer ``MultiPoly``, whose ``primitive()`` divides out the content and
+pins the sign.  The property table (order, multiplicity at the pole,
+multiplicity at the circular points at infinity) is integer arithmetic, and
+the circular-point multiplicity check runs on Gaussian integers held as
+pairs of ints.  Floating point only enters through the polar/point samplers.
 
 All functions are pure and the spec types are frozen, so a parameter grid
 can be processed in parallel without any locking.
@@ -169,7 +169,7 @@ def curve_properties(spec: CurveSpec) -> CurveProperties:
 # For odd-product roses that part is zero and the unsquared side, of degree
 # n+d, is the equation.  Writing a = p/r and scaling S, E and O by r^d keeps
 # every coefficient an integer, so the build runs on {(i, j): int} term maps;
-# they become a MultiPoly once, after the integer content is divided out.
+# they become a MultiPoly once, and its primitive part is the equation.
 
 
 def _cos_multiple_angle(n: int, scale: int) -> dict:
@@ -220,15 +220,6 @@ def _mul(p: dict, q: dict) -> dict:
     return product
 
 
-def _primitive(terms: dict) -> MultiPoly:
-    """Divide out the integer content, sign pinned by the grlex-leading term."""
-    terms = {e: c for e, c in terms.items() if c}
-    content = gcd(*terms.values())
-    if terms[max(terms, key=lambda e: (sum(e), e))] < 0:
-        content = -content
-    return MultiPoly(XY, {e: c // content for e, c in terms.items()})
-
-
 @lru_cache(maxsize=None)
 def implicit_equation(spec: CurveSpec) -> MultiPoly:
     """Primitive integer polynomial in (x, y) vanishing on the whole curve.
@@ -242,12 +233,13 @@ def implicit_equation(spec: CurveSpec) -> MultiPoly:
     kept, radical = (even, odd) if n % 2 == 0 else (odd, even)
     body = _sub(_cos_multiple_angle(n, r**d), _w_power_poly(kept, (n + 1) // 2))
     if spec.is_odd_rose:
-        return _primitive(body)
+        return MultiPoly(XY, body).primitive()
     square = [0] * (2 * len(radical) - 1)
     for k, c in enumerate(radical):
         for l, e in enumerate(radical):
             square[k + l] += c * e
-    return _primitive(_sub(_mul(body, body), _w_power_poly(square, n + 1 - n % 2)))
+    terms = _sub(_mul(body, body), _w_power_poly(square, n + 1 - n % 2))
+    return MultiPoly(XY, terms).primitive()
 
 
 @lru_cache(maxsize=None)
@@ -291,8 +283,9 @@ def tangent_cone(spec: CurveSpec) -> MultiPoly:
     s_terms = _cos_multiple_angle(n, constant.denominator)
     if n % 2 == 0:
         body = _sub(s_terms, _w_power_poly([constant.numerator], n // 2))
-        return _primitive(_mul(body, body))
-    return _primitive(_sub(_w_power_poly([constant.numerator**2], n), _mul(s_terms, s_terms)))
+        return MultiPoly(XY, _mul(body, body)).primitive()
+    terms = _sub(_w_power_poly([constant.numerator**2], n), _mul(s_terms, s_terms))
+    return MultiPoly(XY, terms).primitive()
 
 
 # -- multiplicity at the circular points at infinity ------------------------------
@@ -320,7 +313,7 @@ def absolute_point_multiplicity(spec: CurveSpec, m: Union[int, Fraction]) -> int
     re = [0] * (degree + 1)
     im = [0] * (degree + 1)
     for (a, b), coeff in implicit.terms.items():
-        c = coeff.re.numerator  # a primitive integer polynomial: real, denominator 1
+        c = coeff.re  # the implicit equation is real
         shift = degree - a - b
         for k in range(b + 1):
             value = c * comb(b, k) * num_powers[k] * den_powers[degree - k]

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .congruence import circle_key_close, circle_through
 from .curve import (
@@ -145,19 +145,28 @@ def _table1_case(args: Tuple[int, int, str, int]) -> List[Tuple[str, bool, str]]
     return rows
 
 
-def run_table1(seed: int = DEFAULT_SEED, jobs: int = 1, max_nd: int = 9) -> Report:
-    report = Report("table1", seed)
-    specs = grid_specs(max_nd)
+def _run_cases(
+    suite: str,
+    case: Callable[[Tuple[int, int, str, int]], List[Tuple[str, bool, str]]],
+    specs: Sequence[CurveSpec],
+    seed: int,
+    jobs: int,
+) -> Report:
+    """One ``case`` per spec, in spec order, on ``jobs`` worker processes."""
+    report = Report(suite, seed)
     args = [(s.n, s.d, str(s.a), seed + i) for i, s in enumerate(specs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_table1_case, args, chunksize=8))
+            results = list(pool.map(case, args, chunksize=8))
     else:
-        results = [_table1_case(a) for a in args]
+        results = [case(a) for a in args]
     for rows in results:
-        for name, passed, measured in rows:
-            report.checks.append(Check(name, passed, measured))
+        report.checks.extend(Check(*row) for row in rows)
     return report
+
+
+def run_table1(seed: int = DEFAULT_SEED, jobs: int = 1, max_nd: int = 9) -> Report:
+    return _run_cases("table1", _table1_case, grid_specs(max_nd), seed, jobs)
 
 
 # -- table2: classification dual path -----------------------------------------------
@@ -226,7 +235,7 @@ def max_scaled_residual(spec: CurveSpec, samples: int = 256) -> float:
     # Canonical term order, so the float sum does not depend on how the terms were built.
     terms = implicit.sorted_terms()
     exps = np.array([e for e, _ in terms], dtype=np.int64)
-    coeffs = np.array([complex(c) for _, c in terms])
+    coeffs = np.array([complex(c.re, c.im) for _, c in terms])
     coeff_scale = np.max(np.abs(coeffs))
     degree = implicit.total_degree
 
@@ -234,11 +243,16 @@ def max_scaled_residual(spec: CurveSpec, samples: int = 256) -> float:
     radii = np.cos(spec.n * phis / spec.d) + float(spec.a)
     xs = radii * np.cos(phis)
     ys = radii * np.sin(phis)
-    values = (
+    # One power table per coordinate, its columns picked by the exponents.
+    powers = np.arange(degree + 1)
+    products = (
         coeffs[None, :]
-        * xs[:, None] ** exps[None, :, 0]
-        * ys[:, None] ** exps[None, :, 1]
-    ).sum(axis=1)
+        * (xs[:, None] ** powers)[:, exps[:, 0]]
+        * (ys[:, None] ** powers)[:, exps[:, 1]]
+    )
+    # Summed in C order: the fancy-indexed product's own layout would change
+    # numpy's pairwise summation order and with it the last bits.
+    values = np.ascontiguousarray(products).sum(axis=1)
     scales = coeff_scale * np.maximum(1.0, np.abs(radii)) ** degree
     return float(np.max(np.abs(values) / scales))
 
@@ -256,18 +270,8 @@ def run_residual(
     max_nd: int = 9,
     only: Optional[CurveSpec] = None,
 ) -> Report:
-    report = Report("residual", seed)
     specs = [only] if only is not None else grid_specs(max_nd)
-    args = [(s.n, s.d, str(s.a), seed + i) for i, s in enumerate(specs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_residual_case, args, chunksize=8))
-    else:
-        results = [_residual_case(a) for a in args]
-    for rows in results:
-        for name, passed, measured in rows:
-            report.checks.append(Check(name, passed, measured))
-    return report
+    return _run_cases("residual", _residual_case, specs, seed, jobs)
 
 
 # -- invariants: numeric identities and preset geometry --------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from chsurf.cli import parse_q, parse_rational, run
 from chsurf.surface import CLASSIFICATION_TABLE
+from chsurf.verify import grid_specs
 from fractions import Fraction
 
 
@@ -87,6 +88,21 @@ def test_curve_implicit_bytes_match_recorded_grid():
         code, out, _ = invoke("curve-implicit", f"--n={n}", f"--d={d}", f"--a={a}")
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest, key
+
+
+def test_curve_implicit_homogeneous_bytes_are_pinned():
+    # sha256 over the concatenated --homogeneous output of the 275 grid specs,
+    # in grid order, recorded when coefficients were still pairs of Fractions.
+    combined = hashlib.sha256()
+    for s in grid_specs():
+        code, out, _ = invoke(
+            "curve-implicit", f"--n={s.n}", f"--d={s.d}", f"--a={s.a}", "--homogeneous"
+        )
+        assert code == 0
+        combined.update(out.encode("ascii"))
+    assert combined.hexdigest() == (
+        "f4d5ce81a6261b582f1be36220661ff5ffbfa78a5b3be811833b4f025940ec90"
+    )
 
 
 def test_curve_sample_csv(tmp_path):
