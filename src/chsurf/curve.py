@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .poly import MultiPoly
 
@@ -303,25 +303,32 @@ def absolute_point_multiplicity(spec: CurveSpec, m: Union[int, Fraction]) -> int
     x1 = 1 and x0 = t the homogeneous equation restricted to the line is
     g(t) = sum c_ab t^(D-a-b) (i + m t)^b, and the answer is its order at
     t = 0.  Scaling g by den(m)^D keeps every coefficient a Gaussian integer,
-    held as an (re, im) pair of ints.
+    held as an (re, im) pair of ints.  The coefficients are computed from
+    the lowest order up, and the first nonzero one ends the search.
     """
     m = Fraction(m)
     implicit = implicit_equation(spec)
     degree = implicit.total_degree
     num_powers = [m.numerator**k for k in range(degree + 1)]
     den_powers = [m.denominator**k for k in range(degree + 1)]
-    re = [0] * (degree + 1)
-    im = [0] * (degree + 1)
+    by_shift: Dict[int, List[Tuple[int, int]]] = {}
     for (a, b), coeff in implicit.terms.items():
-        c = coeff.re  # the implicit equation is real
-        shift = degree - a - b
-        for k in range(b + 1):
-            value = c * comb(b, k) * num_powers[k] * den_powers[degree - k]
-            unit_re, unit_im = _I_POWERS[(b - k) % 4]
-            re[shift + k] += unit_re * value
-            im[shift + k] += unit_im * value
+        by_shift.setdefault(degree - a - b, []).append((b, coeff.re))  # the equation is real
     for order in range(degree + 1):
-        if re[order] or im[order]:
+        re = im = 0
+        for shift, terms in by_shift.items():
+            k = order - shift  # t^order takes t^k from (i + m t)^b
+            if k < 0:
+                continue
+            scale = num_powers[k] * den_powers[degree - k]
+            for b, c in terms:
+                if k > b:
+                    continue
+                value = c * comb(b, k) * scale
+                unit_re, unit_im = _I_POWERS[(b - k) % 4]
+                re += unit_re * value
+                im += unit_im * value
+        if re or im:
             return order
     raise RuntimeError("line lies on the curve; implicit equation is broken")
 

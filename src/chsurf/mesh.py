@@ -7,8 +7,16 @@ keeps a hole), rows where the generating circle degenerates to a point are
 collapsed to a single vertex, and each surviving quad is split into two
 triangles with exact-zero slivers dropped.  A sampled ``Mesh`` holds numpy
 arrays: ``(N, 3)`` float64 vertices and ``(M, 3)`` int64 triangles.  numpy is
-imported inside ``sample`` and ``export_obj``, so importing this module (and
-the CLI) does not load it.
+imported inside ``sample`` and ``export_obj``, and the OBJ writer builds its
+lookup tables on first use, so importing this module (and the CLI) does not
+load numpy.
+
+OBJ text is exactly what ``"%.17g"`` and ``"%d"`` print, but computed on
+arrays: the 17 significant digits of a coordinate in fixed notation are an
+integer obtained by an exact, error-free product with a power of ten, and
+the digits, dot, sign and stripped zeros are laid out with table lookups
+and byte masks.  Only exponent notation, inf and nan are formatted by
+Python, one value at a time.
 
 Preset grid sizes are chosen so that every rational singular parameter of
 a figure lands exactly on a grid row; degenerate rows then coincide with
@@ -17,6 +25,7 @@ the independently computed singular parameter sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -175,14 +184,212 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
 
 
 def export_obj(mesh: Mesh, sink: BinaryIO) -> None:
-    """Write ASCII OBJ with LF endings and 17 significant digits per coordinate."""
+    """Write ASCII OBJ with LF endings: ``v %.17g %.17g %.17g`` and ``f %d %d %d`` lines.
+
+    The bytes are exactly what those ``%`` formats print, computed with
+    array arithmetic.  A coordinate whose 17-digit decimal exponent X lies in
+    [-4, 16] (the fixed notation of ``%.17g``) gets its digits from
+    N = round_half_even(|v| * 10^(16 - X)): 10^(16 - X) is an exact double,
+    Dekker's split product gives |v| * 10^(16 - X) = h + l exactly, so
+    N = h + rint(l) is exact, ties included.  X starts from floor(log10|v|)
+    and takes one step when N falls outside [10^16, 10^17).  Zeros print as
+    ``0`` or ``-0``; exponent notation, inf and nan go through ``%.17g``
+    itself, one value at a time.  Face indices are gathered from labels
+    built once per mesh.  Text is written in chunks, so temporaries stay
+    small.  A triangle index outside the vertex list is a ``ValueError``.
+    """
     import numpy as np
 
     vertices = np.asarray(mesh.vertices, dtype=np.float64).reshape(-1, 3)
-    faces = np.asarray(mesh.triangles, dtype=np.int64).reshape(-1, 3) + 1
-    text = ("v %.17g %.17g %.17g\n" * len(vertices)) % tuple(vertices.ravel().tolist())
-    text += ("f %d %d %d\n" * len(faces)) % tuple(faces.ravel().tolist())
-    sink.write(text.encode("ascii"))
+    faces = np.asarray(mesh.triangles, dtype=np.int64).reshape(-1, 3)
+    count = len(vertices)
+    if faces.size and (faces.min() < 0 or faces.max() >= count):
+        raise ValueError(f"triangle index outside the {count} vertices")
+    values = vertices.ravel()
+    for start in range(0, values.size, 3 * _VERTEX_CHUNK):
+        sink.write(_vertex_lines(values[start : start + 3 * _VERTEX_CHUNK]))
+    if faces.size:
+        labels = _face_labels(count)
+        corners = faces + np.array([0, count, 2 * count])  # columns pick the 'f i', ' i', ' i\n' rows
+        for start in range(0, len(faces), _FACE_CHUNK):
+            lines = labels.take(corners[start : start + _FACE_CHUNK], axis=0)
+            sink.write(lines.tobytes().translate(None, b"\0"))
+
+
+# -- exact OBJ text on arrays --------------------------------------------------------
+
+# Vertices and triangles per write: each chunk's temporaries stay in cache.
+_VERTEX_CHUNK = 4096
+_FACE_CHUNK = 8192
+_SPLIT = 134217729.0  # 2**27 + 1 splits a double into two halves of at most 26 bits
+_GROUP = 10000  # digits go in words of four ASCII characters
+
+
+@functools.cache
+def _obj_tables():
+    """Lookup tables of the OBJ writer, built on first use.
+
+    Returns ``(words, words << 32, powers, templates)``.  ``words[g]``,
+    ``words[g + 10000]`` and ``words[g + 20000]`` hold the four digits of
+    ``g`` as ASCII bytes in a uint64: as they are, with trailing zeros as
+    NUL, and with leading zeros as NUL.  ``powers`` holds 10^k and its two
+    Veltkamp halves for k in [0, 22].
+    ``templates[kind, word, 3 * (X + 4) + column]`` lays out one coordinate
+    of exponent X (see ``_vertex_lines``): kind 0 keeps the integer part,
+    kind 1 the fraction, kind 2 adds the constant bytes.
+    """
+    import numpy as np
+
+    group = np.arange(_GROUP)
+    chars = np.zeros((_GROUP, 4), dtype=np.uint8)
+    for place in range(4):
+        chars[:, 3 - place] = 48 + group // 10**place % 10
+    zero = chars == 48
+    trailing = np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
+    leading = np.logical_and.accumulate(zero, axis=1)
+    words = np.concatenate([chars, np.where(trailing, 0, chars), np.where(leading, 0, chars)])
+    words = words.view("<u4").ravel().astype(np.uint64)
+
+    powers = np.array([10.0**k for k in range(23)])
+    split = _SPLIT * powers
+    powers_high = split - (split - powers)
+    powers = (powers, powers_high, powers - powers_high)
+
+    slots = np.zeros((3, 21, 3, 32), dtype=np.uint8)
+    for exponent in range(-4, 17):
+        start, dot = 7 + min(exponent, 0), exponent + 8
+        slots[0, exponent + 4, :, start:dot] = 0xFF
+        slots[1, exponent + 4, :, dot + 1 : 25] = 0xFF
+        slots[2, exponent + 4, :, start:dot] = ord("0")
+    slots[2, :, 0, 0] = ord("v")
+    slots[2, :, :, 1] = ord(" ")
+    slots[2, :, 2, 26] = ord("\n")
+    templates = slots.reshape(3, 63, 32).view("<u8").transpose(0, 2, 1).copy()
+    return words, words << np.uint64(32), powers, templates
+
+
+def _scaled_round(magnitude, k):
+    """round_half_even(magnitude * 10^k) as int64, exactly, for k in [0, 22].
+
+    Dekker's product: with both factors split into halves of at most 26
+    bits, every partial product is exact, so ``h + error`` is the exact
+    product.  A result in [10^16, 10^17) has h >= 2^53, an even integer,
+    so rint(error) rounds the sum half to even.
+    """
+    import numpy as np
+
+    power, power_high, power_low = (table.take(k) for table in _obj_tables()[2])
+    h = magnitude * power
+    split = _SPLIT * magnitude
+    high = split - (split - magnitude)
+    low = magnitude - high
+    error = high * power_high - h
+    error += high * power_low
+    error += low * power_high
+    error += low * power_low
+    return h.astype(np.int64) + np.rint(error).astype(np.int64)
+
+
+def _vertex_lines(values) -> bytes:
+    """``v x y z`` lines for a flat run of coordinates, 3 per vertex.
+
+    Each coordinate fills a 32-byte slot, held as four uint64 planes while
+    it is built: byte 0 ``v`` (first coordinate of a line), 1 a space, 2 the
+    sign, 3..24 the number, 26 ``\\n`` (last coordinate).  With
+    z = "0000" + the 17 digits at bytes 3..23, the integer part is
+    z in place on bytes [start, dot) and the fraction is z moved up one
+    byte, past the dot.  Trailing zeros come from the table as NUL, the
+    template puts ``0`` back within the integer part, and the dot stays
+    only if a fraction digit follows it.  Every other byte is NUL, and the
+    NULs are dropped in one pass.
+    """
+    import numpy as np
+
+    words, high_words, _, templates = _obj_tables()
+    count = values.size
+    magnitude = np.abs(values)
+    with np.errstate(divide="ignore"):
+        estimate = np.floor(np.log10(magnitude))
+    fixed = (estimate >= -5) & (estimate <= 16)  # false for 0, inf and nan
+    exponent = np.where(fixed, estimate, 0).astype(np.int64)
+    magnitude = np.where(fixed, magnitude, 1.0)
+    digits = _scaled_round(magnitude, 16 - exponent)
+    # floor(log10) can miss by one next to a power of ten, and rounding to
+    # 17 digits can carry into the next decade: one step corrects either.
+    off = np.flatnonzero((digits < 10**16) | (digits >= 10**17))
+    if off.size:
+        exponent[off] += np.where(digits[off] < 10**16, -1, 1)
+        digits[off] = _scaled_round(magnitude[off], np.clip(16 - exponent[off], 0, 22))
+    fixed &= (exponent >= -4) & (exponent <= 16)
+    fallback = np.flatnonzero(~fixed & (values != 0.0))
+    digits[~fixed] = 0  # a zero prints as 0; the fallback overwrites its slot
+    exponent[~fixed] = 0
+
+    upper = digits // 10**8
+    lower = digits - upper * 10**8
+    top = upper // _GROUP
+    g0 = top // _GROUP
+    g1 = top - g0 * _GROUP
+    g2 = upper - top * _GROUP
+    g3 = lower // _GROUP
+    g4 = lower - g3 * _GROUP
+    planes = np.zeros((4, count), dtype=np.uint64)
+    p0, p1, p2 = planes[:3]
+    # z[0] = "0", then the words of g0..g4; a word is NUL-stripped when
+    # every digit after it is zero.
+    np.bitwise_or(high_words.take(g0), np.uint64(0x30000000), out=p0)
+    g1_word = words.take(g1 + _GROUP * ((g2 | lower) == 0))
+    np.bitwise_or(g1_word, high_words.take(g2 + _GROUP * (lower == 0)), out=p1)
+    np.bitwise_or(words.take(g3 + _GROUP * (g4 == 0)), high_words.take(g4 + _GROUP), out=p2)
+    e8, e56 = np.uint64(8), np.uint64(56)
+    shifted = (p0 << e8, (p1 << e8) | (p0 >> e56), (p2 << e8) | (p1 >> e56), p2 >> e56)
+    slot = (3 * exponent.reshape(-1, 3) + np.array([12, 13, 14])).ravel()
+    keep_integer, keep_fraction, constant = templates
+    for word in range(3):
+        planes[word] &= keep_integer[word].take(slot)
+    for word in range(4):
+        planes[word] |= shifted[word] & keep_fraction[word].take(slot)
+        planes[word] |= constant[word].take(slot)
+    p0 |= np.signbit(values) * np.uint64(ord("-") << 16)
+    block = planes.T.copy()
+    flat = block.view(np.uint8).reshape(-1)
+    dot = np.arange(8, 32 * count, 32) + exponent
+    flat[dot] = ord(".") * (flat[dot + 1] != 0)
+    if fallback.size:
+        text = "".join(("%.17g" % value).ljust(24, "\0") for value in values[fallback].tolist())
+        block.view(np.uint8)[fallback, 2:26] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
+    return block.tobytes().translate(None, b"\0")
+
+
+def _face_labels(count: int):
+    """Rows ``f i``, `` i`` and `` i\\n`` for i = 1..count, in three blocks of ``count``.
+
+    Each row is NUL-padded to whole uint64 words, so a triangle's line is
+    three gathered rows.
+    """
+    import numpy as np
+
+    words = _obj_tables()[0]
+    width = len(str(count))
+    groups = -(-width // 4)
+    rest = np.arange(1, count + 1, dtype=np.int64)
+    chars = np.empty((count, groups), dtype=np.uint32)
+    leading = np.ones(count, dtype=bool)  # no nonzero digit yet
+    for j in range(groups):
+        place = _GROUP ** (groups - 1 - j)
+        group = rest // place
+        rest -= group * place
+        chars[:, j] = words[group + 2 * _GROUP * leading]
+        leading &= group == 0
+    digits = chars.view(np.uint8)[:, 4 * groups - width :]
+    size = 8 * -(-(width + 2) // 8)
+    rows = np.zeros((3, count, size), dtype=np.uint8)
+    rows[0, :, :2] = (ord("f"), ord(" "))
+    rows[0, :, 2 : 2 + width] = digits
+    rows[1:, :, 0] = ord(" ")
+    rows[1:, :, 1 : 1 + width] = digits
+    rows[2, :, 1 + width] = ord("\n")
+    return rows.reshape(3 * count, size).view("<u8")
 
 
 def write_obj(mesh: Mesh, path: str) -> None:

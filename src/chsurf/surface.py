@@ -29,7 +29,6 @@ from .curve import (
     curve_point,
     curve_properties,
     point_function,
-    polar_radius,
 )
 
 AXIS_EPS = 1e-9
@@ -208,38 +207,6 @@ def _axis_passage_count(curve: CurveSpec, placement: Placement) -> int:
         f[exponent] = (f[exponent][0] + re, f[exponent][1] + im)
     g = [(v * v - u * u, -2 * u * v)] + [(0, 0)] * (2 * d - 1) + [(u * u + v * v, 0)]
     return _gcd_degree(f, g)
-
-
-def axis_meeting_parameters(curve: CurveSpec, placement: Placement) -> List[float]:
-    """All phi in [0, 2*d*pi) where the placed curve meets the z axis.
-
-    Solved in closed form: with the pole on the axis these are the zeros of
-    the radius, otherwise the radius must hit +-|pole offset| at the 2d
-    angles aimed at the axis.  Off the axis the exact passage count picks
-    that many of those candidates, the ones with the smallest residuals.
-    """
-    n, d, a = curve.n, curve.d, float(curve.a)
-    period = curve.parameter_period
-    if placement.pole_on_axis:
-        if curve.a > 1:
-            return []
-        base = math.acos(-a)
-        hits = []
-        for k in range(n):
-            hits.append((d * (base + 2.0 * math.pi * k) / n) % period)
-            if curve.a != 1:  # a cusp: both zeros of the radius coincide
-                hits.append((d * (-base + 2.0 * math.pi * (k + 1)) / n) % period)
-        return sorted(hits)
-    cx, cy = float(placement.cx), float(placement.cy)
-    rho_q = math.hypot(cx, cy)
-    phi_q = math.atan2(-cy, -cx)
-    candidates = []
-    for k in range(2 * d):
-        phi = (phi_q + math.pi * k) % period
-        target = rho_q if k % 2 == 0 else -rho_q
-        candidates.append((abs(polar_radius(curve, phi) - target), phi))
-    candidates.sort()
-    return sorted(phi for _, phi in candidates[: _axis_passage_count(curve, placement)])
 
 
 def incidence_type(spec: SurfaceSpec) -> IncidenceType:
@@ -495,28 +462,28 @@ def _segment_intersection(p1, p2, p3, p4) -> Optional[Tuple[float, float]]:
 def _polish_coincidence(
     spec: SurfaceSpec, t1: float, t2: float, domain: float
 ) -> Optional[Tuple[float, float]]:
-    """Newton-polish (t1, t2) so the two circle centers coincide."""
+    """Newton-polish (t1, t2) so the two circle centers coincide.
+
+    Each step evaluates the center at t1, t2, t1 + step and t2 + step once;
+    the forward differences reuse them.
+    """
     center = _center_function(spec)
     step = 1e-7 * domain
-
-    def value(a: float, b: float):
-        ca = center(a % domain)
-        cb = center(b % domain)
-        if ca is None or cb is None:
-            return None
-        return (ca[0] - cb[0], ca[1] - cb[1])
-
     scale = max(1.0, spec.extent)
     for _ in range(60):
-        f = value(t1, t2)
-        if f is None:
+        ca = center(t1 % domain)
+        cb = center(t2 % domain)
+        if ca is None or cb is None:
             return None
+        f = (ca[0] - cb[0], ca[1] - cb[1])
         if math.hypot(*f) <= 1e-13 * scale:
             return (t1 % domain, t2 % domain)
-        fa = value(t1 + step, t2)
-        fb = value(t1, t2 + step)
-        if fa is None or fb is None:
+        ca_step = center((t1 + step) % domain)
+        cb_step = center((t2 + step) % domain)
+        if ca_step is None or cb_step is None:
             return None
+        fa = (ca_step[0] - cb[0], ca_step[1] - cb[1])
+        fb = (ca[0] - cb_step[0], ca[1] - cb_step[1])
         j11 = (fa[0] - f[0]) / step
         j21 = (fa[1] - f[1]) / step
         j12 = (fb[0] - f[0]) / step
@@ -531,8 +498,9 @@ def _polish_coincidence(
         dt2 = max(-limit, min(limit, dt2))
         t1 += dt1
         t2 += dt2
-    f = value(t1, t2)
-    if f is not None and math.hypot(*f) <= 1e-10 * scale:
+    ca = center(t1 % domain)
+    cb = center(t2 % domain)
+    if ca is not None and cb is not None and math.hypot(ca[0] - cb[0], ca[1] - cb[1]) <= 1e-10 * scale:
         return (t1 % domain, t2 % domain)
     return None
 

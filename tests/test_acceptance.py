@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from axis_reference import axis_meeting_parameters
 from chsurf.curve import (
     CurveSpec,
     absolute_point_multiplicity,
@@ -22,7 +23,6 @@ from chsurf.curve import (
 )
 from chsurf.mesh import export_obj, figure_preset, preset_keys, sample
 from chsurf.surface import (
-    axis_meeting_parameters,
     classify,
     zero_circle_intersections,
     zero_circle_parameters,

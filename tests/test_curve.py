@@ -1,15 +1,18 @@
 """Tests for curve construction, implicitization, and singularity data."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from chsurf.curve import (
+    DEFAULT_SEED,
     CurveSpec,
     Placement,
     ShapeClass,
+    _random_rational,
     absolute_point_multiplicity,
     curve_point,
     curve_properties,
@@ -301,6 +304,53 @@ def test_absolute_multiplicity_examples():
     assert absolute_point_multiplicity(spec(3, 1), 1) == 1
     assert absolute_point_multiplicity(spec(3, 1, "1/2"), Fraction(2, 3)) == 2
     assert absolute_point_multiplicity(spec(2, 3, "1/2"), 1) == 5
+
+
+def _absolute_multiplicity_full_expansion(s, m):
+    """Every coefficient of g(t) up to degree D, then the lowest nonzero order.
+
+    The route ``absolute_point_multiplicity`` took before it stopped at the
+    first nonzero order; kept as its reference.
+    """
+    m = Fraction(m)
+    implicit = implicit_equation(s)
+    degree = implicit.total_degree
+    num_powers = [m.numerator**k for k in range(degree + 1)]
+    den_powers = [m.denominator**k for k in range(degree + 1)]
+    i_powers = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    re = [0] * (degree + 1)
+    im = [0] * (degree + 1)
+    for (a, b), coeff in implicit.terms.items():
+        c = coeff.re
+        shift = degree - a - b
+        for k in range(b + 1):
+            value = c * math.comb(b, k) * num_powers[k] * den_powers[degree - k]
+            unit_re, unit_im = i_powers[(b - k) % 4]
+            re[shift + k] += unit_re * value
+            im[shift + k] += unit_im * value
+    for order in range(degree + 1):
+        if re[order] or im[order]:
+            return order
+    raise RuntimeError("line lies on the curve; implicit equation is broken")
+
+
+def test_absolute_multiplicity_matches_full_expansion_over_grid():
+    rng = random.Random(DEFAULT_SEED)
+    slopes = set()
+    while len(slopes) < 3:  # the slopes verified_absolute_multiplicity draws
+        slopes.add(_random_rational(rng))
+    slopes |= {Fraction(0), Fraction(1), Fraction(-1)}
+
+    def outcome(route, s, m):
+        try:
+            return route(s, m)
+        except RuntimeError:
+            return "raises"
+
+    for s in grid_specs():
+        for m in sorted(slopes):
+            expected = outcome(_absolute_multiplicity_full_expansion, s, m)
+            assert outcome(absolute_point_multiplicity, s, m) == expected, (s, m)
 
 
 def test_verified_absolute_multiplicity_agrees_with_table():

@@ -1,12 +1,18 @@
 """Tests for mesh sampling, OBJ export, and the figure presets."""
 
+import hashlib
 import io
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from axis_reference import axis_meeting_parameters
+from chsurf import cli
 from chsurf.congruence import CongruenceSpec, circle_key_close, circle_through
 from chsurf.curve import CurveSpec, Placement, curve_point
 from chsurf.mesh import (
@@ -24,7 +30,6 @@ from chsurf.mesh import (
 from chsurf.surface import (
     AXIS_EPS,
     SurfaceSpec,
-    axis_meeting_parameters,
     generating_circle,
     radicand,
     zero_circle_parameters,
@@ -231,6 +236,180 @@ def test_obj_round_trip_counts_and_coordinates():
     assert faces == [tuple(t) for t in mesh.triangles.tolist()]
     for parsed, original in zip(vertices, mesh.vertices):
         assert parsed == tuple(original.tolist())  # 17 significant digits round-trip exactly
+
+
+# -- exact OBJ text ------------------------------------------------------------------
+
+
+def formatted_coordinates(values):
+    """Each value's text in the ``v`` lines ``export_obj`` writes for it."""
+    values = list(values)
+    padded = values + [0.0] * (-len(values) % 3)
+    buffer = io.BytesIO()
+    export_obj(Mesh(vertices=np.array(padded, dtype=np.float64).reshape(-1, 3)), buffer)
+    fields = []
+    for line in buffer.getvalue().decode("ascii").split("\n")[:-1]:
+        tag, *numbers = line.split(" ")
+        assert tag == "v" and len(numbers) == 3, line
+        fields.extend(numbers)
+    return fields[: len(values)]
+
+
+def assert_formats_like_percent(values):
+    values = [float(v) for v in values]
+    assert formatted_coordinates(values) == ["%.17g" % v for v in values]
+
+
+def float_from_bits(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=60))
+def test_obj_coordinates_match_percent_g_on_bit_patterns(patterns):
+    assert_formats_like_percent(float_from_bits(bits) for bits in patterns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-10.0, 10.0), st.integers(-8, 18)).map(lambda p: p[0] * 10.0 ** p[1]),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_obj_coordinates_match_percent_g_on_scaled_values(values):
+    assert_formats_like_percent(values)
+
+
+@st.composite
+def half_way_values(draw):
+    """Doubles v with v * 10^(16 - X) exactly half-way between integers."""
+    exponent = draw(st.integers(-4, 15))
+    denominator = 2 ** (17 - exponent)  # v = M / 2^(k + 1), k = 16 - X, M odd
+    bound = Fraction(10) ** exponent * denominator  # 10^X <= v < 10^(X + 1)
+    low, high = math.ceil(bound), min(math.ceil(10 * bound), 2**53)
+    numerator = 2 * draw(st.integers(low // 2, (high - 2) // 2)) + 1
+    return draw(st.sampled_from([1, -1])) * numerator / denominator
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(half_way_values(), min_size=1, max_size=30))
+def test_obj_coordinates_round_half_way_cases_to_even(values):
+    assert_formats_like_percent(values)
+
+
+POWER_NEIGHBOURS = [
+    value
+    for j in range(-7, 19)
+    for value in (
+        10.0**j,
+        np.nextafter(10.0**j, 0.0),
+        np.nextafter(10.0**j, np.inf),
+        np.nextafter(np.nextafter(10.0**j, 0.0), 0.0),
+    )
+]
+
+EDGE_VALUES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    1e-4,
+    np.nextafter(1e-4, 0.0),
+    np.nextafter(1e-4, 1.0),
+    9.9999999999999995e-05,
+    1e15,
+    np.nextafter(1e15, 0.0),
+    np.nextafter(1e15, 2e15),
+    1e16,
+    np.nextafter(1e16, 0.0),
+    np.nextafter(1e16, 2e16),
+    1e17,
+    np.nextafter(1e17, 0.0),
+    np.nextafter(1e17, 2e17),
+    99999999999999999.0,
+    9999999999999998.0,
+    1055742800533251.25,  # half-way at the 17th digit: rounds to even
+    0.5,
+    100.0,
+    1000000.0,
+    0.1,
+    0.3,
+    2.0 / 3.0,
+    -3.25,
+    -100.0,
+    -0.000123,
+    np.pi,
+    -np.e,
+    1.7976931348623157e308,
+    -2.2250738585072014e-308,
+    float("inf"),
+    float("-inf"),
+    float("nan"),
+]
+
+
+def test_obj_coordinates_edge_values():
+    assert_formats_like_percent(EDGE_VALUES)
+    assert_formats_like_percent(POWER_NEIGHBOURS)
+    assert_formats_like_percent([-v for v in POWER_NEIGHBOURS])
+
+
+@pytest.mark.parametrize("count", [1, 9, 10, 11, 99, 100, 101, 9999, 10000, 10001, 10**6])
+def test_obj_face_labels_across_widths(count):
+    # The label width follows the vertex count; 10**6 vertices need two-word rows.
+    vertices = np.zeros((count, 3))
+    corners = sorted({0, count // 2, max(count - 2, 0), count - 1, min(8, count - 1), min(9, count - 1)})
+    triangles = [(a, b, c) for a in corners for b in corners for c in corners[::-1]]
+    triangles += [(i, i, i) for i in (8, 9, 10, 98, 99, 100, 9998, 9999, 10000) if i < count]
+    buffer = io.BytesIO()
+    export_obj(Mesh(vertices=vertices, triangles=triangles), buffer)
+    faces = buffer.getvalue()[len(b"v 0 0 0\n") * count :]
+    assert faces == "".join("f %d %d %d\n" % (a + 1, b + 1, c + 1) for a, b, c in triangles).encode("ascii")
+
+
+def test_export_obj_rejects_indices_outside_the_vertices():
+    vertices = [(0.0, 0.0, 0.0)] * 3
+    for bad in [(0, 1, 3), (0, -1, 2)]:
+        with pytest.raises(ValueError):
+            export_obj(Mesh(vertices=vertices, triangles=[bad]), io.BytesIO())
+
+
+def test_preset_obj_digests_match_bench_references():
+    path = Path(__file__).resolve().parents[1] / "bench" / "references" / "figures.json"
+    presets = json.loads(path.read_text())["presets"]
+    assert sorted(presets) == preset_keys()
+    for key in preset_keys():
+        preset = figure_preset(key)
+        buffer = io.BytesIO()
+        export_obj(sample(preset.spec, preset.nt, preset.ntheta), buffer)
+        assert hashlib.sha256(buffer.getvalue()).hexdigest() == presets[key]["sha256"]["1"], key
+
+
+# sha256 of ``surface-mesh`` stdout, recorded with the per-number ``%`` writer.
+SURFACE_MESH_DIGESTS = [
+    (  # pole on the axis: 4 skipped rows, exponent-notation coordinates
+        ["--n", "2", "--d", "1", "--q", "1", "--nt", "64", "--ntheta", "24"],
+        "7cf8007c4cb94d541c6e29df9efd4d29da37381a9264e5f1cd0d81e50392d3fe",
+    ),
+    (  # 7 collapsed rows
+        ["--n", "7", "--d", "1", "--a", "2", "--q", "-1", "--nt", "140", "--ntheta", "20"],
+        "79325b8ed5bd6882cc9baf773c207b68ef44106b368d0bac78c59c56c9251420",
+    ),
+    (  # pole off the axis, plane below it, one skipped row
+        ["--n", "5", "--d", "3", "--a", "1", "--q", "-9/4", "--cx", "-2", "--h", "-1/2",
+         "--nt", "120", "--ntheta", "30"],
+        "0d3fa73a531b5b6591823c05db0cb302c1ddbf29e376290f45f9bb3689243b02",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SURFACE_MESH_DIGESTS)
+def test_surface_mesh_bytes_are_pinned(argv, digest):
+    out, err = io.BytesIO(), io.StringIO()
+    assert cli.run(["surface-mesh", *argv], out, err) == 0, err.getvalue()
+    assert hashlib.sha256(out.getvalue()).hexdigest() == digest
 
 
 def test_preset_registry():

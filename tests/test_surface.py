@@ -8,6 +8,7 @@ import pytest
 import sympy
 from scipy.optimize import minimize
 
+from axis_reference import axis_meeting_parameters
 from chsurf.congruence import (
     CircleKey,
     CongruenceSpec,
@@ -20,7 +21,6 @@ from chsurf.surface import (
     CLASSIFICATION_TABLE,
     IncidenceType,
     SurfaceSpec,
-    axis_meeting_parameters,
     classification_from_counts,
     classify,
     curve_theta,
@@ -429,6 +429,51 @@ def _all_pairs_coincidences(spec, samples, domain):
     return pairs
 
 
+def _polish_coincidence_reference(spec, t1, t2, domain):
+    """Newton polish as it was before each step reused its center values."""
+    from chsurf.surface import _center_function
+
+    center = _center_function(spec)
+    step = 1e-7 * domain
+
+    def value(a, b):
+        ca = center(a % domain)
+        cb = center(b % domain)
+        if ca is None or cb is None:
+            return None
+        return (ca[0] - cb[0], ca[1] - cb[1])
+
+    scale = max(1.0, spec.extent)
+    for _ in range(60):
+        f = value(t1, t2)
+        if f is None:
+            return None
+        if math.hypot(*f) <= 1e-13 * scale:
+            return (t1 % domain, t2 % domain)
+        fa = value(t1 + step, t2)
+        fb = value(t1, t2 + step)
+        if fa is None or fb is None:
+            return None
+        j11 = (fa[0] - f[0]) / step
+        j21 = (fa[1] - f[1]) / step
+        j12 = (fb[0] - f[0]) / step
+        j22 = (fb[1] - f[1]) / step
+        det = j11 * j22 - j12 * j21
+        if abs(det) < 1e-18:
+            return None
+        dt1 = (-f[0] * j22 + f[1] * j12) / det
+        dt2 = (-j11 * f[1] + j21 * f[0]) / det
+        limit = 0.05 * domain
+        dt1 = max(-limit, min(limit, dt1))
+        dt2 = max(-limit, min(limit, dt2))
+        t1 += dt1
+        t2 += dt2
+    f = value(t1, t2)
+    if f is not None and math.hypot(*f) <= 1e-10 * scale:
+        return (t1 % domain, t2 % domain)
+    return None
+
+
 SWEEP_SPECS = [
     make_spec(3, 1, q=0, cx=1),  # parabolic, pole off the axis on a triple point
     make_spec(3, 1, q=1, cx=1),  # elliptic
@@ -468,6 +513,28 @@ def test_sweep_matches_all_pairs_scan(samples):
         assert _off_center_coincidences(spec, samples, domain) == expected, spec
         found += len(expected)
     assert found > 0
+
+
+def test_polish_matches_reference_on_sweep_starts(monkeypatch):
+    # Record every start the sweep polishes, then replay it through both.
+    from chsurf import surface
+
+    starts = []
+    polish = surface._polish_coincidence
+
+    def recording(spec, t1, t2, domain):
+        starts.append((spec, t1, t2, domain))
+        return polish(spec, t1, t2, domain)
+
+    monkeypatch.setattr(surface, "_polish_coincidence", recording)
+    for spec in SWEEP_SPECS:
+        domain = spec.curve.parameter_period
+        if spec.curve.is_odd_rose:
+            domain /= 2.0
+        surface._off_center_coincidences(spec, 256, domain)
+    outcomes = [polish(*start) for start in starts]
+    assert outcomes == [_polish_coincidence_reference(*start) for start in starts]
+    assert any(o is None for o in outcomes) and any(o is not None for o in outcomes)
 
 
 def test_singular_circles_empty_for_centered_circle_curve():
