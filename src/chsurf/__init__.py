@@ -36,7 +36,7 @@ from .curve import (
     tangent_cone,
     verified_absolute_multiplicity,
 )
-from .mesh import Mesh, export_obj, figure_preset, preset_keys, sample, write_obj
+from .mesh import Mesh, export_obj, figure_preset, preset_keys, sample
 from .poly import GaussianRational, MultiPoly
 from .surface import (
     IncidenceType,
@@ -91,7 +91,6 @@ __all__ = [
     "singular_circles",
     "tangent_cone",
     "verified_absolute_multiplicity",
-    "write_obj",
     "zero_circle_intersections",
     "zero_circle_radius",
 ]

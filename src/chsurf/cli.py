@@ -281,10 +281,18 @@ def _cmd_verify(args, out, err) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CHS_SEED", DEFAULT_SEED))
+    if args.max_nd < 1:
+        raise ValueError("--max-nd must be at least 1")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     only = None
-    if args.n is not None or args.d is not None:
+    if (args.n, args.d, args.a) != (None, None, None):
+        if args.suite not in ("residual", "all"):
+            raise ValueError(
+                f"--n, --d and --a restrict the residual suite; {args.suite} runs the grid"
+            )
         if args.n is None or args.d is None:
-            raise ValueError("--n and --d must be given together")
+            raise ValueError("--n and --d must be given together, and --a needs both")
         only = CurveSpec(args.n, args.d, args.a if args.a is not None else Fraction(0))
     report = run_suite(args.suite, seed=seed, jobs=args.jobs, max_nd=args.max_nd, only=only)
     if args.format == "json":

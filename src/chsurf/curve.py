@@ -338,23 +338,20 @@ def _random_rational(rng: random.Random) -> Fraction:
     return -value if rng.random() < 0.5 else value
 
 
-def verified_absolute_multiplicity(
-    spec: CurveSpec, seed: Optional[int] = None, draws: int = 3
-) -> int:
-    """Majority multiplicity over several seeded rational slopes.
+def verified_absolute_multiplicity(spec: CurveSpec, seed: Optional[int] = None) -> int:
+    """Multiplicity at the circular points, read along three seeded rational slopes.
 
-    Raises when no value wins the majority, which would flag every drawn
-    line as non-generic.
+    Every slope must give the same order.  When they differ, some drawn line
+    is not generic or the equation is broken, and a ``RuntimeError`` names
+    the order at each slope.
     """
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     slopes = set()
-    while len(slopes) < draws:
+    while len(slopes) < 3:
         slopes.add(_random_rational(rng))
-    votes = {}
-    for m in sorted(slopes):
-        value = absolute_point_multiplicity(spec, m)
-        votes[value] = votes.get(value, 0) + 1
-    best, count = max(votes.items(), key=lambda kv: kv[1])
-    if count * 2 <= draws:
-        raise RuntimeError(f"no majority across slopes: {votes}")
-    return best
+    orders = {m: absolute_point_multiplicity(spec, m) for m in sorted(slopes)}
+    order, *others = set(orders.values())
+    if others:
+        named = ", ".join(f"{value} at m={m}" for m, value in orders.items())
+        raise RuntimeError(f"slopes disagree on the vanishing order: {named}")
+    return order

@@ -392,11 +392,6 @@ def _face_labels(count: int):
     return rows.reshape(3 * count, size).view("<u8")
 
 
-def write_obj(mesh: Mesh, path: str) -> None:
-    with open(path, "wb") as handle:
-        export_obj(mesh, handle)
-
-
 # -- figure presets ---------------------------------------------------------------
 
 

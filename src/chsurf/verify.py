@@ -134,14 +134,14 @@ def _table1_case(args: Tuple[int, int, str, int]) -> List[Tuple[str, bool, str]]
     if not spec.is_odd_rose:
         cone_matches = lowest.primitive() == tangent_cone(spec)
         rows.append((f"{label} tangent cone", cone_matches, f"proportional={cone_matches}"))
-    absolute = verified_absolute_multiplicity(spec, seed=seed)
-    rows.append(
-        (
-            f"{label} absolute multiplicity",
-            absolute == expected.absolute_multiplicity,
-            f"vanishing order={absolute} expected={expected.absolute_multiplicity}",
-        )
-    )
+    try:
+        absolute = verified_absolute_multiplicity(spec, seed=seed)
+    except RuntimeError as disagreement:
+        passed, measured = False, str(disagreement)
+    else:
+        passed = absolute == expected.absolute_multiplicity
+        measured = f"vanishing order={absolute} expected={expected.absolute_multiplicity}"
+    rows.append((f"{label} absolute multiplicity", passed, measured))
     return rows
 
 

@@ -1,39 +1,28 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines; the
-same checks back the ``chsurf verify`` subcommand.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+Criteria 1-6 and 8 read the reports of the ``chsurf verify`` suites, run
+once per module through ``run_suite``, so each of those checks has one
+implementation and one tolerance.  Each line names the failing checks with
+their measured values.  The figure regressions, the waist points and the
+mesh round trips (criteria 7, 9 and 10) are checked only here.
 """
 
 import io
 import math
-import random
 import time
-from fractions import Fraction
+
+import pytest
 
 from axis_reference import axis_meeting_parameters
-from chsurf.curve import (
-    CurveSpec,
-    absolute_point_multiplicity,
-    curve_properties,
-    homogeneous_implicit,
-    implicit_equation,
-    origin_cone_constant,
-    origin_cone_constant_closed,
-    tangent_cone,
-)
+from chsurf.curve import homogeneous_implicit, implicit_equation
 from chsurf.mesh import export_obj, figure_preset, preset_keys, sample
 from chsurf.surface import (
     classify,
     zero_circle_intersections,
     zero_circle_parameters,
 )
-from chsurf.verify import (
-    GRID_A_VALUES,
-    _preset_geometry_checks,
-    grid_specs,
-    max_scaled_residual,
-    run_table2,
-)
+from chsurf.verify import grid_specs, run_suite
 
 SEED = 809
 
@@ -44,108 +33,76 @@ def _report(number, name, ok, detail):
     assert ok, f"criterion {number} {name}: {detail}"
 
 
-def test_criterion_1_order_suite():
+def _report_checks(number, name, checks, *conditions):
+    """Pass when there are checks, all pass and every (ok, detail) condition holds."""
+    failing = [f"{c.name} [{c.measured}]" for c in checks if not c.passed]
+    ok = bool(checks) and not failing and all(holds for holds, _ in conditions)
+    details = [f"{len(checks)} checks"] + [detail for _, detail in conditions]
+    details.append(f"failing: {'; '.join(failing) or 'none'}")
+    _report(number, name, ok, ", ".join(details))
+
+
+def _named(report, *suffixes):
+    return [c for c in report.checks if c.name.endswith(suffixes)]
+
+
+def _one_per_spec(checks, suffix):
+    names = [f"CH({s.n},{s.d},{s.a}){suffix}" for s in grid_specs()]
+    return [c.name for c in checks] == names, f"one per grid spec ({len(names)})"
+
+
+@pytest.fixture(scope="module")
+def suites():
+    """The four suites' reports at SEED, and the cold-cache table1 time in seconds."""
     implicit_equation.cache_clear()
     homogeneous_implicit.cache_clear()
-    started = time.time()
-    failures = []
-    specs = grid_specs()
-    for spec in specs:
-        degree = implicit_equation(spec).total_degree
-        if degree != curve_properties(spec).order:
-            failures.append((spec, degree))
-    elapsed = time.time() - started
-    _report(
+    started = time.perf_counter()
+    reports = {"table1": run_suite("table1", seed=SEED)}
+    elapsed = time.perf_counter() - started
+    for name in ("table2", "residual", "invariants"):
+        reports[name] = run_suite(name, seed=SEED)
+    return reports, elapsed
+
+
+def test_criterion_1_order_suite(suites):
+    reports, elapsed = suites
+    orders = _named(reports["table1"], " order")
+    _report_checks(
         1,
         "curve order grid",
-        not failures and elapsed < 60.0,
-        f"{len(specs)} specs, {len(failures)} mismatches, {elapsed:.1f}s (budget 60s)",
+        orders,
+        _one_per_spec(orders, " order"),
+        (elapsed < 60.0, f"table1 {elapsed:.1f}s (budget 60s)"),
     )
 
 
-def test_criterion_2_origin_suite():
-    failures = []
-    cone_failures = []
-    specs = grid_specs()
-    for spec in specs:
-        implicit = implicit_equation(spec)
-        lowest = implicit.lowest_form()
-        if lowest.total_degree != curve_properties(spec).origin_multiplicity:
-            failures.append(spec)
-        if spec.a != 0 and lowest.primitive() != tangent_cone(spec):
-            cone_failures.append(spec)
-    _report(
-        2,
-        "pole multiplicity grid",
-        not failures and not cone_failures,
-        f"{len(specs)} specs, {len(failures)} degree + {len(cone_failures)} cone mismatches",
+def test_criterion_2_origin_suite(suites):
+    checks = _named(suites[0]["table1"], " origin multiplicity", " tangent cone")
+    _report_checks(2, "pole multiplicity grid", checks)
+
+
+def test_criterion_3_absolute_suite(suites):
+    checks = _named(suites[0]["table1"], " absolute multiplicity")
+    _report_checks(
+        3, "absolute multiplicity grid", checks, _one_per_spec(checks, " absolute multiplicity")
     )
 
 
-def test_criterion_3_absolute_suite():
-    rng = random.Random(SEED)
-    failures = []
-    specs = grid_specs()
-    for spec in specs:
-        expected = curve_properties(spec).absolute_multiplicity
-        slopes = set()
-        while len(slopes) < 3:
-            value = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            slopes.add(-value if rng.random() < 0.5 else value)
-        for m in sorted(slopes):
-            if absolute_point_multiplicity(spec, m) != expected:
-                failures.append((spec, m))
-    _report(
-        3,
-        "absolute multiplicity grid",
-        not failures,
-        f"{len(specs)} specs x 3 slopes, {len(failures)} mismatches",
-    )
+def test_criterion_4_residual_suite(suites):
+    checks = _named(suites[0]["residual"], " residual")
+    _report_checks(4, "polar residuals", checks, _one_per_spec(checks, " residual"))
 
 
-def test_criterion_4_residual_suite():
-    worst = 0.0
-    specs = grid_specs()
-    for spec in specs:
-        worst = max(worst, max_scaled_residual(spec, samples=256))
-    _report(
-        4,
-        "polar residuals",
-        worst <= 1e-9,
-        f"{len(specs)} specs x 256 samples, max scaled residual {worst:.3e} <= 1e-09",
-    )
+def test_criterion_5_cone_constant(suites):
+    checks = [c for c in suites[0]["invariants"].checks if c.name.startswith("cone constant")]
+    _report_checks(5, "cone constant sum vs closed form", checks)
 
 
-def test_criterion_5_cone_constant():
-    worst = 0.0
-    worst_imag = 0.0
-    cases = 0
-    for d in range(1, 10):
-        for a in GRID_A_VALUES:
-            spec = CurveSpec(1, d, Fraction(a))
-            exact = float(origin_cone_constant(spec))
-            closed = origin_cone_constant_closed(spec)
-            scale = max(1.0, abs(exact))
-            worst = max(worst, abs(exact - closed.real) / scale)
-            worst_imag = max(worst_imag, abs(closed.imag) / scale)
-            cases += 1
-    _report(
-        5,
-        "cone constant sum vs closed form",
-        worst <= 1e-10 and worst_imag <= 1e-12,
-        f"{cases} cases, max relative gap {worst:.3e} <= 1e-10, imag {worst_imag:.3e}",
-    )
-
-
-def test_criterion_6_classification_dual_path():
-    report = run_table2(seed=SEED, max_nd=9)
-    coverage = [c for c in report.checks if c.name == "table rows covered"]
-    _report(
-        6,
-        "classification dual path",
-        report.ok and coverage and coverage[0].passed,
-        f"{report.passed} checks, {report.failed} failures, {coverage[0].measured}",
-    )
+def test_criterion_6_classification_dual_path(suites):
+    checks = suites[0]["table2"].checks
+    coverage = next((c.measured for c in checks if c.name == "table rows covered"), None)
+    covered = (coverage is not None, f"rows covered: {coverage}")
+    _report_checks(6, "classification dual path", checks, covered)
 
 
 FIGURE_EXPECTATIONS = {
@@ -184,20 +141,11 @@ def test_criterion_7_figure_regressions():
     )
 
 
-def test_criterion_8_geometric_properties():
-    failed = []
-    total = 0
-    for key in preset_keys():
-        for check in _preset_geometry_checks(key, count=64):
-            total += 1
-            if not check.passed:
-                failed.append(check.name)
-    _report(
-        8,
-        "preset geometric invariants",
-        not failed,
-        f"{total} checks over {len(preset_keys())} presets, failures: {failed if failed else 'none'}",
-    )
+def test_criterion_8_geometric_properties(suites):
+    keys = preset_keys()
+    checks = [c for c in suites[0]["invariants"].checks if c.name.split()[0] in keys]
+    every_preset = {c.name.split()[0] for c in checks} == set(keys)
+    _report_checks(8, "preset geometric invariants", checks, (every_preset, f"{len(keys)} presets"))
 
 
 def test_criterion_9_waist_singular_points():

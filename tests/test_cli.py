@@ -234,6 +234,15 @@ def test_verify_seed_from_environment(monkeypatch):
     assert json.loads(from_env)["seed"] == 23
 
 
+@pytest.mark.parametrize("suite", ["table1", "residual"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_worker_pool_prints_the_same_bytes(suite, fmt):
+    args = ("verify", suite, "--max-nd", "3", "--format", fmt)
+    serial = invoke(*args, "--jobs", "1")
+    assert serial[0] == 0
+    assert invoke(*args, "--jobs", "2") == serial
+
+
 # -- exit codes ---------------------------------------------------------------------
 
 
@@ -264,6 +273,25 @@ def test_back_to_back_runs_share_no_values():
     assert usage[0] == 2 and usage[1] == "" and "--d" in usage[2]
     assert invoke(*tip) == first
     assert invoke(*centered) == second
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("residual", "--a", "1/2"), "--a needs both"),
+        (("residual", "--n", "1"), "--n and --d must be given together"),
+        (("table1", "--n", "1", "--d", "1", "--max-nd", "2"), "table1 runs the grid"),
+        (("table2", "--n", "1", "--d", "1"), "table2 runs the grid"),
+        (("invariants", "--a", "1/2"), "invariants runs the grid"),
+        (("table1", "--max-nd", "0"), "--max-nd must be at least 1"),
+        (("table1", "--max-nd", "2", "--jobs", "0"), "--jobs must be at least 1"),
+    ],
+)
+def test_verify_ignored_options_exit_1(argv, message):
+    code, out, err = invoke("verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_unknown_command_exit_2():

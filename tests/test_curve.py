@@ -261,16 +261,6 @@ def test_cone_constant_chebyshev_oracle():
             assert origin_cone_constant(spec(1, d, a)) == Fraction(str(expected))
 
 
-def test_cone_constant_sum_vs_closed_grid():
-    for d in range(1, 10):
-        for a in ["0", "1/4", "1/2", "1", "5/2"]:
-            s = spec(1, d, a)
-            exact = float(origin_cone_constant(s))
-            closed = origin_cone_constant_closed(s)
-            assert abs(closed.imag) <= 1e-12 * max(1.0, abs(closed))
-            assert abs(exact - closed.real) <= 1e-10 * max(1.0, abs(exact))
-
-
 # -- tangent cone -------------------------------------------------------------------
 
 
