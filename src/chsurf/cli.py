@@ -38,7 +38,7 @@ from .curve import (
 )
 from .mesh import export_obj, figure_preset, preset_keys, sample
 from .surface import SurfaceSpec, classify, singular_circles, zero_circle_intersections
-from .verify import DEFAULT_SEED, SUITES, run_suite
+from .verify import DEFAULT_SEED, SUITES, TABLE2_MIN_ND, run_suite
 
 
 def _emit(stream, text: str) -> None:
@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument(
         "--jobs", type=int, default=1, help="parallel workers for table1 and residual"
     )
-    verify_cmd.add_argument("--max-nd", type=int, default=9, help="grid bound for n and d")
+    verify_cmd.add_argument("--max-nd", type=int, help="grid bound for n and d (default 9)")
     verify_cmd.add_argument("--format", choices=["text", "json"], default="text")
     verify_cmd.add_argument("--n", type=int, help="restrict the residual suite to one curve")
     verify_cmd.add_argument("--d", type=int)
@@ -281,8 +281,14 @@ def _cmd_verify(args, out, err) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CHS_SEED", DEFAULT_SEED))
-    if args.max_nd < 1:
+    max_nd = 9 if args.max_nd is None else args.max_nd
+    if max_nd < 1:
         raise ValueError("--max-nd must be at least 1")
+    if args.suite in ("table2", "all") and max_nd < TABLE2_MIN_ND:
+        raise ValueError(
+            f"--max-nd must be at least {TABLE2_MIN_ND} for {args.suite}: "
+            "a smaller grid cannot reach every classification row"
+        )
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     only = None
@@ -293,8 +299,10 @@ def _cmd_verify(args, out, err) -> int:
             )
         if args.n is None or args.d is None:
             raise ValueError("--n and --d must be given together, and --a needs both")
+        if args.suite == "residual" and args.max_nd is not None:
+            raise ValueError("--max-nd bounds the grid; residual with --n and --d checks one curve")
         only = CurveSpec(args.n, args.d, args.a if args.a is not None else Fraction(0))
-    report = run_suite(args.suite, seed=seed, jobs=args.jobs, max_nd=args.max_nd, only=only)
+    report = run_suite(args.suite, seed=seed, jobs=args.jobs, max_nd=max_nd, only=only)
     if args.format == "json":
         _emit(out, _json_line(report.to_dict()))
     else:

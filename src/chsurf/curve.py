@@ -132,7 +132,9 @@ def point_function(
 
     The rationals are converted to floats once, here, and the returned
     function repeats ``curve_point``'s operations in the same order, so its
-    points are bit-identical to that one's.  Keep the two formulas in step.
+    points are bit-identical to that one's.  ``surface._center_function``
+    computes the point inline with the same operations.  Keep the three
+    formulas in step.
     """
     n, d = spec.n, spec.d
     a = float(spec.a)

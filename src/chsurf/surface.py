@@ -10,8 +10,8 @@ once from the closed-form classification table, and insists the two agree.
 
 Incidence with the axis is decided exactly over the rationals.  With the
 pole on the axis it is a comparison of the placement with q; off the axis
-the branch count is the degree of a polynomial gcd over Q(i), so no float
-tolerance enters the classification.
+the branch count is the degree of a polynomial gcd over Q(i), computed on
+Gaussian integers, so no float tolerance enters the classification.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .congruence import CircleKey, CongruenceSpec, circle_through
@@ -164,30 +163,66 @@ def curve_theta(spec: SurfaceSpec, t: float) -> float:
 # -- incidence with the axis ------------------------------------------------------
 
 
-def _gmul(p: Tuple[Fraction, Fraction], q: Tuple[Fraction, Fraction]) -> Tuple[Fraction, Fraction]:
-    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+def _gauss_gcd(p: Tuple[int, int], q: Tuple[int, int]) -> Tuple[int, int]:
+    """A gcd of two Gaussian integers (re, im), up to a unit."""
+    a, b = p
+    c, d = q
+    while c or d:
+        norm = c * c + d * d
+        # (a + bi) / (c + di), each part rounded to the nearest integer.
+        qr = (2 * (a * c + b * d) + norm) // (2 * norm)
+        qi = (2 * (b * c - a * d) + norm) // (2 * norm)
+        a, b, c, d = c, d, a - qr * c + qi * d, b - qr * d - qi * c
+    return a, b
+
+
+def _primitive(p: list) -> list:
+    """p divided by a Gaussian gcd of its coefficients, p not all zero."""
+    g = (0, 0)
+    for c in p:
+        if c[0] or c[1]:
+            g = _gauss_gcd(c, g)
+            if g[0] * g[0] + g[1] * g[1] == 1:
+                return p
+    gr, gi = g
+    norm = gr * gr + gi * gi
+    return [((re * gr + im * gi) // norm, (im * gr - re * gi) // norm) for re, im in p]
 
 
 def _gcd_degree(a: list, b: list) -> int:
-    """Degree of gcd(a, b) over Q(i) by Euclid's algorithm, for b != 0.
+    """Degree of gcd(a, b) over Q(i), for b != 0.
 
-    A polynomial is the list of its (re, im) coefficients, lowest degree first.
+    A polynomial is the list of its Gaussian-integer (re, im) coefficients,
+    lowest degree first; leading zeros are allowed.  The gcd is found by a
+    primitive pseudo-remainder sequence: each remainder is computed without
+    division and then divided by a Gaussian gcd of its coefficients.
+    Dividing by the gcd of the integer parts alone is not enough: a content
+    factor such as 1+2i is no rational integer, and it would compound from
+    one remainder to the next.
     """
+    a, b = list(a), list(b)
     while True:
         while b and not (b[-1][0] or b[-1][1]):
             b.pop()
         if not b:
             return len(a) - 1
-        re, im = b[-1]
-        norm = Fraction(re * re + im * im)
-        b = [_gmul(c, (re / norm, -im / norm)) for c in b]  # monic
-        a, shift = list(a), len(b) - 1
-        terms = [(k, c) for k, c in enumerate(b[:shift]) if c[0] or c[1]]
+        b = _primitive(b)
+        lead_re, lead_im = b[-1]
+        shift = len(b) - 1
         for top in range(len(a) - 1, shift - 1, -1):
-            if a[top][0] or a[top][1]:
-                for k, c in terms:
-                    term, old = _gmul(a[top], c), a[top - shift + k]
-                    a[top - shift + k] = (old[0] - term[0], old[1] - term[1])
+            cr, ci = a[top]
+            if not (cr or ci):
+                continue
+            # a <- lead * a - a[top] * z^(top - shift) * b, which clears a[top].
+            low = top - shift
+            for k in range(top):
+                re, im = a[k]
+                re, im = lead_re * re - lead_im * im, lead_re * im + lead_im * re
+                if k >= low:
+                    br, bi = b[k - low]
+                    re -= cr * br - ci * bi
+                    im -= cr * bi + ci * br
+                a[k] = (re, im)
         a, b = b, a[:shift]
 
 
@@ -199,11 +234,15 @@ def _axis_passage_count(curve: CurveSpec, placement: Placement) -> int:
     roots of g(z) = (u^2 + v^2)*z^(2d) - (u+iv)^2, and phi is a passage iff
     r(phi) = (u-iv)*exp(i*phi), i.e. f(z) = z^(2n) + 2a*z^n + 1 - 2(u-iv)*z^(n+d)
     vanishes there too.  So the count is deg gcd(f, g), exact over Q(i).
+    Scaling f by the common denominator L of a, cx and cy, and g by L^2,
+    gives both Gaussian-integer coefficients.
     """
     n, d = curve.n, curve.d
-    u, v = -placement.cx, -placement.cy
+    scale = math.lcm(curve.a.denominator, placement.cx.denominator, placement.cy.denominator)
+    a = int(curve.a * scale)
+    u, v = int(-placement.cx * scale), int(-placement.cy * scale)
     f = [(0, 0)] * (max(2 * n, n + d) + 1)
-    for exponent, (re, im) in ((0, (1, 0)), (n, (2 * curve.a, 0)), (2 * n, (1, 0)), (n + d, (-2 * u, 2 * v))):
+    for exponent, (re, im) in ((0, (scale, 0)), (n, (2 * a, 0)), (2 * n, (scale, 0)), (n + d, (-2 * u, 2 * v))):
         f[exponent] = (f[exponent][0] + re, f[exponent][1] + im)
     g = [(v * v - u * u, -2 * u * v)] + [(0, 0)] * (2 * d - 1) + [(u * u + v * v, 0)]
     return _gcd_degree(f, g)
@@ -345,8 +384,7 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
     scale = max(1.0, max(abs(v) for v in vals))
     step = period / n_points
 
-    def bisect(lo: float, hi: float) -> float:
-        flo = f(lo)
+    def bisect(lo: float, hi: float, flo: float) -> float:
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             fmid = f(mid)
@@ -383,7 +421,7 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
         if vals[i] == 0.0:
             roots.append(ts[i])
         elif vals[i] * vals[k] < 0.0:
-            roots.append(bisect(ts[i], ts[i] + step))
+            roots.append(bisect(ts[i], ts[i] + step, vals[i]))
     for i in range(n_points):
         here = abs(vals[i])
         if here == 0.0:
@@ -412,20 +450,29 @@ def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[floa
     Away from the axis, two parameters share a generating circle exactly
     when these centers coincide at a nonzero point, so off-center singular
     circles are self-intersections of this planar trace.  The spec's
-    rationals are converted once, when the function is built.
+    rationals are converted once, when the function is built, and the curve
+    point is computed inline with :func:`curve.point_function`'s operations
+    in the same order, so the centers are bit-identical to ones built on
+    ``curve_point``.  Keep the formulas in step.
     """
-    point = point_function(spec.curve, spec.placement)
+    n, d = spec.curve.n, spec.curve.d
+    a = float(spec.curve.a)
+    cx, cy, z = float(spec.placement.cx), float(spec.placement.cy), float(spec.placement.height)
+    z_sq = z * z
     q = float(spec.congruence.q)
     scale = max(1.0, spec.extent)
     axis_bound = AXIS_EPS * scale
     waist_bound = RADICAND_EPS * scale ** 2
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
     def center(t: float) -> Optional[Tuple[float, float]]:
-        x, y, z = point(t)
+        r = cos(n * t / d) + a
+        x = cx + r * cos(t)
+        y = cy + r * sin(t)
         rho_sq = x * x + y * y
-        if math.sqrt(rho_sq) <= axis_bound:
+        if sqrt(rho_sq) <= axis_bound:
             return None
-        lam = (rho_sq + z * z - q) / (2.0 * rho_sq)
+        lam = (rho_sq + z_sq - q) / (2.0 * rho_sq)
         if lam * lam * rho_sq + q <= waist_bound:
             return None  # zero-radius circle on the hyperbolic waist
         return (lam * x, lam * y)
@@ -460,16 +507,19 @@ def _segment_intersection(p1, p2, p3, p4) -> Optional[Tuple[float, float]]:
 
 
 def _polish_coincidence(
-    spec: SurfaceSpec, t1: float, t2: float, domain: float
+    center: Callable[[float], Optional[Tuple[float, float]]],
+    scale: float,
+    t1: float,
+    t2: float,
+    domain: float,
 ) -> Optional[Tuple[float, float]]:
     """Newton-polish (t1, t2) so the two circle centers coincide.
 
-    Each step evaluates the center at t1, t2, t1 + step and t2 + step once;
-    the forward differences reuse them.
+    ``center`` is the spec's :func:`_center_function` and ``scale`` its
+    ``max(1, extent)``.  Each step evaluates the center at t1, t2,
+    t1 + step and t2 + step once; the forward differences reuse them.
     """
-    center = _center_function(spec)
     step = 1e-7 * domain
-    scale = max(1.0, spec.extent)
     for _ in range(60):
         ca = center(t1 % domain)
         cb = center(t2 % domain)
@@ -517,16 +567,16 @@ def _off_center_coincidences(
     """
     center = _center_function(spec)
     ts = [domain * i / samples for i in range(samples)]
-    centers = [center(t) for t in ts]
+    compressed = [None if c is None else _compress(c) for c in map(center, ts)]
     scale = max(1.0, spec.extent)
 
     segments = []  # (index, t_start, t_end, compressed endpoints)
     for i in range(samples):
         k = (i + 1) % samples
-        if centers[i] is None or centers[k] is None:
+        if compressed[i] is None or compressed[k] is None:
             continue
         t_end = ts[k] if k else domain
-        segments.append((i, ts[i], t_end, _compress(centers[i]), _compress(centers[k])))
+        segments.append((i, ts[i], t_end, compressed[i], compressed[k]))
 
     # Ordered by low x, a segment's x-extent meets (ends included) exactly
     # the later segments whose low x is at most its high x.  The tests here
@@ -546,7 +596,7 @@ def _off_center_coincidences(
             if boxes[b][2] > y_high or boxes[b][3] < y_low:
                 continue
             ib = segments[b][0]
-            if min((ib - ia) % samples, (ia - ib) % samples) <= 1:
+            if (ib - ia) % samples in (1, samples - 1):
                 continue  # adjacent samples trace one passage, not two
             candidates.append((a, b) if a < b else (b, a))
     candidates.sort()
@@ -559,7 +609,7 @@ def _off_center_coincidences(
             continue
         t1 = 0.5 * (t1a + t1b)
         t2 = 0.5 * (t2a + t2b)
-        polished = _polish_coincidence(spec, t1, t2, domain)
+        polished = _polish_coincidence(center, scale, t1, t2, domain)
         if polished is None:
             continue
         t1, t2 = polished

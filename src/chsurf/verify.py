@@ -172,6 +172,10 @@ def run_table1(seed: int = DEFAULT_SEED, jobs: int = 1, max_nd: int = 9) -> Repo
 # -- table2: classification dual path -----------------------------------------------
 
 
+# Smallest grid bound whose (n, d) pairs reach all 20 classification rows.
+TABLE2_MIN_ND = 3
+
+
 def run_table2(seed: int = DEFAULT_SEED, max_nd: int = 9) -> Report:
     report = Report("table2", seed)
     covered: Dict[Tuple[int, str, str], int] = {}

@@ -285,6 +285,10 @@ def test_back_to_back_runs_share_no_values():
         (("invariants", "--a", "1/2"), "invariants runs the grid"),
         (("table1", "--max-nd", "0"), "--max-nd must be at least 1"),
         (("table1", "--max-nd", "2", "--jobs", "0"), "--jobs must be at least 1"),
+        (("residual", "--n", "7", "--d", "3", "--max-nd", "2"), "--max-nd bounds the grid"),
+        (("table2", "--max-nd", "1"), "--max-nd must be at least 3 for table2"),
+        (("table2", "--max-nd", "2"), "--max-nd must be at least 3 for table2"),
+        (("all", "--max-nd", "2"), "--max-nd must be at least 3 for all"),
     ],
 )
 def test_verify_ignored_options_exit_1(argv, message):
@@ -346,6 +350,41 @@ def test_cli_import_does_not_load_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "False\n"
+
+
+def test_surface_classify_does_not_load_numpy(tmp_path):
+    # Every query is its own process, so the classify path stays free of
+    # numpy, the CSV writers included.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import io, sys; from chsurf.cli import run; "
+        "code = run(sys.argv[1:], io.BytesIO(), io.BytesIO()); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    argv = [
+        "surface-classify", "--n", "4", "--d", "1", "--a", "1", "--q", "-1",
+        "--cx", "-1", "--cy", "1/2",
+        "--singular-circles-csv", str(tmp_path / "circles.csv"),
+        "--waist-points-csv", str(tmp_path / "waist.csv"),
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "0 False\n"
+    assert (tmp_path / "circles.csv").read_text().count("\n") > 1
+    assert (tmp_path / "waist.csv").read_text().count("\n") > 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "chsurf", "curve-props", "--n", "3", "--d", "1"],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == invoke("curve-props", "--n", "3", "--d", "1")[1]
 
 
 def test_help_exit_0():

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from axis_reference import axis_meeting_parameters
@@ -230,6 +231,52 @@ def test_axis_passage_count_sympy_oracle(spec_args, count):
     assert len(axis_meeting_parameters(spec.curve, spec.placement)) == count
 
 
+def _gaussian_product(p, q):
+    """Product of two polynomials given as (re, im) int pairs, lowest degree first."""
+    out = [(0, 0)] * (len(p) + len(q) - 1)
+    for i, (pr, pi) in enumerate(p):
+        for k, (qr, qi) in enumerate(q):
+            re, im = out[i + k]
+            out[i + k] = (re + pr * qr - pi * qi, im + pr * qi + pi * qr)
+    return out
+
+
+_gaussian_polys = st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=5)
+_contents = st.sampled_from([(1, 0), (0, -1), (2, 0), (3, 3), (1, 2), (4, -2)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shared=_gaussian_polys,
+    p=_gaussian_polys,
+    q=_gaussian_polys,
+    contents=st.tuples(_contents, _contents),
+    pads=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+def test_gcd_degree_matches_sympy(shared, p, q, contents, pads):
+    """Primitive remainder sequence against sympy's gcd over Q(i).
+
+    sympy's Gaussian-rational domain QQ_I is the field QQ<I> of
+    ``test_axis_passage_count_sympy_oracle``, with faster arithmetic.  Both
+    inputs share a factor and carry a non-unit content such as 3(1+i); zero
+    leading coefficients are padded on.
+    """
+    from chsurf.surface import _gcd_degree
+
+    a = _gaussian_product(_gaussian_product(shared, p), [contents[0]]) + [(0, 0)] * pads[0]
+    b = _gaussian_product(_gaussian_product(shared, q), [contents[1]]) + [(0, 0)] * pads[1]
+    if not any(re or im for re, im in b):
+        return
+    z = sympy.Symbol("z")
+
+    def to_sympy(poly):
+        expr = sum((re + sympy.I * im) * z**k for k, (re, im) in enumerate(poly))
+        return sympy.Poly(expr, z, domain=sympy.QQ_I)
+
+    expected = sympy.gcd(to_sympy(a), to_sympy(b)).degree()
+    assert _gcd_degree(a, b) == expected
+
+
 def test_axis_meeting_parameters_pole_on_axis():
     spec = make_spec(1, 1, q=1)
     params = axis_meeting_parameters(spec.curve, spec.placement)
@@ -383,6 +430,7 @@ def _all_pairs_coincidences(spec, samples, domain):
     """Reference for the segment sweep: test every pair of center-trace segments."""
     from chsurf.surface import (
         PARAM_DEDUP,
+        _center_function,
         _compress,
         _polish_coincidence,
         _segment_intersection,
@@ -416,7 +464,9 @@ def _all_pairs_coincidences(spec, samples, domain):
                 continue
             if _segment_intersection(pa, pb, pc, pd) is None:
                 continue
-            polished = _polish_coincidence(spec, 0.5 * (t1a + t1b), 0.5 * (t2a + t2b), domain)
+            polished = _polish_coincidence(
+                _center_function(spec), scale, 0.5 * (t1a + t1b), 0.5 * (t2a + t2b), domain
+            )
             if polished is None:
                 continue
             t1, t2 = polished
@@ -522,9 +572,9 @@ def test_polish_matches_reference_on_sweep_starts(monkeypatch):
     starts = []
     polish = surface._polish_coincidence
 
-    def recording(spec, t1, t2, domain):
-        starts.append((spec, t1, t2, domain))
-        return polish(spec, t1, t2, domain)
+    def recording(center, scale, t1, t2, domain):
+        starts.append((spec, t1, t2, domain))  # spec: the loop's current spec
+        return polish(center, scale, t1, t2, domain)
 
     monkeypatch.setattr(surface, "_polish_coincidence", recording)
     for spec in SWEEP_SPECS:
@@ -532,7 +582,10 @@ def test_polish_matches_reference_on_sweep_starts(monkeypatch):
         if spec.curve.is_odd_rose:
             domain /= 2.0
         surface._off_center_coincidences(spec, 256, domain)
-    outcomes = [polish(*start) for start in starts]
+    outcomes = [
+        polish(surface._center_function(spec), max(1.0, spec.extent), t1, t2, domain)
+        for spec, t1, t2, domain in starts
+    ]
     assert outcomes == [_polish_coincidence_reference(*start) for start in starts]
     assert any(o is None for o in outcomes) and any(o is not None for o in outcomes)
 
