@@ -6,91 +6,67 @@ multiplicities symbolically, classifies the surfaces swept out by circles
 of a two-point family meeting such a curve, and exports triangle meshes of
 those surfaces.  See the ``chsurf`` command-line tool for the user-facing
 entry points and ``chsurf.verify`` for the self-check suites.
+
+``import chsurf`` loads no submodule.  Each public name below is looked up
+in its home module on first access (PEP 562), so ``chsurf.classify`` is
+``chsurf.surface.classify`` and a process imports only the modules it uses.
 """
 
-from .congruence import (
-    AxisPointError,
-    CircleKey,
-    CongruenceKind,
-    CongruenceSpec,
-    DegenerateCircleError,
-    circle_key_close,
-    circle_through,
-    kind,
-    zero_circle_radius,
-)
-from .curve import (
-    CurveProperties,
-    CurveSpec,
-    Placement,
-    ShapeClass,
-    absolute_point_multiplicity,
-    curve_point,
-    curve_properties,
-    homogeneous_implicit,
-    implicit_equation,
-    origin_cone_constant,
-    origin_cone_constant_closed,
-    polar_radius,
-    shape_class,
-    tangent_cone,
-    verified_absolute_multiplicity,
-)
-from .mesh import Mesh, export_obj, figure_preset, preset_keys, sample
-from .poly import GaussianRational, MultiPoly
-from .surface import (
-    IncidenceType,
-    SurfaceClassification,
-    SurfaceSpec,
-    classification_from_counts,
-    classify,
-    incidence_type,
-    parametric_point,
-    singular_circles,
-    zero_circle_intersections,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxisPointError",
-    "CircleKey",
-    "CongruenceKind",
-    "CongruenceSpec",
-    "CurveProperties",
-    "CurveSpec",
-    "DegenerateCircleError",
-    "GaussianRational",
-    "IncidenceType",
-    "Mesh",
-    "MultiPoly",
-    "Placement",
-    "ShapeClass",
-    "SurfaceClassification",
-    "SurfaceSpec",
-    "absolute_point_multiplicity",
-    "circle_key_close",
-    "circle_through",
-    "classification_from_counts",
-    "classify",
-    "curve_point",
-    "curve_properties",
-    "export_obj",
-    "figure_preset",
-    "homogeneous_implicit",
-    "implicit_equation",
-    "incidence_type",
-    "kind",
-    "origin_cone_constant",
-    "origin_cone_constant_closed",
-    "parametric_point",
-    "polar_radius",
-    "preset_keys",
-    "sample",
-    "shape_class",
-    "singular_circles",
-    "tangent_cone",
-    "verified_absolute_multiplicity",
-    "zero_circle_intersections",
-    "zero_circle_radius",
-]
+_HOMES = {
+    "congruence": (
+        "AxisPointError",
+        "CircleKey",
+        "CongruenceSpec",
+        "DegenerateCircleError",
+        "circle_key_close",
+        "circle_through",
+    ),
+    "curve": (
+        "CurveProperties",
+        "CurveSpec",
+        "Placement",
+        "ShapeClass",
+        "absolute_point_multiplicity",
+        "curve_point",
+        "curve_properties",
+        "homogeneous_implicit",
+        "implicit_equation",
+        "origin_cone_constant",
+        "origin_cone_constant_closed",
+        "polar_radius",
+        "shape_class",
+        "tangent_cone",
+        "verified_absolute_multiplicity",
+    ),
+    "mesh": ("Mesh", "export_obj", "figure_preset", "preset_keys", "sample"),
+    "poly": ("GaussianRational", "MultiPoly"),
+    "surface": (
+        "IncidenceType",
+        "SurfaceClassification",
+        "SurfaceSpec",
+        "classification_from_counts",
+        "classify",
+        "incidence_type",
+        "parametric_point",
+        "singular_circles",
+        "zero_circle_intersections",
+    ),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,7 +4,8 @@ Subcommands: curve-props, curve-implicit, curve-sample, surface-classify,
 surface-mesh, figure, verify.  Machine output (JSON / CSV / OBJ) goes to
 stdout or ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
 1 domain error (invalid spec, degenerate geometry, failed verification,
-an internal consistency check or an unwritable output path), 2 usage error.
+an internal consistency check, an unwritable output path, or a value too
+large for the floats a sampler, mesh or numeric check uses), 2 usage error.
 
 Rational options accept ``num/den`` or finite decimal strings, both parsed
 exactly, also as a separate negative argument (``--cx -1/2``).  ``--q``
@@ -24,21 +25,16 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from .congruence import CongruenceSpec
-from .curve import (
-    CurveSpec,
-    Placement,
-    curve_point,
-    curve_properties,
-    homogeneous_implicit,
-    implicit_equation,
-    shape_class,
-)
-from .mesh import export_obj, figure_preset, preset_keys, sample
-from .surface import SurfaceSpec, classify, singular_circles, zero_circle_intersections
-from .verify import DEFAULT_SEED, SUITES, TABLE2_MIN_ND, run_suite
+if TYPE_CHECKING:
+    from .curve import CurveSpec
+    from .surface import SurfaceSpec
+
+# The chsurf modules are imported inside the command that uses them, so a
+# process pays only for its own command.  The verify suite names live here
+# for the same reason; ``chsurf.verify.SUITES`` holds the same names.
+VERIFY_SUITES = ("table1", "table2", "residual", "invariants", "all")
 
 
 def _emit(stream, text: str) -> None:
@@ -165,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figure_cmd.add_argument("--out", help="output path (default stdout)")
 
     verify_cmd = sub.add_parser("verify", help="run a verification suite")
-    verify_cmd.add_argument("suite", choices=list(SUITES))
+    verify_cmd.add_argument("suite", choices=list(VERIFY_SUITES))
     verify_cmd.add_argument("--seed", type=int, help="seed (default: CHS_SEED or builtin)")
     verify_cmd.add_argument(
         "--jobs", type=int, default=1, help="parallel workers for table1 and residual"
@@ -179,10 +175,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _curve_spec(args) -> CurveSpec:
+    from .curve import CurveSpec
+
     return CurveSpec(args.n, args.d, args.a)
 
 
 def _surface_spec(args) -> SurfaceSpec:
+    from .congruence import CongruenceSpec
+    from .curve import Placement
+    from .surface import SurfaceSpec
+
     return SurfaceSpec(
         _curve_spec(args),
         CongruenceSpec(args.q),
@@ -199,6 +201,8 @@ def _write_to(args, out, render) -> None:
 
 
 def _cmd_curve_props(args, out, err) -> int:
+    from .curve import curve_properties, shape_class
+
     spec = _curve_spec(args)
     props = curve_properties(spec)
     record = {
@@ -212,6 +216,8 @@ def _cmd_curve_props(args, out, err) -> int:
 
 
 def _cmd_curve_implicit(args, out, err) -> int:
+    from .curve import homogeneous_implicit, implicit_equation
+
     spec = _curve_spec(args)
     poly = homogeneous_implicit(spec) if args.homogeneous else implicit_equation(spec)
     _emit(out, _json_line(poly.to_dict()))
@@ -219,6 +225,8 @@ def _cmd_curve_implicit(args, out, err) -> int:
 
 
 def _cmd_curve_sample(args, out, err) -> int:
+    from .curve import Placement, curve_point
+
     spec = _curve_spec(args)
     placement = Placement(args.cx, args.cy, args.h)
     if args.samples < 2:
@@ -234,9 +242,13 @@ def _cmd_curve_sample(args, out, err) -> int:
 
 
 def _cmd_surface_classify(args, out, err) -> int:
+    from .surface import classify, singular_circles, zero_circle_intersections
+
     spec = _surface_spec(args)
     result = classify(spec)
-    _emit(out, _json_line(result.to_dict()))
+    # Both sidecars are computed before anything is written, so a float
+    # failure leaves stdout empty.
+    sidecars = []
     if args.singular_circles_csv:
         lines = ["meridian_angle,center_offset,radius,multiplicity\n"]
         for key, multiplicity in singular_circles(spec):
@@ -244,24 +256,30 @@ def _cmd_surface_classify(args, out, err) -> int:
                 f"{key.meridian_angle:.17g},{key.center_offset:.17g},"
                 f"{key.radius:.17g},{multiplicity}\n"
             )
-        with open(args.singular_circles_csv, "w") as handle:
-            handle.write("".join(lines))
+        sidecars.append((args.singular_circles_csv, lines))
     if args.waist_points_csv:
         lines = ["x,y,z\n"]
         for x, y, z in zero_circle_intersections(spec):
             lines.append(f"{x:.17g},{y:.17g},{z:.17g}\n")
-        with open(args.waist_points_csv, "w") as handle:
+        sidecars.append((args.waist_points_csv, lines))
+    _emit(out, _json_line(result.to_dict()))
+    for path, lines in sidecars:
+        with open(path, "w") as handle:
             handle.write("".join(lines))
     return 0
 
 
 def _cmd_surface_mesh(args, out, err) -> int:
+    from .mesh import export_obj, sample
+
     mesh = sample(_surface_spec(args), args.nt, args.ntheta)
     _write_to(args, out, lambda sink: export_obj(mesh, sink))
     return 0
 
 
 def _cmd_figure(args, out, err) -> int:
+    from .mesh import export_obj, figure_preset, preset_keys, sample
+
     if args.list:
         for key in preset_keys():
             preset = figure_preset(key)
@@ -278,6 +296,9 @@ def _cmd_figure(args, out, err) -> int:
 
 
 def _cmd_verify(args, out, err) -> int:
+    from .curve import CurveSpec
+    from .verify import DEFAULT_SEED, TABLE2_MIN_ND, run_suite
+
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CHS_SEED", DEFAULT_SEED))
@@ -337,6 +358,11 @@ def run(argv: List[str], out, err) -> int:
     try:
         return _COMMANDS[args.command](args, out, err)
     except BrokenPipeError:
+        return 1
+    except OverflowError as failure:
+        # Exact commands take any rational; the samplers, meshes and numeric
+        # checks need every value they derive within the float range.
+        _emit(err, f"error: a value is too large for floating point: {failure}\n")
         return 1
     except (ValueError, RuntimeError, OSError) as failure:
         # OSError: an output path (--out, the CSV sidecars) cannot be written.

@@ -19,15 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
-
-
-class CongruenceKind(Enum):
-    ELLIPTIC = "elliptic"
-    PARABOLIC = "parabolic"
-    HYPERBOLIC = "hyperbolic"
+from typing import Sequence
 
 
 class AxisPointError(ValueError):
@@ -48,14 +41,6 @@ class CongruenceSpec:
         object.__setattr__(self, "q", Fraction(self.q))
 
 
-def kind(spec: CongruenceSpec) -> CongruenceKind:
-    if spec.q > 0:
-        return CongruenceKind.ELLIPTIC
-    if spec.q == 0:
-        return CongruenceKind.PARABOLIC
-    return CongruenceKind.HYPERBOLIC
-
-
 @dataclass(frozen=True)
 class CircleKey:
     """Canonical coordinates of one circle of a family.
@@ -67,13 +52,6 @@ class CircleKey:
     meridian_angle: float
     center_offset: float
     radius: float
-
-
-def zero_circle_radius(spec: CongruenceSpec) -> Optional[float]:
-    """Radius of the zero-radius locus x^2 + y^2 = -q, or None unless q < 0."""
-    if spec.q < 0:
-        return math.sqrt(float(-spec.q))
-    return None
 
 
 def circle_through(spec: CongruenceSpec, point: Sequence[float]) -> CircleKey:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -156,6 +155,9 @@ def _run_cases(
     report = Report(suite, seed)
     args = [(s.n, s.d, str(s.a), seed + i) for i, s in enumerate(specs)]
     if jobs > 1:
+        # Loading the process pool costs about 20 ms; serial runs skip it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(case, args, chunksize=8))
     else:

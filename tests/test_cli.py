@@ -12,7 +12,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from chsurf.cli import parse_q, parse_rational, run
+from chsurf import verify
+from chsurf.cli import VERIFY_SUITES, parse_q, parse_rational, run
 from chsurf.surface import CLASSIFICATION_TABLE
 from chsurf.verify import grid_specs
 from fractions import Fraction
@@ -234,6 +235,16 @@ def test_verify_seed_from_environment(monkeypatch):
     assert json.loads(from_env)["seed"] == 23
 
 
+def test_verify_suite_names_agree():
+    # The parser takes its choices from cli, so building it imports no verify code.
+    schema = load_schema("verify_report.schema.json")["properties"]["suite"]["enum"]
+    assert list(VERIFY_SUITES) == schema == list(verify.SUITES)
+    for suite in VERIFY_SUITES:
+        assert verify.run_suite(suite, max_nd=1).suite == suite
+    with pytest.raises(ValueError, match="known: " + ", ".join(VERIFY_SUITES)):
+        verify.run_suite("table3")
+
+
 @pytest.mark.parametrize("suite", ["table1", "residual"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_worker_pool_prints_the_same_bytes(suite, fmt):
@@ -298,6 +309,38 @@ def test_verify_ignored_options_exit_1(argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (
+            "surface-classify", "--n", "1", "--d", "1", "--a=1", "--q=-1", "--cx=1", "--h=1e400",
+            "--singular-circles-csv", "OUT",
+        ),
+        ("surface-classify", "--n", "1", "--d", "1", "--a=1", "--q=-1e400", "--waist-points-csv", "OUT"),
+        ("surface-mesh", "--n", "1", "--d", "1", "--a=1", "--q=-1", "--cx=1e400"),
+        ("curve-sample", "--n", "1", "--d", "1", "--a=1e400"),
+        ("verify", "residual", "--n", "1", "--d", "1", "--a=1e400"),
+    ],
+)
+def test_rational_past_float_range_exit_1(tmp_path, argv):
+    target = tmp_path / "out.csv"
+    code, out, err = invoke(*(str(target) if token == "OUT" else token for token in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: a value is too large for floating point")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_exact_commands_take_rationals_past_float_range():
+    code, out, _ = invoke("curve-props", "--n", "1", "--d", "1", "--a=1e400")
+    assert (code, out) == (0, '{"order":4,"origin":2,"absolute":2,"shape":"curtate"}\n')
+    code, out, _ = invoke(
+        "surface-classify", "--n", "1", "--d", "1", "--a=1", "--q=-1", "--cx=1", "--h=1e400"
+    )
+    assert code == 0 and json.loads(out)["type"] == "5B"
+
+
 def test_unknown_command_exit_2():
     code, _, _ = invoke("no-such-command")
     assert code == 2
@@ -340,40 +383,110 @@ def test_unwritable_output_path_exit_1(tmp_path, argv, option):
     assert err.startswith("error: ") and str(target) in err
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy is imported inside the mesher and the residual check only, so
-    # start-up of every command stays free of it.
+# -- start-up: each command imports only its own modules ------------------------
+
+
+_LOADED_PROBE = """
+import io, json, sys
+{setup}
+others = ("numpy", "concurrent", "concurrent.futures")
+print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == "chsurf" or m in others]]))
+"""
+
+
+def loaded_modules(setup, *argv):
+    """Exit code and the chsurf, numpy and concurrent modules a fresh process loaded."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import sys, chsurf.cli; print('numpy' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _LOADED_PROBE.format(setup=setup), *argv],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert result.stdout == "False\n"
+    code, modules = json.loads(result.stdout)
+    return code, set(modules)
+
+
+def loaded_by_command(*argv):
+    setup = "from chsurf.cli import run\ncode = run(sys.argv[1:], io.BytesIO(), io.BytesIO())"
+    return loaded_modules(setup, *argv)
+
+
+def test_cli_import_does_not_load_numpy():
+    assert loaded_modules("import chsurf\ncode = 0") == (0, {"chsurf"})
+    assert loaded_modules("import chsurf.cli\ncode = 0") == (0, {"chsurf", "chsurf.cli"})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curve-props", "--n", "7", "--d", "3", "--a", "1/4"),
+        ("curve-implicit", "--n", "3", "--d", "1", "--homogeneous"),
+        ("curve-sample", "--n", "3", "--d", "1", "--cx", "-1", "--samples", "8"),
+    ],
+)
+def test_curve_commands_load_only_curve_and_poly(argv):
+    assert loaded_by_command(*argv) == (
+        0, {"chsurf", "chsurf.cli", "chsurf.curve", "chsurf.poly"}
+    )
 
 
 def test_surface_classify_does_not_load_numpy(tmp_path):
     # Every query is its own process, so the classify path stays free of
-    # numpy, the CSV writers included.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    probe = (
-        "import io, sys; from chsurf.cli import run; "
-        "code = run(sys.argv[1:], io.BytesIO(), io.BytesIO()); "
-        "print(code, 'numpy' in sys.modules)"
-    )
-    argv = [
+    # numpy, the mesher and the verify suites, the CSV writers included.
+    code, modules = loaded_by_command(
         "surface-classify", "--n", "4", "--d", "1", "--a", "1", "--q", "-1",
         "--cx", "-1", "--cy", "1/2",
         "--singular-circles-csv", str(tmp_path / "circles.csv"),
         "--waist-points-csv", str(tmp_path / "waist.csv"),
-    ]
-    result = subprocess.run(
-        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "0 False\n"
+    assert code == 0
+    assert "chsurf.surface" in modules
+    assert not modules & {"numpy", "chsurf.mesh", "chsurf.verify"}
     assert (tmp_path / "circles.csv").read_text().count("\n") > 1
     assert (tmp_path / "waist.csv").read_text().count("\n") > 1
+
+
+def test_figure_list_does_not_load_numpy():
+    code, modules = loaded_by_command("figure", "--list")
+    assert code == 0
+    assert "chsurf.mesh" in modules and "numpy" not in modules
+
+
+def test_serial_verify_loads_no_process_pool():
+    code, modules = loaded_by_command("verify", "table2")
+    assert code == 0
+    assert not modules & {"numpy", "concurrent", "concurrent.futures"}
+    code, modules = loaded_by_command("verify", "residual", "--n", "3", "--d", "1")
+    assert code == 0
+    assert "numpy" in modules
+    assert not modules & {"concurrent", "concurrent.futures"}
+
+
+PUBLIC_NAMES = [
+    "AxisPointError", "CircleKey", "CongruenceSpec", "CurveProperties", "CurveSpec",
+    "DegenerateCircleError", "GaussianRational", "IncidenceType", "Mesh", "MultiPoly",
+    "Placement", "ShapeClass", "SurfaceClassification", "SurfaceSpec",
+    "absolute_point_multiplicity", "circle_key_close", "circle_through",
+    "classification_from_counts", "classify", "curve_point", "curve_properties",
+    "export_obj", "figure_preset", "homogeneous_implicit", "implicit_equation",
+    "incidence_type", "origin_cone_constant", "origin_cone_constant_closed",
+    "parametric_point", "polar_radius", "preset_keys", "sample", "shape_class",
+    "singular_circles", "tangent_cone", "verified_absolute_multiplicity",
+    "zero_circle_intersections",
+]
+
+
+def test_package_names_resolve_to_their_home_modules():
+    import chsurf
+
+    assert chsurf.__all__ == PUBLIC_NAMES
+    for name in chsurf.__all__:
+        value = getattr(chsurf, name)
+        assert value.__module__.startswith("chsurf.")
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert set(chsurf.__all__) <= set(dir(chsurf))
+    with pytest.raises(AttributeError):
+        chsurf.no_such_name
 
 
 def test_python_dash_m_runs_the_cli():

@@ -9,13 +9,10 @@ from hypothesis import given, strategies as st
 from chsurf.congruence import (
     AxisPointError,
     CircleKey,
-    CongruenceKind,
     CongruenceSpec,
     DegenerateCircleError,
     circle_key_close,
     circle_through,
-    kind,
-    zero_circle_radius,
 )
 
 
@@ -28,19 +25,6 @@ def point_on_circle(key, theta):
     u = key.center_offset + key.radius * math.cos(theta)
     z = key.radius * math.sin(theta)
     return (u * math.cos(key.meridian_angle), u * math.sin(key.meridian_angle), z)
-
-
-def test_kind():
-    assert kind(cong(1)) is CongruenceKind.ELLIPTIC
-    assert kind(cong(0)) is CongruenceKind.PARABOLIC
-    assert kind(cong(-1)) is CongruenceKind.HYPERBOLIC
-
-
-def test_zero_circle_radius():
-    assert zero_circle_radius(cong(-1)) == pytest.approx(1.0)
-    assert zero_circle_radius(cong(-4)) == pytest.approx(2.0)
-    assert zero_circle_radius(cong(1)) is None
-    assert zero_circle_radius(cong(0)) is None
 
 
 def test_circle_through_elliptic():
