@@ -307,6 +307,11 @@ def absolute_point_multiplicity(spec: CurveSpec, m: Union[int, Fraction]) -> int
     t = 0.  Scaling g by den(m)^D keeps every coefficient a Gaussian integer,
     held as an (re, im) pair of ints.  The coefficients are computed from
     the lowest order up, and the first nonzero one ends the search.
+
+    The terms are grouped by their shift ``D - a - b``.  Within a group every
+    contribution to ``t^order`` carries the same slope power
+    ``num^k * den^(D-k)``, so a group sums ``c * C(b, k) * i^(b-k)`` first and
+    multiplies its nonzero sum by that power once.
     """
     m = Fraction(m)
     implicit = implicit_equation(spec)
@@ -322,14 +327,18 @@ def absolute_point_multiplicity(spec: CurveSpec, m: Union[int, Fraction]) -> int
             k = order - shift  # t^order takes t^k from (i + m t)^b
             if k < 0:
                 continue
-            scale = num_powers[k] * den_powers[degree - k]
+            group_re = group_im = 0
             for b, c in terms:
                 if k > b:
                     continue
-                value = c * comb(b, k) * scale
+                value = c * comb(b, k)
                 unit_re, unit_im = _I_POWERS[(b - k) % 4]
-                re += unit_re * value
-                im += unit_im * value
+                group_re += unit_re * value
+                group_im += unit_im * value
+            if group_re or group_im:
+                scale = num_powers[k] * den_powers[degree - k]
+                re += group_re * scale
+                im += group_im * scale
         if re or im:
             return order
     raise RuntimeError("line lies on the curve; implicit equation is broken")

@@ -319,7 +319,6 @@ def test_verify_ignored_options_exit_1(argv, message):
         ("surface-classify", "--n", "1", "--d", "1", "--a=1", "--q=-1e400", "--waist-points-csv", "OUT"),
         ("surface-mesh", "--n", "1", "--d", "1", "--a=1", "--q=-1", "--cx=1e400"),
         ("curve-sample", "--n", "1", "--d", "1", "--a=1e400"),
-        ("verify", "residual", "--n", "1", "--d", "1", "--a=1e400"),
     ],
 )
 def test_rational_past_float_range_exit_1(tmp_path, argv):
@@ -330,6 +329,31 @@ def test_rational_past_float_range_exit_1(tmp_path, argv):
     assert err.startswith("error: a value is too large for floating point")
     assert err.count("\n") == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (("residual", "--a=1e400"), "int too large to convert to float"),
+        (("residual", "--a=1e100"), "a power of a sample overflows float64"),
+        (("all", "--a=1e400", "--max-nd", "3"), "int too large to convert to float"),
+    ],
+    ids=["residual-1e400", "residual-1e100", "all-1e400"],
+)
+def test_verify_residual_past_float_range_fail_row(capfd, argv, reason):
+    suite, a, *rest = argv
+    code, out, err = invoke("verify", suite, "--n", "1", "--d", "1", a, *rest)
+    assert (code, err, capfd.readouterr().err) == (1, "", "")
+    label = f"CH(1,1,{Fraction(a.split('=')[1])}) residual"
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL  {label}  [cannot be computed in float64: {reason}]"
+    ]
+    assert lines[-1].startswith(f"{suite}: ") and lines[-1].endswith(" passed, 1 failed")
+    if suite == "all":  # table1, table2 and invariants keep their rows
+        assert any(line.startswith("PASS  CH(1,1,0) order  [") for line in lines)
+        assert "PASS  table rows covered  [20/20 rows]" in lines
+        assert "PASS  9c classification  [type 5A: (10, 4, 2, 6)]" in lines
 
 
 def test_exact_commands_take_rationals_past_float_range():

@@ -230,7 +230,8 @@ def _max_scaled_residual(curve_spec, samples=256):
 
 
 @pytest.mark.parametrize(
-    "n,d,a", [(1, 1, "1/2"), (2, 3, "1/2"), (7, 3, "1/4"), (3, 2, "0"), (5, 3, "5/2")]
+    "n,d,a",
+    [(1, 1, "1/2"), (2, 3, "1/2"), (7, 3, "1/4"), (3, 2, "0"), (5, 3, "5/2"), (9, 8, "5/2")],
 )
 def test_polar_samples_satisfy_implicit(n, d, a):
     assert _max_scaled_residual(spec(n, d, a)) <= 1e-9
@@ -324,6 +325,13 @@ def _absolute_multiplicity_full_expansion(s, m):
     raise RuntimeError("line lies on the curve; implicit equation is broken")
 
 
+def _outcome(route, s, m):
+    try:
+        return route(s, m)
+    except RuntimeError:
+        return "raises"
+
+
 def test_absolute_multiplicity_matches_full_expansion_over_grid():
     rng = random.Random(DEFAULT_SEED)
     slopes = set()
@@ -331,16 +339,54 @@ def test_absolute_multiplicity_matches_full_expansion_over_grid():
         slopes.add(_random_rational(rng))
     slopes |= {Fraction(0), Fraction(1), Fraction(-1)}
 
-    def outcome(route, s, m):
-        try:
-            return route(s, m)
-        except RuntimeError:
-            return "raises"
-
     for s in grid_specs():
         for m in sorted(slopes):
-            expected = outcome(_absolute_multiplicity_full_expansion, s, m)
-            assert outcome(absolute_point_multiplicity, s, m) == expected, (s, m)
+            expected = _outcome(_absolute_multiplicity_full_expansion, s, m)
+            assert _outcome(absolute_point_multiplicity, s, m) == expected, (s, m)
+
+
+def _absolute_multiplicity_per_term(s, m):
+    """Each term of g(t) scaled by its own slope power, then summed per order.
+
+    The route ``absolute_point_multiplicity`` took before it factored the
+    slope power out of each shift group; kept as its reference.
+    """
+    m = Fraction(m)
+    implicit = implicit_equation(s)
+    degree = implicit.total_degree
+    num_powers = [m.numerator**k for k in range(degree + 1)]
+    den_powers = [m.denominator**k for k in range(degree + 1)]
+    i_powers = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    by_shift = {}
+    for (a, b), coeff in implicit.terms.items():
+        by_shift.setdefault(degree - a - b, []).append((b, coeff.re))  # the equation is real
+    for order in range(degree + 1):
+        re = im = 0
+        for shift, terms in by_shift.items():
+            k = order - shift  # t^order takes t^k from (i + m t)^b
+            if k < 0:
+                continue
+            scale = num_powers[k] * den_powers[degree - k]
+            for b, c in terms:
+                if k > b:
+                    continue
+                value = c * math.comb(b, k) * scale
+                unit_re, unit_im = i_powers[(b - k) % 4]
+                re += unit_re * value
+                im += unit_im * value
+        if re or im:
+            return order
+    raise RuntimeError("line lies on the curve; implicit equation is broken")
+
+
+def test_absolute_multiplicity_matches_per_term_sum_over_grid():
+    # Negative, integer and p/q slopes with p, q <= 9.
+    slopes = [Fraction(p) for p in (-9, -1, 1, 2, 7)]
+    slopes += [Fraction(p, q) for p, q in ((-7, 9), (-3, 2), (2, 9), (5, 4), (8, 3), (9, 7))]
+    for s in grid_specs():
+        for m in slopes:
+            expected = _outcome(_absolute_multiplicity_per_term, s, m)
+            assert _outcome(absolute_point_multiplicity, s, m) == expected, (s, m)
 
 
 def test_verified_absolute_multiplicity_agrees_with_table():

@@ -2,12 +2,14 @@
 
 import io
 import re
+from fractions import Fraction
 
 import pytest
 
-from chsurf import curve
+from chsurf import curve, verify
 from chsurf.cli import run
 from chsurf.mesh import figure_preset, preset_keys
+from chsurf.poly import MultiPoly
 from chsurf.surface import CLASSIFICATION_TABLE, incidence_type, table_branch, table_variant
 from chsurf.verify import grid_specs, run_invariants, run_suite, run_table2
 
@@ -76,3 +78,38 @@ def test_one_disagreeing_slope_fails_its_spec(monkeypatch):
     assert run(["verify", "table1", "--max-nd", "2"], out, err) == 1
     assert err.getvalue() == b""
     assert f"FAIL  {label}  [slopes disagree".encode() in out.getvalue()
+
+
+def _scale_by_million(terms):
+    for e in terms:
+        terms[e] *= 10**6
+
+
+def _perturb_largest_coefficient(terms):
+    # Relative 1e-6 on one coefficient, exact in integers after scaling all by 10^6.
+    largest = max(terms, key=lambda e: (abs(terms[e]), e))
+    _scale_by_million(terms)
+    terms[largest] += terms[largest] // 10**6
+
+
+def _add_odd_y_term(terms):
+    degree = max(sum(e) for e in terms)
+    terms[(degree - 1, 1)] = max(terms.values(), key=abs)
+
+
+@pytest.mark.parametrize(
+    "edit,passed",
+    [
+        (_scale_by_million, True),
+        (_perturb_largest_coefficient, False),
+        (_add_odd_y_term, False),
+    ],
+)
+def test_residual_detects_a_wrong_equation(monkeypatch, edit, passed):
+    spec = curve.CurveSpec(3, 1, Fraction(1, 2))
+    terms = {e: c.re for e, c in curve.implicit_equation(spec).terms.items()}
+    edit(terms)
+    monkeypatch.setattr(verify, "implicit_equation", lambda s: MultiPoly(("x", "y"), terms))
+    [check] = run_suite("residual", only=spec).checks
+    assert check.name == "CH(3,1,1/2) residual"
+    assert check.passed is passed, check.measured
