@@ -304,9 +304,17 @@ def absolute_point_multiplicity(spec: CurveSpec, m: Union[int, Fraction]) -> int
     m the result is the multiplicity of the circular point itself.  With
     x1 = 1 and x0 = t the homogeneous equation restricted to the line is
     g(t) = sum c_ab t^(D-a-b) (i + m t)^b, and the answer is its order at
-    t = 0.  Scaling g by den(m)^D keeps every coefficient a Gaussian integer,
-    held as an (re, im) pair of ints.  The coefficients are computed from
-    the lowest order up, and the first nonzero one ends the search.
+    t = 0 (see ``_circular_line_lowest_term``).
+    """
+    return _circular_line_lowest_term(spec, m)[0]
+
+
+def _circular_line_lowest_term(spec: CurveSpec, m: Union[int, Fraction]) -> Tuple[int, int, int]:
+    """``(order, re, im)`` of the lowest nonzero term of den(m)^D * g(t).
+
+    Scaling g by den(m)^D keeps every coefficient a Gaussian integer, held
+    as an (re, im) pair of ints.  The coefficients are computed from the
+    lowest order up, and the first nonzero one ends the search.
 
     The terms are grouped by their shift ``D - a - b``.  Within a group every
     contribution to ``t^order`` carries the same slope power
@@ -340,7 +348,7 @@ def absolute_point_multiplicity(spec: CurveSpec, m: Union[int, Fraction]) -> int
                 re += group_re * scale
                 im += group_im * scale
         if re or im:
-            return order
+            return order, re, im
     raise RuntimeError("line lies on the curve; implicit equation is broken")
 
 

@@ -6,10 +6,12 @@ are skipped (the affine parametrization is undefined there, so the mesh
 keeps a hole), rows where the generating circle degenerates to a point are
 collapsed to a single vertex, and each surviving quad is split into two
 triangles with exact-zero slivers dropped.  A sampled ``Mesh`` holds numpy
-arrays: ``(N, 3)`` float64 vertices and ``(M, 3)`` int64 triangles.  numpy is
-imported inside ``sample`` and ``export_obj``, and the OBJ writer builds its
-lookup tables on first use, so importing this module (and the CLI) does not
-load numpy.
+arrays: ``(N, 3)`` float64 vertices and ``(M, 3)`` int64 triangles.  The
+sliver filter and the OBJ writer work through these arrays in fixed blocks
+of triangles or vertices, so the temporaries of a block stay in cache and
+no full-size gather or copy is made.  numpy is imported inside ``sample``
+and ``export_obj``, and the OBJ writer builds its lookup tables on first
+use, so importing this module (and the CLI) does not load numpy.
 
 OBJ text is exactly what ``"%.17g"`` and ``"%d"`` print, but computed on
 arrays: the 17 significant digits of a coordinate in fixed notation are an
@@ -26,6 +28,7 @@ the independently computed singular parameter sets.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -84,8 +87,13 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     ``nt`` rows cover one period of the curve parameter, ``ntheta`` columns
     one turn of each generating circle; both seams are closed by reusing the
     first row/column, never by duplicating vertices.  Each row's kind is
-    decided on scalars; the vertex rings, the triangles and the sliver
-    filter are numpy expressions over all rows at once.
+    decided on scalars, and the vertex rings are one numpy expression over
+    all FULL rows.  The triangles of each run of consecutive FULL-to-FULL
+    row pairs are one broadcast.  The sliver filter works through the
+    triangles in blocks of ``_TRIANGLE_CHUNK``, so its gathers and cross
+    products stay in cache, and the triangles are copied only when a sliver
+    is dropped.  A row or vertex that is not finite (a coordinate whose
+    square overflows) is an ``OverflowError``.
     """
     import numpy as np  # only meshing needs it; the other commands start faster without
 
@@ -112,8 +120,10 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
         if rho <= axis_tol:
             mesh.rows.append(MeshRow(i, t, SKIPPED, count, 0))
             continue
-        value = _radicand_at(point, q)
         norm_sq = rho_sq + z * z
+        if not math.isfinite(norm_sq):
+            raise OverflowError(f"the squared norm of the curve point at t={t!r} overflows float64")
+        value = _radicand_at(point, q)
         if value == 0.0:
             # Point circle: the whole theta ring is one vertex at the center.
             factor = (norm_sq - q) / (2.0 * rho_sq)
@@ -142,44 +152,54 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
         vertices[ring, 2] = (z_scale * sin_t).ravel()
     for start, x, y in apexes:
         vertices[start, :2] = (x, y)
+    peak = float(np.abs(vertices).max())
+    if not math.isfinite(peak):
+        raise OverflowError("a mesh vertex is not finite in float64")
+    scale = max(1.0, peak)
 
     # Per column j (k = j + 1 around the seam): a quad between FULL rows a, b
     # is (a_j, b_j, b_k), (a_j, b_k, a_k); a fan from a FULL row to an apex
     # is (f_j, f_k, apex).  The boolean masks pick, per corner, which of the
-    # two rows' vertex_start is added to the column.
+    # two rows' vertex_start is added to the column; a run of consecutive
+    # quad pairs is one broadcast over its pairs, in row order.
     nxt = np.roll(columns, -1)
     quad_columns = np.stack([columns, columns, nxt, columns, nxt, nxt], axis=1).reshape(-1, 3)
     quad_from_b = np.tile([[False, True, True], [False, True, False]], (ntheta, 1))
     fan_columns = np.stack([columns, nxt, np.zeros_like(columns)], axis=1)
     fan_from_apex = np.array([False, False, True])
 
+    pairs = [(mesh.rows[i], mesh.rows[(i + 1) % nt]) for i in range(nt)]
     blocks = []
-    for i in range(nt):
-        row_a = mesh.rows[i]
-        row_b = mesh.rows[(i + 1) % nt]
-        if row_a.kind == SKIPPED or row_b.kind == SKIPPED:
-            continue  # hole at an axis crossing
-        if row_a.kind == COLLAPSED and row_b.kind == COLLAPSED:
+    for quads, run in itertools.groupby(pairs, key=lambda pair: pair[0].kind == pair[1].kind == FULL):
+        if quads:
+            starts = np.array([(row_a.vertex_start, row_b.vertex_start) for row_a, row_b in run])
+            offset = np.where(quad_from_b, starts[:, 1, None, None], starts[:, 0, None, None])
+            blocks.append((quad_columns + offset).reshape(-1, 3))
             continue
-        if row_a.kind == FULL and row_b.kind == FULL:
-            offset = np.where(quad_from_b, row_b.vertex_start, row_a.vertex_start)
-            blocks.append(quad_columns + offset)
-            continue
-        full_row, apex_row = (row_a, row_b) if row_a.kind == FULL else (row_b, row_a)
-        offset = np.where(fan_from_apex, apex_row.vertex_start, full_row.vertex_start)
-        blocks.append(fan_columns + offset)
+        for row_a, row_b in run:
+            if SKIPPED in (row_a.kind, row_b.kind) or row_a.kind == row_b.kind:
+                continue  # a hole at an axis crossing, or two apexes
+            full_row, apex_row = (row_a, row_b) if row_a.kind == FULL else (row_b, row_a)
+            offset = np.where(fan_from_apex, apex_row.vertex_start, full_row.vertex_start)
+            blocks.append(fan_columns + offset)
     triangles = np.concatenate(blocks) if blocks else np.zeros((0, 3), dtype=np.int64)
 
-    # Drop exact-zero slivers: area from the cross product of b - a and c - a.
-    scale = max(1.0, float(np.abs(vertices).max()))
-    a, b, c = (vertices.take(triangles[:, corner], axis=0) for corner in range(3))
-    u, v = b - a, c - a
-    cx = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
-    cy = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
-    cz = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-    area = 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
+    # Drop exact-zero slivers: area from the cross product of b - a and c - a,
+    # one block of triangles at a time on the coordinate rows of the vertices.
+    floor = ZERO_AREA_EPS * scale * scale
+    coordinates = vertices.T.copy()
+    keep = np.empty(len(triangles), dtype=bool)
+    for first in range(0, len(triangles), _TRIANGLE_CHUNK):
+        block = slice(first, first + _TRIANGLE_CHUNK)
+        corners = coordinates.take(triangles[block].T, axis=1)  # [coordinate, corner, triangle]
+        a = corners[:, 0]
+        u, v = corners[:, 1] - a, corners[:, 2] - a
+        cx = u[1] * v[2] - u[2] * v[1]
+        cy = u[2] * v[0] - u[0] * v[2]
+        cz = u[0] * v[1] - u[1] * v[0]
+        np.greater(0.5 * np.sqrt(cx * cx + cy * cy + cz * cz), floor, out=keep[block])
     mesh.vertices = vertices
-    mesh.triangles = triangles[area > ZERO_AREA_EPS * scale * scale]
+    mesh.triangles = triangles if keep.all() else triangles[keep]
     return mesh
 
 
@@ -195,8 +215,10 @@ def export_obj(mesh: Mesh, sink: BinaryIO) -> None:
     and takes one step when N falls outside [10^16, 10^17).  Zeros print as
     ``0`` or ``-0``; exponent notation, inf and nan go through ``%.17g``
     itself, one value at a time.  Face indices are gathered from labels
-    built once per mesh.  Text is written in chunks, so temporaries stay
-    small.  A triangle index outside the vertex list is a ``ValueError``.
+    built once per mesh.  Text is built and written in blocks of
+    ``_VERTEX_CHUNK`` vertices and ``_FACE_CHUNK`` triangles, so the
+    temporaries of a block stay in cache.  A triangle index outside the
+    vertex list is a ``ValueError``.
     """
     import numpy as np
 
@@ -210,17 +232,19 @@ def export_obj(mesh: Mesh, sink: BinaryIO) -> None:
         sink.write(_vertex_lines(values[start : start + 3 * _VERTEX_CHUNK]))
     if faces.size:
         labels = _face_labels(count)
-        corners = faces + np.array([0, count, 2 * count])  # columns pick the 'f i', ' i', ' i\n' rows
+        offsets = np.array([0, count, 2 * count])  # columns pick the 'f i', ' i', ' i\n' rows
         for start in range(0, len(faces), _FACE_CHUNK):
-            lines = labels.take(corners[start : start + _FACE_CHUNK], axis=0)
+            lines = labels.take(faces[start : start + _FACE_CHUNK] + offsets, axis=0)
             sink.write(lines.tobytes().translate(None, b"\0"))
 
 
 # -- exact OBJ text on arrays --------------------------------------------------------
 
-# Vertices and triangles per write: each chunk's temporaries stay in cache.
+# Vertices and triangles per write, and triangles per sliver-filter block:
+# each block's temporaries stay in cache.
 _VERTEX_CHUNK = 4096
 _FACE_CHUNK = 8192
+_TRIANGLE_CHUNK = 4096
 _SPLIT = 134217729.0  # 2**27 + 1 splits a double into two halves of at most 26 bits
 _GROUP = 10000  # digits go in words of four ASCII characters
 
@@ -234,9 +258,10 @@ def _obj_tables():
     ``g`` as ASCII bytes in a uint64: as they are, with trailing zeros as
     NUL, and with leading zeros as NUL.  ``powers`` holds 10^k and its two
     Veltkamp halves for k in [0, 22].
-    ``templates[kind, word, 3 * (X + 4) + column]`` lays out one coordinate
-    of exponent X (see ``_vertex_lines``): kind 0 keeps the integer part,
-    kind 1 the fraction, kind 2 adds the constant bytes.
+    ``templates[kind, 3 * (X + 4) + column]`` is the 32-byte slot, as four
+    uint64 words, of one coordinate of exponent X (see ``_vertex_lines``):
+    kind 0 keeps the integer part, kind 1 the fraction, kind 2 adds the
+    constant bytes.
     """
     import numpy as np
 
@@ -264,7 +289,7 @@ def _obj_tables():
     slots[2, :, 0, 0] = ord("v")
     slots[2, :, :, 1] = ord(" ")
     slots[2, :, 2, 26] = ord("\n")
-    templates = slots.reshape(3, 63, 32).view("<u8").transpose(0, 2, 1).copy()
+    templates = slots.reshape(3, 63, 32).view("<u8")
     return words, words << np.uint64(32), powers, templates
 
 
@@ -293,12 +318,13 @@ def _scaled_round(magnitude, k):
 def _vertex_lines(values) -> bytes:
     """``v x y z`` lines for a flat run of coordinates, 3 per vertex.
 
-    Each coordinate fills a 32-byte slot, held as four uint64 planes while
-    it is built: byte 0 ``v`` (first coordinate of a line), 1 a space, 2 the
-    sign, 3..24 the number, 26 ``\\n`` (last coordinate).  With
-    z = "0000" + the 17 digits at bytes 3..23, the integer part is
-    z in place on bytes [start, dot) and the fraction is z moved up one
-    byte, past the dot.  Trailing zeros come from the table as NUL, the
+    Each coordinate fills a 32-byte slot, a row of four uint64 words in a
+    ``(count, 4)`` array: byte 0 ``v`` (first coordinate of a line), 1 a
+    space, 2 the sign, 3..24 the number, 26 ``\\n`` (last coordinate).  The
+    rows are the text in order, and each template kind is one row gather
+    by slot.  With z = "0000" + the 17 digits at bytes 3..23, the integer
+    part is z in place on bytes [start, dot) and the fraction is z moved up
+    one byte, past the dot.  Trailing zeros come from the table as NUL, the
     template puts ``0`` back within the integer part, and the dot stays
     only if a fraction digit follows it.  Every other byte is NUL, and the
     NULs are dropped in one pass.
@@ -333,25 +359,23 @@ def _vertex_lines(values) -> bytes:
     g2 = upper - top * _GROUP
     g3 = lower // _GROUP
     g4 = lower - g3 * _GROUP
-    planes = np.zeros((4, count), dtype=np.uint64)
-    p0, p1, p2 = planes[:3]
-    # z[0] = "0", then the words of g0..g4; a word is NUL-stripped when
-    # every digit after it is zero.
-    np.bitwise_or(high_words.take(g0), np.uint64(0x30000000), out=p0)
+    # The slots start as z: z[0] = "0", then the words of g0..g4; a word is
+    # NUL-stripped when every digit after it is zero.
+    block = np.zeros((count, 4), dtype=np.uint64)
+    np.bitwise_or(high_words.take(g0), np.uint64(0x30000000), out=block[:, 0])
     g1_word = words.take(g1 + _GROUP * ((g2 | lower) == 0))
-    np.bitwise_or(g1_word, high_words.take(g2 + _GROUP * (lower == 0)), out=p1)
-    np.bitwise_or(words.take(g3 + _GROUP * (g4 == 0)), high_words.take(g4 + _GROUP), out=p2)
-    e8, e56 = np.uint64(8), np.uint64(56)
-    shifted = (p0 << e8, (p1 << e8) | (p0 >> e56), (p2 << e8) | (p1 >> e56), p2 >> e56)
+    np.bitwise_or(g1_word, high_words.take(g2 + _GROUP * (lower == 0)), out=block[:, 1])
+    np.bitwise_or(words.take(g3 + _GROUP * (g4 == 0)), high_words.take(g4 + _GROUP), out=block[:, 2])
+    # z moved up one byte; word 3 of z is zero, so no byte crosses into the next slot.
+    shifted = block << np.uint64(8)
+    shifted.reshape(-1)[1:] |= block.reshape(-1)[:-1] >> np.uint64(56)
     slot = (3 * exponent.reshape(-1, 3) + np.array([12, 13, 14])).ravel()
     keep_integer, keep_fraction, constant = templates
-    for word in range(3):
-        planes[word] &= keep_integer[word].take(slot)
-    for word in range(4):
-        planes[word] |= shifted[word] & keep_fraction[word].take(slot)
-        planes[word] |= constant[word].take(slot)
-    p0 |= np.signbit(values) * np.uint64(ord("-") << 16)
-    block = planes.T.copy()
+    block &= keep_integer.take(slot, axis=0)
+    shifted &= keep_fraction.take(slot, axis=0)
+    block |= shifted
+    block |= constant.take(slot, axis=0)
+    block[:, 0] |= np.signbit(values) * np.uint64(ord("-") << 16)
     flat = block.view(np.uint8).reshape(-1)
     dot = np.arange(8, 32 * count, 32) + exponent
     flat[dot] = ord(".") * (flat[dot + 1] != 0)

@@ -40,9 +40,11 @@ class MultiPoly:
 
     ``terms`` maps exponent tuples to nonzero :class:`GaussianRational`
     coefficients; the zero polynomial has an empty term map.
+    ``total_degree`` is the largest term degree, -1 for the zero
+    polynomial; it is computed once, as the terms never change.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "total_degree")
 
     def __init__(
         self,
@@ -65,19 +67,13 @@ class MultiPoly:
             if coeff.re or coeff.im:
                 clean[exponents] = coeff
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "total_degree", max((sum(e) for e in clean), default=-1))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def total_degree(self) -> int:
-        """Max term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def sorted_terms(self) -> list:
         """Terms in canonical order: graded lexicographic, highest first."""

@@ -376,12 +376,16 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
 
     Sign changes are refined by bisection; near-zero local minima of |f| are
     refined by golden-section search, which catches tangential (even-order)
-    contacts that never change sign.
+    contacts that never change sign.  A grid value that is not finite is an
+    ``OverflowError``.
     """
     n_points = max(int(grid), 64)
     ts = [period * i / n_points for i in range(n_points)]
     vals = [f(t) for t in ts]
-    scale = max(1.0, max(abs(v) for v in vals))
+    if not all(map(math.isfinite, vals)):
+        # An overflowed grid makes every point look like a root.
+        raise OverflowError("a sampled value of the gap is not finite in float64")
+    scale = max(1.0, max(map(abs, vals)))
     step = period / n_points
 
     def bisect(lo: float, hi: float, flo: float) -> float:

@@ -319,6 +319,10 @@ def test_verify_ignored_options_exit_1(argv, message):
         ("surface-classify", "--n", "1", "--d", "1", "--a=1", "--q=-1e400", "--waist-points-csv", "OUT"),
         ("surface-mesh", "--n", "1", "--d", "1", "--a=1", "--q=-1", "--cx=1e400"),
         ("curve-sample", "--n", "1", "--d", "1", "--a=1e400"),
+        # Each of these fits a float, but a sample's square overflows.
+        ("surface-mesh", "--n", "1", "--d", "1", "--a=1e200", "--q=1", "--nt", "8", "--ntheta", "8"),
+        ("surface-mesh", "--n", "1", "--d", "1", "--a=1e160", "--q=1e300", "--nt", "8", "--ntheta", "8"),
+        ("surface-classify", "--n", "1", "--d", "1", "--a=1e200", "--q=-1", "--waist-points-csv", "OUT"),
     ],
 )
 def test_rational_past_float_range_exit_1(tmp_path, argv):

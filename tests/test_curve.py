@@ -12,6 +12,7 @@ from chsurf.curve import (
     CurveSpec,
     Placement,
     ShapeClass,
+    _circular_line_lowest_term,
     _random_rational,
     absolute_point_multiplicity,
     curve_point,
@@ -415,6 +416,29 @@ def test_absolute_multiplicity_sympy_oracle():
         low = min(k for k, c in enumerate(poly.all_coeffs()[::-1]) if c != 0)
         assert low == absolute_point_multiplicity(s, m)
         assert low == curve_properties(s).absolute_multiplicity
+
+
+def test_circular_line_lowest_coefficient_sympy_oracle():
+    # The orders alone cannot see a wrong slope power: the lowest nonzero
+    # coefficient of den(m)^D * g(t) must match sympy's expansion as well.
+    t = sympy.symbols("t")
+    cases = [
+        (spec(3, 1), Fraction(2, 5)),
+        (spec(1, 1, "1/2"), Fraction(-3, 4)),
+        (spec(2, 3, "1/2"), Fraction(7, 3)),
+        (spec(7, 3, "1/4"), Fraction(-5, 9)),
+    ]
+    for s, m in cases:
+        affine = implicit_equation(s)
+        degree = affine.total_degree
+        g = sum(
+            sympy.Integer(coeff.re) * t ** (degree - a - b) * (sympy.I + sympy.Rational(m) * t) ** b
+            for (a, b), coeff in affine.terms.items()
+        )
+        coeffs = sympy.Poly(sympy.expand(g * m.denominator**degree), t).all_coeffs()[::-1]
+        order = next(k for k, c in enumerate(coeffs) if c != 0)
+        lowest = coeffs[order]
+        assert _circular_line_lowest_term(s, m) == (order, sympy.re(lowest), sympy.im(lowest)), (s, m)
 
 
 def test_homogeneous_round_trip():

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from axis_reference import axis_meeting_parameters
 from chsurf import cli
+from chsurf import mesh as mesh_module
 from chsurf.congruence import CongruenceSpec, circle_key_close, circle_through
 from chsurf.curve import CurveSpec, Placement, curve_point
 from chsurf.mesh import (
@@ -203,6 +204,35 @@ def test_sample_matches_scalar_reference(spec, nt):
     assert mesh.triangles.tolist() == [list(t) for t in triangles]
 
 
+def _candidate_triangles(rows, ntheta):
+    """Triangles the row pairs make before the sliver filter."""
+    count = 0
+    for row_a, row_b in zip(rows, rows[1:] + rows[:1]):
+        kinds = {row_a.kind, row_b.kind}
+        if kinds == {FULL}:
+            count += 2 * ntheta
+        elif kinds == {FULL, COLLAPSED}:
+            count += ntheta
+    return count
+
+
+@pytest.mark.parametrize("key, drops", [("3b", True), ("4a", False)])
+def test_sample_matches_scalar_reference_across_triangle_blocks(monkeypatch, key, drops):
+    # A block size that divides neither a row pair nor the triangle count,
+    # so block edges fall inside row pairs and a short block ends the run.
+    monkeypatch.setattr(mesh_module, "_TRIANGLE_CHUNK", 1000)
+    preset = figure_preset(key)
+    mesh = sample(preset.spec, preset.nt, preset.ntheta)
+    vertices, triangles, rows = _scalar_sample(preset.spec, preset.nt, preset.ntheta)
+    candidates = _candidate_triangles(rows, preset.ntheta)
+    assert candidates > 10 * mesh_module._TRIANGLE_CHUNK
+    # 3b drops two slivers per row pair, 4a none.
+    assert (len(triangles) < candidates) == drops
+    assert mesh.rows == rows
+    assert mesh.vertices.tobytes() == np.array(vertices, dtype=np.float64).tobytes()
+    assert mesh.triangles.tolist() == [list(t) for t in triangles]
+
+
 def test_export_obj_single_triangle():
     mesh = Mesh(
         vertices=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
@@ -377,14 +407,19 @@ def test_export_obj_rejects_indices_outside_the_vertices():
 
 
 def test_preset_obj_digests_match_bench_references():
+    # Every preset at its own grid and at twice the grid in both directions.
     path = Path(__file__).resolve().parents[1] / "bench" / "references" / "figures.json"
     presets = json.loads(path.read_text())["presets"]
     assert sorted(presets) == preset_keys()
     for key in preset_keys():
         preset = figure_preset(key)
-        buffer = io.BytesIO()
-        export_obj(sample(preset.spec, preset.nt, preset.ntheta), buffer)
-        assert hashlib.sha256(buffer.getvalue()).hexdigest() == presets[key]["sha256"]["1"], key
+        assert (presets[key]["nt"], presets[key]["ntheta"]) == (preset.nt, preset.ntheta), key
+        assert sorted(presets[key]["sha256"]) == ["1", "2"], key
+        for mult in (1, 2):
+            buffer = io.BytesIO()
+            export_obj(sample(preset.spec, mult * preset.nt, mult * preset.ntheta), buffer)
+            digest = hashlib.sha256(buffer.getvalue()).hexdigest()
+            assert digest == presets[key]["sha256"][str(mult)], (key, mult)
 
 
 # sha256 of ``surface-mesh`` stdout, recorded with the per-number ``%`` writer.

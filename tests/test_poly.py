@@ -114,6 +114,11 @@ def test_structural_error_paths():
         MultiPoly(XY, {(-1, 0): 1})
     assert MultiPoly(XY).primitive().is_zero()
     assert poly({(0, 0): 0}).is_zero()
+    # The degree is stored once, from the terms left after zeros are dropped.
+    assert MultiPoly(XY).total_degree == -1
+    assert poly({(5, 0): 0, (1, 1): 2}).total_degree == 2
+    with pytest.raises(AttributeError):
+        p.total_degree = 7
 
 
 # -- property tests -------------------------------------------------------------
