@@ -40,7 +40,6 @@ _HOMES = {
         "polar_radius",
         "shape_class",
         "tangent_cone",
-        "verified_absolute_multiplicity",
     ),
     "mesh": ("Mesh", "export_obj", "figure_preset", "preset_keys", "sample"),
     "poly": ("GaussianRational", "MultiPoly"),

@@ -10,8 +10,8 @@ large for the floats a sampler, mesh or numeric check uses), 2 usage error.
 Rational options accept ``num/den`` or finite decimal strings, both parsed
 exactly, also as a separate negative argument (``--cx -1/2``).  ``--q``
 additionally accepts ``p=...`` sugar for the base-point height, e.g.
-``p=i`` for q = -1.  The environment variable ``CHS_SEED``
-sets the default seed of the randomized checks.
+``p=i`` for q = -1.  Every check of ``verify`` is exact or a fixed
+sample, so its output depends on the options alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import contextlib
 import functools
 import io
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -162,10 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = sub.add_parser("verify", help="run a verification suite")
     verify_cmd.add_argument("suite", choices=list(VERIFY_SUITES))
-    verify_cmd.add_argument("--seed", type=int, help="seed (default: CHS_SEED or builtin)")
-    verify_cmd.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for table1 and residual"
-    )
     verify_cmd.add_argument("--max-nd", type=int, help="grid bound for n and d (default 9)")
     verify_cmd.add_argument("--format", choices=["text", "json"], default="text")
     verify_cmd.add_argument("--n", type=int, help="restrict the residual suite to one curve")
@@ -297,11 +292,8 @@ def _cmd_figure(args, out, err) -> int:
 
 def _cmd_verify(args, out, err) -> int:
     from .curve import CurveSpec
-    from .verify import DEFAULT_SEED, TABLE2_MIN_ND, run_suite
+    from .verify import TABLE2_MIN_ND, run_suite
 
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("CHS_SEED", DEFAULT_SEED))
     max_nd = 9 if args.max_nd is None else args.max_nd
     if max_nd < 1:
         raise ValueError("--max-nd must be at least 1")
@@ -310,8 +302,6 @@ def _cmd_verify(args, out, err) -> int:
             f"--max-nd must be at least {TABLE2_MIN_ND} for {args.suite}: "
             "a smaller grid cannot reach every classification row"
         )
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     only = None
     if (args.n, args.d, args.a) != (None, None, None):
         if args.suite not in ("residual", "all"):
@@ -323,7 +313,7 @@ def _cmd_verify(args, out, err) -> int:
         if args.suite == "residual" and args.max_nd is not None:
             raise ValueError("--max-nd bounds the grid; residual with --n and --d checks one curve")
         only = CurveSpec(args.n, args.d, args.a if args.a is not None else Fraction(0))
-    report = run_suite(args.suite, seed=seed, jobs=args.jobs, max_nd=max_nd, only=only)
+    report = run_suite(args.suite, max_nd=max_nd, only=only)
     if args.format == "json":
         _emit(out, _json_line(report.to_dict()))
     else:

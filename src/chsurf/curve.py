@@ -6,31 +6,30 @@ equation and the pole tangent cone are built on integer term maps (with
 a = p/r, every radial sum is scaled by r^d = den(a)^d) and wrapped once as
 an integer ``MultiPoly``, whose ``primitive()`` divides out the content and
 pins the sign.  The property table (order, multiplicity at the pole,
-multiplicity at the circular points at infinity) is integer arithmetic, and
-the circular-point multiplicity check runs on Gaussian integers held as
-pairs of ints.  Floating point only enters through the polar/point samplers.
+multiplicity at the circular points at infinity) is integer arithmetic.
+The circular-point multiplicity is also read off the implicit equation, as
+the lowest degree of its expansion at (0 : 1 : i), on Gaussian integers held
+as pairs of ints.  Floating point only enters through the polar/point
+samplers.
 
-All functions are pure and the spec types are frozen, so a parameter grid
-can be processed in parallel without any locking.
+All functions are pure and the spec types are frozen, so the equations are
+cached per spec.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .poly import MultiPoly
 
 XY = ("x", "y")
-
-DEFAULT_SEED = 809
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,10 @@ def point_function(
 
 
 def _branch_below(spec: CurveSpec) -> bool:
-    """True when the d < n table branch applies (n = d = 1 included)."""
+    """True when the d < n table branch applies (n = d = 1 included).
+
+    ``surface.table_branch`` names this branch "lt" and the other "gt".
+    """
     return spec.d < spec.n or spec.n == spec.d
 
 
@@ -297,80 +299,43 @@ def tangent_cone(spec: CurveSpec) -> MultiPoly:
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def absolute_point_multiplicity(spec: CurveSpec, m: Union[int, Fraction]) -> int:
-    """Intersection multiplicity along the line x2 = i*x1 + m*x0.
+def absolute_point_multiplicity(spec: CurveSpec) -> int:
+    """Multiplicity of the curve at the circular point (0 : 1 : i).
 
-    The pencil of lines through (0, 1, i) is parametrized by m; for generic
-    m the result is the multiplicity of the circular point itself.  With
-    x1 = 1 and x0 = t the homogeneous equation restricted to the line is
-    g(t) = sum c_ab t^(D-a-b) (i + m t)^b, and the answer is its order at
-    t = 0 (see ``_circular_line_lowest_term``).
+    In the chart x1 = 1 put u = x0 and v = x2 - i.  The homogeneous equation
+    becomes G(u, v) = sum c_ab u^(D-a-b) (i + v)^b, so its coefficient of
+    u^s v^k is S_(s,k) = sum c_ab C(b, k) i^(b-k) over the terms with shift
+    D - a - b = s.  The multiplicity is the lowest total degree s + k of a
+    nonzero S_(s,k).  The equation is real, so the conjugate point
+    (0 : 1 : -i) has the same multiplicity.
+
+    Each S_(s,k) is a Gaussian integer held as an (re, im) pair of ints.
+    The search runs from the lowest total degree up and stops at the first
+    nonzero coefficient.
     """
-    return _circular_line_lowest_term(spec, m)[0]
-
-
-def _circular_line_lowest_term(spec: CurveSpec, m: Union[int, Fraction]) -> Tuple[int, int, int]:
-    """``(order, re, im)`` of the lowest nonzero term of den(m)^D * g(t).
-
-    Scaling g by den(m)^D keeps every coefficient a Gaussian integer, held
-    as an (re, im) pair of ints.  The coefficients are computed from the
-    lowest order up, and the first nonzero one ends the search.
-
-    The terms are grouped by their shift ``D - a - b``.  Within a group every
-    contribution to ``t^order`` carries the same slope power
-    ``num^k * den^(D-k)``, so a group sums ``c * C(b, k) * i^(b-k)`` first and
-    multiplies its nonzero sum by that power once.
-    """
-    m = Fraction(m)
     implicit = implicit_equation(spec)
     degree = implicit.total_degree
-    num_powers = [m.numerator**k for k in range(degree + 1)]
-    den_powers = [m.denominator**k for k in range(degree + 1)]
     by_shift: Dict[int, List[Tuple[int, int]]] = {}
     for (a, b), coeff in implicit.terms.items():
         by_shift.setdefault(degree - a - b, []).append((b, coeff.re))  # the equation is real
     for order in range(degree + 1):
-        re = im = 0
         for shift, terms in by_shift.items():
-            k = order - shift  # t^order takes t^k from (i + m t)^b
+            k = order - shift  # u^shift v^k, with v^k taken from (i + v)^b
             if k < 0:
                 continue
-            group_re = group_im = 0
+            re = im = 0
             for b, c in terms:
                 if k > b:
                     continue
                 value = c * comb(b, k)
                 unit_re, unit_im = _I_POWERS[(b - k) % 4]
-                group_re += unit_re * value
-                group_im += unit_im * value
-            if group_re or group_im:
-                scale = num_powers[k] * den_powers[degree - k]
-                re += group_re * scale
-                im += group_im * scale
-        if re or im:
-            return order, re, im
-    raise RuntimeError("line lies on the curve; implicit equation is broken")
-
-
-def _random_rational(rng: random.Random) -> Fraction:
-    value = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-    return -value if rng.random() < 0.5 else value
+                re += unit_re * value
+                im += unit_im * value
+            if re or im:
+                return order
+    raise RuntimeError("the implicit equation is zero")
 
 
 def verified_absolute_multiplicity(spec: CurveSpec, seed: Optional[int] = None) -> int:
-    """Multiplicity at the circular points, read along three seeded rational slopes.
-
-    Every slope must give the same order.  When they differ, some drawn line
-    is not generic or the equation is broken, and a ``RuntimeError`` names
-    the order at each slope.
-    """
-    rng = random.Random(DEFAULT_SEED if seed is None else seed)
-    slopes = set()
-    while len(slopes) < 3:
-        slopes.add(_random_rational(rng))
-    orders = {m: absolute_point_multiplicity(spec, m) for m in sorted(slopes)}
-    order, *others = set(orders.values())
-    if others:
-        named = ", ".join(f"{value} at m={m}" for m, value in orders.items())
-        raise RuntimeError(f"slopes disagree on the vanishing order: {named}")
-    return order
+    """:func:`absolute_point_multiplicity`; ``seed`` is ignored, kept for older callers."""
+    return absolute_point_multiplicity(spec)

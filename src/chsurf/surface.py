@@ -25,6 +25,7 @@ from .congruence import CircleKey, CongruenceSpec, circle_through
 from .curve import (
     CurveSpec,
     Placement,
+    _branch_below,
     curve_point,
     curve_properties,
     point_function,
@@ -121,8 +122,11 @@ def _radicand_at(point: Tuple[float, float, float], q: float) -> float:
     x, y, z = point
     rho_sq = x * x + y * y
     norm_sq = rho_sq + z * z
-    value = 4.0 * q * rho_sq + (norm_sq - q) ** 2
-    scale = max(1.0, (norm_sq + abs(q)) ** 2)
+    try:
+        value = 4.0 * q * rho_sq + (norm_sq - q) ** 2
+        scale = max(1.0, (norm_sq + abs(q)) ** 2)
+    except OverflowError:
+        raise OverflowError("the radicand at a curve point overflows float64") from None
     if abs(value) <= RADICAND_EPS * scale:
         return 0.0
     return value
@@ -328,7 +332,7 @@ def table_variant(curve: CurveSpec) -> str:
 
 
 def table_branch(curve: CurveSpec) -> str:
-    return "lt" if (curve.d < curve.n or curve.n == curve.d) else "gt"
+    return "lt" if _branch_below(curve) else "gt"
 
 
 def incidence_counts(curve: CurveSpec, incidence: IncidenceType) -> Tuple[int, int, int]:
@@ -466,7 +470,10 @@ def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[floa
     q = float(spec.congruence.q)
     scale = max(1.0, spec.extent)
     axis_bound = AXIS_EPS * scale
-    waist_bound = RADICAND_EPS * scale ** 2
+    try:
+        waist_bound = RADICAND_EPS * scale ** 2
+    except OverflowError:
+        raise OverflowError("the squared extent of the surface overflows float64") from None
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
     def center(t: float) -> Optional[Tuple[float, float]]:

@@ -4,8 +4,8 @@ Each suite re-derives a tabulated property of the construction and reports
 one named check per case: symbolic degree and multiplicity checks for the
 curve table, the dual-path agreement for the surface classification table,
 sampled residuals of the implicit equations, and the geometric invariants
-of the figure presets.  Suites are deterministic for a given seed; per-spec
-seeds are derived by position so results do not depend on the job count.
+of the figure presets.  Every check is deterministic, and the suites run
+in one process, in grid order, so they share the cached implicit equations.
 """
 
 from __future__ import annotations
@@ -15,19 +15,18 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .congruence import circle_key_close, circle_through
 from .curve import (
-    DEFAULT_SEED,
     CurveSpec,
+    absolute_point_multiplicity,
     curve_point,
     curve_properties,
     implicit_equation,
     origin_cone_constant,
     origin_cone_constant_closed,
     tangent_cone,
-    verified_absolute_multiplicity,
 )
 from .mesh import figure_preset, preset_keys
 from .surface import (
@@ -58,7 +57,6 @@ class Check:
 @dataclass
 class Report:
     suite: str
-    seed: int
     checks: List[Check] = field(default_factory=list)
 
     @property
@@ -79,7 +77,6 @@ class Report:
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,
-            "seed": self.seed,
             "checks": [
                 {"name": c.name, "passed": c.passed, "measured": c.measured}
                 for c in self.checks
@@ -109,9 +106,7 @@ def _spec_label(spec: CurveSpec) -> str:
 # -- table1: curve order and multiplicities ----------------------------------------
 
 
-def _table1_case(args: Tuple[int, int, str, int]) -> List[Tuple[str, bool, str]]:
-    n, d, a, seed = args
-    spec = CurveSpec(n, d, Fraction(a))
+def _table1_case(spec: CurveSpec) -> List[Check]:
     label = _spec_label(spec)
     expected = curve_properties(spec)
     implicit = implicit_equation(spec)
@@ -119,12 +114,12 @@ def _table1_case(args: Tuple[int, int, str, int]) -> List[Tuple[str, bool, str]]
 
     degree = implicit.total_degree
     rows.append(
-        (f"{label} order", degree == expected.order, f"degree={degree} expected={expected.order}")
+        Check(f"{label} order", degree == expected.order, f"degree={degree} expected={expected.order}")
     )
     lowest = implicit.lowest_form()
     origin = lowest.total_degree
     rows.append(
-        (
+        Check(
             f"{label} origin multiplicity",
             origin == expected.origin_multiplicity,
             f"lowest-form degree={origin} expected={expected.origin_multiplicity}",
@@ -132,43 +127,20 @@ def _table1_case(args: Tuple[int, int, str, int]) -> List[Tuple[str, bool, str]]
     )
     if not spec.is_odd_rose:
         cone_matches = lowest.primitive() == tangent_cone(spec)
-        rows.append((f"{label} tangent cone", cone_matches, f"proportional={cone_matches}"))
-    try:
-        absolute = verified_absolute_multiplicity(spec, seed=seed)
-    except RuntimeError as disagreement:
-        passed, measured = False, str(disagreement)
-    else:
-        passed = absolute == expected.absolute_multiplicity
-        measured = f"vanishing order={absolute} expected={expected.absolute_multiplicity}"
-    rows.append((f"{label} absolute multiplicity", passed, measured))
+        rows.append(Check(f"{label} tangent cone", cone_matches, f"proportional={cone_matches}"))
+    absolute = absolute_point_multiplicity(spec)
+    rows.append(
+        Check(
+            f"{label} absolute multiplicity",
+            absolute == expected.absolute_multiplicity,
+            f"vanishing order={absolute} expected={expected.absolute_multiplicity}",
+        )
+    )
     return rows
 
 
-def _run_cases(
-    suite: str,
-    case: Callable[[Tuple[int, int, str, int]], List[Tuple[str, bool, str]]],
-    specs: Sequence[CurveSpec],
-    seed: int,
-    jobs: int,
-) -> Report:
-    """One ``case`` per spec, in spec order, on ``jobs`` worker processes."""
-    report = Report(suite, seed)
-    args = [(s.n, s.d, str(s.a), seed + i) for i, s in enumerate(specs)]
-    if jobs > 1:
-        # Loading the process pool costs about 20 ms; serial runs skip it.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(case, args, chunksize=8))
-    else:
-        results = [case(a) for a in args]
-    for rows in results:
-        report.checks.extend(Check(*row) for row in rows)
-    return report
-
-
-def run_table1(seed: int = DEFAULT_SEED, jobs: int = 1, max_nd: int = 9) -> Report:
-    return _run_cases("table1", _table1_case, grid_specs(max_nd), seed, jobs)
+def run_table1(max_nd: int = 9) -> Report:
+    return Report("table1", [check for spec in grid_specs(max_nd) for check in _table1_case(spec)])
 
 
 # -- table2: classification dual path -----------------------------------------------
@@ -178,8 +150,8 @@ def run_table1(seed: int = DEFAULT_SEED, jobs: int = 1, max_nd: int = 9) -> Repo
 TABLE2_MIN_ND = 3
 
 
-def run_table2(seed: int = DEFAULT_SEED, max_nd: int = 9) -> Report:
-    report = Report("table2", seed)
+def run_table2(max_nd: int = 9) -> Report:
+    report = Report("table2")
     covered: Dict[Tuple[int, str, str], int] = {}
     mismatched: Dict[Tuple[int, str, str], int] = {}
     for n, d in product(range(1, max_nd + 1), range(1, max_nd + 1)):
@@ -274,25 +246,18 @@ def max_scaled_residual(spec: CurveSpec, samples: int = 256) -> float:
     return worst
 
 
-def _residual_case(args: Tuple[int, int, str, int]) -> List[Tuple[str, bool, str]]:
-    n, d, a, _seed = args
-    spec = CurveSpec(n, d, Fraction(a))
+def _residual_case(spec: CurveSpec) -> List[Check]:
     name = f"{_spec_label(spec)} residual"
     try:
         worst = max_scaled_residual(spec)
     except OverflowError as failure:
-        return [(name, False, f"cannot be computed in float64: {failure}")]
-    return [(name, worst <= 1e-9, f"max={worst:.3e} bound=1e-09")]
+        return [Check(name, False, f"cannot be computed in float64: {failure}")]
+    return [Check(name, worst <= 1e-9, f"max={worst:.3e} bound=1e-09")]
 
 
-def run_residual(
-    seed: int = DEFAULT_SEED,
-    jobs: int = 1,
-    max_nd: int = 9,
-    only: Optional[CurveSpec] = None,
-) -> Report:
+def run_residual(max_nd: int = 9, only: Optional[CurveSpec] = None) -> Report:
     specs = [only] if only is not None else grid_specs(max_nd)
-    return _run_cases("residual", _residual_case, specs, seed, jobs)
+    return Report("residual", [check for spec in specs for check in _residual_case(spec)])
 
 
 # -- invariants: numeric identities and preset geometry --------------------------------
@@ -450,8 +415,8 @@ def _preset_geometry_checks(key: str, count: int = 64) -> List[Check]:
     return checks
 
 
-def run_invariants(seed: int = DEFAULT_SEED, max_nd: int = 9) -> Report:
-    report = Report("invariants", seed)
+def run_invariants(max_nd: int = 9) -> Report:
+    report = Report("invariants")
     report.checks.extend(_cone_constant_checks(max_nd))
     for key in preset_keys():
         report.checks.extend(_preset_geometry_checks(key))
@@ -470,24 +435,18 @@ def run_invariants(seed: int = DEFAULT_SEED, max_nd: int = 9) -> Report:
     return report
 
 
-def run_suite(
-    suite: str,
-    seed: int = DEFAULT_SEED,
-    jobs: int = 1,
-    max_nd: int = 9,
-    only: Optional[CurveSpec] = None,
-) -> Report:
+def run_suite(suite: str, max_nd: int = 9, only: Optional[CurveSpec] = None) -> Report:
     if suite == "table1":
-        return run_table1(seed, jobs, max_nd)
+        return run_table1(max_nd)
     if suite == "table2":
-        return run_table2(seed, max_nd)
+        return run_table2(max_nd)
     if suite == "residual":
-        return run_residual(seed, jobs, max_nd, only)
+        return run_residual(max_nd, only)
     if suite == "invariants":
-        return run_invariants(seed, max_nd)
+        return run_invariants(max_nd)
     if suite == "all":
-        report = Report("all", seed)
+        report = Report("all")
         for name in ("table1", "table2", "residual", "invariants"):
-            report.extend(run_suite(name, seed, jobs, max_nd, only if name == "residual" else None))
+            report.extend(run_suite(name, max_nd, only if name == "residual" else None))
         return report
     raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")

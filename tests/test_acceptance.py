@@ -24,8 +24,6 @@ from chsurf.surface import (
 )
 from chsurf.verify import grid_specs, run_suite
 
-SEED = 809
-
 
 def _report(number, name, ok, detail):
     status = "PASS" if ok else "FAIL"
@@ -53,14 +51,14 @@ def _one_per_spec(checks, suffix):
 
 @pytest.fixture(scope="module")
 def suites():
-    """The four suites' reports at SEED, and the cold-cache table1 time in seconds."""
+    """The four suites' reports, and the cold-cache table1 time in seconds."""
     implicit_equation.cache_clear()
     homogeneous_implicit.cache_clear()
     started = time.perf_counter()
-    reports = {"table1": run_suite("table1", seed=SEED)}
+    reports = {"table1": run_suite("table1")}
     elapsed = time.perf_counter() - started
     for name in ("table2", "residual", "invariants"):
-        reports[name] = run_suite(name, seed=SEED)
+        reports[name] = run_suite(name)
     return reports, elapsed
 
 

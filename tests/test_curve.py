@@ -1,19 +1,15 @@
 """Tests for curve construction, implicitization, and singularity data."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from chsurf.curve import (
-    DEFAULT_SEED,
     CurveSpec,
     Placement,
     ShapeClass,
-    _circular_line_lowest_term,
-    _random_rational,
     absolute_point_multiplicity,
     curve_point,
     curve_properties,
@@ -293,17 +289,20 @@ def test_lowest_form_degree_examples():
 
 
 def test_absolute_multiplicity_examples():
-    assert absolute_point_multiplicity(spec(3, 1), 1) == 1
-    assert absolute_point_multiplicity(spec(3, 1, "1/2"), Fraction(2, 3)) == 2
-    assert absolute_point_multiplicity(spec(2, 3, "1/2"), 1) == 5
+    assert absolute_point_multiplicity(spec(3, 1)) == 1
+    assert absolute_point_multiplicity(spec(3, 1, "1/2")) == 2
+    assert absolute_point_multiplicity(spec(2, 3, "1/2")) == 5
+
+
+# The two line readings below are references only.  Along the line
+# x2 = i*x1 + m*x0 through the circular point, with x1 = 1 and x0 = t, the
+# equation becomes g(t) = sum c_ab t^(D-a-b) (i + m t)^b, and its order at
+# t = 0 is at least the point's multiplicity, with equality unless the line
+# is tangent there.  Slope 0 is tangent on part of the grid.
 
 
 def _absolute_multiplicity_full_expansion(s, m):
-    """Every coefficient of g(t) up to degree D, then the lowest nonzero order.
-
-    The route ``absolute_point_multiplicity`` took before it stopped at the
-    first nonzero order; kept as its reference.
-    """
+    """Every coefficient of g(t) up to degree D, then the lowest nonzero order."""
     m = Fraction(m)
     implicit = implicit_equation(s)
     degree = implicit.total_degree
@@ -326,32 +325,8 @@ def _absolute_multiplicity_full_expansion(s, m):
     raise RuntimeError("line lies on the curve; implicit equation is broken")
 
 
-def _outcome(route, s, m):
-    try:
-        return route(s, m)
-    except RuntimeError:
-        return "raises"
-
-
-def test_absolute_multiplicity_matches_full_expansion_over_grid():
-    rng = random.Random(DEFAULT_SEED)
-    slopes = set()
-    while len(slopes) < 3:  # the slopes verified_absolute_multiplicity draws
-        slopes.add(_random_rational(rng))
-    slopes |= {Fraction(0), Fraction(1), Fraction(-1)}
-
-    for s in grid_specs():
-        for m in sorted(slopes):
-            expected = _outcome(_absolute_multiplicity_full_expansion, s, m)
-            assert _outcome(absolute_point_multiplicity, s, m) == expected, (s, m)
-
-
 def _absolute_multiplicity_per_term(s, m):
-    """Each term of g(t) scaled by its own slope power, then summed per order.
-
-    The route ``absolute_point_multiplicity`` took before it factored the
-    slope power out of each shift group; kept as its reference.
-    """
+    """Each term of g(t) scaled by its own slope power, then summed per order."""
     m = Fraction(m)
     implicit = implicit_equation(s)
     degree = implicit.total_degree
@@ -380,24 +355,51 @@ def _absolute_multiplicity_per_term(s, m):
     raise RuntimeError("line lies on the curve; implicit equation is broken")
 
 
+def _check_line_reference(reference, slopes):
+    """The exact route equals ``reference`` at every nonzero slope on the grid.
+
+    At slope 0 the reference reads at least as high, and higher on some
+    spec, where the line is tangent.
+    """
+    tangent = 0
+    for s in grid_specs():
+        exact = absolute_point_multiplicity(s)
+        for m in slopes:
+            assert reference(s, m) == exact, (s, m)
+        along_zero = reference(s, 0)
+        assert along_zero >= exact, s
+        tangent += along_zero > exact
+    assert tangent > 0
+
+
+def test_absolute_multiplicity_matches_full_expansion_over_grid():
+    _check_line_reference(
+        _absolute_multiplicity_full_expansion,
+        [Fraction(1), Fraction(-1), Fraction(4, 7), Fraction(-9, 2)],
+    )
+
+
 def test_absolute_multiplicity_matches_per_term_sum_over_grid():
     # Negative, integer and p/q slopes with p, q <= 9.
     slopes = [Fraction(p) for p in (-9, -1, 1, 2, 7)]
     slopes += [Fraction(p, q) for p, q in ((-7, 9), (-3, 2), (2, 9), (5, 4), (8, 3), (9, 7))]
-    for s in grid_specs():
-        for m in slopes:
-            expected = _outcome(_absolute_multiplicity_per_term, s, m)
-            assert _outcome(absolute_point_multiplicity, s, m) == expected, (s, m)
+    _check_line_reference(_absolute_multiplicity_per_term, slopes)
 
 
 def test_verified_absolute_multiplicity_agrees_with_table():
-    for s in [spec(3, 1), spec(2, 3, "1/2"), spec(7, 3, "1/4"), (spec(1, 1, "1/2"))]:
-        assert verified_absolute_multiplicity(s, seed=7) == curve_properties(s).absolute_multiplicity
+    # verified_absolute_multiplicity is the same reading; its seed is ignored.
+    for s in grid_specs():
+        expected = curve_properties(s).absolute_multiplicity
+        assert absolute_point_multiplicity(s) == expected, s
+    for s in [spec(3, 1), spec(2, 3, "1/2"), spec(7, 3, "1/4"), spec(1, 1, "1/2")]:
+        assert verified_absolute_multiplicity(s, seed=7) == absolute_point_multiplicity(s)
+        assert verified_absolute_multiplicity(s) == absolute_point_multiplicity(s)
 
 
 def test_absolute_multiplicity_sympy_oracle():
-    # Re-derive the vanishing order with sympy end to end: homogenize the
-    # implicit form, substitute the line, expand, take the lowest x0 power.
+    # Re-derive the vanishing order along a generic line with sympy end to
+    # end: homogenize the implicit form, substitute the line, expand, take
+    # the lowest x0 power.
     x0, x1, x2 = sympy.symbols("x0 x1 x2")
     for s, m in [(spec(3, 1), Fraction(2, 5)), (spec(1, 1, "1/2"), Fraction(3, 4)),
                  (spec(2, 3, "1/2"), Fraction(1, 2))]:
@@ -414,31 +416,26 @@ def test_absolute_multiplicity_sympy_oracle():
         )
         poly = sympy.Poly(substituted, x0)
         low = min(k for k, c in enumerate(poly.all_coeffs()[::-1]) if c != 0)
-        assert low == absolute_point_multiplicity(s, m)
+        assert low == absolute_point_multiplicity(s)
         assert low == curve_properties(s).absolute_multiplicity
 
 
-def test_circular_line_lowest_coefficient_sympy_oracle():
-    # The orders alone cannot see a wrong slope power: the lowest nonzero
-    # coefficient of den(m)^D * g(t) must match sympy's expansion as well.
-    t = sympy.symbols("t")
-    cases = [
-        (spec(3, 1), Fraction(2, 5)),
-        (spec(1, 1, "1/2"), Fraction(-3, 4)),
-        (spec(2, 3, "1/2"), Fraction(7, 3)),
-        (spec(7, 3, "1/4"), Fraction(-5, 9)),
-    ]
-    for s, m in cases:
+def test_circular_point_expansion_sympy_oracle():
+    # The multiplicity by its definition: expand F(u, 1, i + v) with sympy
+    # and take the lowest total degree in (u, v).  CH(1,2,0) is among the
+    # specs the slope-0 line meets tangentially.
+    u, v = sympy.symbols("u v")
+    cases = [spec(1, 2), spec(3, 1), spec(2, 3, "1/2"), spec(7, 3, "1/4"), spec(4, 5, "5/2")]
+    assert _absolute_multiplicity_full_expansion(spec(1, 2), 0) > absolute_point_multiplicity(spec(1, 2))
+    for s in cases:
         affine = implicit_equation(s)
         degree = affine.total_degree
-        g = sum(
-            sympy.Integer(coeff.re) * t ** (degree - a - b) * (sympy.I + sympy.Rational(m) * t) ** b
+        local = sympy.expand(sum(
+            sympy.Integer(coeff.re) * u ** (degree - a - b) * (sympy.I + v) ** b
             for (a, b), coeff in affine.terms.items()
-        )
-        coeffs = sympy.Poly(sympy.expand(g * m.denominator**degree), t).all_coeffs()[::-1]
-        order = next(k for k, c in enumerate(coeffs) if c != 0)
-        lowest = coeffs[order]
-        assert _circular_line_lowest_term(s, m) == (order, sympy.re(lowest), sympy.im(lowest)), (s, m)
+        ))
+        lowest = min(sum(exponents) for exponents in sympy.Poly(local, u, v).monoms())
+        assert absolute_point_multiplicity(s) == lowest, s
 
 
 def test_homogeneous_round_trip():

@@ -1,7 +1,6 @@
 """Tests that the verification suites report a broken table row as FAIL checks."""
 
 import io
-import re
 from fractions import Fraction
 
 import pytest
@@ -49,35 +48,21 @@ def test_invariants_report_disagreement_per_preset(monkeypatch):
 
 
 
-def test_one_disagreeing_slope_fails_its_spec(monkeypatch):
-    specs = grid_specs(2)
-    index = 12
-    target = specs[index]
-    seed = curve.DEFAULT_SEED + index  # the seed table1 gives the spec at this position
-    exact = curve.absolute_point_multiplicity
-    drawn = []
-    monkeypatch.setattr(
-        curve, "absolute_point_multiplicity", lambda s, m: drawn.append(m) or exact(s, m)
-    )
-    order = curve.verified_absolute_multiplicity(target, seed=seed)
-    wrong = drawn[1]
-    monkeypatch.setattr(
-        curve,
-        "absolute_point_multiplicity",
-        lambda s, m: exact(s, m) + (s == target and m == wrong),
-    )
-    with pytest.raises(RuntimeError, match=re.escape(f"{order + 1} at m={wrong}")):
-        curve.verified_absolute_multiplicity(target, seed=seed)
-
+def test_wrong_absolute_multiplicity_fails_its_spec(monkeypatch):
+    target = grid_specs(2)[12]
+    exact = verify.absolute_point_multiplicity
+    monkeypatch.setattr(verify, "absolute_point_multiplicity", lambda s: exact(s) + (s == target))
     label = f"CH({target.n},{target.d},{target.a}) absolute multiplicity"
     report = run_suite("table1", max_nd=2)
     assert _failed_names(report) == [label]
-    assert "slopes disagree" in next(c.measured for c in report.checks if c.name == label)
+    expected = curve.curve_properties(target).absolute_multiplicity
+    measured = f"vanishing order={expected + 1} expected={expected}"
+    assert next(c.measured for c in report.checks if c.name == label) == measured
 
     out, err = io.BytesIO(), io.BytesIO()
     assert run(["verify", "table1", "--max-nd", "2"], out, err) == 1
     assert err.getvalue() == b""
-    assert f"FAIL  {label}  [slopes disagree".encode() in out.getvalue()
+    assert f"FAIL  {label}  [{measured}]".encode() in out.getvalue()
 
 
 def _scale_by_million(terms):
