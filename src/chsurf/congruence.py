@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 
@@ -39,6 +40,11 @@ class CongruenceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "q", Fraction(self.q))
+
+    @cached_property
+    def q_float(self) -> float:
+        """``float(q)``, converted once per family."""
+        return float(self.q)
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ def circle_through(spec: CongruenceSpec, point: Sequence[float]) -> CircleKey:
     distance from (c, 0) to the point.
     """
     x, y, z = (float(v) for v in point)
-    q = float(spec.q)
+    q = spec.q_float
     rho_sq = x * x + y * y
     scale = max(1.0, rho_sq + z * z + abs(q))
     if rho_sq <= (1e-12 * scale) ** 2:

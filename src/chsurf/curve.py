@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,6 +61,11 @@ class CurveSpec:
         """True for a = 0 with n*d odd: the curve retraces after d*pi."""
         return self.a == 0 and (self.n * self.d) % 2 == 1
 
+    @cached_property
+    def a_float(self) -> float:
+        """``float(a)``, converted once per spec for the float samplers."""
+        return float(self.a)
+
 
 class ShapeClass(Enum):
     FOLIATE = "foliate"
@@ -93,10 +98,15 @@ class Placement:
     def pole_on_axis(self) -> bool:
         return self.cx == 0 and self.cy == 0
 
+    @cached_property
+    def pole_float(self) -> Tuple[float, float, float]:
+        """``(cx, cy, height)`` as floats, converted once per placement."""
+        return (float(self.cx), float(self.cy), float(self.height))
+
 
 def polar_radius(spec: CurveSpec, phi: float) -> float:
     """Signed radius cos(n*phi/d) + a; negative values flip the direction."""
-    return math.cos(spec.n * phi / spec.d) + float(spec.a)
+    return math.cos(spec.n * phi / spec.d) + spec.a_float
 
 
 def shape_class(spec: CurveSpec) -> ShapeClass:
@@ -117,11 +127,8 @@ def curve_point(
     :func:`point_function` repeats this formula for repeated evaluation.
     """
     r = polar_radius(spec, phi)
-    return (
-        float(placement.cx) + r * math.cos(phi),
-        float(placement.cy) + r * math.sin(phi),
-        float(placement.height),
-    )
+    cx, cy, z = placement.pole_float
+    return (cx + r * math.cos(phi), cy + r * math.sin(phi), z)
 
 
 def point_function(
@@ -129,15 +136,26 @@ def point_function(
 ) -> Callable[[float], Tuple[float, float, float]]:
     """:func:`curve_point` for one placed curve, as a function of phi.
 
-    The rationals are converted to floats once, here, and the returned
-    function repeats ``curve_point``'s operations in the same order, so its
-    points are bit-identical to that one's.  ``surface._center_function``
-    computes the point inline with the same operations.  Keep the three
+    The returned function repeats ``curve_point``'s operations in the same
+    order, so its points are bit-identical to that one's.  Three more copies
+    compute the point inline, with the same operations, to skip the call
+    and the tuple:
+
+    - ``surface._center_function``, the sampled center trace;
+    - ``surface._polish_coincidence``, the Newton step of the singular-circle
+      scan;
+    - ``surface._gap_function``, the sphere and waist gaps of the root
+      finders.
+
+    In ``tests/test_surface.py``, ``test_float_once_evaluators_match_curve_point``
+    pins this function and the center trace to ``curve_point``,
+    ``test_polish_matches_reference_on_sweep_starts`` the Newton step and
+    ``test_root_finders_match_curve_point_reference`` the gaps.  Keep the
     formulas in step.
     """
     n, d = spec.n, spec.d
-    a = float(spec.a)
-    cx, cy, z = float(placement.cx), float(placement.cy), float(placement.height)
+    a = spec.a_float
+    cx, cy, z = placement.pole_float
 
     def point(phi: float) -> Tuple[float, float, float]:
         r = math.cos(n * phi / d) + a

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .congruence import CircleKey, CongruenceSpec, circle_through
@@ -44,15 +45,11 @@ class SurfaceSpec:
     congruence: CongruenceSpec
     placement: Placement
 
-    @property
+    @cached_property
     def extent(self) -> float:
         """Coarse bound on coordinates: pole offset plus peak radius."""
-        return (
-            1.0
-            + float(self.curve.a)
-            + math.hypot(float(self.placement.cx), float(self.placement.cy))
-            + abs(float(self.placement.height))
-        )
+        cx, cy, height = self.placement.pole_float
+        return 1.0 + self.curve.a_float + math.hypot(cx, cy) + abs(height)
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ def radicand(spec: SurfaceSpec, t: float) -> float:
     for every q and vanishes exactly where the curve meets the zero-radius
     circle of a hyperbolic family.
     """
-    return _radicand_at(curve_point(spec.curve, spec.placement, t), float(spec.congruence.q))
+    return _radicand_at(curve_point(spec.curve, spec.placement, t), spec.congruence.q_float)
 
 
 def _radicand_at(point: Tuple[float, float, float], q: float) -> float:
@@ -139,7 +136,7 @@ def parametric_point(spec: SurfaceSpec, t: float, theta: float) -> Tuple[float, 
     rho = math.sqrt(rho_sq)
     if rho <= AXIS_EPS * max(1.0, spec.extent):
         raise ValueError(f"curve point at t={t} lies on the z axis")
-    q = float(spec.congruence.q)
+    q = spec.congruence.q_float
     norm_sq = rho_sq + z * z
     root = math.sqrt(radicand(spec, t))
     along = (root * math.cos(theta) + norm_sq - q) / (2.0 * rho_sq)
@@ -159,7 +156,7 @@ def curve_theta(spec: SurfaceSpec, t: float) -> float:
     """
     x, y, z = curve_point(spec.curve, spec.placement, t)
     rho = math.hypot(x, y)
-    q = float(spec.congruence.q)
+    q = spec.congruence.q_float
     center = (rho * rho + z * z - q) / (2.0 * rho)
     return math.atan2(z, rho - center)
 
@@ -385,11 +382,12 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
     """
     n_points = max(int(grid), 64)
     ts = [period * i / n_points for i in range(n_points)]
-    vals = [f(t) for t in ts]
+    vals = list(map(f, ts))
     if not all(map(math.isfinite, vals)):
         # An overflowed grid makes every point look like a root.
         raise OverflowError("a sampled value of the gap is not finite in float64")
-    scale = max(1.0, max(map(abs, vals)))
+    sizes = list(map(abs, vals))
+    scale = max(1.0, max(sizes))
     step = period / n_points
 
     def bisect(lo: float, hi: float, flo: float) -> float:
@@ -431,10 +429,10 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
         elif vals[i] * vals[k] < 0.0:
             roots.append(bisect(ts[i], ts[i] + step, vals[i]))
     for i in range(n_points):
-        here = abs(vals[i])
+        here = sizes[i]
         if here == 0.0:
             continue
-        if here <= abs(vals[i - 1]) and here <= abs(vals[(i + 1) % n_points]):
+        if here <= sizes[i - 1] and here <= sizes[(i + 1) % n_points]:
             if here <= 1e-3 * scale:
                 candidate = golden_min(ts[i] - step, ts[i] + step) % period
                 if abs(f(candidate)) <= ROOT_EPS * scale:
@@ -449,7 +447,57 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
     return deduped
 
 
+def _plane_constants(spec: SurfaceSpec) -> Tuple[float, float, float, float, float]:
+    """(n, d, a, cx, cy) as floats, for the inline copies of the curve point.
+
+    ``n * t / d`` converts an int n or d as ``float()`` does anyway, so float
+    n and d give the same bits with less work per evaluation.
+    """
+    cx, cy, _ = spec.placement.pole_float
+    return (float(spec.curve.n), float(spec.curve.d), spec.curve.a_float, cx, cy)
+
+
+def _gap_function(spec: SurfaceSpec, lift: float, shift: float) -> Callable[[float], float]:
+    """t -> x^2 + y^2 + lift + shift at the curve point, summed left to right.
+
+    With ``lift = z^2`` and ``shift = -q`` this is the gap to the sphere
+    ``|p|^2 = q`` (subtracting q and adding -q are one IEEE operation); with
+    ``lift = 0.0`` and ``shift = q`` it is the gap to the waist circle
+    ``x^2 + y^2 = -q`` (adding 0.0 to a sum of squares changes no bit).  The
+    point is computed inline with :func:`curve.point_function`'s operations,
+    so no point tuple is built; ``test_root_finders_match_curve_point_reference``
+    pins the roots.
+    """
+    n, d, a, cx, cy = _plane_constants(spec)
+    cos, sin = math.cos, math.sin
+
+    def gap(t: float) -> float:
+        r = cos(n * t / d) + a
+        x = cx + r * cos(t)
+        y = cy + r * sin(t)
+        return x * x + y * y + lift + shift
+
+    return gap
+
+
 # -- singular circles ---------------------------------------------------------------
+
+
+def _center_constants(spec: SurfaceSpec) -> tuple:
+    """Floats of the center trace: (n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, scale).
+
+    Gathered once per query for :func:`_center_function` and
+    :func:`_polish_coincidence`; ``scale`` is ``max(1, extent)``.
+    """
+    n, d, a, cx, cy = _plane_constants(spec)
+    z = spec.placement.pole_float[2]
+    q = spec.congruence.q_float
+    scale = max(1.0, spec.extent)
+    try:
+        waist_bound = RADICAND_EPS * scale ** 2
+    except OverflowError:
+        raise OverflowError("the squared extent of the surface overflows float64") from None
+    return (n, d, a, cx, cy, z * z, q, AXIS_EPS * scale, waist_bound, scale)
 
 
 def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[float, float]]]:
@@ -457,23 +505,16 @@ def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[floa
 
     Away from the axis, two parameters share a generating circle exactly
     when these centers coincide at a nonzero point, so off-center singular
-    circles are self-intersections of this planar trace.  The spec's
-    rationals are converted once, when the function is built, and the curve
-    point is computed inline with :func:`curve.point_function`'s operations
-    in the same order, so the centers are bit-identical to ones built on
-    ``curve_point``.  Keep the formulas in step.
+    circles are self-intersections of this planar trace.  The curve point is
+    computed inline with :func:`curve.point_function`'s operations in the
+    same order, so the centers are bit-identical to ones built on
+    ``curve_point`` (``test_float_once_evaluators_match_curve_point``).
+    :func:`_polish_coincidence` repeats this center formula inline, pinned
+    by ``test_polish_matches_reference_on_sweep_starts``; the curve point
+    alone is also inline in :func:`_gap_function`.  Keep the formulas in
+    step.
     """
-    n, d = spec.curve.n, spec.curve.d
-    a = float(spec.curve.a)
-    cx, cy, z = float(spec.placement.cx), float(spec.placement.cy), float(spec.placement.height)
-    z_sq = z * z
-    q = float(spec.congruence.q)
-    scale = max(1.0, spec.extent)
-    axis_bound = AXIS_EPS * scale
-    try:
-        waist_bound = RADICAND_EPS * scale ** 2
-    except OverflowError:
-        raise OverflowError("the squared extent of the surface overflows float64") from None
+    n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, _ = _center_constants(spec)
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
     def center(t: float) -> Optional[Tuple[float, float]]:
@@ -518,52 +559,69 @@ def _segment_intersection(p1, p2, p3, p4) -> Optional[Tuple[float, float]]:
 
 
 def _polish_coincidence(
-    center: Callable[[float], Optional[Tuple[float, float]]],
-    scale: float,
-    t1: float,
-    t2: float,
-    domain: float,
-) -> Optional[Tuple[float, float]]:
+    constants: tuple, t1: float, t2: float, domain: float
+) -> Optional[Tuple[float, float, Tuple[float, float]]]:
     """Newton-polish (t1, t2) so the two circle centers coincide.
 
-    ``center`` is the spec's :func:`_center_function` and ``scale`` its
-    ``max(1, extent)``.  Each step evaluates the center at t1, t2,
-    t1 + step and t2 + step once; the forward differences reuse them.
+    ``constants`` is :func:`_center_constants` of the spec.  Returns the
+    polished pair, reduced mod ``domain``, and the center there, or None.
+    Each step evaluates the center at t1, t2, t1 + step and t2 + step with
+    one inline copy of :func:`_center_function`'s formula, in its order of
+    operations, and the forward differences reuse them.  After 60 steps the
+    pair is accepted at a looser tolerance or rejected.
+    ``test_polish_matches_reference_on_sweep_starts`` replays every start of
+    the sweep through a Newton step built on ``curve_point`` and expects the
+    same result, None included.
     """
+    n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, scale = constants
+    cos, sin, sqrt, hypot = math.cos, math.sin, math.sqrt, math.hypot
     step = 1e-7 * domain
-    for _ in range(60):
-        ca = center(t1 % domain)
-        cb = center(t2 % domain)
-        if ca is None or cb is None:
+    limit = 0.05 * domain
+    tolerance = 1e-13 * scale
+    for iteration in range(61):
+        if iteration == 60:
+            tolerance = 1e-10 * scale  # the last check, after 60 steps
+        u1 = t1 % domain
+        u2 = t2 % domain
+        centers = []
+        push = centers.append
+        for t in (u1, u2, (t1 + step) % domain, (t2 + step) % domain):
+            r = cos(n * t / d) + a
+            x = cx + r * cos(t)
+            y = cy + r * sin(t)
+            rho_sq = x * x + y * y
+            if sqrt(rho_sq) <= axis_bound:
+                break
+            lam = (rho_sq + z_sq - q) / (2.0 * rho_sq)
+            if lam * lam * rho_sq + q <= waist_bound:
+                break
+            push(lam * x)
+            push(lam * y)
+        if len(centers) < 4:
             return None
-        f = (ca[0] - cb[0], ca[1] - cb[1])
-        if math.hypot(*f) <= 1e-13 * scale:
-            return (t1 % domain, t2 % domain)
-        ca_step = center((t1 + step) % domain)
-        cb_step = center((t2 + step) % domain)
-        if ca_step is None or cb_step is None:
+        ax, ay, bx, by = centers[:4]
+        fx = ax - bx
+        fy = ay - by
+        if hypot(fx, fy) <= tolerance:
+            return (u1, u2, (ax, ay))
+        if iteration == 60 or len(centers) < 8:
             return None
-        fa = (ca_step[0] - cb[0], ca_step[1] - cb[1])
-        fb = (ca[0] - cb_step[0], ca[1] - cb_step[1])
-        j11 = (fa[0] - f[0]) / step
-        j21 = (fa[1] - f[1]) / step
-        j12 = (fb[0] - f[0]) / step
-        j22 = (fb[1] - f[1]) / step
+        _, _, _, _, sx, sy, tx, ty = centers
+        j11 = ((sx - bx) - fx) / step
+        j21 = ((sy - by) - fy) / step
+        j12 = ((ax - tx) - fx) / step
+        j22 = ((ay - ty) - fy) / step
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-18:
             return None
-        dt1 = (-f[0] * j22 + f[1] * j12) / det
-        dt2 = (-j11 * f[1] + j21 * f[0]) / det
-        limit = 0.05 * domain
-        dt1 = max(-limit, min(limit, dt1))
-        dt2 = max(-limit, min(limit, dt2))
-        t1 += dt1
-        t2 += dt2
-    ca = center(t1 % domain)
-    cb = center(t2 % domain)
-    if ca is not None and cb is not None and math.hypot(ca[0] - cb[0], ca[1] - cb[1]) <= 1e-10 * scale:
-        return (t1 % domain, t2 % domain)
-    return None
+        dt1 = (-fx * j22 + fy * j12) / det
+        dt2 = (-j11 * fy + j21 * fx) / det
+        # max(-limit, min(limit, dt)) without the calls, NaN included.
+        dt1 = dt1 if dt1 < limit else limit
+        dt2 = dt2 if dt2 < limit else limit
+        t1 += dt1 if dt1 > -limit else -limit
+        t2 += dt2 if dt2 > -limit else -limit
+    return None  # not reached: iteration 60 always returns
 
 
 def _off_center_coincidences(
@@ -571,63 +629,68 @@ def _off_center_coincidences(
 ) -> List[Tuple[float, float]]:
     """Parameter pairs sharing one generating circle with nonzero offset.
 
-    Crossing segments of the sampled, compressed center trace are polished
-    to exact coincidences.  Candidate pairs come from a sweep over the
-    segments' x-extents and are tested in ascending segment order, so the
-    result is the list an all-pairs scan would give, in the same order.
+    The float kernel of :func:`singular_circles`.  The center trace is
+    sampled with :func:`_center_function`, mapped into the unit disk, and
+    segment i joins samples i and i + 1 (mod samples).  A sweep over the
+    segments' x-extents finds the pairs whose boxes overlap and tests each
+    for a crossing on the spot, keeping only the crossings.  These are then
+    polished by :func:`_polish_coincidence`, whose Newton step evaluates the
+    centers with its own inline copy of the formula, in ascending segment
+    order.  So the result is the list an all-pairs scan would give, in the
+    same order: ``test_sweep_matches_all_pairs_scan`` compares it with one
+    built on ``curve_point``, and ``test_surface_query_pool_byte_pin`` pins
+    the CLI's output over the benchmark's query pool.
     """
     center = _center_function(spec)
+    constants = _center_constants(spec)
+    scale = constants[-1]
     ts = [domain * i / samples for i in range(samples)]
-    compressed = [None if c is None else _compress(c) for c in map(center, ts)]
-    scale = max(1.0, spec.extent)
+    ends = ts[1:] + [domain]
+    points = [None if c is None else _compress(c) for c in map(center, ts)]
+    nexts = points[1:] + points[:1]
 
-    segments = []  # (index, t_start, t_end, compressed endpoints)
-    for i in range(samples):
-        k = (i + 1) % samples
-        if compressed[i] is None or compressed[k] is None:
-            continue
-        t_end = ts[k] if k else domain
-        segments.append((i, ts[i], t_end, compressed[i], compressed[k]))
+    # Flat boxes, one slot per sample index; a segment with a degenerate end is left out.
+    segments = [i for i in range(samples) if points[i] is not None and nexts[i] is not None]
+    x_low = [0.0] * samples
+    x_high = [0.0] * samples
+    y_low = [0.0] * samples
+    y_high = [0.0] * samples
+    for i in segments:
+        (ax, ay), (bx, by) = points[i], nexts[i]
+        # min and max of each pair without the calls, NaN and -0.0 included.
+        x_low[i] = bx if bx < ax else ax
+        x_high[i] = bx if bx > ax else ax
+        y_low[i] = by if by < ay else ay
+        y_high[i] = by if by > ay else ay
 
     # Ordered by low x, a segment's x-extent meets (ends included) exactly
-    # the later segments whose low x is at most its high x.  The tests here
-    # are pure, so running them in sweep order changes nothing; crossings are
-    # polished in ascending segment order, as an all-pairs scan would.
-    boxes = [
-        (min(pa[0], pb[0]), max(pa[0], pb[0]), min(pa[1], pb[1]), max(pa[1], pb[1]))
-        for _, _, _, pa, pb in segments
-    ]
-    order = sorted(range(len(segments)), key=lambda a: boxes[a][0])
-    sorted_lows = [boxes[a][0] for a in order]
-    candidates = []
-    for pos, a in enumerate(order):
-        _, x_high, y_low, y_high = boxes[a]
-        ia = segments[a][0]
-        for b in order[pos + 1 : bisect_right(sorted_lows, x_high, pos + 1)]:
-            if boxes[b][2] > y_high or boxes[b][3] < y_low:
+    # the later segments whose low x is at most its high x.
+    order = sorted(segments, key=x_low.__getitem__)
+    sorted_lows = [x_low[i] for i in order]
+    crossings = []
+    for pos, i in enumerate(order):
+        top, y_min, y_max = x_high[i], y_low[i], y_high[i]
+        for k in order[pos + 1 : bisect_right(sorted_lows, top, pos + 1)]:
+            if y_low[k] > y_max or y_high[k] < y_min:
                 continue
-            ib = segments[b][0]
-            if (ib - ia) % samples in (1, samples - 1):
+            if (k - i) % samples in (1, samples - 1):
                 continue  # adjacent samples trace one passage, not two
-            candidates.append((a, b) if a < b else (b, a))
-    candidates.sort()
+            lo, hi = (i, k) if i < k else (k, i)
+            if _segment_intersection(points[lo], nexts[lo], points[hi], nexts[hi]) is not None:
+                crossings.append((lo, hi))
+    crossings.sort()
 
     pairs: List[Tuple[float, float]] = []
-    for a, b in candidates:
-        _, t1a, t1b, pa, pb = segments[a]
-        _, t2a, t2b, pc, pd = segments[b]
-        if _segment_intersection(pa, pb, pc, pd) is None:
-            continue
-        t1 = 0.5 * (t1a + t1b)
-        t2 = 0.5 * (t2a + t2b)
-        polished = _polish_coincidence(center, scale, t1, t2, domain)
+    for lo, hi in crossings:
+        t1 = 0.5 * (ts[lo] + ends[lo])
+        t2 = 0.5 * (ts[hi] + ends[hi])
+        polished = _polish_coincidence(constants, t1, t2, domain)
         if polished is None:
             continue
-        t1, t2 = polished
+        t1, t2, at = polished
         if min(abs(t1 - t2), domain - abs(t1 - t2)) <= PARAM_DEDUP:
             continue  # collapsed to a single passage
-        at = center(t1)
-        if at is None or math.hypot(*at) <= 1e-5 * scale:
+        if math.hypot(*at) <= 1e-5 * scale:
             continue  # axis-centered circles are handled separately
         pairs.append((t1, t2))
     return pairs
@@ -639,16 +702,12 @@ def _axis_centered_groups(spec: SurfaceSpec, samples: int, domain: float) -> Lis
     Such a circle has radius sqrt(q), so its passages are the parameters
     where the curve meets the sphere |p|^2 = q, grouped by meridian plane.
     """
-    q = float(spec.congruence.q)
+    q = spec.congruence.q_float
     if q <= 0:
         return []
+    z = spec.placement.pole_float[2]
+    roots = _periodic_roots(_gap_function(spec, z * z, -q), domain, max(4 * samples, 2048))
     point = point_function(spec.curve, spec.placement)
-
-    def sphere_gap(t: float) -> float:
-        x, y, z = point(t)
-        return x * x + y * y + z * z - q
-
-    roots = _periodic_roots(sphere_gap, domain, max(4 * samples, 2048))
     axis_bound = AXIS_EPS * max(1.0, spec.extent)
     planed = []
     for t in roots:
@@ -672,15 +731,22 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     """Circles met by the curve more than once, with their branch counts.
 
     Off-center circles come from self-intersections of the planar center
-    trace, sampled at ``samples`` parameters and mapped into the unit disk.
-    A sweep over the segments sorted by x-extent proposes the pairs whose
-    bounding boxes overlap, so the cost grows with the number of
-    overlapping pairs rather than with samples^2.  Each crossing is polished
-    to an exact coincidence.  Axis-centered circles come from
-    sphere crossings grouped by meridian plane.  Each connected component of
-    the coincidence graph yields one circle whose multiplicity is the number
-    of distinct curve passages in it; retraced rose parameters are
-    identified beforehand.
+    trace, sampled at ``samples`` parameters and mapped into the unit disk
+    (:func:`_off_center_coincidences`).  A sweep over the segments sorted by
+    x-extent tests only the pairs whose bounding boxes overlap, so the cost
+    grows with the number of overlapping pairs rather than with samples^2.
+    Each crossing is polished to an exact coincidence.  Axis-centered
+    circles come from sphere crossings grouped by meridian plane
+    (:func:`_axis_centered_groups`).  Each connected component of the
+    coincidence graph yields one circle whose multiplicity is the number of
+    distinct curve passages in it; retraced rose parameters are identified
+    beforehand.
+
+    The curve point is evaluated by three inline copies of
+    ``curve.curve_point``'s formula, one per inner loop:
+    :func:`_center_function` (sampling), :func:`_polish_coincidence`
+    (Newton) and :func:`_gap_function` (sphere crossings).  Each is pinned
+    bit-identical to ``curve_point`` by a test named in its docstring.
     """
     if samples < 16:
         raise ValueError("samples must be at least 16")
@@ -764,14 +830,8 @@ def zero_circle_parameters(spec: SurfaceSpec, grid: int = DEFAULT_ROOT_GRID) -> 
     """
     if spec.congruence.q >= 0 or spec.placement.height != 0:
         return []
-    point = point_function(spec.curve, spec.placement)
-    q = float(spec.congruence.q)
-
-    def waist_gap(t: float) -> float:
-        x, y, _ = point(t)
-        return x * x + y * y + q
-
-    return _periodic_roots(waist_gap, spec.curve.parameter_period, grid)
+    gap = _gap_function(spec, 0.0, spec.congruence.q_float)
+    return _periodic_roots(gap, spec.curve.parameter_period, grid)
 
 
 def zero_circle_intersections(

@@ -153,6 +153,32 @@ def test_surface_classify_csv_sidecars(tmp_path):
     assert len(waist_lines) == 4  # three distinct contact points
 
 
+# sha256 over the exit code, stdout, stderr and both CSVs of the 160 queries
+# of the benchmark's surface-classify pool, recorded before the singular-circle
+# scan became one float kernel.  The CSV floats go through the C library's
+# cos and sin, so the digest is that of glibc on x86-64.
+SURFACE_POOL_SHA256 = "97fad727c8a6e8a63fd00c22ea32950ee196ac0ce8284d1ff0def3b6f85c9ff3"
+
+
+def test_surface_query_pool_byte_pin(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "bench" / "references" / "surface_queries.json"
+    queries = json.loads(path.read_text())["queries"]
+    assert len(queries) == 160
+    circles, waist = tmp_path / "circles.csv", tmp_path / "waist.csv"
+    combined = hashlib.sha256()
+    for query in queries:
+        for target in (circles, waist):
+            target.unlink(missing_ok=True)
+        out, err = io.BytesIO(), io.BytesIO()
+        code = run(
+            query["argv"] + [f"--singular-circles-csv={circles}", f"--waist-points-csv={waist}"], out, err
+        )
+        combined.update(b"%d\n" % code + out.getvalue() + err.getvalue())
+        for target in (circles, waist):
+            combined.update(target.read_bytes() if target.exists() else b"<none>")
+    assert combined.hexdigest() == SURFACE_POOL_SHA256
+
+
 @pytest.mark.parametrize("cx", ["-99999999999/100000000000", "-9999999/10000000"])
 def test_surface_classify_near_miss_is_5a(cx):
     # The petal tip of CH(3,1,0) misses the axis by 1e-11 or 1e-7.

@@ -427,14 +427,13 @@ def _curve_point_center(spec, t):
 
 
 def _all_pairs_coincidences(spec, samples, domain):
-    """Reference for the segment sweep: test every pair of center-trace segments."""
-    from chsurf.surface import (
-        PARAM_DEDUP,
-        _center_function,
-        _compress,
-        _polish_coincidence,
-        _segment_intersection,
-    )
+    """Reference for the segment sweep: test every pair of center-trace segments.
+
+    Centers come from ``curve_point`` and crossings are polished by
+    :func:`_polish_coincidence_reference`, so no float kernel of the sweep
+    takes part.
+    """
+    from chsurf.surface import PARAM_DEDUP, _compress, _segment_intersection
 
     ts = [domain * i / samples for i in range(samples)]
     centers = [_curve_point_center(spec, t) for t in ts]
@@ -464,9 +463,7 @@ def _all_pairs_coincidences(spec, samples, domain):
                 continue
             if _segment_intersection(pa, pb, pc, pd) is None:
                 continue
-            polished = _polish_coincidence(
-                _center_function(spec), scale, 0.5 * (t1a + t1b), 0.5 * (t2a + t2b), domain
-            )
+            polished = _polish_coincidence_reference(spec, 0.5 * (t1a + t1b), 0.5 * (t2a + t2b), domain)
             if polished is None:
                 continue
             t1, t2 = polished
@@ -480,15 +477,15 @@ def _all_pairs_coincidences(spec, samples, domain):
 
 
 def _polish_coincidence_reference(spec, t1, t2, domain):
-    """Newton polish as it was before each step reused its center values."""
-    from chsurf.surface import _center_function
+    """Newton polish as it was before each step reused its center values.
 
-    center = _center_function(spec)
+    Every center comes from ``curve_point``, one call each.
+    """
     step = 1e-7 * domain
 
     def value(a, b):
-        ca = center(a % domain)
-        cb = center(b % domain)
+        ca = _curve_point_center(spec, a % domain)
+        cb = _curve_point_center(spec, b % domain)
         if ca is None or cb is None:
             return None
         return (ca[0] - cb[0], ca[1] - cb[1])
@@ -534,6 +531,7 @@ SWEEP_SPECS = [
     make_spec(4, 1, "1", q="-1", cx="-1", cy="1/2"),  # cuspidate, pole off the axis
     make_spec(3, 2, "1/2", q=0, cx="1/2"),  # trident
 ]
+CUSPIDATE = SWEEP_SPECS[6]  # the centers' Newton step is most sensitive at its cusps
 
 
 def test_float_once_evaluators_match_curve_point():
@@ -550,12 +548,63 @@ def test_float_once_evaluators_match_curve_point():
             assert center(t) == _curve_point_center(spec, t), (spec, t)
 
 
-@pytest.mark.parametrize("samples", [256, 512])
-def test_sweep_matches_all_pairs_scan(samples):
+def _sphere_gap_reference(spec):
+    q = float(spec.congruence.q)
+
+    def gap(t):
+        x, y, z = curve_point(spec.curve, spec.placement, t)
+        return x * x + y * y + z * z - q
+
+    return gap
+
+
+def _waist_gap_reference(spec):
+    q = float(spec.congruence.q)
+
+    def gap(t):
+        x, y, _ = curve_point(spec.curve, spec.placement, t)
+        return x * x + y * y + q
+
+    return gap
+
+
+def test_root_finders_match_curve_point_reference(monkeypatch):
+    from chsurf import surface
+
+    def domain_of(spec):
+        period = spec.curve.parameter_period
+        return period / 2.0 if spec.curve.is_odd_rose else period
+
+    for spec in SWEEP_SPECS:
+        q, z = float(spec.congruence.q), float(spec.placement.height)
+        sphere = surface._gap_function(spec, z * z, -q)
+        waist = surface._gap_function(spec, 0.0, q)
+        period = spec.curve.parameter_period
+        for i in range(-300, 601):
+            t = period * i / 300 + 1e-3
+            assert sphere(t) == _sphere_gap_reference(spec)(t), (spec, t)
+            assert waist(t) == _waist_gap_reference(spec)(t), (spec, t)
+
+    groups = [surface._axis_centered_groups(spec, 512, domain_of(spec)) for spec in SWEEP_SPECS]
+    params = [zero_circle_parameters(spec) for spec in SWEEP_SPECS]
+    # The same root finder and grouping, fed gaps built on curve_point.
+    monkeypatch.setattr(surface, "_gap_function", lambda spec, lift, shift: _sphere_gap_reference(spec))
+    assert groups == [surface._axis_centered_groups(spec, 512, domain_of(spec)) for spec in SWEEP_SPECS]
+    monkeypatch.setattr(surface, "_gap_function", lambda spec, lift, shift: _waist_gap_reference(spec))
+    assert params == [zero_circle_parameters(spec) for spec in SWEEP_SPECS]
+    assert sum(map(bool, groups)) >= 2 and sum(map(bool, params)) >= 2
+
+
+@pytest.mark.parametrize(
+    "samples,specs",
+    [(256, SWEEP_SPECS), (512, SWEEP_SPECS), (360, [CUSPIDATE]), (1024, [CUSPIDATE])],
+    ids=["256", "512", "360-cuspidate", "1024-cuspidate"],
+)
+def test_sweep_matches_all_pairs_scan(samples, specs):
     from chsurf.surface import _off_center_coincidences
 
     found = 0
-    for spec in SWEEP_SPECS:
+    for spec in specs:
         domain = spec.curve.parameter_period
         if spec.curve.is_odd_rose:
             domain /= 2.0
@@ -566,15 +615,17 @@ def test_sweep_matches_all_pairs_scan(samples):
 
 
 def test_polish_matches_reference_on_sweep_starts(monkeypatch):
-    # Record every start the sweep polishes, then replay it through both.
+    # Record every start the sweep polishes and what its Newton step
+    # returned, then replay the start through the test-side reference.
     from chsurf import surface
 
-    starts = []
+    records = []
     polish = surface._polish_coincidence
 
-    def recording(center, scale, t1, t2, domain):
-        starts.append((spec, t1, t2, domain))  # spec: the loop's current spec
-        return polish(center, scale, t1, t2, domain)
+    def recording(constants, t1, t2, domain):
+        result = polish(constants, t1, t2, domain)
+        records.append((spec, t1, t2, domain, result))  # spec: the loop's current spec
+        return result
 
     monkeypatch.setattr(surface, "_polish_coincidence", recording)
     for spec in SWEEP_SPECS:
@@ -582,11 +633,14 @@ def test_polish_matches_reference_on_sweep_starts(monkeypatch):
         if spec.curve.is_odd_rose:
             domain /= 2.0
         surface._off_center_coincidences(spec, 256, domain)
-    outcomes = [
-        polish(surface._center_function(spec), max(1.0, spec.extent), t1, t2, domain)
-        for spec, t1, t2, domain in starts
-    ]
-    assert outcomes == [_polish_coincidence_reference(*start) for start in starts]
+    outcomes = []
+    for spec, t1, t2, domain, result in records:
+        expected = _polish_coincidence_reference(spec, t1, t2, domain)
+        if expected is not None:
+            # The kernel also returns the converged center, for its axis test.
+            expected = (*expected, _curve_point_center(spec, expected[0]))
+        assert result == expected, (spec, t1, t2)
+        outcomes.append(result)
     assert any(o is None for o in outcomes) and any(o is not None for o in outcomes)
 
 
