@@ -17,7 +17,7 @@ Gaussian integers, so no float tolerance enters the classification.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
@@ -509,10 +509,13 @@ def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[floa
     computed inline with :func:`curve.point_function`'s operations in the
     same order, so the centers are bit-identical to ones built on
     ``curve_point`` (``test_float_once_evaluators_match_curve_point``).
-    :func:`_polish_coincidence` repeats this center formula inline, pinned
-    by ``test_polish_matches_reference_on_sweep_starts``; the curve point
-    alone is also inline in :func:`_gap_function`.  Keep the formulas in
-    step.
+    The center formula has four more inline copies, all in
+    :func:`_polish_coincidence` (the centers at t1, t2 and the two step
+    points), pinned by ``test_polish_matches_reference_on_sweep_starts`` and
+    ``test_polish_tests_convergence_before_its_step_centers``; the curve
+    point alone is also inline in :func:`_gap_function`, pinned by
+    ``test_root_finders_match_curve_point_reference``.  Keep the formulas
+    in step.
     """
     n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, _ = _center_constants(spec)
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
@@ -543,21 +546,6 @@ def _compress(point: Tuple[float, float]) -> Tuple[float, float]:
     return (point[0] * factor, point[1] * factor)
 
 
-def _segment_intersection(p1, p2, p3, p4) -> Optional[Tuple[float, float]]:
-    """Fractions (s, u) in [0,1]^2 where segments p1p2 and p3p4 cross."""
-    d1x, d1y = p2[0] - p1[0], p2[1] - p1[1]
-    d2x, d2y = p4[0] - p3[0], p4[1] - p3[1]
-    denom = d1x * d2y - d1y * d2x
-    if denom == 0.0:
-        return None
-    bx, by = p3[0] - p1[0], p3[1] - p1[1]
-    s = (bx * d2y - by * d2x) / denom
-    u = (bx * d1y - by * d1x) / denom
-    if -1e-12 <= s <= 1.0 + 1e-12 and -1e-12 <= u <= 1.0 + 1e-12:
-        return (min(max(s, 0.0), 1.0), min(max(u, 0.0), 1.0))
-    return None
-
-
 def _polish_coincidence(
     constants: tuple, t1: float, t2: float, domain: float
 ) -> Optional[Tuple[float, float, Tuple[float, float]]]:
@@ -565,13 +553,20 @@ def _polish_coincidence(
 
     ``constants`` is :func:`_center_constants` of the spec.  Returns the
     polished pair, reduced mod ``domain``, and the center there, or None.
-    Each step evaluates the center at t1, t2, t1 + step and t2 + step with
-    one inline copy of :func:`_center_function`'s formula, in its order of
-    operations, and the forward differences reuse them.  After 60 steps the
-    pair is accepted at a looser tolerance or rejected.
-    ``test_polish_matches_reference_on_sweep_starts`` replays every start of
-    the sweep through a Newton step built on ``curve_point`` and expects the
-    same result, None included.
+    Each step is straight-line code with four inline copies of
+    :func:`_center_function`'s formula, each in its order of operations:
+    the centers at t1 and t2, the convergence test, and only then the step
+    centers at t1 + step and t2 + step, which the forward differences
+    reuse; so a step that converges or ends the 60 computes no step center.
+    After 60 steps the pair is accepted at a looser tolerance or rejected.
+    None also means a degenerate center at t1, t2 or a step point, or a
+    singular Jacobian.  ``test_polish_matches_reference_on_sweep_starts``
+    replays every start of the sweep (and of one benchmark pool query that
+    reaches the singular Jacobian) through a Newton step built on
+    ``curve_point`` and expects the same result, None included, with each
+    of the six exits seen at least once;
+    ``test_polish_tests_convergence_before_its_step_centers`` pins the
+    order of the convergence test and the step centers.
     """
     n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, scale = constants
     cos, sin, sqrt, hypot = math.cos, math.sin, math.sqrt, math.hypot
@@ -582,31 +577,59 @@ def _polish_coincidence(
         if iteration == 60:
             tolerance = 1e-10 * scale  # the last check, after 60 steps
         u1 = t1 % domain
-        u2 = t2 % domain
-        centers = []
-        push = centers.append
-        for t in (u1, u2, (t1 + step) % domain, (t2 + step) % domain):
-            r = cos(n * t / d) + a
-            x = cx + r * cos(t)
-            y = cy + r * sin(t)
-            rho_sq = x * x + y * y
-            if sqrt(rho_sq) <= axis_bound:
-                break
-            lam = (rho_sq + z_sq - q) / (2.0 * rho_sq)
-            if lam * lam * rho_sq + q <= waist_bound:
-                break
-            push(lam * x)
-            push(lam * y)
-        if len(centers) < 4:
+        r = cos(n * u1 / d) + a
+        x = cx + r * cos(u1)
+        y = cy + r * sin(u1)
+        rho_sq = x * x + y * y
+        if sqrt(rho_sq) <= axis_bound:
             return None
-        ax, ay, bx, by = centers[:4]
+        lam = (rho_sq + z_sq - q) / (2.0 * rho_sq)
+        if lam * lam * rho_sq + q <= waist_bound:
+            return None
+        ax = lam * x
+        ay = lam * y
+        u2 = t2 % domain
+        r = cos(n * u2 / d) + a
+        x = cx + r * cos(u2)
+        y = cy + r * sin(u2)
+        rho_sq = x * x + y * y
+        if sqrt(rho_sq) <= axis_bound:
+            return None
+        lam = (rho_sq + z_sq - q) / (2.0 * rho_sq)
+        if lam * lam * rho_sq + q <= waist_bound:
+            return None
+        bx = lam * x
+        by = lam * y
         fx = ax - bx
         fy = ay - by
         if hypot(fx, fy) <= tolerance:
             return (u1, u2, (ax, ay))
-        if iteration == 60 or len(centers) < 8:
+        if iteration == 60:
             return None
-        _, _, _, _, sx, sy, tx, ty = centers
+        t = (t1 + step) % domain
+        r = cos(n * t / d) + a
+        x = cx + r * cos(t)
+        y = cy + r * sin(t)
+        rho_sq = x * x + y * y
+        if sqrt(rho_sq) <= axis_bound:
+            return None
+        lam = (rho_sq + z_sq - q) / (2.0 * rho_sq)
+        if lam * lam * rho_sq + q <= waist_bound:
+            return None
+        sx = lam * x
+        sy = lam * y
+        t = (t2 + step) % domain
+        r = cos(n * t / d) + a
+        x = cx + r * cos(t)
+        y = cy + r * sin(t)
+        rho_sq = x * x + y * y
+        if sqrt(rho_sq) <= axis_bound:
+            return None
+        lam = (rho_sq + z_sq - q) / (2.0 * rho_sq)
+        if lam * lam * rho_sq + q <= waist_bound:
+            return None
+        tx = lam * x
+        ty = lam * y
         j11 = ((sx - bx) - fx) / step
         j21 = ((sy - by) - fy) / step
         j12 = ((ax - tx) - fx) / step
@@ -633,13 +656,17 @@ def _off_center_coincidences(
     sampled with :func:`_center_function`, mapped into the unit disk, and
     segment i joins samples i and i + 1 (mod samples).  A sweep over the
     segments' x-extents finds the pairs whose boxes overlap and tests each
-    for a crossing on the spot, keeping only the crossings.  These are then
-    polished by :func:`_polish_coincidence`, whose Newton step evaluates the
-    centers with its own inline copy of the formula, in ascending segment
-    order.  So the result is the list an all-pairs scan would give, in the
-    same order: ``test_sweep_matches_all_pairs_scan`` compares it with one
-    built on ``curve_point``, and ``test_surface_query_pool_byte_pin`` pins
-    the CLI's output over the benchmark's query pool.
+    for a crossing on the spot, keeping only the crossings.  The crossing
+    test is the one inline copy of the segment intersection, given the
+    lower-index segment first, with bounds of 1e-12 either side of [0, 1].
+    The crossings are then polished by :func:`_polish_coincidence`, whose
+    Newton step evaluates the centers with its own four inline copies of
+    the center formula, in ascending segment order.  So the result is the
+    list an all-pairs scan would give, in the same order:
+    ``test_sweep_matches_all_pairs_scan`` compares it with one built on
+    ``curve_point`` and the test module's own ``_segment_intersection``, and
+    ``test_surface_query_pool_byte_pin`` pins the CLI's output over the
+    benchmark's query pool.
     """
     center = _center_function(spec)
     constants = _center_constants(spec)
@@ -676,7 +703,18 @@ def _off_center_coincidences(
             if (k - i) % samples in (1, samples - 1):
                 continue  # adjacent samples trace one passage, not two
             lo, hi = (i, k) if i < k else (k, i)
-            if _segment_intersection(points[lo], nexts[lo], points[hi], nexts[hi]) is not None:
+            # Do segments lo and hi cross?  s and u are the fractions along each.
+            (p1x, p1y), (p2x, p2y) = points[lo], nexts[lo]
+            (p3x, p3y), (p4x, p4y) = points[hi], nexts[hi]
+            d1x, d1y = p2x - p1x, p2y - p1y
+            d2x, d2y = p4x - p3x, p4y - p3y
+            denom = d1x * d2y - d1y * d2x
+            if denom == 0.0:
+                continue
+            bx, by = p3x - p1x, p3y - p1y
+            s = (bx * d2y - by * d2x) / denom
+            u = (bx * d1y - by * d1x) / denom
+            if -1e-12 <= s <= 1.0 + 1e-12 and -1e-12 <= u <= 1.0 + 1e-12:
                 crossings.append((lo, hi))
     crossings.sort()
 
@@ -740,13 +778,20 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     (:func:`_axis_centered_groups`).  Each connected component of the
     coincidence graph yields one circle whose multiplicity is the number of
     distinct curve passages in it; retraced rose parameters are identified
-    beforehand.
+    beforehand.  Passages within PARAM_DEDUP of each other, across the wrap
+    at the domain included, are one passage:
+    ``test_passage_merge_matches_three_image_lookup`` pins the merge against
+    a plain three-image lookup, at the seam and on the sweep's pairs.
 
-    The curve point is evaluated by three inline copies of
-    ``curve.curve_point``'s formula, one per inner loop:
-    :func:`_center_function` (sampling), :func:`_polish_coincidence`
-    (Newton) and :func:`_gap_function` (sphere crossings).  Each is pinned
-    bit-identical to ``curve_point`` by a test named in its docstring.
+    The curve point is evaluated by six inline copies of
+    ``curve.curve_point``'s formula in three inner loops, five of them as
+    part of the center formula: one in :func:`_center_function` (sampling),
+    four in :func:`_polish_coincidence` (Newton: t1, t2 and the two step
+    points), and one in :func:`_gap_function` (sphere crossings).  The
+    segment crossing test is inline in the sweep of
+    :func:`_off_center_coincidences`.  Each copy is pinned by a test named
+    in its function's docstring, and ``test_surface_query_pool_byte_pin``
+    pins the bytes of the benchmark's 160 pool queries.
     """
     if samples < 16:
         raise ValueError("samples must be at least 16")
@@ -758,27 +803,34 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
 
     # Union-find over deduplicated passage parameters.  A parameter joins
     # the earliest-inserted node within PARAM_DEDUP of it, across the wrap at
-    # domain included.  ``ordered`` keeps (value, index) sorted by value, so
-    # only the nodes in a window around t and its two wrapped images are
-    # tested; a query has up to a few hundred nodes.
+    # domain included.  ``values`` keeps the node values sorted, with their
+    # indices at the same positions in ``indices``, so only the nodes in a
+    # window around t and its two wrapped images are tested, and an image
+    # whose window lies wholly outside the stored values is skipped; a query
+    # has up to a few hundred nodes.
     nodes: List[float] = []
-    ordered: List[Tuple[float, int]] = []
+    values: List[float] = []
+    indices: List[int] = []
     window = 2.0 * PARAM_DEDUP
 
     def node_index(t: float) -> int:
-        close = [
-            idx
-            for image in (t - domain, t, t + domain)
-            for existing, idx in ordered[
-                bisect_left(ordered, (image - window,)) : bisect_right(ordered, (image + window, math.inf))
-            ]
-            if min(abs(existing - t), domain - abs(existing - t)) <= PARAM_DEDUP
-        ]
-        if close:
-            return min(close)
-        insort(ordered, (t, len(nodes)))
-        nodes.append(t)
-        return len(nodes) - 1
+        found = len(nodes)
+        if values:
+            first, last = values[0], values[-1]
+            for image in (t - domain, t, t + domain):
+                if image + window < first or image - window > last:
+                    continue
+                low = bisect_left(values, image - window)
+                for pos in range(low, bisect_right(values, image + window, low)):
+                    existing, idx = values[pos], indices[pos]
+                    if idx < found and min(abs(existing - t), domain - abs(existing - t)) <= PARAM_DEDUP:
+                        found = idx
+        if found == len(nodes):
+            pos = bisect_right(values, t)
+            values.insert(pos, t)
+            indices.insert(pos, found)
+            nodes.append(t)
+        return found
 
     parent: List[int] = []
 

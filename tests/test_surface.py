@@ -426,14 +426,34 @@ def _curve_point_center(spec, t):
     return (lam * x, lam * y)
 
 
+def _segment_intersection(p1, p2, p3, p4):
+    """Fractions (s, u) in [0,1]^2 where segments p1p2 and p3p4 cross, or None.
+
+    The crossing test the sweep of ``_off_center_coincidences`` carries
+    inline, kept here as the all-pairs reference's own copy.
+    """
+    d1x, d1y = p2[0] - p1[0], p2[1] - p1[1]
+    d2x, d2y = p4[0] - p3[0], p4[1] - p3[1]
+    denom = d1x * d2y - d1y * d2x
+    if denom == 0.0:
+        return None
+    bx, by = p3[0] - p1[0], p3[1] - p1[1]
+    s = (bx * d2y - by * d2x) / denom
+    u = (bx * d1y - by * d1x) / denom
+    if -1e-12 <= s <= 1.0 + 1e-12 and -1e-12 <= u <= 1.0 + 1e-12:
+        return (min(max(s, 0.0), 1.0), min(max(u, 0.0), 1.0))
+    return None
+
+
 def _all_pairs_coincidences(spec, samples, domain):
     """Reference for the segment sweep: test every pair of center-trace segments.
 
-    Centers come from ``curve_point`` and crossings are polished by
+    Centers come from ``curve_point``, crossings from
+    :func:`_segment_intersection` and polishes from
     :func:`_polish_coincidence_reference`, so no float kernel of the sweep
     takes part.
     """
-    from chsurf.surface import PARAM_DEDUP, _compress, _segment_intersection
+    from chsurf.surface import PARAM_DEDUP, _compress
 
     ts = [domain * i / samples for i in range(samples)]
     centers = [_curve_point_center(spec, t) for t in ts]
@@ -463,7 +483,7 @@ def _all_pairs_coincidences(spec, samples, domain):
                 continue
             if _segment_intersection(pa, pb, pc, pd) is None:
                 continue
-            polished = _polish_coincidence_reference(spec, 0.5 * (t1a + t1b), 0.5 * (t2a + t2b), domain)
+            polished, _ = _polish_coincidence_reference(spec, 0.5 * (t1a + t1b), 0.5 * (t2a + t2b), domain)
             if polished is None:
                 continue
             t1, t2 = polished
@@ -476,10 +496,21 @@ def _all_pairs_coincidences(spec, samples, domain):
     return pairs
 
 
+POLISH_EXITS = (
+    "converged",
+    "accepted after 60 steps",
+    "rejected after 60 steps",
+    "degenerate center at t1 or t2",
+    "degenerate step center",
+    "singular Jacobian",
+)
+
+
 def _polish_coincidence_reference(spec, t1, t2, domain):
     """Newton polish as it was before each step reused its center values.
 
-    Every center comes from ``curve_point``, one call each.
+    Every center comes from ``curve_point``, one call each.  Returns the
+    polished pair or None, and which of :data:`POLISH_EXITS` ended the step.
     """
     step = 1e-7 * domain
 
@@ -494,20 +525,20 @@ def _polish_coincidence_reference(spec, t1, t2, domain):
     for _ in range(60):
         f = value(t1, t2)
         if f is None:
-            return None
+            return None, "degenerate center at t1 or t2"
         if math.hypot(*f) <= 1e-13 * scale:
-            return (t1 % domain, t2 % domain)
+            return (t1 % domain, t2 % domain), "converged"
         fa = value(t1 + step, t2)
         fb = value(t1, t2 + step)
         if fa is None or fb is None:
-            return None
+            return None, "degenerate step center"
         j11 = (fa[0] - f[0]) / step
         j21 = (fa[1] - f[1]) / step
         j12 = (fb[0] - f[0]) / step
         j22 = (fb[1] - f[1]) / step
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-18:
-            return None
+            return None, "singular Jacobian"
         dt1 = (-f[0] * j22 + f[1] * j12) / det
         dt2 = (-j11 * f[1] + j21 * f[0]) / det
         limit = 0.05 * domain
@@ -516,9 +547,11 @@ def _polish_coincidence_reference(spec, t1, t2, domain):
         t1 += dt1
         t2 += dt2
     f = value(t1, t2)
-    if f is not None and math.hypot(*f) <= 1e-10 * scale:
-        return (t1 % domain, t2 % domain)
-    return None
+    if f is None:
+        return None, "degenerate center at t1 or t2"
+    if math.hypot(*f) <= 1e-10 * scale:
+        return (t1 % domain, t2 % domain), "accepted after 60 steps"
+    return None, "rejected after 60 steps"
 
 
 SWEEP_SPECS = [
@@ -614,6 +647,11 @@ def test_sweep_matches_all_pairs_scan(samples, specs):
     assert found > 0
 
 
+# A pool query of the surface-queries benchmark whose sweep at the CLI's 512
+# samples hits the singular-Jacobian exit, which SWEEP_SPECS never reach.
+SINGULAR_JACOBIAN_SPEC = make_spec(2, 1, "1", q="0", cx="-2")
+
+
 def test_polish_matches_reference_on_sweep_starts(monkeypatch):
     # Record every start the sweep polishes and what its Newton step
     # returned, then replay the start through the test-side reference.
@@ -628,20 +666,135 @@ def test_polish_matches_reference_on_sweep_starts(monkeypatch):
         return result
 
     monkeypatch.setattr(surface, "_polish_coincidence", recording)
+    runs = [(spec, 256) for spec in SWEEP_SPECS] + [(SINGULAR_JACOBIAN_SPEC, 512)]
+    for spec, samples in runs:
+        domain = spec.curve.parameter_period
+        if spec.curve.is_odd_rose:
+            domain /= 2.0
+        surface._off_center_coincidences(spec, samples, domain)
+    exits = set()
+    for spec, t1, t2, domain, result in records:
+        expected, outcome = _polish_coincidence_reference(spec, t1, t2, domain)
+        if expected is not None:
+            # The kernel also returns the converged center, for its axis test.
+            expected = (*expected, _curve_point_center(spec, expected[0]))
+        assert result == expected, (spec, t1, t2, outcome)
+        exits.add(outcome)
+    # The kernel's step is reordered against the reference's, so every way
+    # out of it must be replayed at least once.
+    assert exits == set(POLISH_EXITS)
+
+
+def test_polish_tests_convergence_before_its_step_centers():
+    # A converged start whose step point lies on the axis: the step returns
+    # the pair, as the reference does, and never rejects the step center.
+    from chsurf import surface
+
+    spec = make_spec(1, 1, q=1)  # the circle r = cos t meets the axis at t = pi/2
+    domain = spec.curve.parameter_period
+    t = math.pi / 2 - 1e-7 * domain
+    assert _curve_point_center(spec, (t + 1e-7 * domain) % domain) is None
+    expected, outcome = _polish_coincidence_reference(spec, t, t, domain)
+    assert outcome == "converged"
+    got = surface._polish_coincidence(surface._center_constants(spec), t, t, domain)
+    assert got == (*expected, _curve_point_center(spec, t))
+
+
+def _merged_circles_reference(spec, pairs, domain):
+    """Off-center circles from passage pairs, merged with a three-image lookup.
+
+    A passage joins the earliest-inserted node within PARAM_DEDUP of it,
+    across the wrap at domain included; the candidates are listed over the
+    windows around t - domain, t and t + domain, and the smallest index wins.
+    Each connected component of two or more nodes is one circle.
+    """
+    from bisect import bisect_left, bisect_right, insort
+
+    from chsurf.surface import PARAM_DEDUP
+
+    nodes, ordered, window = [], [], 2.0 * PARAM_DEDUP
+
+    def node_index(t):
+        close = [
+            idx
+            for image in (t - domain, t, t + domain)
+            for existing, idx in ordered[
+                bisect_left(ordered, (image - window,)) : bisect_right(ordered, (image + window, math.inf))
+            ]
+            if min(abs(existing - t), domain - abs(existing - t)) <= PARAM_DEDUP
+        ]
+        if close:
+            return min(close)
+        insort(ordered, (t, len(nodes)))
+        nodes.append(t)
+        return len(nodes) - 1
+
+    edges = [(node_index(t1), node_index(t2)) for t1, t2 in pairs]
+    component = list(range(len(nodes)))
+    changed = True
+    while changed:  # each node takes the smallest label along an edge, until none moves
+        changed = False
+        for a, b in edges:
+            low = min(component[a], component[b])
+            if component[a] != low or component[b] != low:
+                component[a] = component[b] = low
+                changed = True
+    members = {}
+    for idx, t in enumerate(nodes):
+        members.setdefault(component[idx], []).append(t)
+    results = [
+        (generating_circle(spec, min(params)), len(params)) for params in members.values() if len(params) >= 2
+    ]
+    results.sort(key=lambda item: (item[0].meridian_angle, item[0].center_offset))
+    return results
+
+
+def test_passage_merge_matches_three_image_lookup(monkeypatch):
+    from chsurf import surface
+
+    monkeypatch.setattr(surface, "_axis_centered_groups", lambda spec, samples, domain: [])
+    spec = SWEEP_SPECS[2]
+    domain = spec.curve.parameter_period
+    seam = -1e-300 % domain
+    assert seam == domain  # a value of exactly domain, as % can return
+    at_seam = [
+        (0.0, 5.0),
+        (seam, 5.5),  # joins 0.0 across the wrap
+        (domain - 4e-7, 6.0),  # joins 0.0 from below the seam
+        (6e-7, 6.5),  # joins 0.0 from above it
+        (domain - 1.1e-6, 7.0),  # too far from 0.0: a node of its own
+        (1.6e-6, 7.5),  # within PARAM_DEDUP of 6e-7, which joined 0.0, but not of 0.0
+        (domain - 1.7e-6, 8.0),  # joins domain - 1.1e-6
+        (5.0 + 5e-7, 8.5),  # joins the partner node 5.0
+    ]
+    chains = [
+        # a, c, then b within PARAM_DEDUP of both and nearer c: b joins a, the earliest.
+        (2.0, 9.0),
+        (2.0 + 1.5e-6, 9.5),
+        (2.0 + 0.9e-6, 10.0),
+        # The same across the seam, with b exactly domain.
+        (8e-7, 10.5),
+        (domain - 6e-7, 11.0),
+        (seam, 11.5),
+        # a, b, then c within PARAM_DEDUP of b but not of a: b joined a, so c is new.
+        (3.0, 12.0),
+        (3.0 + 0.8e-6, 12.5),
+        (3.0 + 1.6e-6, 13.0),
+    ]
+    for crafted, multiplicities in ((at_seam, [2, 3, 6]), (chains, [2, 2, 2, 3, 3, 3])):
+        monkeypatch.setattr(surface, "_off_center_coincidences", lambda spec, samples, domain: crafted)
+        expected = _merged_circles_reference(spec, crafted, domain)
+        assert singular_circles(spec) == expected
+        assert sorted(mult for _, mult in expected) == multiplicities
+
+    monkeypatch.undo()
+    monkeypatch.setattr(surface, "_axis_centered_groups", lambda spec, samples, domain: [])
     for spec in SWEEP_SPECS:
         domain = spec.curve.parameter_period
         if spec.curve.is_odd_rose:
             domain /= 2.0
-        surface._off_center_coincidences(spec, 256, domain)
-    outcomes = []
-    for spec, t1, t2, domain, result in records:
-        expected = _polish_coincidence_reference(spec, t1, t2, domain)
-        if expected is not None:
-            # The kernel also returns the converged center, for its axis test.
-            expected = (*expected, _curve_point_center(spec, expected[0]))
-        assert result == expected, (spec, t1, t2)
-        outcomes.append(result)
-    assert any(o is None for o in outcomes) and any(o is not None for o in outcomes)
+        pairs = surface._off_center_coincidences(spec, 512, domain)
+        assert singular_circles(spec) == _merged_circles_reference(spec, pairs, domain), spec
 
 
 def test_singular_circles_empty_for_centered_circle_curve():
