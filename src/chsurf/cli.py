@@ -118,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     props = sub.add_parser("curve-props", help="order, multiplicities, and shape class")
     _add_curve_options(props)
-    props.add_argument("--format", choices=["json"], default="json")
 
     implicit = sub.add_parser("curve-implicit", help="exact implicit equation as JSON")
     _add_curve_options(implicit)
@@ -136,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_curve_options(classify_cmd)
     _add_placement_options(classify_cmd)
     classify_cmd.add_argument("--q", type=parse_q, required=True, help="squared base-point height, or p= sugar")
-    classify_cmd.add_argument("--format", choices=["json"], default="json")
     classify_cmd.add_argument(
         "--singular-circles-csv", help="also write singular circles (angle,offset,radius,multiplicity)"
     )

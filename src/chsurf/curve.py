@@ -9,8 +9,9 @@ pins the sign.  The property table (order, multiplicity at the pole,
 multiplicity at the circular points at infinity) is integer arithmetic.
 The circular-point multiplicity is also read off the implicit equation, as
 the lowest degree of its expansion at (0 : 1 : i), on Gaussian integers held
-as pairs of ints.  Floating point only enters through the polar/point
-samplers.
+as pairs of ints.  The pole cone constant T_d(-a) has a second exact route,
+a binomial closed form.  Floating point only enters through the
+polar/point samplers.
 
 All functions are pure and the spec types are frozen, so the equations are
 cached per spec.
@@ -18,7 +19,6 @@ cached per spec.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -279,16 +279,15 @@ def origin_cone_constant(spec: CurveSpec) -> Fraction:
     return Fraction(_radial_coeffs(spec.d, spec.a.numerator, r)[0][0], r**spec.d)
 
 
-def origin_cone_constant_closed(spec: CurveSpec) -> complex:
-    """Closed form ((-s-a)^d + (s-a)^d)/2 with s = sqrt(a^2-1) (complex for a < 1).
+def origin_cone_constant_closed(spec: CurveSpec) -> Fraction:
+    """T_d(-a) from the closed form ((-a + s)^d + (-a - s)^d)/2 with s^2 = a^2 - 1.
 
-    The two summands are conjugate (or both real), so the result is real up
-    to roundoff; callers may assert a tiny imaginary part.
+    Expanded by the binomial theorem the odd powers of s cancel, leaving the
+    rational sum over even k of C(d, k) (a^2 - 1)^(k/2) (-a)^(d-k).  It
+    shares nothing with the Chebyshev recurrence of ``_radial_coeffs``.
     """
-    a = float(spec.a)
-    s = cmath.sqrt(complex(a * a - 1.0))
-    d = spec.d
-    return ((-s - a) ** d + (s - a) ** d) / 2.0
+    a, d = spec.a, spec.d
+    return sum(comb(d, k) * (a * a - 1) ** (k // 2) * (-a) ** (d - k) for k in range(0, d + 1, 2))
 
 
 def tangent_cone(spec: CurveSpec) -> MultiPoly:

@@ -103,7 +103,7 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
     cos_t = np.array([math.cos(v) for v in thetas])
     sin_t = np.array([math.sin(v) for v in thetas])
-    q = float(spec.congruence.q)
+    q = spec.congruence.q_float
     axis_tol = AXIS_EPS * max(1.0, spec.extent)
     curve_at = point_function(spec.curve, spec.placement)
 

@@ -68,11 +68,6 @@ class IncidenceType:
         elif self.j is not None:
             raise ValueError(f"kind {self.kind} does not take j")
 
-    def __str__(self) -> str:
-        if self.j is None:
-            return f"Type{self.kind}"
-        return f"Type{self.kind}(j={self.j})"
-
 
 @dataclass(frozen=True)
 class SurfaceClassification:
@@ -332,40 +327,47 @@ def table_branch(curve: CurveSpec) -> str:
     return "lt" if _branch_below(curve) else "gt"
 
 
-def incidence_counts(curve: CurveSpec, incidence: IncidenceType) -> Tuple[int, int, int]:
-    """(axis_points, p1, p2) for the count-formula path."""
-    origin = curve_properties(curve).origin_multiplicity
-    j = incidence.j or 0
+def table_row(curve: CurveSpec, incidence: IncidenceType) -> Tuple[int, int, int, int]:
+    """(order, absolute conic, axis, directing points) from the closed-form table."""
+    row = CLASSIFICATION_TABLE[(incidence.kind, table_variant(curve), table_branch(curve))]
+    return row(curve.n, curve.d, incidence.j or 0)
+
+
+def count_row(curve: CurveSpec, incidence: IncidenceType) -> Tuple[int, int, int, int]:
+    """The same four numbers from the count formulas.
+
+    Raises ``ValueError`` when the incidence cannot occur on this curve.
+    """
+    props = curve_properties(curve)
+    origin, j = props.origin_multiplicity, incidence.j or 0
     if incidence.kind == 1:
-        return 0, origin, 0
-    if incidence.kind == 2:
-        return origin, 0, 0
-    if incidence.kind == 3:
-        return 0, j, 0
-    if incidence.kind == 4:
-        return j, 0, 0
-    return 0, 0, 0
+        axis_points, p1, p2 = 0, origin, 0
+    elif incidence.kind == 2:
+        axis_points, p1, p2 = origin, 0, 0
+    elif incidence.kind == 3:
+        axis_points, p1, p2 = 0, j, 0
+    elif incidence.kind == 4:
+        axis_points, p1, p2 = j, 0, 0
+    else:
+        axis_points, p1, p2 = 0, 0, 0
+    return classification_from_counts(
+        props.order, props.absolute_multiplicity, axis_points, p1, p2
+    ).numbers()
 
 
 def classify(spec: SurfaceSpec) -> SurfaceClassification:
     """Order and singular multiplicities of the surface, dual-path checked."""
     incidence = incidence_type(spec)
     curve = spec.curve
-    props = curve_properties(curve)
-    axis_points, p1, p2 = incidence_counts(curve, incidence)
-    from_counts = classification_from_counts(
-        props.order, props.absolute_multiplicity, axis_points, p1, p2
-    )
-    variant = table_variant(curve)
-    row = CLASSIFICATION_TABLE[(incidence.kind, variant, table_branch(curve))]
-    expected = row(curve.n, curve.d, incidence.j or 0)
-    if from_counts.numbers() != expected:
+    from_counts = count_row(curve, incidence)
+    expected = table_row(curve, incidence)
+    if from_counts != expected:
         raise RuntimeError(
             f"classification paths disagree for {spec}: counts give "
-            f"{from_counts.numbers()}, table row gives {expected}"
+            f"{from_counts}, table row gives {expected}"
         )
     return SurfaceClassification(
-        *expected, type_label=f"{incidence.kind}{variant}", j=incidence.j
+        *expected, type_label=f"{incidence.kind}{table_variant(curve)}", j=incidence.j
     )
 
 

@@ -30,16 +30,15 @@ from .curve import (
 )
 from .mesh import figure_preset, preset_keys
 from .surface import (
-    CLASSIFICATION_TABLE,
     IncidenceType,
-    classification_from_counts,
     classify,
+    count_row,
     curve_theta,
     generating_circle,
-    incidence_counts,
     parametric_point,
     radicand,
     table_branch,
+    table_row,
     zero_circle_parameters,
 )
 
@@ -161,26 +160,22 @@ def run_table2(max_nd: int = 9) -> Report:
             if variant == "A" and (n * d) % 2 == 0:
                 continue
             curve = CurveSpec(n, d, Fraction(0) if variant == "A" else Fraction(1, 2))
-            props = curve_properties(curve)
             branch = table_branch(curve)
             for kind in (1, 2, 3, 4, 5):
                 for j in ((1, 2) if kind in (3, 4) else (None,)):
-                    row = CLASSIFICATION_TABLE[(kind, variant, branch)]
-                    expected = row(n, d, j or 0)
+                    incidence = IncidenceType(kind, j)
+                    expected = table_row(curve, incidence)
                     if expected[0] <= 0 or expected[3] <= 0:
                         continue  # j not realizable on this curve
-                    z, p1, p2 = incidence_counts(curve, IncidenceType(kind, j))
-                    got = classification_from_counts(
-                        props.order, props.absolute_multiplicity, z, p1, p2
-                    )
+                    got = count_row(curve, incidence)
                     key = (kind, variant, branch)
-                    if got.numbers() != expected:
+                    if got != expected:
                         mismatched[key] = mismatched.get(key, 0) + 1
                         report.checks.append(
                             Check(
                                 f"type {kind}{variant} {branch} CH({n},{d}) j={j}",
                                 False,
-                                f"counts={got.numbers()} table={expected}",
+                                f"counts={got} table={expected}",
                             )
                         )
                     covered[key] = covered.get(key, 0) + 1
@@ -227,7 +222,7 @@ def max_scaled_residual(spec: CurveSpec, samples: int = 256) -> float:
     coeff_scale = np.max(np.abs(table))
 
     phis = np.arange(samples) * (spec.parameter_period / samples)
-    radii = np.cos(spec.n * phis / spec.d) + float(spec.a)
+    radii = np.cos(spec.n * phis / spec.d) + spec.a_float
     xs = radii * np.cos(phis)
     ys = radii * np.sin(phis)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -260,35 +255,21 @@ def run_residual(max_nd: int = 9, only: Optional[CurveSpec] = None) -> Report:
     return Report("residual", [check for spec in specs for check in _residual_case(spec)])
 
 
-# -- invariants: numeric identities and preset geometry --------------------------------
+# -- invariants: the cone constant and preset geometry -------------------------------
 
 
-def _cone_constant_checks(max_nd: int) -> List[Check]:
-    checks = []
-    worst = 0.0
-    for d in range(1, max_nd + 1):
-        for a in GRID_A_VALUES:
-            spec = CurveSpec(1, d, Fraction(a))
-            exact = float(origin_cone_constant(spec))
-            closed = origin_cone_constant_closed(spec)
-            scale = max(1.0, abs(exact))
-            if abs(closed.imag) > 1e-12 * scale:
-                checks.append(
-                    Check(
-                        f"cone constant d={d} a={a} imag",
-                        False,
-                        f"imag={closed.imag:.3e}",
-                    )
-                )
-            worst = max(worst, abs(exact - closed.real) / scale)
-    checks.append(
-        Check(
-            "cone constant sum vs closed form",
-            worst <= 1e-10,
-            f"max relative gap={worst:.3e} bound=1e-10",
-        )
-    )
-    return checks
+def _cone_constant_check(max_nd: int) -> Check:
+    """T_d(-a) by the Chebyshev recurrence and by the binomial closed form, exactly."""
+    pairs = [(d, a) for d in range(1, max_nd + 1) for a in GRID_A_VALUES]
+    differ = []
+    for d, a in pairs:
+        spec = CurveSpec(1, d, Fraction(a))
+        if origin_cone_constant(spec) != origin_cone_constant_closed(spec):
+            differ.append(f"({d}, {a})")
+    measured = f"{len(pairs) - len(differ)} of {len(pairs)} (d, a) equal"
+    if differ:
+        measured += f"; differ at {', '.join(differ)}"
+    return Check("cone constant sum vs closed form", not differ, measured)
 
 
 def _sample_parameters(spec, count: int) -> List[float]:
@@ -310,7 +291,7 @@ def _sample_parameters(spec, count: int) -> List[float]:
 def _preset_geometry_checks(key: str, count: int = 64) -> List[Check]:
     preset = figure_preset(key)
     spec = preset.spec
-    q = float(spec.congruence.q)
+    q = spec.congruence.q_float
     scale = max(1.0, spec.extent)
     params = _sample_parameters(spec, count)
     checks = []
@@ -417,7 +398,7 @@ def _preset_geometry_checks(key: str, count: int = 64) -> List[Check]:
 
 def run_invariants(max_nd: int = 9) -> Report:
     report = Report("invariants")
-    report.checks.extend(_cone_constant_checks(max_nd))
+    report.checks.append(_cone_constant_check(max_nd))
     for key in preset_keys():
         report.checks.extend(_preset_geometry_checks(key))
         try:

@@ -291,6 +291,23 @@ def test_tol_option_removed_exit_2():
     assert "--tol" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curve-props", "--n", "3", "--d", "1"),
+        ("surface-classify", "--n", "3", "--d", "1", "--q", "0"),
+    ],
+)
+def test_format_option_removed_exit_2(argv):
+    # Both commands print JSON only, so --format had one value and is gone.
+    code, _, err = invoke(*argv, "--format", "json")
+    assert code == 2
+    assert "--format" in err
+    code, out, _ = invoke(argv[0], "--help")
+    assert code == 0
+    assert "--format" not in out
+
+
 @pytest.mark.parametrize("option", [("--seed", "1"), ("--jobs", "2")])
 def test_verify_removed_options_exit_2(option):
     # verify runs in one process and draws nothing, so neither option exists.
@@ -449,13 +466,13 @@ def test_unwritable_output_path_exit_1(tmp_path, argv, option):
 _LOADED_PROBE = """
 import io, json, sys
 {setup}
-others = ("numpy", "concurrent", "concurrent.futures")
+others = ("numpy", "concurrent", "concurrent.futures", "cmath")
 print(json.dumps([code, [m for m in sys.modules if m.split(".")[0] == "chsurf" or m in others]]))
 """
 
 
 def loaded_modules(setup, *argv):
-    """Exit code and the chsurf, numpy and concurrent modules a fresh process loaded."""
+    """Exit code and the chsurf, numpy, concurrent and cmath modules a fresh process loaded."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(

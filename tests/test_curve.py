@@ -244,10 +244,8 @@ def test_cone_constant_examples():
 
 
 def test_cone_constant_closed_examples():
-    assert origin_cone_constant_closed(spec(1, 4, 1)) == pytest.approx(1.0)
-    value = origin_cone_constant_closed(spec(1, 2, 0))
-    assert value.real == pytest.approx(-1.0)
-    assert abs(value.imag) <= 1e-12
+    assert origin_cone_constant_closed(spec(1, 4, 1)) == Fraction(1)
+    assert origin_cone_constant_closed(spec(1, 2, 0)) == Fraction(-1)
 
 
 def test_cone_constant_chebyshev_oracle():

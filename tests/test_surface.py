@@ -16,22 +16,22 @@ from chsurf.congruence import (
     circle_key_close,
     circle_through,
 )
-from chsurf.curve import CurveSpec, Placement, curve_point, curve_properties, polar_radius
+from chsurf.curve import CurveSpec, Placement, curve_point, polar_radius
 from chsurf.mesh import figure_preset, preset_keys
 from chsurf.surface import (
-    CLASSIFICATION_TABLE,
     IncidenceType,
     SurfaceSpec,
     classification_from_counts,
     classify,
+    count_row,
     curve_theta,
     generating_circle,
-    incidence_counts,
     incidence_type,
     parametric_point,
     radicand,
     singular_circles,
     table_branch,
+    table_row,
     table_variant,
     zero_circle_intersections,
     zero_circle_parameters,
@@ -350,26 +350,18 @@ def test_dual_path_agreement_over_grid():
             if variant == "A" and (n * d) % 2 == 0:
                 continue
             curve = CurveSpec(n, d, Fraction(0 if variant == "A" else 1, 2))
-            props = curve_properties(curve)
             assert table_variant(curve) == variant
             branch = table_branch(curve)
             for kind in (1, 2, 3, 4, 5):
                 for j in ((1, 2) if kind in (3, 4) else (None,)):
                     incidence = IncidenceType(kind, j)
-                    z, p1, p2 = incidence_counts(curve, incidence)
-                    row = CLASSIFICATION_TABLE[(kind, variant, branch)]
-                    expected = row(n, d, j or 0)
+                    expected = table_row(curve, incidence)
                     if expected[0] <= 0 or expected[3] <= 0:
                         # Unrealizable j for this (n, d): both paths degenerate.
                         with pytest.raises(ValueError):
-                            classification_from_counts(
-                                props.order, props.absolute_multiplicity, z, p1, p2
-                            )
+                            count_row(curve, incidence)
                         continue
-                    got = classification_from_counts(
-                        props.order, props.absolute_multiplicity, z, p1, p2
-                    )
-                    assert got.numbers() == expected, (n, d, variant, kind, j)
+                    assert count_row(curve, incidence) == expected, (n, d, variant, kind, j)
                     checked.add((kind, variant, branch))
     assert len(checked) == 20
 

@@ -48,6 +48,15 @@ def test_invariants_report_disagreement_per_preset(monkeypatch):
 
 
 
+def test_cone_constant_off_by_one_fails_and_names_its_pair(monkeypatch):
+    exact = verify.origin_cone_constant
+    target = curve.CurveSpec(1, 4, Fraction(1, 2))
+    monkeypatch.setattr(verify, "origin_cone_constant", lambda s: exact(s) + (s == target))
+    [row] = [c for c in run_invariants().checks if c.name == "cone constant sum vs closed form"]
+    assert not row.passed
+    assert row.measured == "44 of 45 (d, a) equal; differ at (4, 1/2)"
+
+
 def test_wrong_absolute_multiplicity_fails_its_spec(monkeypatch):
     target = grid_specs(2)[12]
     exact = verify.absolute_point_multiplicity
