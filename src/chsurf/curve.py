@@ -8,10 +8,15 @@ an integer ``MultiPoly``, whose ``primitive()`` divides out the content and
 pins the sign.  The property table (order, multiplicity at the pole,
 multiplicity at the circular points at infinity) is integer arithmetic.
 The circular-point multiplicity is also read off the implicit equation, as
-the lowest degree of its expansion at (0 : 1 : i), on Gaussian integers held
-as pairs of ints.  The pole cone constant T_d(-a) has a second exact route,
-a binomial closed form.  Floating point only enters through the
-polar/point samplers.
+the lowest degree of its expansion at (0 : 1 : i).  That expansion is never
+formed: its coefficients of u^s v^k are the Taylor coefficients at t = i of
+one real polynomial g_s(t) per shift s, so the lowest k with a nonzero one is
+the multiplicity of the root i of g_s.  g_s is real, so that is how often
+t^2 + 1 divides g_s exactly, counted by integer division.  The implicit
+body and the tangent cone are squares of integer term maps, taken by
+symmetry (c^2 per term, 2 c_i c_j per pair).  The pole cone constant
+T_d(-a) has a second exact route, a binomial closed form.  Floating point
+only enters through the polar/point samplers.
 
 All functions are pure and the spec types are frozen, so the equations are
 cached per spec.
@@ -233,13 +238,19 @@ def _sub(p: dict, q: dict) -> dict:
     return difference
 
 
-def _mul(p: dict, q: dict) -> dict:
-    product = {}
-    for (i, j), c in p.items():
-        for (k, l), e in q.items():
+def _square(p: dict) -> dict:
+    """p^2, as c^2 per term plus 2 c_i c_j per pair i < j of terms."""
+    items = list(p.items())
+    square = {}
+    get = square.get
+    for index, ((i, j), c) in enumerate(items):
+        key = (2 * i, 2 * j)
+        square[key] = get(key, 0) + c * c
+        twice = 2 * c
+        for (k, l), e in items[index + 1 :]:
             key = (i + k, j + l)
-            product[key] = product.get(key, 0) + c * e
-    return product
+            square[key] = get(key, 0) + twice * e
+    return square
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +271,7 @@ def implicit_equation(spec: CurveSpec) -> MultiPoly:
     for k, c in enumerate(radical):
         for l, e in enumerate(radical):
             square[k + l] += c * e
-    terms = _sub(_mul(body, body), _w_power_poly(square, n + 1 - n % 2))
+    terms = _sub(_square(body), _w_power_poly(square, n + 1 - n % 2))
     return MultiPoly(XY, terms).primitive()
 
 
@@ -304,16 +315,31 @@ def tangent_cone(spec: CurveSpec) -> MultiPoly:
     s_terms = _cos_multiple_angle(n, constant.denominator)
     if n % 2 == 0:
         body = _sub(s_terms, _w_power_poly([constant.numerator], n // 2))
-        return MultiPoly(XY, _mul(body, body)).primitive()
-    terms = _sub(_w_power_poly([constant.numerator**2], n), _mul(s_terms, s_terms))
+        return MultiPoly(XY, _square(body)).primitive()
+    terms = _sub(_w_power_poly([constant.numerator**2], n), _square(s_terms))
     return MultiPoly(XY, terms).primitive()
 
 
 # -- multiplicity at the circular points at infinity ------------------------------
 
 
-# Powers of i as (re, im) pairs, indexed by the exponent mod 4.
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+def _t2_plus_1_multiplicity(coeffs: List[int], limit: int) -> int:
+    """How often t^2 + 1 divides sum coeffs[b] t^b exactly, counted up to ``limit``.
+
+    ``coeffs`` is dense with a nonzero last entry.  Each step divides by the
+    monic t^2 + 1 from the top, so the quotient stays integral, and stops at
+    the first nonzero remainder.
+    """
+    count = 0
+    while count < limit and len(coeffs) > 2:
+        quotient = coeffs[2:] + [0, 0]
+        for b in range(len(quotient) - 3, 1, -1):
+            quotient[b - 2] -= quotient[b]
+        if quotient[0] != coeffs[0] or quotient[1] != coeffs[1]:
+            break
+        coeffs = quotient[:-2]
+        count += 1
+    return count
 
 
 def absolute_point_multiplicity(spec: CurveSpec) -> int:
@@ -326,31 +352,31 @@ def absolute_point_multiplicity(spec: CurveSpec) -> int:
     nonzero S_(s,k).  The equation is real, so the conjugate point
     (0 : 1 : -i) has the same multiplicity.
 
-    Each S_(s,k) is a Gaussian integer held as an (re, im) pair of ints.
-    The search runs from the lowest total degree up and stops at the first
-    nonzero coefficient.
+    S_(s,k) is read without expanding it.  With g_s(t) = sum c_ab t^b over
+    the shift-s terms, S_(s,k) is the k-th Taylor coefficient of g_s at
+    t = i, so the lowest k with S_(s,k) != 0 is the multiplicity of the
+    root t = i of g_s.  g_s is real, so -i is a root of the same
+    multiplicity, and that is how often t^2 + 1 divides g_s exactly.  The
+    shifts run from the lowest up, and each count stops once s + k reaches
+    the lowest total degree found so far.
     """
     implicit = implicit_equation(spec)
     degree = implicit.total_degree
-    by_shift: Dict[int, List[Tuple[int, int]]] = {}
+    by_shift: Dict[int, Dict[int, int]] = {}
     for (a, b), coeff in implicit.terms.items():
-        by_shift.setdefault(degree - a - b, []).append((b, coeff.re))  # the equation is real
-    for order in range(degree + 1):
-        for shift, terms in by_shift.items():
-            k = order - shift  # u^shift v^k, with v^k taken from (i + v)^b
-            if k < 0:
-                continue
-            re = im = 0
-            for b, c in terms:
-                if k > b:
-                    continue
-                value = c * comb(b, k)
-                unit_re, unit_im = _I_POWERS[(b - k) % 4]
-                re += unit_re * value
-                im += unit_im * value
-            if re or im:
-                return order
-    raise RuntimeError("the implicit equation is zero")
+        by_shift.setdefault(degree - a - b, {})[b] = coeff.re  # the equation is real
+    if not by_shift:
+        raise RuntimeError("the implicit equation is zero")
+    best = degree + 1
+    for shift in sorted(by_shift):
+        if shift >= best:
+            break
+        terms = by_shift[shift]
+        coeffs = [0] * (max(terms) + 1)
+        for b, c in terms.items():
+            coeffs[b] = c
+        best = min(best, shift + _t2_plus_1_multiplicity(coeffs, best - shift))
+    return best
 
 
 def verified_absolute_multiplicity(spec: CurveSpec, seed: Optional[int] = None) -> int:

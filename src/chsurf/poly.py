@@ -3,7 +3,11 @@
 Every polynomial the program builds is a primitive integer polynomial: the
 implicit equation, its projective form, its lowest form and the pole tangent
 cone.  ``curve`` builds them on plain integer term maps and wraps each here
-once.  A coefficient is a :class:`GaussianRational` record of two ints, so
+once.  The public constructor validates every term it is given; the
+derivations (``primitive``, ``lowest_form``, ``rename_variables`` and
+``homogenize``) only divide, filter or re-key terms that passed it, so they
+build their results through ``MultiPoly._valid`` and validate nothing
+again.  A coefficient is a :class:`GaussianRational` record of two ints, so
 that the JSON form carries a real and an imaginary part; the imaginary part
 is zero in practice.  Exponent vectors are dense tuples (arity here is 2 or
 3) and term maps are sparse.
@@ -17,7 +21,9 @@ equal polynomials produce byte-identical JSON.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
+from operator import index
 from typing import Mapping, NamedTuple, Sequence, Union
 
 
@@ -55,7 +61,10 @@ class MultiPoly:
         clean = {}
         arity = len(self.variables)
         for exponents, coeff in dict(terms).items():
-            exponents = tuple(int(e) for e in exponents)
+            try:
+                exponents = tuple(map(index, exponents))
+            except TypeError:
+                raise ValueError(f"exponent tuple {exponents} has a non-integer entry") from None
             if len(exponents) != arity:
                 raise ValueError(f"exponent tuple {exponents} does not match arity {arity}")
             if any(e < 0 for e in exponents):
@@ -68,6 +77,20 @@ class MultiPoly:
                 clean[exponents] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "total_degree", max((sum(e) for e in clean), default=-1))
+
+    @classmethod
+    def _valid(cls, variables: tuple, terms: dict, total_degree: int) -> "MultiPoly":
+        """Wrap terms that already passed the constructor's checks, unchanged.
+
+        ``terms`` maps int tuples of the right arity to nonzero
+        ``GaussianRational`` coefficients, and ``total_degree`` is their
+        largest degree; the caller guarantees both.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "total_degree", total_degree)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -88,7 +111,7 @@ class MultiPoly:
         new_names = tuple(new_names)
         if len(new_names) != len(self.variables):
             raise ValueError("variable count mismatch")
-        return MultiPoly(new_names, self.terms)
+        return MultiPoly._valid(new_names, self.terms, self.total_degree)
 
     def homogenize(self, new_var: str) -> "MultiPoly":
         """Prepend ``new_var`` and pad every term up to the total degree."""
@@ -100,14 +123,16 @@ class MultiPoly:
         terms = {}
         for exps, coeff in self.terms.items():
             terms[(degree - sum(exps),) + exps] = coeff
-        return MultiPoly((new_var,) + self.variables, terms)
+        return MultiPoly._valid((new_var,) + self.variables, terms, degree)
 
     def lowest_form(self) -> "MultiPoly":
         """Sum of all terms of minimal total degree (always homogeneous)."""
         if self.is_zero():
             raise ValueError("zero polynomial has no lowest form")
-        low = min(sum(e) for e in self.terms)
-        return MultiPoly(self.variables, {e: c for e, c in self.terms.items() if sum(e) == low})
+        low = min(map(sum, self.terms))
+        return MultiPoly._valid(
+            self.variables, {e: c for e, c in self.terms.items() if sum(e) == low}, low
+        )
 
     def primitive(self) -> "MultiPoly":
         """Divide out the integer content and normalize the sign.
@@ -119,13 +144,14 @@ class MultiPoly:
         """
         if self.is_zero():
             return self
-        content = gcd(*(part for coeff in self.terms.values() for part in coeff))
+        content = gcd(*chain.from_iterable(self.terms.values()))
         lead = self.terms[max(self.terms, key=_grlex_key)]
         if lead.re < 0 or (not lead.re and lead.im < 0):
             content = -content
-        return MultiPoly(
+        return MultiPoly._valid(
             self.variables,
             {e: GaussianRational(c.re // content, c.im // content) for e, c in self.terms.items()},
+            self.total_degree,
         )
 
     def to_dict(self) -> dict:

@@ -206,8 +206,11 @@ def max_scaled_residual(spec: CurveSpec, samples: int = 256) -> float:
     The coefficients of the (real) implicit equation fill a dense float table
     ``C[ex, ey]`` with a column for every y exponent up to the degree, and
     ``P`` is evaluated at all samples at once by Horner's rule: in y for
-    every x power, then in x.  Each sample's value is divided by the largest
-    coefficient times ``max(1, |r|)^degree``.
+    every x power, then in x.  Only the triangle ``ex + ey <= degree`` holds
+    terms, so the y step for ``ey`` runs on the rows ``ex <= degree - ey``;
+    every other row still holds the exact +0.0 that the full rectangle
+    would leave there, so the values are the same bits.  Each sample's value
+    is divided by the largest coefficient times ``max(1, |r|)^degree``.
 
     Raises ``OverflowError`` when a coefficient, a sample or the value does
     not fit a float64, so no residual can be computed.
@@ -228,8 +231,9 @@ def max_scaled_residual(spec: CurveSpec, samples: int = 256) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         inner = np.zeros((degree + 1, samples))
         for ey in range(degree, -1, -1):
-            inner *= ys
-            inner += table[:, ey, None]
+            rows = inner[: degree + 1 - ey]  # a view: rows ex <= degree - ey
+            rows *= ys
+            rows += table[: degree + 1 - ey, ey, None]
         values = np.zeros(samples)
         for ex in range(degree, -1, -1):
             values *= xs

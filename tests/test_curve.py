@@ -1,11 +1,15 @@
 """Tests for curve construction, implicitization, and singularity data."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
+from chsurf import curve
 from chsurf.curve import (
     CurveSpec,
     Placement,
@@ -30,6 +34,16 @@ XY = ("x", "y")
 
 def spec(n, d, a="0"):
     return CurveSpec(n, d, Fraction(a))
+
+
+# Denominators 3, 5, 7 and 8 and offsets past 1 that the grid does not use.
+OFF_GRID_SPECS = [
+    spec(n, d, a)
+    for n in range(1, 8)
+    for d in range(1, 8)
+    if math.gcd(n, d) == 1
+    for a in ("2/3", "7/5", "3/7", "9/2", "13/8")
+]
 
 
 # -- spec validation -----------------------------------------------------------
@@ -192,6 +206,21 @@ def test_implicit_vanishes_exactly_off_the_grid(n, d, a):
     real, imaginary = _substituted_parametrization(s)
     assert not any(real.values()) and not any(imaginary.values())
     assert tangent_cone(s) == implicit.lowest_form().primitive()
+
+
+def test_off_grid_implicit_and_cone_bytes_are_pinned():
+    # sha256 over the compact JSON lines of the 175 off-grid specs, in order,
+    # recorded before the implicit body and the cone were squared by symmetry.
+    def line(p):
+        return (json.dumps(p.to_dict(), separators=(",", ":")) + "\n").encode()
+
+    implicit, cone = hashlib.sha256(), hashlib.sha256()
+    for s in OFF_GRID_SPECS:
+        implicit.update(line(implicit_equation(s)))
+        cone.update(line(tangent_cone(s)))
+    assert len(OFF_GRID_SPECS) == 175
+    assert implicit.hexdigest() == "c7fc688afca04c3a70ed55790a0fc78a6fff47532781ea708646ac5d2810e435"
+    assert cone.hexdigest() == "1528e7301da9cf133180865a3043c0f5adfffd9482025e9a276fc8db9f0ba7aa"
 
 
 def test_grid_coefficients_are_integers():
@@ -382,6 +411,69 @@ def test_absolute_multiplicity_matches_per_term_sum_over_grid():
     slopes = [Fraction(p) for p in (-9, -1, 1, 2, 7)]
     slopes += [Fraction(p, q) for p, q in ((-7, 9), (-3, 2), (2, 9), (5, 4), (8, 3), (9, 7))]
     _check_line_reference(_absolute_multiplicity_per_term, slopes)
+
+
+def _absolute_multiplicity_gaussian_scan(s):
+    """Every S(s,k) = sum c_ab C(b, k) i^(b-k) by total degree, on Gaussian ints.
+
+    The expansion at (0 : 1 : i) read term by term, as the program did before
+    it counted divisions by t^2 + 1.
+    """
+    implicit = implicit_equation(s)
+    degree = implicit.total_degree
+    i_powers = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    by_shift = {}
+    for (a, b), coeff in implicit.terms.items():
+        by_shift.setdefault(degree - a - b, []).append((b, coeff.re))
+    for order in range(degree + 1):
+        for shift, terms in by_shift.items():
+            k = order - shift
+            if k < 0:
+                continue
+            re = im = 0
+            for b, c in terms:
+                if k > b:
+                    continue
+                value = c * math.comb(b, k)
+                unit_re, unit_im = i_powers[(b - k) % 4]
+                re += unit_re * value
+                im += unit_im * value
+            if re or im:
+                return order
+    raise RuntimeError("the implicit equation is zero")
+
+
+def test_absolute_multiplicity_division_matches_gaussian_scan():
+    for s in grid_specs() + OFF_GRID_SPECS:
+        assert absolute_point_multiplicity(s) == _absolute_multiplicity_gaussian_scan(s), s
+
+
+def _times_t2_plus_1(coeffs):
+    padded = coeffs + [0, 0]
+    return [c + (padded[b - 2] if b >= 2 else 0) for b, c in enumerate(padded)]
+
+
+def _value_at_i_is_nonzero(coeffs):
+    re = sum(c * (-1) ** (b // 2) for b, c in enumerate(coeffs) if b % 2 == 0)
+    im = sum(c * (-1) ** (b // 2) for b, c in enumerate(coeffs) if b % 2 == 1)
+    return bool(re or im)
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(
+        lambda h: h[-1] != 0 and _value_at_i_is_nonzero(h)
+    ),
+    st.integers(0, 4),
+    st.integers(0, 6),
+)
+def test_t2_plus_1_multiplicity_counts_exact_divisions(h, power, limit):
+    # (t^2 + 1)^power h(t) with h(i) != 0, odd powers of t included: the
+    # implicit equations have only even powers of y, so the grid never
+    # exercises the odd part of the remainder.
+    coeffs = h
+    for _ in range(power):
+        coeffs = _times_t2_plus_1(coeffs)
+    assert curve._t2_plus_1_multiplicity(coeffs, limit) == min(power, limit)
 
 
 def test_verified_absolute_multiplicity_agrees_with_table():

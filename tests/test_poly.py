@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -43,6 +44,19 @@ def test_gaussian_basics():
 def test_non_integer_coefficient_rejected(coeff):
     with pytest.raises(ValueError):
         poly({(1, 0): coeff})
+
+
+@pytest.mark.parametrize("exponent", [2.7, 2.0, Fraction(2)])
+def test_non_integer_exponent_rejected(exponent):
+    with pytest.raises(ValueError):
+        poly({(exponent, 0): 1})
+
+
+def test_numpy_integer_exponent_accepted():
+    p = poly({(np.int64(2), np.uint8(1)): 3})
+    assert p == poly({(2, 1): 3})
+    assert all(type(e) is int for exps in p.terms for e in exps)
+    assert p.total_degree == 3
 
 
 # -- homogenization and forms ---------------------------------------------------
@@ -153,3 +167,19 @@ def test_lowest_form_degree(p):
     assert low.total_degree <= p.total_degree
     if low.total_degree == p.total_degree:
         assert len(term_degrees(p)) == 1
+
+
+def _rebuilt(p):
+    """``p`` through the validating constructor, from its own terms."""
+    return MultiPoly(p.variables, p.terms)
+
+
+@given(polys)
+def test_derivations_equal_their_validated_rebuild(p):
+    derived = [p.primitive(), p.rename_variables(("u", "v"))]
+    if not p.is_zero():
+        derived += [p.lowest_form(), p.homogenize("x0"), p.lowest_form().primitive()]
+    for q in derived:
+        rebuilt = _rebuilt(q)
+        assert q == rebuilt
+        assert q.total_degree == rebuilt.total_degree

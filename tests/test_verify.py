@@ -1,8 +1,10 @@
 """Tests that the verification suites report a broken table row as FAIL checks."""
 
 import io
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chsurf import curve, verify
@@ -10,7 +12,7 @@ from chsurf.cli import run
 from chsurf.mesh import figure_preset, preset_keys
 from chsurf.poly import MultiPoly
 from chsurf.surface import CLASSIFICATION_TABLE, incidence_type, table_branch, table_variant
-from chsurf.verify import grid_specs, run_invariants, run_suite, run_table2
+from chsurf.verify import grid_specs, max_scaled_residual, run_invariants, run_suite, run_table2
 
 
 def wrong_row(n, d, j):
@@ -107,3 +109,44 @@ def test_residual_detects_a_wrong_equation(monkeypatch, edit, passed):
     [check] = run_suite("residual", only=spec).checks
     assert check.name == "CH(3,1,1/2) residual"
     assert check.passed is passed, check.measured
+
+
+def _residual_full_rectangle(spec, samples=256):
+    """The residual with the y step of Horner's rule on every row of ``C``.
+
+    The program skips the rows ``ex > degree - ey``, which hold no term yet;
+    this keeps them, so both must give the same bits.
+    """
+    implicit = curve.implicit_equation(spec)
+    degree = implicit.total_degree
+    table = np.zeros((degree + 1, degree + 1))
+    for (ex, ey), coeff in implicit.terms.items():
+        table[ex, ey] = coeff.re
+    coeff_scale = np.max(np.abs(table))
+    phis = np.arange(samples) * (spec.parameter_period / samples)
+    radii = np.cos(spec.n * phis / spec.d) + spec.a_float
+    xs = radii * np.cos(phis)
+    ys = radii * np.sin(phis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = np.zeros((degree + 1, samples))
+        for ey in range(degree, -1, -1):
+            inner *= ys
+            inner += table[:, ey, None]
+        values = np.zeros(samples)
+        for ex in range(degree, -1, -1):
+            values *= xs
+            values += inner[ex]
+        scales = coeff_scale * np.maximum(1.0, np.abs(radii)) ** degree
+        worst = float(np.max(np.abs(values) / scales))
+    if not math.isfinite(worst):
+        raise OverflowError("a power of a sample overflows float64")
+    return worst
+
+
+def test_residual_triangle_matches_full_rectangle():
+    for spec in grid_specs():
+        assert max_scaled_residual(spec) == _residual_full_rectangle(spec), spec
+    huge = curve.CurveSpec(1, 1, Fraction("1e100"))
+    for residual in (max_scaled_residual, _residual_full_rectangle):
+        with pytest.raises(OverflowError):
+            residual(huge)
