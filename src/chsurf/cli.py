@@ -84,13 +84,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_q(text: str) -> Fraction:
-    """q directly, or p= sugar squared (p=i and p=<rat>i give negative q)."""
+    """q directly, or p= sugar squared (p=i, p=-i and p=<rat>i give negative q)."""
     if text.startswith("p="):
         body = text[2:].strip()
-        if body in ("i", "1i"):
-            return Fraction(-1)
         if body.endswith("i"):
-            return -parse_rational(body[:-1]) ** 2
+            coefficient = body[:-1]
+            if coefficient in ("", "+", "-"):
+                coefficient += "1"  # a bare sign before i stands for 1
+            return -parse_rational(coefficient) ** 2
         return parse_rational(body) ** 2
     return parse_rational(text)
 
@@ -159,7 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = sub.add_parser("verify", help="run a verification suite")
     verify_cmd.add_argument("suite", choices=list(VERIFY_SUITES))
-    verify_cmd.add_argument("--max-nd", type=int, help="grid bound for n and d (default 9)")
     verify_cmd.add_argument("--format", choices=["text", "json"], default="text")
     verify_cmd.add_argument("--n", type=int, help="restrict the residual suite to one curve")
     verify_cmd.add_argument("--d", type=int)
@@ -290,16 +290,8 @@ def _cmd_figure(args, out, err) -> int:
 
 def _cmd_verify(args, out, err) -> int:
     from .curve import CurveSpec
-    from .verify import TABLE2_MIN_ND, run_suite
+    from .verify import run_suite
 
-    max_nd = 9 if args.max_nd is None else args.max_nd
-    if max_nd < 1:
-        raise ValueError("--max-nd must be at least 1")
-    if args.suite in ("table2", "all") and max_nd < TABLE2_MIN_ND:
-        raise ValueError(
-            f"--max-nd must be at least {TABLE2_MIN_ND} for {args.suite}: "
-            "a smaller grid cannot reach every classification row"
-        )
     only = None
     if (args.n, args.d, args.a) != (None, None, None):
         if args.suite not in ("residual", "all"):
@@ -308,10 +300,8 @@ def _cmd_verify(args, out, err) -> int:
             )
         if args.n is None or args.d is None:
             raise ValueError("--n and --d must be given together, and --a needs both")
-        if args.suite == "residual" and args.max_nd is not None:
-            raise ValueError("--max-nd bounds the grid; residual with --n and --d checks one curve")
         only = CurveSpec(args.n, args.d, args.a if args.a is not None else Fraction(0))
-    report = run_suite(args.suite, max_nd=max_nd, only=only)
+    report = run_suite(args.suite, only=only)
     if args.format == "json":
         _emit(out, _json_line(report.to_dict()))
     else:

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .poly import MultiPoly
 
@@ -129,44 +129,14 @@ def curve_point(
 ) -> Tuple[float, float, float]:
     """Point of the placed curve in 3-space at parameter phi.
 
-    :func:`point_function` repeats this formula for repeated evaluation.
+    The singular-circle scan repeats these operations inline, in the same
+    order, in three inner loops of ``surface``: ``surface.singular_circles``
+    lists them, and each copy's docstring names the test that pins it.  Keep
+    the formulas in step.
     """
     r = polar_radius(spec, phi)
     cx, cy, z = placement.pole_float
     return (cx + r * math.cos(phi), cy + r * math.sin(phi), z)
-
-
-def point_function(
-    spec: CurveSpec, placement: Placement
-) -> Callable[[float], Tuple[float, float, float]]:
-    """:func:`curve_point` for one placed curve, as a function of phi.
-
-    The returned function repeats ``curve_point``'s operations in the same
-    order, so its points are bit-identical to that one's.  Three more copies
-    compute the point inline, with the same operations, to skip the call
-    and the tuple:
-
-    - ``surface._center_function``, the sampled center trace;
-    - ``surface._polish_coincidence``, the Newton step of the singular-circle
-      scan;
-    - ``surface._gap_function``, the sphere and waist gaps of the root
-      finders.
-
-    In ``tests/test_surface.py``, ``test_float_once_evaluators_match_curve_point``
-    pins this function and the center trace to ``curve_point``,
-    ``test_polish_matches_reference_on_sweep_starts`` the Newton step and
-    ``test_root_finders_match_curve_point_reference`` the gaps.  Keep the
-    formulas in step.
-    """
-    n, d = spec.n, spec.d
-    a = spec.a_float
-    cx, cy, z = placement.pole_float
-
-    def point(phi: float) -> Tuple[float, float, float]:
-        r = math.cos(n * phi / d) + a
-        return (cx + r * math.cos(phi), cy + r * math.sin(phi), z)
-
-    return point
 
 
 def _branch_below(spec: CurveSpec) -> bool:

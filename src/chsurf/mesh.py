@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Any, BinaryIO, Dict, List, Sequence
 
 from .congruence import CongruenceSpec
-from .curve import CurveSpec, Placement, point_function
+from .curve import CurveSpec, Placement, curve_point
 from .surface import AXIS_EPS, SurfaceSpec, _radicand_at
 
 ZERO_AREA_EPS = 1e-14
@@ -104,8 +104,7 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     cos_t = np.array([math.cos(v) for v in thetas])
     sin_t = np.array([math.sin(v) for v in thetas])
     q = spec.congruence.q_float
-    axis_tol = AXIS_EPS * max(1.0, spec.extent)
-    curve_at = point_function(spec.curve, spec.placement)
+    axis_tol = AXIS_EPS * spec.extent
 
     mesh = Mesh(ntheta=ntheta)
     rings = []  # (vertex_start, x, y, root, norm_sq, half_inv, z_scale) per FULL row
@@ -113,7 +112,7 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     count = 0
     for i in range(nt):
         t = period * i / nt
-        point = curve_at(t)
+        point = curve_point(spec.curve, spec.placement, t)
         x, y, z = point
         rho_sq = x * x + y * y
         rho = math.sqrt(rho_sq)

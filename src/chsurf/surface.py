@@ -29,7 +29,6 @@ from .curve import (
     _branch_below,
     curve_point,
     curve_properties,
-    point_function,
 )
 
 AXIS_EPS = 1e-9
@@ -47,7 +46,11 @@ class SurfaceSpec:
 
     @cached_property
     def extent(self) -> float:
-        """Coarse bound on coordinates: pole offset plus peak radius."""
+        """Coarse bound on coordinates: pole offset plus peak radius.
+
+        Every term is non-negative, so it is at least 1.0 and scales a
+        tolerance as it is.
+        """
         cx, cy, height = self.placement.pole_float
         return 1.0 + self.curve.a_float + math.hypot(cx, cy) + abs(height)
 
@@ -129,7 +132,7 @@ def parametric_point(spec: SurfaceSpec, t: float, theta: float) -> Tuple[float, 
     x, y, z = curve_point(spec.curve, spec.placement, t)
     rho_sq = x * x + y * y
     rho = math.sqrt(rho_sq)
-    if rho <= AXIS_EPS * max(1.0, spec.extent):
+    if rho <= AXIS_EPS * spec.extent:
         raise ValueError(f"curve point at t={t} lies on the z axis")
     q = spec.congruence.q_float
     norm_sq = rho_sq + z * z
@@ -466,7 +469,7 @@ def _gap_function(spec: SurfaceSpec, lift: float, shift: float) -> Callable[[flo
     ``|p|^2 = q`` (subtracting q and adding -q are one IEEE operation); with
     ``lift = 0.0`` and ``shift = q`` it is the gap to the waist circle
     ``x^2 + y^2 = -q`` (adding 0.0 to a sum of squares changes no bit).  The
-    point is computed inline with :func:`curve.point_function`'s operations,
+    point is computed inline with :func:`curve.curve_point`'s operations,
     so no point tuple is built; ``test_root_finders_match_curve_point_reference``
     pins the roots.
     """
@@ -489,12 +492,12 @@ def _center_constants(spec: SurfaceSpec) -> tuple:
     """Floats of the center trace: (n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, scale).
 
     Gathered once per query for :func:`_center_function` and
-    :func:`_polish_coincidence`; ``scale`` is ``max(1, extent)``.
+    :func:`_polish_coincidence`; ``scale`` is the extent, at least 1.
     """
     n, d, a, cx, cy = _plane_constants(spec)
     z = spec.placement.pole_float[2]
     q = spec.congruence.q_float
-    scale = max(1.0, spec.extent)
+    scale = spec.extent
     try:
         waist_bound = RADICAND_EPS * scale ** 2
     except OverflowError:
@@ -508,7 +511,7 @@ def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[floa
     Away from the axis, two parameters share a generating circle exactly
     when these centers coincide at a nonzero point, so off-center singular
     circles are self-intersections of this planar trace.  The curve point is
-    computed inline with :func:`curve.point_function`'s operations in the
+    computed inline with :func:`curve.curve_point`'s operations in the
     same order, so the centers are bit-identical to ones built on
     ``curve_point`` (``test_float_once_evaluators_match_curve_point``).
     The center formula has four more inline copies, all in
@@ -747,11 +750,10 @@ def _axis_centered_groups(spec: SurfaceSpec, samples: int, domain: float) -> Lis
         return []
     z = spec.placement.pole_float[2]
     roots = _periodic_roots(_gap_function(spec, z * z, -q), domain, max(4 * samples, 2048))
-    point = point_function(spec.curve, spec.placement)
-    axis_bound = AXIS_EPS * max(1.0, spec.extent)
+    axis_bound = AXIS_EPS * spec.extent
     planed = []
     for t in roots:
-        x, y, _ = point(t)
+        x, y, _ = curve_point(spec.curve, spec.placement, t)
         if math.hypot(x, y) <= axis_bound:
             continue
         planed.append((math.atan2(y, x) % math.pi, t))
@@ -899,7 +901,7 @@ def zero_circle_intersections(
     """
     params = zero_circle_parameters(spec, grid)
     points: List[Tuple[float, float, float]] = []
-    scale = max(1.0, spec.extent)
+    scale = spec.extent
     for t in params:
         candidate = curve_point(spec.curve, spec.placement, t)
         if all(

@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .congruence import circle_key_close, circle_through
@@ -30,6 +29,7 @@ from .curve import (
 )
 from .mesh import figure_preset, preset_keys
 from .surface import (
+    AXIS_EPS,
     IncidenceType,
     classify,
     count_row,
@@ -39,6 +39,7 @@ from .surface import (
     radicand,
     table_branch,
     table_row,
+    table_variant,
     zero_circle_parameters,
 )
 
@@ -87,7 +88,10 @@ class Report:
 
 
 def grid_specs(max_nd: int = 9, a_values: Sequence[str] = GRID_A_VALUES) -> List[CurveSpec]:
-    """Every coprime (n, d) up to max_nd crossed with the offset grid."""
+    """Every coprime (n, d) up to max_nd crossed with the offset grid.
+
+    The defaults are the paper's grid; every suite enumerates it here.
+    """
     specs = []
     for n in range(1, max_nd + 1):
         for d in range(1, max_nd + 1):
@@ -138,47 +142,41 @@ def _table1_case(spec: CurveSpec) -> List[Check]:
     return rows
 
 
-def run_table1(max_nd: int = 9) -> Report:
-    return Report("table1", [check for spec in grid_specs(max_nd) for check in _table1_case(spec)])
+def run_table1() -> Report:
+    return Report("table1", [check for spec in grid_specs() for check in _table1_case(spec)])
 
 
 # -- table2: classification dual path -----------------------------------------------
 
 
-# Smallest grid bound whose (n, d) pairs reach all 20 classification rows.
-TABLE2_MIN_ND = 3
-
-
-def run_table2(max_nd: int = 9) -> Report:
+def run_table2() -> Report:
     report = Report("table2")
     covered: Dict[Tuple[int, str, str], int] = {}
     mismatched: Dict[Tuple[int, str, str], int] = {}
-    for n, d in product(range(1, max_nd + 1), range(1, max_nd + 1)):
-        if math.gcd(n, d) != 1:
+    # Variant A on the grid's odd-product roses (a = 0), variant B at a = 1/2.
+    for curve in grid_specs(a_values=("0", "1/2")):
+        if curve.a == 0 and not curve.is_odd_rose:
             continue
-        for variant in ("A", "B"):
-            if variant == "A" and (n * d) % 2 == 0:
-                continue
-            curve = CurveSpec(n, d, Fraction(0) if variant == "A" else Fraction(1, 2))
-            branch = table_branch(curve)
-            for kind in (1, 2, 3, 4, 5):
-                for j in ((1, 2) if kind in (3, 4) else (None,)):
-                    incidence = IncidenceType(kind, j)
-                    expected = table_row(curve, incidence)
-                    if expected[0] <= 0 or expected[3] <= 0:
-                        continue  # j not realizable on this curve
-                    got = count_row(curve, incidence)
-                    key = (kind, variant, branch)
-                    if got != expected:
-                        mismatched[key] = mismatched.get(key, 0) + 1
-                        report.checks.append(
-                            Check(
-                                f"type {kind}{variant} {branch} CH({n},{d}) j={j}",
-                                False,
-                                f"counts={got} table={expected}",
-                            )
+        variant = table_variant(curve)
+        branch = table_branch(curve)
+        for kind in (1, 2, 3, 4, 5):
+            for j in ((1, 2) if kind in (3, 4) else (None,)):
+                incidence = IncidenceType(kind, j)
+                expected = table_row(curve, incidence)
+                if expected[0] <= 0 or expected[3] <= 0:
+                    continue  # j not realizable on this curve
+                got = count_row(curve, incidence)
+                key = (kind, variant, branch)
+                if got != expected:
+                    mismatched[key] = mismatched.get(key, 0) + 1
+                    report.checks.append(
+                        Check(
+                            f"type {kind}{variant} {branch} CH({curve.n},{curve.d}) j={j}",
+                            False,
+                            f"counts={got} table={expected}",
                         )
-                    covered[key] = covered.get(key, 0) + 1
+                    )
+                covered[key] = covered.get(key, 0) + 1
     for key in sorted(covered):
         kind, variant, branch = key
         bad = mismatched.get(key, 0)
@@ -200,8 +198,8 @@ def run_table2(max_nd: int = 9) -> Report:
 # -- residual: sampled points satisfy the implicit equation ---------------------------
 
 
-def max_scaled_residual(spec: CurveSpec, samples: int = 256) -> float:
-    """Largest |P(point)| over polar samples, scaled by the coefficient size.
+def max_scaled_residual(spec: CurveSpec) -> float:
+    """Largest |P(point)| over 256 polar samples, scaled by the coefficient size.
 
     The coefficients of the (real) implicit equation fill a dense float table
     ``C[ex, ey]`` with a column for every y exponent up to the degree, and
@@ -224,6 +222,7 @@ def max_scaled_residual(spec: CurveSpec, samples: int = 256) -> float:
         table[ex, ey] = coeff.re  # the equation is real
     coeff_scale = np.max(np.abs(table))
 
+    samples = 256
     phis = np.arange(samples) * (spec.parameter_period / samples)
     radii = np.cos(spec.n * phis / spec.d) + spec.a_float
     xs = radii * np.cos(phis)
@@ -254,23 +253,27 @@ def _residual_case(spec: CurveSpec) -> List[Check]:
     return [Check(name, worst <= 1e-9, f"max={worst:.3e} bound=1e-09")]
 
 
-def run_residual(max_nd: int = 9, only: Optional[CurveSpec] = None) -> Report:
-    specs = [only] if only is not None else grid_specs(max_nd)
+def run_residual(only: Optional[CurveSpec] = None) -> Report:
+    specs = [only] if only is not None else grid_specs()
     return Report("residual", [check for spec in specs for check in _residual_case(spec)])
 
 
 # -- invariants: the cone constant and preset geometry -------------------------------
 
 
-def _cone_constant_check(max_nd: int) -> Check:
-    """T_d(-a) by the Chebyshev recurrence and by the binomial closed form, exactly."""
-    pairs = [(d, a) for d in range(1, max_nd + 1) for a in GRID_A_VALUES]
-    differ = []
-    for d, a in pairs:
-        spec = CurveSpec(1, d, Fraction(a))
-        if origin_cone_constant(spec) != origin_cone_constant_closed(spec):
-            differ.append(f"({d}, {a})")
-    measured = f"{len(pairs) - len(differ)} of {len(pairs)} (d, a) equal"
+def _cone_constant_check() -> Check:
+    """T_d(-a) by the Chebyshev recurrence and by the binomial closed form, exactly.
+
+    T_d(-a) does not depend on n, so the grid's curves with n = 1 give
+    every (d, a) of the grid once.
+    """
+    specs = [spec for spec in grid_specs() if spec.n == 1]
+    differ = [
+        f"({spec.d}, {spec.a})"
+        for spec in specs
+        if origin_cone_constant(spec) != origin_cone_constant_closed(spec)
+    ]
+    measured = f"{len(specs) - len(differ)} of {len(specs)} (d, a) equal"
     if differ:
         measured += f"; differ at {', '.join(differ)}"
     return Check("cone constant sum vs closed form", not differ, measured)
@@ -279,7 +282,7 @@ def _cone_constant_check(max_nd: int) -> Check:
 def _sample_parameters(spec, count: int) -> List[float]:
     """Well-spread parameters avoiding degenerate rows."""
     period = spec.curve.parameter_period
-    axis_tol = 1e-9 * max(1.0, spec.extent)
+    axis_tol = AXIS_EPS * spec.extent
     out = []
     for k in range(count * 2):
         t = period * (k + 0.37) / (count * 2)
@@ -292,11 +295,12 @@ def _sample_parameters(spec, count: int) -> List[float]:
     return out
 
 
-def _preset_geometry_checks(key: str, count: int = 64) -> List[Check]:
+def _preset_geometry_checks(key: str) -> List[Check]:
     preset = figure_preset(key)
     spec = preset.spec
     q = spec.congruence.q_float
-    scale = max(1.0, spec.extent)
+    scale = spec.extent
+    count = 64  # sampled parameters per check
     params = _sample_parameters(spec, count)
     checks = []
 
@@ -375,7 +379,7 @@ def _preset_geometry_checks(key: str, count: int = 64) -> List[Check]:
     touched = zero_circle_parameters(spec) if q < 0 else []
     bad = 0
     period = spec.curve.parameter_period
-    axis_tol = 1e-9 * scale
+    axis_tol = AXIS_EPS * scale
     for k in range(count):
         t = period * k / count
         x, y, _ = curve_point(spec.curve, spec.placement, t)
@@ -400,9 +404,9 @@ def _preset_geometry_checks(key: str, count: int = 64) -> List[Check]:
     return checks
 
 
-def run_invariants(max_nd: int = 9) -> Report:
+def run_invariants() -> Report:
     report = Report("invariants")
-    report.checks.append(_cone_constant_check(max_nd))
+    report.checks.append(_cone_constant_check())
     for key in preset_keys():
         report.checks.extend(_preset_geometry_checks(key))
         try:
@@ -420,18 +424,18 @@ def run_invariants(max_nd: int = 9) -> Report:
     return report
 
 
-def run_suite(suite: str, max_nd: int = 9, only: Optional[CurveSpec] = None) -> Report:
+def run_suite(suite: str, only: Optional[CurveSpec] = None) -> Report:
     if suite == "table1":
-        return run_table1(max_nd)
+        return run_table1()
     if suite == "table2":
-        return run_table2(max_nd)
+        return run_table2()
     if suite == "residual":
-        return run_residual(max_nd, only)
+        return run_residual(only)
     if suite == "invariants":
-        return run_invariants(max_nd)
+        return run_invariants()
     if suite == "all":
         report = Report("all")
         for name in ("table1", "table2", "residual", "invariants"):
-            report.extend(run_suite(name, max_nd, only if name == "residual" else None))
+            report.extend(run_suite(name, only if name == "residual" else None))
         return report
     raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from axis_reference import axis_meeting_parameters
+from helpers import parse_obj
 from chsurf.curve import homogeneous_implicit, implicit_equation
 from chsurf.mesh import export_obj, figure_preset, preset_keys, sample
 from chsurf.surface import (
@@ -161,17 +162,6 @@ def test_criterion_9_waist_singular_points():
     )
 
 
-def _parse_obj(data: bytes):
-    vertices, faces = [], []
-    for line in data.decode("ascii").splitlines():
-        parts = line.split()
-        if parts and parts[0] == "v":
-            vertices.append(tuple(float(p) for p in parts[1:4]))
-        elif parts and parts[0] == "f":
-            faces.append(tuple(int(p) - 1 for p in parts[1:4]))
-    return vertices, faces
-
-
 def test_criterion_10_mesh_round_trip():
     failures = []
     for key in preset_keys():
@@ -179,7 +169,7 @@ def test_criterion_10_mesh_round_trip():
         mesh = sample(preset.spec, preset.nt, preset.ntheta)
         buffer = io.BytesIO()
         export_obj(mesh, buffer)
-        vertices, faces = _parse_obj(buffer.getvalue())
+        vertices, faces = parse_obj(buffer.getvalue())
         if len(vertices) != len(mesh.vertices) or len(faces) != len(mesh.triangles):
             failures.append(f"{key}: round-trip counts differ")
             continue

@@ -50,6 +50,10 @@ def test_parse_q_sugar():
     assert parse_q("p=1") == Fraction(1)
     assert parse_q("p=3/2") == Fraction(9, 4)
     assert parse_q("p=2i") == Fraction(-4)
+    # A bare sign before i stands for 1, like p=i itself.
+    assert parse_q("p=-i") == Fraction(-1)
+    assert parse_q("p=+i") == Fraction(-1)
+    assert parse_q("p=-3/2i") == Fraction(-9, 4)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -223,10 +227,10 @@ def test_surface_mesh_stdout():
 
 
 def test_verify_table2_text_and_json():
-    code, out, _ = invoke("verify", "table2", "--max-nd", "4")
+    code, out, _ = invoke("verify", "table2")
     assert code == 0
     assert "passed, 0 failed" in out.splitlines()[-1]
-    code, out, _ = invoke("verify", "table2", "--max-nd", "4", "--format", "json")
+    code, out, _ = invoke("verify", "table2", "--format", "json")
     assert code == 0
     record = json.loads(out)
     validate(record, "verify_report.schema.json")
@@ -244,8 +248,10 @@ def test_verify_single_spec_residual():
 
 
 def test_verify_deterministic_output():
-    args = ("verify", "table1", "--max-nd", "2", "--format", "json")
-    assert invoke(*args) == invoke(*args)
+    args = ("verify", "table1", "--format", "json")
+    first = invoke(*args)
+    assert first[0] == 0
+    assert invoke(*args) == first
 
 
 # sha256 of the text reports of the full grids.  Both print exact integers
@@ -268,7 +274,7 @@ def test_verify_suite_names_agree():
     schema = load_schema("verify_report.schema.json")["properties"]["suite"]["enum"]
     assert list(VERIFY_SUITES) == schema == list(verify.SUITES)
     for suite in VERIFY_SUITES:
-        assert verify.run_suite(suite, max_nd=1).suite == suite
+        assert verify.run_suite(suite).suite == suite
     with pytest.raises(ValueError, match="known: " + ", ".join(VERIFY_SUITES)):
         verify.run_suite("table3")
 
@@ -308,9 +314,10 @@ def test_format_option_removed_exit_2(argv):
     assert "--format" not in out
 
 
-@pytest.mark.parametrize("option", [("--seed", "1"), ("--jobs", "2")])
+@pytest.mark.parametrize("option", [("--seed", "1"), ("--jobs", "2"), ("--max-nd", "3")])
 def test_verify_removed_options_exit_2(option):
-    # verify runs in one process and draws nothing, so neither option exists.
+    # verify runs in one process, draws nothing and always checks the paper's
+    # n, d <= 9 grid, so none of these options exists.
     code, out, err = invoke("verify", "all", *option)
     assert code == 2
     assert out == ""
@@ -336,15 +343,11 @@ def test_back_to_back_runs_share_no_values():
     [
         (("residual", "--a", "1/2"), "--a needs both"),
         (("residual", "--n", "1"), "--n and --d must be given together"),
-        (("table1", "--n", "1", "--d", "1", "--max-nd", "2"), "table1 runs the grid"),
+        (("table1", "--n", "1", "--d", "1"), "table1 runs the grid"),
         (("table2", "--n", "1", "--d", "1"), "table2 runs the grid"),
         (("invariants", "--a", "1/2"), "invariants runs the grid"),
-        (("table1", "--max-nd", "0"), "--max-nd must be at least 1"),
+        (("all", "--d", "1"), "--n and --d must be given together"),
         (("residual", "--d", "1"), "--n and --d must be given together"),
-        (("residual", "--n", "7", "--d", "3", "--max-nd", "2"), "--max-nd bounds the grid"),
-        (("table2", "--max-nd", "1"), "--max-nd must be at least 3 for table2"),
-        (("table2", "--max-nd", "2"), "--max-nd must be at least 3 for table2"),
-        (("all", "--max-nd", "2"), "--max-nd must be at least 3 for all"),
     ],
 )
 def test_verify_ignored_options_exit_1(argv, message):
@@ -389,7 +392,7 @@ def test_rational_past_float_range_exit_1(tmp_path, argv):
     [
         (("residual", "--a=1e400"), "int too large to convert to float"),
         (("residual", "--a=1e100"), "a power of a sample overflows float64"),
-        (("all", "--a=1e400", "--max-nd", "3"), "int too large to convert to float"),
+        (("all", "--a=1e400"), "int too large to convert to float"),
     ],
     ids=["residual-1e400", "residual-1e100", "all-1e400"],
 )
@@ -537,7 +540,7 @@ def test_serial_verify_loads_no_process_pool():
     assert code == 0
     assert "numpy" in modules
     assert not modules & {"concurrent", "concurrent.futures"}
-    code, modules = loaded_by_command("verify", "all", "--max-nd", "3")
+    code, modules = loaded_by_command("verify", "all")
     assert code == 0
     assert not modules & {"concurrent", "concurrent.futures"}
 

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axis_reference import axis_meeting_parameters
+from helpers import make_spec, parse_obj
 from chsurf import cli
 from chsurf import mesh as mesh_module
-from chsurf.congruence import CongruenceSpec, circle_key_close, circle_through
+from chsurf.congruence import circle_key_close, circle_through
 from chsurf.curve import CurveSpec, Placement, curve_point
 from chsurf.mesh import (
     COLLAPSED,
@@ -30,33 +31,10 @@ from chsurf.mesh import (
 )
 from chsurf.surface import (
     AXIS_EPS,
-    SurfaceSpec,
     generating_circle,
     radicand,
     zero_circle_parameters,
 )
-
-
-def make_spec(n, d, a="0", q="0", cx="0", cy="0", h="0"):
-    return SurfaceSpec(
-        CurveSpec(n, d, Fraction(a)),
-        CongruenceSpec(Fraction(q)),
-        Placement(Fraction(cx), Fraction(cy), Fraction(h)),
-    )
-
-
-def parse_obj(data: bytes):
-    """Minimal OBJ reader used as the round-trip oracle."""
-    vertices, faces = [], []
-    for line in data.decode("ascii").splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            vertices.append(tuple(float(p) for p in parts[1:4]))
-        elif parts[0] == "f":
-            faces.append(tuple(int(p) - 1 for p in parts[1:4]))
-    return vertices, faces
 
 
 def test_sample_validates_resolution():

@@ -1,15 +1,17 @@
 """Tests for surface evaluation, incidence detection, and classification."""
 
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from axis_reference import axis_meeting_parameters
+from helpers import make_spec
 from chsurf.congruence import (
     CircleKey,
     CongruenceSpec,
@@ -38,15 +40,24 @@ from chsurf.surface import (
 )
 
 
-def make_spec(n, d, a="0", q="0", cx="0", cy="0", h="0"):
-    return SurfaceSpec(
-        CurveSpec(n, d, Fraction(a)),
-        CongruenceSpec(Fraction(q)),
-        Placement(Fraction(cx), Fraction(cy), Fraction(h)),
-    )
-
-
 # -- parametric evaluation ------------------------------------------------------
+
+
+# Rationals from small fractions up to the largest finite floats.
+RATIONALS = st.one_of(
+    st.fractions(min_value=-(10**6), max_value=10**6),
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+)
+FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=RATIONALS.map(abs), cx=RATIONALS, cy=RATIONALS, h=RATIONALS)
+@example(a=Fraction(0), cx=Fraction(0), cy=Fraction(0), h=Fraction(0))
+@example(a=FLOAT_MAX, cx=FLOAT_MAX, cy=-FLOAT_MAX, h=-FLOAT_MAX)
+def test_extent_is_at_least_one(a, cx, cy, h):
+    # Every tolerance is scaled by the extent as it is, with no max(1, ...).
+    assert make_spec(1, 1, a, cx=cx, cy=cy, h=h).extent >= 1.0
 
 
 def test_parametric_point_elliptic_reaches_base_point():
@@ -560,16 +571,13 @@ CUSPIDATE = SWEEP_SPECS[6]  # the centers' Newton step is most sensitive at its 
 
 
 def test_float_once_evaluators_match_curve_point():
-    from chsurf.curve import point_function
     from chsurf.surface import _center_function
 
     for spec in SWEEP_SPECS:
-        point = point_function(spec.curve, spec.placement)
         center = _center_function(spec)
         period = spec.curve.parameter_period
         for i in range(-300, 601):
             t = period * i / 300 + 1e-3
-            assert point(t) == curve_point(spec.curve, spec.placement, t), (spec, t)
             assert center(t) == _curve_point_center(spec, t), (spec, t)
 
 

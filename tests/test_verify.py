@@ -30,7 +30,7 @@ def _failed_names(report):
 
 def test_table2_row_check_fails_with_its_instances(monkeypatch):
     monkeypatch.setitem(CLASSIFICATION_TABLE, (5, "B", "lt"), wrong_row)
-    report = run_table2(max_nd=4)
+    report = run_table2()
     instances = [n for n in _failed_names(report) if n.startswith("type 5B lt ")]
     assert instances
     assert _failed_names(report) == sorted(instances + ["type 5B (lt)"])
@@ -60,18 +60,18 @@ def test_cone_constant_off_by_one_fails_and_names_its_pair(monkeypatch):
 
 
 def test_wrong_absolute_multiplicity_fails_its_spec(monkeypatch):
-    target = grid_specs(2)[12]
+    target = grid_specs()[12]
     exact = verify.absolute_point_multiplicity
     monkeypatch.setattr(verify, "absolute_point_multiplicity", lambda s: exact(s) + (s == target))
     label = f"CH({target.n},{target.d},{target.a}) absolute multiplicity"
-    report = run_suite("table1", max_nd=2)
+    report = run_suite("table1")
     assert _failed_names(report) == [label]
     expected = curve.curve_properties(target).absolute_multiplicity
     measured = f"vanishing order={expected + 1} expected={expected}"
     assert next(c.measured for c in report.checks if c.name == label) == measured
 
     out, err = io.BytesIO(), io.BytesIO()
-    assert run(["verify", "table1", "--max-nd", "2"], out, err) == 1
+    assert run(["verify", "table1"], out, err) == 1
     assert err.getvalue() == b""
     assert f"FAIL  {label}  [{measured}]".encode() in out.getvalue()
 
