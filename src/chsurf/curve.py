@@ -3,9 +3,10 @@
 The polar family is parametrized by coprime positive integers n, d and a
 rational offset a >= 0.  Everything symbolic here is exact: the implicit
 equation and the pole tangent cone are built on integer term maps (with
-a = p/r, every radial sum is scaled by r^d = den(a)^d) and wrapped once as
-an integer ``MultiPoly``, whose ``primitive()`` divides out the content and
-pins the sign.  The property table (order, multiplicity at the pole,
+a = p/r, every radial sum is scaled by r^d = den(a)^d).  These maps are
+built here and never validated: ``MultiPoly._primitive_of_ints`` turns each
+one into its primitive ``MultiPoly`` in one pass, dividing out the content
+and pinning the sign.  The property table (order, multiplicity at the pole,
 multiplicity at the circular points at infinity) is integer arithmetic.
 The circular-point multiplicity is also read off the implicit equation, as
 the lowest degree of its expansion at (0 : 1 : i).  That expansion is never
@@ -166,7 +167,8 @@ def curve_properties(spec: CurveSpec) -> CurveProperties:
 # For odd-product roses that part is zero and the unsquared side, of degree
 # n+d, is the equation.  Writing a = p/r and scaling S, E and O by r^d keeps
 # every coefficient an integer, so the build runs on {(i, j): int} term maps;
-# they become a MultiPoly once, and its primitive part is the equation.
+# one pass of MultiPoly._primitive_of_ints takes the final map straight to
+# the primitive equation.
 
 
 def _cos_multiple_angle(n: int, scale: int) -> dict:
@@ -236,13 +238,13 @@ def implicit_equation(spec: CurveSpec) -> MultiPoly:
     kept, radical = (even, odd) if n % 2 == 0 else (odd, even)
     body = _sub(_cos_multiple_angle(n, r**d), _w_power_poly(kept, (n + 1) // 2))
     if spec.is_odd_rose:
-        return MultiPoly(XY, body).primitive()
+        return MultiPoly._primitive_of_ints(XY, body)
     square = [0] * (2 * len(radical) - 1)
     for k, c in enumerate(radical):
         for l, e in enumerate(radical):
             square[k + l] += c * e
     terms = _sub(_square(body), _w_power_poly(square, n + 1 - n % 2))
-    return MultiPoly(XY, terms).primitive()
+    return MultiPoly._primitive_of_ints(XY, terms)
 
 
 @lru_cache(maxsize=None)
@@ -285,9 +287,9 @@ def tangent_cone(spec: CurveSpec) -> MultiPoly:
     s_terms = _cos_multiple_angle(n, constant.denominator)
     if n % 2 == 0:
         body = _sub(s_terms, _w_power_poly([constant.numerator], n // 2))
-        return MultiPoly(XY, _square(body)).primitive()
+        return MultiPoly._primitive_of_ints(XY, _square(body))
     terms = _sub(_w_power_poly([constant.numerator**2], n), _square(s_terms))
-    return MultiPoly(XY, terms).primitive()
+    return MultiPoly._primitive_of_ints(XY, terms)
 
 
 # -- multiplicity at the circular points at infinity ------------------------------

@@ -2,15 +2,19 @@
 
 Every polynomial the program builds is a primitive integer polynomial: the
 implicit equation, its projective form, its lowest form and the pole tangent
-cone.  ``curve`` builds them on plain integer term maps and wraps each here
-once.  The public constructor validates every term it is given; the
-derivations (``primitive``, ``lowest_form``, ``rename_variables`` and
-``homogenize``) only divide, filter or re-key terms that passed it, so they
-build their results through ``MultiPoly._valid`` and validate nothing
-again.  A coefficient is a :class:`GaussianRational` record of two ints, so
-that the JSON form carries a real and an imaginary part; the imaginary part
-is zero in practice.  Exponent vectors are dense tuples (arity here is 2 or
-3) and term maps are sparse.
+cone.  ``curve`` builds them on plain integer term maps that it trusts, and
+``MultiPoly._primitive_of_ints`` takes each map to its primitive polynomial
+in one pass: it drops zeros, divides out the content, pins the sign and
+wraps each coefficient once, without validating.  The public constructor,
+which validates every term it is given, is for callers outside the
+package.  The derivations (``primitive``, ``lowest_form``,
+``rename_variables`` and ``homogenize``) only divide, filter or re-key
+terms that passed one of these two, so they build their results through
+``MultiPoly._valid`` and validate nothing again.  A coefficient is a
+:class:`GaussianRational` record of two ints, so that the JSON form carries
+a real and an imaginary part; the imaginary part is zero in practice.
+Exponent vectors are dense tuples (arity here is 2 or 3) and term maps are
+sparse.
 
 Values are immutable after construction, so instances can be shared freely
 across threads.
@@ -80,17 +84,43 @@ class MultiPoly:
 
     @classmethod
     def _valid(cls, variables: tuple, terms: dict, total_degree: int) -> "MultiPoly":
-        """Wrap terms that already passed the constructor's checks, unchanged.
+        """Wrap terms that are already valid, unchanged and unchecked.
 
         ``terms`` maps int tuples of the right arity to nonzero
         ``GaussianRational`` coefficients, and ``total_degree`` is their
-        largest degree; the caller guarantees both.
+        largest degree; the caller guarantees both.  The derivations and
+        :meth:`_primitive_of_ints` build through here; outside callers use
+        the validating constructor.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
         object.__setattr__(poly, "terms", terms)
         object.__setattr__(poly, "total_degree", total_degree)
         return poly
+
+    @classmethod
+    def _primitive_of_ints(cls, variables: tuple, terms: Mapping[tuple, int]) -> "MultiPoly":
+        """Primitive polynomial of a trusted int term map, built in one pass.
+
+        The result equals ``MultiPoly(variables, terms).primitive()``.
+        ``terms`` maps int tuples of the right arity to plain ints, which
+        the caller guarantees, so nothing is validated.  Zero coefficients
+        are dropped, the content is one ``gcd`` over the ints, its sign is
+        pinned by the grlex-leading term as in :meth:`primitive`, and each
+        quotient is wrapped in a :class:`GaussianRational` once.
+        """
+        terms = {e: c for e, c in terms.items() if c}
+        if not terms:
+            return cls._valid(variables, {}, -1)
+        lead = max(terms, key=_grlex_key)
+        content = gcd(*terms.values())
+        if terms[lead] < 0:
+            content = -content
+        return cls._valid(
+            variables,
+            {e: GaussianRational(c // content, 0) for e, c in terms.items()},
+            sum(lead),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")

@@ -224,9 +224,20 @@ def test_off_grid_implicit_and_cone_bytes_are_pinned():
 
 
 def test_grid_coefficients_are_integers():
-    for s in grid_specs():
-        for coeff in implicit_equation(s).terms.values():
-            assert type(coeff.re) is int and type(coeff.im) is int, s
+    # curve's term maps reach MultiPoly without validation, so every check
+    # the validating constructor would make is made here instead.
+    for s in grid_specs() + OFF_GRID_SPECS:
+        polys = [implicit_equation(s)]
+        if not s.is_odd_rose:
+            polys.append(tangent_cone(s))
+        for p in polys:
+            for exponents, coeff in p.terms.items():
+                assert type(exponents) is tuple and len(exponents) == 2, s
+                assert all(type(e) is int and e >= 0 for e in exponents), s
+                assert type(coeff.re) is int and type(coeff.im) is int, s
+                assert coeff.re or coeff.im, s
+            assert p.total_degree == max(map(sum, p.terms)), s
+            assert p == MultiPoly(p.variables, p.terms).primitive(), s
 
 
 def test_implicit_symmetry_in_y():

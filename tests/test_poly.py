@@ -148,6 +148,30 @@ polys = st.dictionaries(exponents, coefficients, max_size=4).map(
 )
 
 
+# Curve-sized int term maps: zero coefficients, either sign of lead, the
+# empty map, and coefficients and contents far wider than a machine word.
+wide_ints = st.one_of(
+    small_ints, st.sampled_from([2**200, -(2**200)]), st.integers(-(2**200), 2**200)
+)
+
+int_maps = st.builds(
+    lambda terms, scale: {e: c * scale for e, c in terms.items()},
+    st.dictionaries(exponents, wide_ints, max_size=5),
+    st.one_of(st.just(1), st.sampled_from([2**100, -(2**100)]), st.integers(-(2**120), 2**120)),
+)
+
+
+@given(int_maps)
+def test_primitive_of_ints_equals_validated_primitive(terms):
+    fast = MultiPoly._primitive_of_ints(XY, terms)
+    slow = MultiPoly(XY, terms).primitive()
+    assert fast == slow
+    assert fast.total_degree == slow.total_degree
+    for coeff in fast.terms.values():
+        assert type(coeff) is GaussianRational
+        assert type(coeff.re) is int and type(coeff.im) is int
+
+
 @given(polys)
 def test_homogenize_round_trip(p):
     if p.is_zero():
