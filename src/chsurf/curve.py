@@ -14,8 +14,11 @@ formed: its coefficients of u^s v^k are the Taylor coefficients at t = i of
 one real polynomial g_s(t) per shift s, so the lowest k with a nonzero one is
 the multiplicity of the root i of g_s.  g_s is real, so that is how often
 t^2 + 1 divides g_s exactly, counted by integer division.  The implicit
-body and the tangent cone are squares of integer term maps, taken by
-symmetry (c^2 per term, 2 c_i c_j per pair).  The pole cone constant
+equation squares no bivariate map: with S = Re z^n it takes S^2 from the
+identity 2 S^2 = w^n + Re z^(2n), so its only squares are univariate in
+w = x^2 + y^2.  The tangent cone squares its own body directly, by symmetry
+(c^2 per term, 2 c_i c_j per pair), so the cone check compares two
+different constructions.  The pole cone constant
 T_d(-a) has a second exact route, a binomial closed form.  Floating point
 only enters through the polar/point samplers.
 
@@ -162,13 +165,21 @@ def curve_properties(spec: CurveSpec) -> CurveProperties:
 # With w = x^2 + y^2 and S = Re (x + iy)^n = sum_i (-1)^i C(n,2i) x^(n-2i) y^(2i),
 # the curve satisfies S = w^(n/2) T_d(sqrt(w) - a), T_d the Chebyshev
 # polynomial.  T_d(sqrt(w) - a) = E(w) + sqrt(w) O(w) splits into an even and
-# an odd part; isolating the part that carries a lone sqrt(w) and squaring
-# eliminates the radical, which yields a polynomial of total degree 2(n+d).
-# For odd-product roses that part is zero and the unsquared side, of degree
-# n+d, is the equation.  Writing a = p/r and scaling S, E and O by r^d keeps
-# every coefficient an integer, so the build runs on {(i, j): int} term maps;
-# one pass of MultiPoly._primitive_of_ints takes the final map straight to
-# the primitive equation.
+# an odd part.  Writing a = p/r and scaling by c = r^d keeps every coefficient
+# an integer: c S - w^s K = sqrt(w)^t R, with (s, K, t, R) = (n/2, E, n+1, O)
+# for even n and ((n+1)/2, O, n, E) for odd n.  For odd-product roses R is
+# zero and the body c S - w^s K, of degree n+d, is the equation.  Otherwise
+# squaring eliminates the radical: F = (c S - w^s K)^2 - w^t R^2, of total
+# degree 2(n+d).  Since 2 S^2 = w^n + Re z^(2n) (z = x + iy),
+#
+#     2 F = c^2 Re z^(2n) + U(w) - 4 c S w^s K(w),
+#     U(w) = c^2 w^n + 2 w^(2s) K(w)^2 - 2 w^t R(w)^2,
+#
+# so the only squares are of the univariate K and R, and the one bivariate
+# product is S's floor(n/2) + 1 terms times the expanded w^s K.  The build
+# runs on {(i, j): int} term maps, and one pass of
+# MultiPoly._primitive_of_ints takes 2 F straight to the primitive equation,
+# which is also the primitive part of F.
 
 
 def _cos_multiple_angle(n: int, scale: int) -> dict:
@@ -193,14 +204,17 @@ def _radial_coeffs(d: int, p: int, r: int) -> Tuple[list, list]:
 
 
 def _w_power_poly(coeffs: Sequence[int], shift: int) -> dict:
-    """Expand w^shift * sum_l coeffs[l] w^l with w = x^2 + y^2."""
-    terms = {}
-    for l, c in enumerate(coeffs):
-        m = l + shift
-        for k in range(m + 1):
-            key = (2 * k, 2 * (m - k))
-            terms[key] = terms.get(key, 0) + c * comb(m, k)
-    return terms
+    """Expand w^shift * sum_l coeffs[l] w^l with w = x^2 + y^2.
+
+    Each power w^m gives the terms x^(2k) y^(2(m-k)) of total degree 2m
+    alone, so no two (l, k) share a key.
+    """
+    return {
+        (2 * k, 2 * (m - k)): c * comb(m, k)
+        for m, c in enumerate(coeffs, shift)
+        if c
+        for k in range(m + 1)
+    }
 
 
 def _sub(p: dict, q: dict) -> dict:
@@ -234,16 +248,30 @@ def implicit_equation(spec: CurveSpec) -> MultiPoly:
     """
     n, d, r = spec.n, spec.d, spec.a.denominator
     even, odd = _radial_coeffs(d, spec.a.numerator, r)
-    # Even n: S - w^(n/2) E = sqrt(w)^(n+1) O.  Odd n: S - w^((n+1)/2) O = sqrt(w)^n E.
+    # Even n: c S - w^(n/2) E = sqrt(w)^(n+1) O.  Odd n: c S - w^((n+1)/2) O = sqrt(w)^n E.
     kept, radical = (even, odd) if n % 2 == 0 else (odd, even)
-    body = _sub(_cos_multiple_angle(n, r**d), _w_power_poly(kept, (n + 1) // 2))
+    s, t, c = (n + 1) // 2, n + 1 - n % 2, r**d
     if spec.is_odd_rose:
+        body = _sub(_cos_multiple_angle(n, c), _w_power_poly(kept, s))
         return MultiPoly._primitive_of_ints(XY, body)
-    square = [0] * (2 * len(radical) - 1)
-    for k, c in enumerate(radical):
-        for l, e in enumerate(radical):
-            square[k + l] += c * e
-    terms = _sub(_square(body), _w_power_poly(square, n + 1 - n % 2))
+    # 2 F = c^2 Re z^(2n) + U(w) - 4 c S w^s K(w); U's degree in w is at most n + d.
+    u = [0] * (n + d + 1)
+    u[n] = c * c
+    for k, e in enumerate(kept):
+        for l, f in enumerate(kept):
+            u[2 * s + k + l] += 2 * e * f
+    for k, e in enumerate(radical):
+        for l, f in enumerate(radical):
+            u[t + k + l] -= 2 * e * f
+    terms = _w_power_poly(u, 0)
+    get = terms.get
+    for key, e in _cos_multiple_angle(2 * n, c * c).items():
+        terms[key] = get(key, 0) + e
+    cross = _w_power_poly(kept, s).items()
+    for (i, j), e in _cos_multiple_angle(n, 4 * c).items():
+        for (k, l), f in cross:
+            key = (i + k, j + l)
+            terms[key] = get(key, 0) - e * f
     return MultiPoly._primitive_of_ints(XY, terms)
 
 

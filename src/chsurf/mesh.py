@@ -379,7 +379,8 @@ def _vertex_lines(values) -> bytes:
     dot = np.arange(8, 32 * count, 32) + exponent
     flat[dot] = ord(".") * (flat[dot + 1] != 0)
     if fallback.size:
-        text = "".join(("%.17g" % value).ljust(24, "\0") for value in values[fallback].tolist())
+        # Every %.17g form, exponent and sign included, fits in 24 characters.
+        text = (("%-24.17g" * fallback.size) % tuple(values[fallback].tolist())).replace(" ", "\0")
         block.view(np.uint8)[fallback, 2:26] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
     return block.tobytes().translate(None, b"\0")
 

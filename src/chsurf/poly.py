@@ -106,20 +106,23 @@ class MultiPoly:
         ``terms`` maps int tuples of the right arity to plain ints, which
         the caller guarantees, so nothing is validated.  Zero coefficients
         are dropped, the content is one ``gcd`` over the ints, its sign is
-        pinned by the grlex-leading term as in :meth:`primitive`, and each
+        pinned by the grlex-leading term as in :meth:`primitive` (the
+        largest exponent tuple among the terms of top degree), and each
         quotient is wrapped in a :class:`GaussianRational` once.
         """
         terms = {e: c for e, c in terms.items() if c}
         if not terms:
             return cls._valid(variables, {}, -1)
-        lead = max(terms, key=_grlex_key)
+        degree = max(map(sum, terms))
+        lead = max([e for e in terms if sum(e) == degree])
         content = gcd(*terms.values())
         if terms[lead] < 0:
             content = -content
+        new = tuple.__new__  # GaussianRational's own __new__ runs in Python
         return cls._valid(
             variables,
-            {e: GaussianRational(c // content, 0) for e, c in terms.items()},
-            sum(lead),
+            {e: new(GaussianRational, (c // content, 0)) for e, c in terms.items()},
+            degree,
         )
 
     def __setattr__(self, name, value):
@@ -130,7 +133,8 @@ class MultiPoly:
 
     def sorted_terms(self) -> list:
         """Terms in canonical order: graded lexicographic, highest first."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        terms = self.terms
+        return [(e, terms[e]) for e in sorted(terms, key=_grlex_key, reverse=True)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):

@@ -206,9 +206,13 @@ def max_scaled_residual(spec: CurveSpec) -> float:
     ``P`` is evaluated at all samples at once by Horner's rule: in y for
     every x power, then in x.  Only the triangle ``ex + ey <= degree`` holds
     terms, so the y step for ``ey`` runs on the rows ``ex <= degree - ey``;
-    every other row still holds the exact +0.0 that the full rectangle
-    would leave there, so the values are the same bits.  Each sample's value
-    is divided by the largest coefficient times ``max(1, |r|)^degree``.
+    every other row still holds the exact zero that the full rectangle
+    would leave there.  Every multiply runs, but a column ``ey`` or a row
+    ``ex`` with no term adds nothing, so its addition is skipped; the
+    equation is even in y, so that is every odd ``ey``.  Adding an exact
+    zero changes at most the sign of a zero, so the result has the same bits
+    as the full rectangle.  Each sample's value is divided by the largest
+    coefficient times ``max(1, |r|)^degree``.
 
     Raises ``OverflowError`` when a coefficient, a sample or the value does
     not fit a float64, so no residual can be computed.
@@ -218,8 +222,11 @@ def max_scaled_residual(spec: CurveSpec) -> float:
     implicit = implicit_equation(spec)
     degree = implicit.total_degree
     table = np.zeros((degree + 1, degree + 1))
+    x_exponents, y_exponents = set(), set()
     for (ex, ey), coeff in implicit.terms.items():
         table[ex, ey] = coeff.re  # the equation is real
+        x_exponents.add(ex)
+        y_exponents.add(ey)
     coeff_scale = np.max(np.abs(table))
 
     samples = 256
@@ -232,11 +239,13 @@ def max_scaled_residual(spec: CurveSpec) -> float:
         for ey in range(degree, -1, -1):
             rows = inner[: degree + 1 - ey]  # a view: rows ex <= degree - ey
             rows *= ys
-            rows += table[: degree + 1 - ey, ey, None]
+            if ey in y_exponents:
+                rows += table[: degree + 1 - ey, ey, None]
         values = np.zeros(samples)
         for ex in range(degree, -1, -1):
             values *= xs
-            values += inner[ex]
+            if ex in x_exponents:
+                values += inner[ex]
         scales = coeff_scale * np.maximum(1.0, np.abs(radii)) ** degree
         worst = float(np.max(np.abs(values) / scales))
     if not math.isfinite(worst):

@@ -1,10 +1,22 @@
 """Small helpers shared by the test modules."""
 
+import math
 from fractions import Fraction
 
 from chsurf.congruence import CongruenceSpec
 from chsurf.curve import CurveSpec, Placement
 from chsurf.surface import SurfaceSpec
+
+
+# Curves with denominators 3, 5, 7 and 8 and offsets past 1 that the grid
+# of ``chsurf.verify.grid_specs`` does not use.
+OFF_GRID_SPECS = [
+    CurveSpec(n, d, Fraction(a))
+    for n in range(1, 8)
+    for d in range(1, 8)
+    if math.gcd(n, d) == 1
+    for a in ("2/3", "7/5", "3/7", "9/2", "13/8")
+]
 
 
 def make_spec(n, d, a="0", q="0", cx="0", cy="0", h="0"):

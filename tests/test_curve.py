@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from chsurf import curve
 from chsurf.curve import (
@@ -26,24 +26,15 @@ from chsurf.curve import (
     tangent_cone,
     verified_absolute_multiplicity,
 )
-from chsurf.poly import MultiPoly
+from chsurf.poly import GaussianRational, MultiPoly
 from chsurf.verify import grid_specs
+from helpers import OFF_GRID_SPECS
 
 XY = ("x", "y")
 
 
 def spec(n, d, a="0"):
     return CurveSpec(n, d, Fraction(a))
-
-
-# Denominators 3, 5, 7 and 8 and offsets past 1 that the grid does not use.
-OFF_GRID_SPECS = [
-    spec(n, d, a)
-    for n in range(1, 8)
-    for d in range(1, 8)
-    if math.gcd(n, d) == 1
-    for a in ("2/3", "7/5", "3/7", "9/2", "13/8")
-]
 
 
 # -- spec validation -----------------------------------------------------------
@@ -234,10 +225,74 @@ def test_grid_coefficients_are_integers():
             for exponents, coeff in p.terms.items():
                 assert type(exponents) is tuple and len(exponents) == 2, s
                 assert all(type(e) is int and e >= 0 for e in exponents), s
+                assert type(coeff) is GaussianRational, s
                 assert type(coeff.re) is int and type(coeff.im) is int, s
                 assert coeff.re or coeff.im, s
             assert p.total_degree == max(map(sum, p.terms)), s
             assert p == MultiPoly(p.variables, p.terms).primitive(), s
+
+
+def _product(p, q):
+    """p * q of two integer term maps, one product per pair of terms."""
+    product = {}
+    for (i, j), c in p.items():
+        for (k, l), e in q.items():
+            key = (i + k, j + l)
+            product[key] = product.get(key, 0) + c * e
+    return product
+
+
+def _reference_implicit_terms(s):
+    """The implicit equation's term map by squaring the body, content not divided out.
+
+    With S = Re z^n, c = den(a)^d and the kept and radical radial sums K and
+    R, F = (c S - w^s K)^2 - w^t R^2; for odd-product roses the body
+    c S - w^s K is the equation.  ``curve.implicit_equation`` builds 2 F from
+    2 S^2 = w^n + Re z^(2n) instead, so it squares no bivariate map.
+    """
+    n, d, r = s.n, s.d, s.a.denominator
+    even, odd = curve._radial_coeffs(d, s.a.numerator, r)
+    kept, radical = (even, odd) if n % 2 == 0 else (odd, even)
+    body = curve._sub(curve._cos_multiple_angle(n, r**d), curve._w_power_poly(kept, (n + 1) // 2))
+    if s.is_odd_rose:
+        return body
+    square = [0] * (2 * len(radical) - 1)
+    for k, c in enumerate(radical):
+        for l, e in enumerate(radical):
+            square[k + l] += c * e
+    return curve._sub(_product(body, body), curve._w_power_poly(square, n + 1 - n % 2))
+
+
+def _assert_matches_reference(s):
+    reference = MultiPoly(XY, _reference_implicit_terms(s)).primitive()
+    assert implicit_equation(s).terms == reference.terms, s
+
+
+def test_implicit_equals_squared_body_reference():
+    for s in grid_specs() + OFF_GRID_SPECS:
+        _assert_matches_reference(s)
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(0, 60),
+    st.integers(1, 9),
+)
+def test_implicit_equals_squared_body_reference_drawn(n, d, p, q):
+    assume(math.gcd(n, d) == 1)
+    _assert_matches_reference(spec(n, d, Fraction(p, q)))
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_square_of_cos_multiple_angle(n):
+    # 2 (Re z^n)^2 = w^n + Re z^(2n), the identity behind the implicit build.
+    s = curve._cos_multiple_angle(n, 1)
+    twice_square = {e: 2 * c for e, c in _product(s, s).items() if c}
+    identity = curve._w_power_poly([1], n)
+    for e, c in curve._cos_multiple_angle(2 * n, 1).items():
+        identity[e] = identity.get(e, 0) + c
+    assert twice_square == {e: c for e, c in identity.items() if c}
 
 
 def test_implicit_symmetry_in_y():

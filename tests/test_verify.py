@@ -13,6 +13,7 @@ from chsurf.mesh import figure_preset, preset_keys
 from chsurf.poly import MultiPoly
 from chsurf.surface import CLASSIFICATION_TABLE, incidence_type, table_branch, table_variant
 from chsurf.verify import grid_specs, max_scaled_residual, run_invariants, run_suite, run_table2
+from helpers import OFF_GRID_SPECS
 
 
 def wrong_row(n, d, j):
@@ -112,10 +113,11 @@ def test_residual_detects_a_wrong_equation(monkeypatch, edit, passed):
 
 
 def _residual_full_rectangle(spec, samples=256):
-    """The residual with the y step of Horner's rule on every row of ``C``.
+    """The residual with Horner's rule on the full rectangle ``C``.
 
-    The program skips the rows ``ex > degree - ey``, which hold no term yet;
-    this keeps them, so both must give the same bits.
+    The program skips the rows ``ex > degree - ey`` in the y step, and the
+    additions of columns and rows that hold no term; this runs every step,
+    so both must give the same value.
     """
     implicit = curve.implicit_equation(spec)
     degree = implicit.total_degree
@@ -144,7 +146,7 @@ def _residual_full_rectangle(spec, samples=256):
 
 
 def test_residual_triangle_matches_full_rectangle():
-    for spec in grid_specs():
+    for spec in grid_specs() + OFF_GRID_SPECS:
         assert max_scaled_residual(spec) == _residual_full_rectangle(spec), spec
     huge = curve.CurveSpec(1, 1, Fraction("1e100"))
     for residual in (max_scaled_residual, _residual_full_rectangle):
