@@ -8,10 +8,10 @@ an internal consistency check, an unwritable output path, or a value too
 large for the floats a sampler, mesh or numeric check uses), 2 usage error.
 
 Rational options accept ``num/den`` or finite decimal strings, both parsed
-exactly, also as a separate negative argument (``--cx -1/2``).  ``--q``
-additionally accepts ``p=...`` sugar for the base-point height, e.g.
-``p=i`` for q = -1.  Every check of ``verify`` is exact or a fixed
-sample, so its output depends on the options alone.
+exactly, also as a separate negative argument (``--cx -1/2``,
+``--cx -1e3``).  ``--q`` additionally accepts ``p=...`` sugar for the
+base-point height, e.g. ``p=i`` for q = -1.  Every check of ``verify`` is
+exact or a fixed sample, so its output depends on the options alone.
 """
 
 from __future__ import annotations
@@ -54,20 +54,20 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
 
 
-_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d\S*")
 _LONG_OPTION = re.compile(r"--\w[\w-]*")
 
 
-def _attach_negative_fractions(argv: List[str]) -> List[str]:
-    """Rewrite ``--opt -num/den`` as ``--opt=-num/den``.
+def _attach_negative_values(argv: List[str]) -> List[str]:
+    """Rewrite ``--opt -value`` as ``--opt=-value`` for a value such as ``-1/4``.
 
-    argparse reads a token such as ``-1/4`` as an unknown flag.  No option
-    of this CLI looks like that, so the token is the value of the option
-    before it.
+    argparse reads a token such as ``-1/4``, ``-1e3`` or ``-2.5E-1`` as an
+    unknown flag.  No option of this CLI starts with ``-`` and then a digit
+    or ``.``, so such a token is the value of the option before it.
     """
     joined: List[str] = []
     for token in argv:
-        if joined and _NEGATIVE_FRACTION.fullmatch(token) and _LONG_OPTION.fullmatch(joined[-1]):
+        if joined and _NEGATIVE_VALUE.fullmatch(token) and _LONG_OPTION.fullmatch(joined[-1]):
             joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)
@@ -329,7 +329,7 @@ def run(argv: List[str], out, err) -> int:
     usage_buffer = io.StringIO()
     try:
         with contextlib.redirect_stderr(usage_buffer), contextlib.redirect_stdout(usage_buffer):
-            args = parser.parse_args(_attach_negative_fractions(argv))
+            args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exit_request:
         _emit(err if exit_request.code else out, usage_buffer.getvalue())
         return int(exit_request.code or 0)

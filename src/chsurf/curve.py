@@ -133,10 +133,8 @@ def curve_point(
 ) -> Tuple[float, float, float]:
     """Point of the placed curve in 3-space at parameter phi.
 
-    The singular-circle scan repeats these operations inline, in the same
-    order, in three inner loops of ``surface``: ``surface.singular_circles``
-    lists them, and each copy's docstring names the test that pins it.  Keep
-    the formulas in step.
+    ``surface.singular_circles`` lists the inline copies of these
+    operations in ``surface``'s inner loops.
     """
     r = polar_radius(spec, phi)
     cx, cy, z = placement.pole_float

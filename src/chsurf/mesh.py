@@ -36,7 +36,7 @@ from typing import Any, BinaryIO, Dict, List, Sequence
 
 from .congruence import CongruenceSpec
 from .curve import CurveSpec, Placement, curve_point
-from .surface import AXIS_EPS, SurfaceSpec, _radicand_at
+from .surface import AXIS_EPS, SurfaceSpec, radicand
 
 ZERO_AREA_EPS = 1e-14
 
@@ -122,7 +122,7 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
         norm_sq = rho_sq + z * z
         if not math.isfinite(norm_sq):
             raise OverflowError(f"the squared norm of the curve point at t={t!r} overflows float64")
-        value = _radicand_at(point, q)
+        value = radicand(point, q)
         if value == 0.0:
             # Point circle: the whole theta ring is one vertex at the center.
             factor = (norm_sq - q) / (2.0 * rho_sq)

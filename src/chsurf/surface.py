@@ -102,18 +102,14 @@ class SurfaceClassification:
 # -- parametric evaluation -------------------------------------------------------
 
 
-def radicand(spec: SurfaceSpec, t: float) -> float:
-    """4*q*|a_xy|^2 + (|a|^2 - q)^2 at curve parameter t, clamped at zero.
+def radicand(point: Tuple[float, float, float], q: float) -> float:
+    """4*q*|a_xy|^2 + (|a|^2 - q)^2 at a curve point a, clamped at zero.
 
-    Algebraically this equals (|a|^2 + q)^2 - 4*q*z^2, which is non-negative
-    for every q and vanishes exactly where the curve meets the zero-radius
-    circle of a hyperbolic family.
+    ``point`` is the curve point (x, y, z) and ``q`` the float of the
+    congruence's q.  Algebraically this equals (|a|^2 + q)^2 - 4*q*z^2,
+    which is non-negative for every q and vanishes exactly where the curve
+    meets the zero-radius circle of a hyperbolic family.
     """
-    return _radicand_at(curve_point(spec.curve, spec.placement, t), spec.congruence.q_float)
-
-
-def _radicand_at(point: Tuple[float, float, float], q: float) -> float:
-    """:func:`radicand` at a curve point already evaluated, for a float q."""
     x, y, z = point
     rho_sq = x * x + y * y
     norm_sq = rho_sq + z * z
@@ -136,7 +132,7 @@ def parametric_point(spec: SurfaceSpec, t: float, theta: float) -> Tuple[float, 
         raise ValueError(f"curve point at t={t} lies on the z axis")
     q = spec.congruence.q_float
     norm_sq = rho_sq + z * z
-    root = math.sqrt(radicand(spec, t))
+    root = math.sqrt(radicand((x, y, z), q))
     along = (root * math.cos(theta) + norm_sq - q) / (2.0 * rho_sq)
     return (x * along, y * along, root * math.sin(theta) / (2.0 * rho))
 
@@ -144,19 +140,6 @@ def parametric_point(spec: SurfaceSpec, t: float, theta: float) -> Tuple[float, 
 def generating_circle(spec: SurfaceSpec, t: float) -> CircleKey:
     """CircleKey of the generating circle at curve parameter t."""
     return circle_through(spec.congruence, curve_point(spec.curve, spec.placement, t))
-
-
-def curve_theta(spec: SurfaceSpec, t: float) -> float:
-    """Circle angle at which the generating circle passes through the curve.
-
-    Angles are measured in the curve point's own half-plane frame, matching
-    the parametrization used by :func:`parametric_point`.
-    """
-    x, y, z = curve_point(spec.curve, spec.placement, t)
-    rho = math.hypot(x, y)
-    q = spec.congruence.q_float
-    center = (rho * rho + z * z - q) / (2.0 * rho)
-    return math.atan2(z, rho - center)
 
 
 # -- incidence with the axis ------------------------------------------------------
@@ -385,15 +368,14 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
     contacts that never change sign.  A grid value that is not finite is an
     ``OverflowError``.
     """
-    n_points = max(int(grid), 64)
-    ts = [period * i / n_points for i in range(n_points)]
+    ts = [period * i / grid for i in range(grid)]
     vals = list(map(f, ts))
     if not all(map(math.isfinite, vals)):
         # An overflowed grid makes every point look like a root.
         raise OverflowError("a sampled value of the gap is not finite in float64")
     sizes = list(map(abs, vals))
     scale = max(1.0, max(sizes))
-    step = period / n_points
+    step = period / grid
 
     def bisect(lo: float, hi: float, flo: float) -> float:
         for _ in range(80):
@@ -427,17 +409,17 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
         return 0.5 * (a + b)
 
     roots: List[float] = []
-    for i in range(n_points):
-        k = (i + 1) % n_points
+    for i in range(grid):
+        k = (i + 1) % grid
         if vals[i] == 0.0:
             roots.append(ts[i])
         elif vals[i] * vals[k] < 0.0:
             roots.append(bisect(ts[i], ts[i] + step, vals[i]))
-    for i in range(n_points):
+    for i in range(grid):
         here = sizes[i]
         if here == 0.0:
             continue
-        if here <= sizes[i - 1] and here <= sizes[(i + 1) % n_points]:
+        if here <= sizes[i - 1] and here <= sizes[(i + 1) % grid]:
             if here <= 1e-3 * scale:
                 candidate = golden_min(ts[i] - step, ts[i] + step) % period
                 if abs(f(candidate)) <= ROOT_EPS * scale:
@@ -514,13 +496,6 @@ def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[floa
     computed inline with :func:`curve.curve_point`'s operations in the
     same order, so the centers are bit-identical to ones built on
     ``curve_point`` (``test_float_once_evaluators_match_curve_point``).
-    The center formula has four more inline copies, all in
-    :func:`_polish_coincidence` (the centers at t1, t2 and the two step
-    points), pinned by ``test_polish_matches_reference_on_sweep_starts`` and
-    ``test_polish_tests_convergence_before_its_step_centers``; the curve
-    point alone is also inline in :func:`_gap_function`, pinned by
-    ``test_root_finders_match_curve_point_reference``.  Keep the formulas
-    in step.
     """
     n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, _ = _center_constants(spec)
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
@@ -664,9 +639,8 @@ def _off_center_coincidences(
     for a crossing on the spot, keeping only the crossings.  The crossing
     test is the one inline copy of the segment intersection, given the
     lower-index segment first, with bounds of 1e-12 either side of [0, 1].
-    The crossings are then polished by :func:`_polish_coincidence`, whose
-    Newton step evaluates the centers with its own four inline copies of
-    the center formula, in ascending segment order.  So the result is the
+    The crossings are then polished by :func:`_polish_coincidence` in
+    ascending segment order.  So the result is the
     list an all-pairs scan would give, in the same order:
     ``test_sweep_matches_all_pairs_scan`` compares it with one built on
     ``curve_point`` and the test module's own ``_segment_intersection``, and
@@ -795,7 +769,8 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     segment crossing test is inline in the sweep of
     :func:`_off_center_coincidences`.  Each copy is pinned by a test named
     in its function's docstring, and ``test_surface_query_pool_byte_pin``
-    pins the bytes of the benchmark's 160 pool queries.
+    pins the bytes of the benchmark's 160 pool queries.  Keep the copies in
+    step with ``curve_point``.
     """
     if samples < 16:
         raise ValueError("samples must be at least 16")
@@ -811,10 +786,12 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     # indices at the same positions in ``indices``, so only the nodes in a
     # window around t and its two wrapped images are tested, and an image
     # whose window lies wholly outside the stored values is skipped; a query
-    # has up to a few hundred nodes.
+    # has up to a few hundred nodes.  A new node is its own root, and each
+    # pair is united as it is read.
     nodes: List[float] = []
     values: List[float] = []
     indices: List[int] = []
+    parent: List[int] = []
     window = 2.0 * PARAM_DEDUP
 
     def node_index(t: float) -> int:
@@ -834,9 +811,8 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
             values.insert(pos, t)
             indices.insert(pos, found)
             nodes.append(t)
+            parent.append(found)
         return found
-
-    parent: List[int] = []
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -844,15 +820,8 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
             i = parent[i]
         return i
 
-    edges = []
     for t1, t2 in pairs:
-        i1 = node_index(t1)
-        i2 = node_index(t2)
-        while len(parent) < len(nodes):
-            parent.append(len(parent))
-        edges.append((i1, i2))
-    for i1, i2 in edges:
-        r1, r2 = find(i1), find(i2)
+        r1, r2 = find(node_index(t1)), find(node_index(t2))
         if r1 != r2:
             parent[r2] = r1
 
@@ -882,8 +851,11 @@ def zero_circle_parameters(spec: SurfaceSpec, grid: int = DEFAULT_ROOT_GRID) -> 
     Finds both transversal crossings (sign changes, refined by bisection)
     and tangential contacts (near-zero local minima of |gap|, refined by
     golden-section search); the latter matter because curtate curves often
-    touch the waist circle without crossing it.
+    touch the waist circle without crossing it.  ``grid`` is the number of
+    sample points; fewer than 64 is a ``ValueError``.
     """
+    if grid < 64:
+        raise ValueError("grid must be at least 64")
     if spec.congruence.q >= 0 or spec.placement.height != 0:
         return []
     gap = _gap_function(spec, 0.0, spec.congruence.q_float)

@@ -33,8 +33,6 @@ from .surface import (
     IncidenceType,
     classify,
     count_row,
-    curve_theta,
-    generating_circle,
     parametric_point,
     radicand,
     table_branch,
@@ -288,50 +286,70 @@ def _cone_constant_check() -> Check:
     return Check("cone constant sum vs closed form", not differ, measured)
 
 
-def _sample_parameters(spec, count: int) -> List[float]:
-    """Well-spread parameters avoiding degenerate rows."""
+def _sample_parameters(spec, count: int) -> List[Tuple[float, Tuple[float, float, float]]]:
+    """Well-spread parameters avoiding degenerate rows, each with its curve point."""
     period = spec.curve.parameter_period
+    q = spec.congruence.q_float
     axis_tol = AXIS_EPS * spec.extent
     out = []
     for k in range(count * 2):
         t = period * (k + 0.37) / (count * 2)
-        x, y, _ = curve_point(spec.curve, spec.placement, t)
-        if math.hypot(x, y) <= axis_tol or radicand(spec, t) == 0.0:
+        point = curve_point(spec.curve, spec.placement, t)
+        if math.hypot(point[0], point[1]) <= axis_tol or radicand(point, q) == 0.0:
             continue
-        out.append(t)
+        out.append((t, point))
         if len(out) == count:
             break
     return out
 
 
 def _preset_geometry_checks(key: str) -> List[Check]:
-    preset = figure_preset(key)
-    spec = preset.spec
+    """The geometry rows of one preset, from one pass over its sampled circles.
+
+    For each sampled parameter the curve point, its distance ``rho`` from
+    the axis and the meridian center of the circle through it are computed
+    once.  The curve angle, the two base-point angles (q > 0) and the angle
+    of the origin (q = 0) are all taken from them.
+    """
+    spec = figure_preset(key).spec
     q = spec.congruence.q_float
     scale = spec.extent
     count = 64  # sampled parameters per check
-    params = _sample_parameters(spec, count)
+    samples = _sample_parameters(spec, count)
+    root_q = math.sqrt(q) if q > 0 else 0.0
     checks = []
 
-    worst_curve = 0.0
+    worst_curve = worst_base = worst_origin = 0.0
     worst_key_ok = True
     row_key = None
-    for t in params:
-        expected = curve_point(spec.curve, spec.placement, t)
-        got = parametric_point(spec, t, curve_theta(spec, t))
-        worst_curve = max(worst_curve, math.dist(expected, got))
-        row_key = generating_circle(spec, t)
+    for t, point in samples:
+        x, y, z = point
+        rho = math.hypot(x, y)
+        center = (rho * rho + z * z - q) / (2.0 * rho)
+        got = parametric_point(spec, t, math.atan2(z, rho - center))
+        worst_curve = max(worst_curve, math.dist(point, got))
+        row_key = circle_through(spec.congruence, point)
         for theta in (0.4, 1.7, 3.1, 4.9):
-            point = parametric_point(spec, t, theta)
-            if math.hypot(point[0], point[1]) < 1e-5 * scale:
+            on_circle = parametric_point(spec, t, theta)
+            if math.hypot(on_circle[0], on_circle[1]) < 1e-5 * scale:
                 continue
-            if not circle_key_close(row_key, circle_through(spec.congruence, point), 1e-7):
+            if not circle_key_close(row_key, circle_through(spec.congruence, on_circle), 1e-7):
                 worst_key_ok = False
+        if q > 0:
+            radius = math.sqrt(center * center + q)
+            for sign in (1.0, -1.0):
+                theta = math.atan2(sign * root_q / radius, -center / radius)
+                on_circle = parametric_point(spec, t, theta)
+                worst_base = max(worst_base, math.dist(on_circle, (0.0, 0.0, sign * root_q)))
+        elif q == 0:
+            on_circle = parametric_point(spec, t, math.pi if center > 0 else 0.0)
+            worst_origin = max(worst_origin, math.dist(on_circle, (0.0, 0.0, 0.0)))
+
     checks.append(
         Check(
             f"{key} curve on surface",
             worst_curve <= 1e-8 * scale,
-            f"max gap={worst_curve:.3e} over {len(params)} params",
+            f"max gap={worst_curve:.3e} over {len(samples)} params",
         )
     )
     key_echo = json.dumps(
@@ -345,44 +363,16 @@ def _preset_geometry_checks(key: str) -> List[Check]:
         Check(
             f"{key} circle-key stability",
             worst_key_ok,
-            f"{len(params)} params x 4 angles, last key {key_echo}",
+            f"{len(samples)} params x 4 angles, last key {key_echo}",
         )
     )
-
     if q > 0:
-        worst = 0.0
-        root_q = math.sqrt(q)
-        for t in params:
-            x, y, z = curve_point(spec.curve, spec.placement, t)
-            rho = math.hypot(x, y)
-            center = (rho * rho + z * z - q) / (2.0 * rho)
-            radius = math.sqrt(center * center + q)
-            for sign in (1.0, -1.0):
-                theta = math.atan2(sign * root_q / radius, -center / radius)
-                point = parametric_point(spec, t, theta)
-                worst = max(worst, math.dist(point, (0.0, 0.0, sign * root_q)))
         checks.append(
-            Check(
-                f"{key} passes base points",
-                worst <= 1e-9 * scale,
-                f"max gap={worst:.3e}",
-            )
+            Check(f"{key} passes base points", worst_base <= 1e-9 * scale, f"max gap={worst_base:.3e}")
         )
     if q == 0:
-        worst = 0.0
-        for t in params:
-            x, y, z = curve_point(spec.curve, spec.placement, t)
-            rho = math.hypot(x, y)
-            center = (rho * rho + z * z) / (2.0 * rho)
-            theta = math.pi if center > 0 else 0.0
-            point = parametric_point(spec, t, theta)
-            worst = max(worst, math.dist(point, (0.0, 0.0, 0.0)))
         checks.append(
-            Check(
-                f"{key} tangent at origin",
-                worst <= 1e-9 * scale,
-                f"max gap={worst:.3e}",
-            )
+            Check(f"{key} tangent at origin", worst_origin <= 1e-9 * scale, f"max gap={worst_origin:.3e}")
         )
 
     touched = zero_circle_parameters(spec) if q < 0 else []
@@ -391,10 +381,10 @@ def _preset_geometry_checks(key: str) -> List[Check]:
     axis_tol = AXIS_EPS * scale
     for k in range(count):
         t = period * k / count
-        x, y, _ = curve_point(spec.curve, spec.placement, t)
-        if math.hypot(x, y) <= axis_tol:
+        point = curve_point(spec.curve, spec.placement, t)
+        if math.hypot(point[0], point[1]) <= axis_tol:
             continue  # parametrization undefined on the axis
-        value = radicand(spec, t)
+        value = radicand(point, q)
         if value < 0.0:
             bad += 1
         elif value == 0.0:

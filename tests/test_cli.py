@@ -596,6 +596,16 @@ def test_negative_fractions_as_separate_arguments():
     assert separate == joined
 
 
+@pytest.mark.parametrize(
+    "option,value", [("--cx", "-1e3"), ("--cx", "-1.5e-1"), ("--h", "-2.5E-1"), ("--cy", "-.5")]
+)
+def test_negative_exponent_values_as_separate_arguments(option, value):
+    base = ("surface-classify", "--n", "3", "--d", "1", "--q", "1")
+    separate = invoke(*base, option, value)
+    assert separate[0] == 0, separate[2]
+    assert separate == invoke(*base, f"{option}={value}")
+
+
 def test_classification_disagreement_exit_1(monkeypatch):
     monkeypatch.setitem(CLASSIFICATION_TABLE, (2, "B", "lt"), lambda n, d, j: (1, 1, 1, 1))
     code, out, err = invoke(

@@ -113,7 +113,7 @@ def _scalar_sample(spec, nt, ntheta):
         if rho <= axis_tol:
             rows.append(MeshRow(i, t, SKIPPED, start, 0))
             continue
-        value = radicand(spec, t)
+        value = radicand((x, y, z), q)
         norm_sq = rho_sq + z * z
         if value == 0.0:
             factor = (norm_sq - q) / (2.0 * rho_sq)

@@ -26,7 +26,6 @@ from chsurf.surface import (
     classification_from_counts,
     classify,
     count_row,
-    curve_theta,
     generating_circle,
     incidence_type,
     parametric_point,
@@ -87,7 +86,7 @@ def test_radicand_nonnegative_everywhere():
         spec = make_spec(7, 3, "1/4", q=q, h="1/2")
         for k in range(200):
             t = spec.curve.parameter_period * k / 200
-            assert radicand(spec, t) >= 0.0
+            assert radicand(curve_point(spec.curve, spec.placement, t), spec.congruence.q_float) >= 0.0
 
 
 def test_curve_lies_on_surface():
@@ -95,7 +94,10 @@ def test_curve_lies_on_surface():
     for k in range(64):
         t = spec.curve.parameter_period * (k + 0.31) / 64
         expected = curve_point(spec.curve, spec.placement, t)
-        got = parametric_point(spec, t, curve_theta(spec, t))
+        x, y, z = expected
+        rho = math.hypot(x, y)
+        center = (rho * rho + z * z - spec.congruence.q_float) / (2.0 * rho)
+        got = parametric_point(spec, t, math.atan2(z, rho - center))
         assert got == pytest.approx(expected, abs=1e-10)
 
 
@@ -901,3 +903,15 @@ def test_zero_circle_transversal_crossings():
     spec = make_spec(7, 1, "3/2", q=-1)
     params = zero_circle_parameters(spec)
     assert len(params) == 14
+
+
+@pytest.mark.parametrize("q", ["-1", "1"])
+def test_zero_circle_grid_below_64_is_an_error(q):
+    spec = make_spec(7, 1, "2", q=q)
+    for grid in (10, 63):
+        with pytest.raises(ValueError, match="grid must be at least 64"):
+            zero_circle_parameters(spec, grid=grid)
+        with pytest.raises(ValueError, match="grid must be at least 64"):
+            zero_circle_intersections(spec, grid=grid)
+    # 64 points is enough for the 14 transversal crossings of CH(7,1,3/2).
+    assert len(zero_circle_parameters(make_spec(7, 1, "3/2", q=-1), grid=64)) == 14

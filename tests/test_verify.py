@@ -50,6 +50,31 @@ def test_invariants_report_disagreement_per_preset(monkeypatch):
     assert all("classification paths disagree" in c.measured for c in report.checks if not c.passed)
 
 
+GEOMETRY_ROWS = ("curve on surface", "circle-key stability", "passes base points", "tangent at origin")
+
+
+def test_geometry_rows_fail_on_a_shifted_surface(monkeypatch):
+    names = [c.name for c in run_invariants().checks]
+    exact = verify.parametric_point
+
+    def shifted(spec, t, theta):
+        x, y, z = exact(spec, t, theta)
+        return (x, y, z + 1e-6)
+
+    monkeypatch.setattr(verify, "parametric_point", shifted)
+    report = run_invariants()
+    assert [c.name for c in report.checks] == names
+    geometry = sorted(n for n in names if n.split(" ", 1)[1] in GEOMETRY_ROWS)
+    assert _failed_names(report) == geometry
+    for key in preset_keys():
+        assert f"{key} curve on surface" in geometry
+        spec = figure_preset(key).spec
+        assert (f"{key} passes base points" in geometry) == (spec.congruence.q > 0)
+        assert (f"{key} tangent at origin" in geometry) == (spec.congruence.q == 0)
+    for check in report.checks:
+        if check.name.endswith(("curve on surface", "passes base points", "tangent at origin")):
+            assert check.measured.startswith("max gap=1.000e-06"), check
+
 
 def test_cone_constant_off_by_one_fails_and_names_its_pair(monkeypatch):
     exact = verify.origin_cone_constant
