@@ -1,15 +1,18 @@
 """Triangle meshing of the circular surfaces, OBJ export, and figure presets.
 
 The parameter rectangle [0, 2*d*pi) x [0, 2*pi) is sampled on a regular
-grid, wrapped in both directions.  Rows where the curve crosses the z axis
+grid, wrapped in both directions.  Each row's generating circle is computed
+once, by ``surface._circle_frame``.  Rows where the curve crosses the z axis
 are skipped (the affine parametrization is undefined there, so the mesh
 keeps a hole), rows where the generating circle degenerates to a point are
-collapsed to a single vertex, and each surviving quad is split into two
-triangles with exact-zero slivers dropped.  A sampled ``Mesh`` holds numpy
-arrays: ``(N, 3)`` float64 vertices and ``(M, 3)`` int64 triangles.  The
-sliver filter and the OBJ writer work through these arrays in fixed blocks
-of triangles or vertices, so the temporaries of a block stay in cache and
-no full-size gather or copy is made.  numpy is imported inside ``sample``
+collapsed to a single vertex at its center, the vertices of every other
+row are placed by ``surface.parametric_point`` (the one surface-point
+formula, shared with ``verify invariants``), and each surviving quad is
+split into two triangles with exact-zero slivers dropped.  A sampled
+``Mesh`` holds numpy arrays: ``(N, 3)`` float64 vertices and ``(M, 3)``
+int64 triangles.  The sliver filter and the OBJ writer work through these
+arrays in fixed blocks of triangles or vertices, so the temporaries of a
+block stay in cache and no full-size gather or copy is made.  numpy is imported inside ``sample``
 and ``export_obj``, and the OBJ writer builds its lookup tables on first
 use, so importing this module (and the CLI) does not load numpy.
 
@@ -36,7 +39,7 @@ from typing import Any, BinaryIO, Dict, List, Sequence
 
 from .congruence import CongruenceSpec
 from .curve import CurveSpec, Placement, curve_point
-from .surface import AXIS_EPS, SurfaceSpec, radicand
+from .surface import SurfaceSpec, _circle_frame, parametric_point
 
 ZERO_AREA_EPS = 1e-14
 
@@ -67,7 +70,6 @@ class Mesh:
     vertices: Any = field(default_factory=list)
     triangles: Any = field(default_factory=list)
     rows: List[MeshRow] = field(default_factory=list)
-    ntheta: int = 0
 
     @property
     def skipped_rows(self) -> List[int]:
@@ -87,13 +89,17 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     ``nt`` rows cover one period of the curve parameter, ``ntheta`` columns
     one turn of each generating circle; both seams are closed by reusing the
     first row/column, never by duplicating vertices.  Each row's kind is
-    decided on scalars, and the vertex rings are one numpy expression over
-    all FULL rows.  The triangles of each run of consecutive FULL-to-FULL
-    row pairs are one broadcast.  The sliver filter works through the
-    triangles in blocks of ``_TRIANGLE_CHUNK``, so its gathers and cross
-    products stay in cache, and the triangles are copied only when a sliver
-    is dropped.  A row or vertex that is not finite (a coordinate whose
-    square overflows) is an ``OverflowError``.
+    decided on its circle frame (``surface._circle_frame``): no frame is a
+    SKIPPED row, a zero root a COLLAPSED row whose one vertex is the point
+    circle's center, and the vertex rings of the FULL rows are one
+    ``surface.parametric_point`` call on their frames as numpy columns,
+    with the same bits as a call per vertex on floats.  The triangles of
+    each run of consecutive FULL-to-FULL row pairs are one broadcast.  The
+    sliver filter works through the triangles in blocks of
+    ``_TRIANGLE_CHUNK``, so its gathers and cross products stay in cache,
+    and the triangles are copied only when a sliver is dropped.  A row or
+    vertex that is not finite (a coordinate whose square overflows) is an
+    ``OverflowError``.
     """
     import numpy as np  # only meshing needs it; the other commands start faster without
 
@@ -104,34 +110,28 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     cos_t = np.array([math.cos(v) for v in thetas])
     sin_t = np.array([math.sin(v) for v in thetas])
     q = spec.congruence.q_float
-    axis_tol = AXIS_EPS * spec.extent
 
-    mesh = Mesh(ntheta=ntheta)
-    rings = []  # (vertex_start, x, y, root, norm_sq, half_inv, z_scale) per FULL row
+    mesh = Mesh()
+    rings = []  # (vertex_start, *frame) per FULL row
     apexes = []  # (vertex_start, x, y) per COLLAPSED row
     count = 0
     for i in range(nt):
         t = period * i / nt
-        point = curve_point(spec.curve, spec.placement, t)
-        x, y, z = point
-        rho_sq = x * x + y * y
-        rho = math.sqrt(rho_sq)
-        if rho <= axis_tol:
+        frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, t))
+        if frame is None:
             mesh.rows.append(MeshRow(i, t, SKIPPED, count, 0))
             continue
-        norm_sq = rho_sq + z * z
+        x, y, root, norm_sq, two_rho_sq, _ = frame
         if not math.isfinite(norm_sq):
             raise OverflowError(f"the squared norm of the curve point at t={t!r} overflows float64")
-        value = radicand(point, q)
-        if value == 0.0:
+        if root == 0.0:
             # Point circle: the whole theta ring is one vertex at the center.
-            factor = (norm_sq - q) / (2.0 * rho_sq)
+            factor = (norm_sq - q) / two_rho_sq
             apexes.append((count, x * factor, y * factor))
             mesh.rows.append(MeshRow(i, t, COLLAPSED, count, 1))
             count += 1
             continue
-        root = math.sqrt(value)
-        rings.append((count, x, y, root, norm_sq, 1.0 / (2.0 * rho_sq), root / (2.0 * rho)))
+        rings.append((count, *frame))
         mesh.rows.append(MeshRow(i, t, FULL, count, ntheta))
         count += ntheta
 
@@ -141,14 +141,10 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     columns = np.arange(ntheta, dtype=np.int64)
     vertices = np.zeros((count, 3))
     if rings:
-        start, x, y, root, norm_sq, half_inv, z_scale = (
-            np.array(values)[:, None] for values in zip(*rings)
-        )
-        along = (root * cos_t + norm_sq - q) * half_inv
+        start, *frames = (np.array(values)[:, None] for values in zip(*rings))
         ring = (start + columns).ravel()
-        vertices[ring, 0] = (x * along).ravel()
-        vertices[ring, 1] = (y * along).ravel()
-        vertices[ring, 2] = (z_scale * sin_t).ravel()
+        for axis, coordinate in enumerate(parametric_point(frames, q, cos_t, sin_t)):
+            vertices[ring, axis] = coordinate.ravel()
     for start, x, y in apexes:
         vertices[start, :2] = (x, y)
     peak = float(np.abs(vertices).max())

@@ -45,14 +45,23 @@ class SurfaceSpec:
     placement: Placement
 
     @cached_property
+    def plane_extent(self) -> float:
+        """Coarse bound on planar coordinates: pole offset plus peak radius.
+
+        It is at least 1.0 and scales the axis tests, which compare a planar
+        distance, so the height of the curve's plane does not widen them.
+        """
+        cx, cy, _ = self.placement.pole_float
+        return 1.0 + self.curve.a_float + math.hypot(cx, cy)
+
+    @cached_property
     def extent(self) -> float:
-        """Coarse bound on coordinates: pole offset plus peak radius.
+        """Coarse bound on coordinates: ``plane_extent`` plus the plane's height.
 
         Every term is non-negative, so it is at least 1.0 and scales a
         tolerance as it is.
         """
-        cx, cy, height = self.placement.pole_float
-        return 1.0 + self.curve.a_float + math.hypot(cx, cy) + abs(height)
+        return self.plane_extent + abs(self.placement.pole_float[2])
 
 
 @dataclass(frozen=True)
@@ -123,18 +132,35 @@ def radicand(point: Tuple[float, float, float], q: float) -> float:
     return value
 
 
-def parametric_point(spec: SurfaceSpec, t: float, theta: float) -> Tuple[float, float, float]:
-    """Point of the surface: angle theta on the circle through the curve at t."""
-    x, y, z = curve_point(spec.curve, spec.placement, t)
+def _circle_frame(spec: SurfaceSpec, point: Tuple[float, float, float]) -> Optional[tuple]:
+    """The generating circle through a curve point, as ``parametric_point`` reads it.
+
+    Returns ``(x, y, root, norm_sq, two_rho_sq, two_rho)``: the point's
+    planar coordinates, ``sqrt(radicand)``, ``|p|^2``, ``2*rho^2`` and
+    ``2*rho`` with ``rho`` the point's distance from the z axis.  Returns
+    None when ``rho`` is within ``AXIS_EPS * plane_extent`` of the axis,
+    where the circle is not unique.  ``root == 0.0`` is a point circle.
+    """
+    x, y, z = point
     rho_sq = x * x + y * y
     rho = math.sqrt(rho_sq)
-    if rho <= AXIS_EPS * spec.extent:
-        raise ValueError(f"curve point at t={t} lies on the z axis")
-    q = spec.congruence.q_float
-    norm_sq = rho_sq + z * z
-    root = math.sqrt(radicand((x, y, z), q))
-    along = (root * math.cos(theta) + norm_sq - q) / (2.0 * rho_sq)
-    return (x * along, y * along, root * math.sin(theta) / (2.0 * rho))
+    if rho <= AXIS_EPS * spec.plane_extent:
+        return None
+    root = math.sqrt(radicand(point, spec.congruence.q_float))
+    return (x, y, root, rho_sq + z * z, 2.0 * rho_sq, 2.0 * rho)
+
+
+def parametric_point(frame: tuple, q: float, cos_theta, sin_theta) -> tuple:
+    """Point at angle theta on the circle of a :func:`_circle_frame`; q is the float q.
+
+    ``along = (root*cos theta + |p|^2 - q) * (1/(2*rho^2))`` gives
+    ``(x*along, y*along, root/(2*rho) * sin theta)``.  Frame entries, cosine
+    and sine may be floats or broadcasting numpy arrays; every operation is
+    elementwise, so each array element has the bits of the float call.
+    """
+    x, y, root, norm_sq, two_rho_sq, two_rho = frame
+    along = (root * cos_theta + norm_sq - q) * (1.0 / two_rho_sq)
+    return (x * along, y * along, root / two_rho * sin_theta)
 
 
 def generating_circle(spec: SurfaceSpec, t: float) -> CircleKey:
@@ -474,7 +500,8 @@ def _center_constants(spec: SurfaceSpec) -> tuple:
     """Floats of the center trace: (n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, scale).
 
     Gathered once per query for :func:`_center_function` and
-    :func:`_polish_coincidence`; ``scale`` is the extent, at least 1.
+    :func:`_polish_coincidence`; ``scale`` is the extent, at least 1, and
+    ``axis_bound`` is scaled by the plane extent.
     """
     n, d, a, cx, cy = _plane_constants(spec)
     z = spec.placement.pole_float[2]
@@ -484,7 +511,7 @@ def _center_constants(spec: SurfaceSpec) -> tuple:
         waist_bound = RADICAND_EPS * scale ** 2
     except OverflowError:
         raise OverflowError("the squared extent of the surface overflows float64") from None
-    return (n, d, a, cx, cy, z * z, q, AXIS_EPS * scale, waist_bound, scale)
+    return (n, d, a, cx, cy, z * z, q, AXIS_EPS * spec.plane_extent, waist_bound, scale)
 
 
 def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[float, float]]]:
@@ -724,7 +751,7 @@ def _axis_centered_groups(spec: SurfaceSpec, samples: int, domain: float) -> Lis
         return []
     z = spec.placement.pole_float[2]
     roots = _periodic_roots(_gap_function(spec, z * z, -q), domain, max(4 * samples, 2048))
-    axis_bound = AXIS_EPS * spec.extent
+    axis_bound = AXIS_EPS * spec.plane_extent
     planed = []
     for t in roots:
         x, y, _ = curve_point(spec.curve, spec.placement, t)

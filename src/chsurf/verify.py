@@ -31,6 +31,7 @@ from .mesh import figure_preset, preset_keys
 from .surface import (
     AXIS_EPS,
     IncidenceType,
+    _circle_frame,
     classify,
     count_row,
     parametric_point,
@@ -286,18 +287,17 @@ def _cone_constant_check() -> Check:
     return Check("cone constant sum vs closed form", not differ, measured)
 
 
-def _sample_parameters(spec, count: int) -> List[Tuple[float, Tuple[float, float, float]]]:
-    """Well-spread parameters avoiding degenerate rows, each with its curve point."""
+def _sample_parameters(spec, count: int) -> List[Tuple[Tuple[float, float, float], tuple]]:
+    """Well-spread curve points off the axis and off point circles, each with its circle frame."""
     period = spec.curve.parameter_period
-    q = spec.congruence.q_float
-    axis_tol = AXIS_EPS * spec.extent
     out = []
     for k in range(count * 2):
         t = period * (k + 0.37) / (count * 2)
         point = curve_point(spec.curve, spec.placement, t)
-        if math.hypot(point[0], point[1]) <= axis_tol or radicand(point, q) == 0.0:
+        frame = _circle_frame(spec, point)
+        if frame is None or frame[2] == 0.0:
             continue
-        out.append((t, point))
+        out.append((point, frame))
         if len(out) == count:
             break
     return out
@@ -306,10 +306,12 @@ def _sample_parameters(spec, count: int) -> List[Tuple[float, Tuple[float, float
 def _preset_geometry_checks(key: str) -> List[Check]:
     """The geometry rows of one preset, from one pass over its sampled circles.
 
-    For each sampled parameter the curve point, its distance ``rho`` from
-    the axis and the meridian center of the circle through it are computed
-    once.  The curve angle, the two base-point angles (q > 0) and the angle
-    of the origin (q = 0) are all taken from them.
+    Each sampled curve point comes with its circle frame
+    (``surface._circle_frame``), and every circle point is placed from that
+    frame by ``surface.parametric_point``, the formula that makes the mesh.
+    The point's distance ``rho`` from the axis and the meridian center of
+    its circle are computed once; the curve angle, the two base-point
+    angles (q > 0) and the angle of the origin (q = 0) are taken from them.
     """
     spec = figure_preset(key).spec
     q = spec.congruence.q_float
@@ -317,20 +319,22 @@ def _preset_geometry_checks(key: str) -> List[Check]:
     count = 64  # sampled parameters per check
     samples = _sample_parameters(spec, count)
     root_q = math.sqrt(q) if q > 0 else 0.0
+    key_angles = [(math.cos(theta), math.sin(theta)) for theta in (0.4, 1.7, 3.1, 4.9)]
     checks = []
 
     worst_curve = worst_base = worst_origin = 0.0
     worst_key_ok = True
     row_key = None
-    for t, point in samples:
+    for point, frame in samples:
         x, y, z = point
         rho = math.hypot(x, y)
         center = (rho * rho + z * z - q) / (2.0 * rho)
-        got = parametric_point(spec, t, math.atan2(z, rho - center))
+        theta = math.atan2(z, rho - center)
+        got = parametric_point(frame, q, math.cos(theta), math.sin(theta))
         worst_curve = max(worst_curve, math.dist(point, got))
         row_key = circle_through(spec.congruence, point)
-        for theta in (0.4, 1.7, 3.1, 4.9):
-            on_circle = parametric_point(spec, t, theta)
+        for cos_theta, sin_theta in key_angles:
+            on_circle = parametric_point(frame, q, cos_theta, sin_theta)
             if math.hypot(on_circle[0], on_circle[1]) < 1e-5 * scale:
                 continue
             if not circle_key_close(row_key, circle_through(spec.congruence, on_circle), 1e-7):
@@ -339,10 +343,11 @@ def _preset_geometry_checks(key: str) -> List[Check]:
             radius = math.sqrt(center * center + q)
             for sign in (1.0, -1.0):
                 theta = math.atan2(sign * root_q / radius, -center / radius)
-                on_circle = parametric_point(spec, t, theta)
+                on_circle = parametric_point(frame, q, math.cos(theta), math.sin(theta))
                 worst_base = max(worst_base, math.dist(on_circle, (0.0, 0.0, sign * root_q)))
         elif q == 0:
-            on_circle = parametric_point(spec, t, math.pi if center > 0 else 0.0)
+            theta = math.pi if center > 0 else 0.0
+            on_circle = parametric_point(frame, q, math.cos(theta), math.sin(theta))
             worst_origin = max(worst_origin, math.dist(on_circle, (0.0, 0.0, 0.0)))
 
     checks.append(
@@ -378,7 +383,7 @@ def _preset_geometry_checks(key: str) -> List[Check]:
     touched = zero_circle_parameters(spec) if q < 0 else []
     bad = 0
     period = spec.curve.parameter_period
-    axis_tol = AXIS_EPS * scale
+    axis_tol = AXIS_EPS * spec.plane_extent
     for k in range(count):
         t = period * k / count
         point = curve_point(spec.curve, spec.placement, t)

@@ -226,6 +226,16 @@ def test_surface_mesh_stdout():
     assert out.startswith("v ")
 
 
+def test_surface_mesh_far_above_the_axis():
+    # The axis test compares planar distances, so a high plane skips only the cusp row.
+    code, out, err = invoke(
+        "surface-mesh", "--n", "1", "--d", "1", "--a", "1", "--q", "1", "--h", "1e10",
+        "--nt", "64", "--ntheta", "8",
+    )
+    assert (code, err) == (0, "")
+    assert sum(line.startswith("v ") for line in out.splitlines()) == 63 * 8
+
+
 def test_verify_table2_text_and_json():
     code, out, _ = invoke("verify", "table2")
     assert code == 0
@@ -267,6 +277,22 @@ def test_verify_exact_suites_byte_pin(suite):
     code, out, err = invoke("verify", suite)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_TEXT_SHA256[suite]
+
+
+# sha256 of the ``verify invariants`` report as text and as JSON.  Its gaps
+# and circle keys go through the C library's cos, sin and atan2, so the
+# digests are those of glibc on x86-64.
+VERIFY_INVARIANTS_SHA256 = {
+    "text": "227b4391510dabb968cfe90f86270d337632caf0c777f67d6fe52cc184fe2a79",
+    "json": "dbf49b1d575339e8af54de0b7c3695b27501cdd142696c59a80d02a587d8899b",
+}
+
+
+@pytest.mark.parametrize("form", sorted(VERIFY_INVARIANTS_SHA256))
+def test_verify_invariants_byte_pin(form):
+    code, out, err = invoke("verify", "invariants", "--format", form)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_INVARIANTS_SHA256[form]
 
 
 def test_verify_suite_names_agree():

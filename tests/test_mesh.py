@@ -31,7 +31,9 @@ from chsurf.mesh import (
 )
 from chsurf.surface import (
     AXIS_EPS,
+    _circle_frame,
     generating_circle,
+    parametric_point,
     radicand,
     zero_circle_parameters,
 )
@@ -209,6 +211,33 @@ def test_sample_matches_scalar_reference_across_triangle_blocks(monkeypatch, key
     assert mesh.rows == rows
     assert mesh.vertices.tobytes() == np.array(vertices, dtype=np.float64).tobytes()
     assert mesh.triangles.tolist() == [list(t) for t in triangles]
+
+
+@pytest.mark.parametrize("key", preset_keys())
+def test_full_rows_are_placed_by_parametric_point(key):
+    # Each FULL row's ring, as bytes, is the float call of the one surface-point formula.
+    preset = figure_preset(key)
+    spec, ntheta = preset.spec, preset.ntheta
+    mesh = sample(spec, preset.nt, ntheta)
+    q = spec.congruence.q_float
+    thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
+    angles = [(math.cos(theta), math.sin(theta)) for theta in thetas]
+    full = [row for row in mesh.rows if row.kind == FULL]
+    assert full
+    for row in full:
+        frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, row.t))
+        expected = [parametric_point(frame, q, cos_theta, sin_theta) for cos_theta, sin_theta in angles]
+        ring = mesh.vertices[row.vertex_start : row.vertex_start + ntheta]
+        assert ring.tobytes() == np.array(expected, dtype=np.float64).tobytes(), row
+
+
+@pytest.mark.parametrize("h", ["1e8", "1e10"])
+def test_axis_tolerance_does_not_grow_with_the_plane_height(h):
+    # r = 1 + cos(t) meets the axis only at its cusp t = pi, row 32 of 64; the
+    # axis test compares planar distances, so the plane's height must not widen it.
+    mesh = sample(make_spec(1, 1, 1, q=1, h=h), 64, 8)
+    assert mesh.skipped_rows == [32]
+    assert mesh.collapsed_rows == []
 
 
 def test_export_obj_single_triangle():

@@ -23,6 +23,7 @@ from chsurf.mesh import figure_preset, preset_keys
 from chsurf.surface import (
     IncidenceType,
     SurfaceSpec,
+    _circle_frame,
     classification_from_counts,
     classify,
     count_row,
@@ -59,26 +60,32 @@ def test_extent_is_at_least_one(a, cx, cy, h):
     assert make_spec(1, 1, a, cx=cx, cy=cy, h=h).extent >= 1.0
 
 
+def _surface_point(spec, t, theta):
+    """The surface point at angle theta on the circle through the curve at t."""
+    frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, t))
+    return parametric_point(frame, spec.congruence.q_float, math.cos(theta), math.sin(theta))
+
+
 def test_parametric_point_elliptic_reaches_base_point():
     spec = make_spec(1, 1, q=1)  # curve point at t=0 is (1, 0, 0)
-    assert parametric_point(spec, 0.0, math.pi / 2) == pytest.approx((0.0, 0.0, 1.0))
+    assert _surface_point(spec, 0.0, math.pi / 2) == pytest.approx((0.0, 0.0, 1.0))
 
 
 def test_parametric_point_parabolic_tangent():
     spec = make_spec(1, 1, q=0)
-    assert parametric_point(spec, 0.0, math.pi) == pytest.approx((0.0, 0.0, 0.0))
+    assert _surface_point(spec, 0.0, math.pi) == pytest.approx((0.0, 0.0, 0.0))
 
 
 def test_parametric_point_hyperbolic_waist_collapse():
     spec = make_spec(1, 1, q=-1)
     for theta in [0.0, 1.0, 2.5, 4.0]:
-        assert parametric_point(spec, 0.0, theta) == pytest.approx((1.0, 0.0, 0.0))
+        assert _surface_point(spec, 0.0, theta) == pytest.approx((1.0, 0.0, 0.0))
 
 
-def test_parametric_point_axis_error():
+def test_circle_frame_is_none_on_the_axis():
     spec = make_spec(1, 1, q=1)
-    with pytest.raises(ValueError):
-        parametric_point(spec, math.pi / 2, 0.3)  # curve crosses the axis there
+    # The curve crosses the axis at t = pi/2.
+    assert _circle_frame(spec, curve_point(spec.curve, spec.placement, math.pi / 2)) is None
 
 
 def test_radicand_nonnegative_everywhere():
@@ -97,7 +104,7 @@ def test_curve_lies_on_surface():
         x, y, z = expected
         rho = math.hypot(x, y)
         center = (rho * rho + z * z - spec.congruence.q_float) / (2.0 * rho)
-        got = parametric_point(spec, t, math.atan2(z, rho - center))
+        got = _surface_point(spec, t, math.atan2(z, rho - center))
         assert got == pytest.approx(expected, abs=1e-10)
 
 
@@ -107,7 +114,7 @@ def test_parametric_circle_consistency():
         t = spec.curve.parameter_period * (k + 0.21) / 16
         key = generating_circle(spec, t)
         for theta in [0.1, 1.1, 2.3, 3.9, 5.2]:
-            point = parametric_point(spec, t, theta)
+            point = _surface_point(spec, t, theta)
             if math.hypot(point[0], point[1]) < 1e-3:
                 continue
             assert circle_key_close(key, circle_through(spec.congruence, point), 1e-9)

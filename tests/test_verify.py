@@ -57,8 +57,8 @@ def test_geometry_rows_fail_on_a_shifted_surface(monkeypatch):
     names = [c.name for c in run_invariants().checks]
     exact = verify.parametric_point
 
-    def shifted(spec, t, theta):
-        x, y, z = exact(spec, t, theta)
+    def shifted(frame, q, cos_theta, sin_theta):
+        x, y, z = exact(frame, q, cos_theta, sin_theta)
         return (x, y, z + 1e-6)
 
     monkeypatch.setattr(verify, "parametric_point", shifted)
