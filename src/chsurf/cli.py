@@ -4,8 +4,10 @@ Subcommands: curve-props, curve-implicit, curve-sample, surface-classify,
 surface-mesh, figure, verify.  Machine output (JSON / CSV / OBJ) goes to
 stdout or ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
 1 domain error (invalid spec, degenerate geometry, failed verification,
-an internal consistency check, an unwritable output path, or a value too
-large for the floats a sampler, mesh or numeric check uses), 2 usage error.
+an internal consistency check, an unwritable output path, a value too
+large for the floats a sampler, mesh or numeric check uses, or a grid too
+large for memory), 2 usage error.  The mesh commands sample the whole
+mesh before they open ``--out``, so a sampling failure leaves no file.
 
 Rational options accept ``num/den`` or finite decimal strings, both parsed
 exactly, also as a separate negative argument (``--cx -1/2``,
@@ -341,6 +343,10 @@ def run(argv: List[str], out, err) -> int:
         # Exact commands take any rational; the samplers, meshes and numeric
         # checks need every value they derive within the float range.
         _emit(err, f"error: a value is too large for floating point: {failure}\n")
+        return 1
+    except MemoryError as failure:
+        # A grid or mesh too large for this machine; numpy names the allocation.
+        _emit(err, f"error: not enough memory: {str(failure) or 'an allocation failed'}\n")
         return 1
     except (ValueError, RuntimeError, OSError) as failure:
         # OSError: an output path (--out, the CSV sidecars) cannot be written.

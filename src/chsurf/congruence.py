@@ -70,8 +70,8 @@ def circle_through(spec: CongruenceSpec, point: Sequence[float]) -> CircleKey:
     x, y, z = (float(v) for v in point)
     q = spec.q_float
     rho_sq = x * x + y * y
-    scale = max(1.0, rho_sq + z * z + abs(q))
-    if rho_sq <= (1e-12 * scale) ** 2:
+    # The axis test compares planar distances, so the point's height must not widen it.
+    if rho_sq <= (1e-12 * max(1.0, rho_sq + abs(q))) ** 2:
         raise AxisPointError(f"point {point!r} lies on the z axis")
     angle = math.atan2(y, x) % math.pi
     if angle >= math.pi:  # atan2 output of exactly pi wraps to 0
@@ -79,7 +79,7 @@ def circle_through(spec: CongruenceSpec, point: Sequence[float]) -> CircleKey:
     u = x * math.cos(angle) + y * math.sin(angle)
     offset = (rho_sq + z * z - q) / (2.0 * u)
     radius_sq = offset * offset + q
-    if radius_sq <= 1e-12 * scale:
+    if radius_sq <= 1e-12 * max(1.0, rho_sq + z * z + abs(q)):
         raise DegenerateCircleError(
             f"point {point!r} lies on the zero-radius circle of q = {spec.q}"
         )

@@ -10,11 +10,13 @@ row are placed by ``surface.parametric_point`` (the one surface-point
 formula, shared with ``verify invariants``), and each surviving quad is
 split into two triangles with exact-zero slivers dropped.  A sampled
 ``Mesh`` holds numpy arrays: ``(N, 3)`` float64 vertices and ``(M, 3)``
-int64 triangles.  The sliver filter and the OBJ writer work through these
-arrays in fixed blocks of triangles or vertices, so the temporaries of a
-block stay in cache and no full-size gather or copy is made.  numpy is imported inside ``sample``
-and ``export_obj``, and the OBJ writer builds its lookup tables on first
-use, so importing this module (and the CLI) does not load numpy.
+int64 triangles, the latter a view of the leading rows of the buffer the
+candidate triangles were built in.  The sliver filter and the OBJ writer
+work through these arrays in fixed blocks of triangles or vertices, so the
+temporaries of a block stay in cache and no full-size gather or copy of
+the triangles is made.  numpy is imported inside ``sample`` and
+``export_obj``, and the OBJ writer builds its lookup tables on first use,
+so importing this module (and the CLI) does not load numpy.
 
 OBJ text is exactly what ``"%.17g"`` and ``"%d"`` print, but computed on
 arrays: the 17 significant digits of a coordinate in fixed notation are an
@@ -63,8 +65,10 @@ class Mesh:
 
     ``sample`` fills ``vertices`` with an ``(N, 3)`` float64 numpy array and
     ``triangles`` with an ``(M, 3)`` int64 numpy array of 0-based vertex
-    indices.  The fields default to empty lists so that building a ``Mesh``
-    does not import numpy; ``export_obj`` accepts any ``(N, 3)`` sequence.
+    indices, which may be a view of the leading rows of a larger buffer
+    (its ``base``).  The fields default to empty lists so that building a
+    ``Mesh`` does not import numpy; ``export_obj`` accepts any ``(N, 3)``
+    sequence.
     """
 
     vertices: Any = field(default_factory=list)
@@ -93,12 +97,16 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     SKIPPED row, a zero root a COLLAPSED row whose one vertex is the point
     circle's center, and the vertex rings of the FULL rows are one
     ``surface.parametric_point`` call on their frames as numpy columns,
-    with the same bits as a call per vertex on floats.  The triangles of
-    each run of consecutive FULL-to-FULL row pairs are one broadcast.  The
-    sliver filter works through the triangles in blocks of
+    with the same bits as a call per vertex on floats.  Every candidate
+    triangle is written into one preallocated int64 buffer: a run of
+    consecutive FULL-to-FULL row pairs is six corner-wise broadcasts, a fan
+    three.  The sliver filter works through the buffer in blocks of
     ``_TRIANGLE_CHUNK``, so its gathers and cross products stay in cache,
-    and the triangles are copied only when a sliver is dropped.  A row or
-    vertex that is not finite (a coordinate whose square overflows) is an
+    and moves each block's survivors down to the first free row; the
+    returned ``triangles`` are the buffer's leading rows, a view.  At its
+    peak ``sample`` holds the vertices, a coordinate-major copy of them, the
+    candidate buffer and one block's temporaries.  A row or vertex that is
+    not finite (a coordinate whose square overflows) is an
     ``OverflowError``.
     """
     import numpy as np  # only meshing needs it; the other commands start faster without
@@ -145,6 +153,7 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
         ring = (start + columns).ravel()
         for axis, coordinate in enumerate(parametric_point(frames, q, cos_t, sin_t)):
             vertices[ring, axis] = coordinate.ravel()
+        del ring, coordinate  # two vertex columns' worth, not needed while the triangles are built
     for start, x, y in apexes:
         vertices[start, :2] = (x, y)
     peak = float(np.abs(vertices).max())
@@ -154,47 +163,57 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
 
     # Per column j (k = j + 1 around the seam): a quad between FULL rows a, b
     # is (a_j, b_j, b_k), (a_j, b_k, a_k); a fan from a FULL row to an apex
-    # is (f_j, f_k, apex).  The boolean masks pick, per corner, which of the
-    # two rows' vertex_start is added to the column; a run of consecutive
-    # quad pairs is one broadcast over its pairs, in row order.
+    # is (f_j, f_k, apex).  Every candidate triangle is written, corner by
+    # corner, straight into one buffer, in row order; a run of consecutive
+    # quad pairs is one broadcast per corner over its pairs.
     nxt = np.roll(columns, -1)
-    quad_columns = np.stack([columns, columns, nxt, columns, nxt, nxt], axis=1).reshape(-1, 3)
-    quad_from_b = np.tile([[False, True, True], [False, True, False]], (ntheta, 1))
-    fan_columns = np.stack([columns, nxt, np.zeros_like(columns)], axis=1)
-    fan_from_apex = np.array([False, False, True])
-
     pairs = [(mesh.rows[i], mesh.rows[(i + 1) % nt]) for i in range(nt)]
-    blocks = []
+    sizes = {(FULL, FULL): 2 * ntheta, (FULL, COLLAPSED): ntheta, (COLLAPSED, FULL): ntheta}
+    triangles = np.empty((sum(sizes.get((a.kind, b.kind), 0) for a, b in pairs), 3), dtype=np.int64)
+    filled = 0
     for quads, run in itertools.groupby(pairs, key=lambda pair: pair[0].kind == pair[1].kind == FULL):
         if quads:
             starts = np.array([(row_a.vertex_start, row_b.vertex_start) for row_a, row_b in run])
-            offset = np.where(quad_from_b, starts[:, 1, None, None], starts[:, 0, None, None])
-            blocks.append((quad_columns + offset).reshape(-1, 3))
+            a, b = starts[:, :1], starts[:, 1:]
+            end = filled + 2 * ntheta * len(starts)
+            view = triangles[filled:end].reshape(len(starts), ntheta, 6)  # [pair, column, corner]
+            sources = [(a, columns), (b, columns), (b, nxt), (a, columns), (b, nxt), (a, nxt)]
+            for corner, (start, column) in enumerate(sources):
+                np.add(start, column, out=view[:, :, corner])
+            filled = end
             continue
         for row_a, row_b in run:
             if SKIPPED in (row_a.kind, row_b.kind) or row_a.kind == row_b.kind:
                 continue  # a hole at an axis crossing, or two apexes
             full_row, apex_row = (row_a, row_b) if row_a.kind == FULL else (row_b, row_a)
-            offset = np.where(fan_from_apex, apex_row.vertex_start, full_row.vertex_start)
-            blocks.append(fan_columns + offset)
-    triangles = np.concatenate(blocks) if blocks else np.zeros((0, 3), dtype=np.int64)
+            view = triangles[filled : filled + ntheta]
+            np.add(full_row.vertex_start, columns, out=view[:, 0])
+            np.add(full_row.vertex_start, nxt, out=view[:, 1])
+            view[:, 2] = apex_row.vertex_start
+            filled += ntheta
 
     # Drop exact-zero slivers: area from the cross product of b - a and c - a,
     # one block of triangles at a time on the coordinate rows of the vertices.
+    # The survivors of each block move down to the first free row, so the
+    # kept triangles end up as the leading rows of the same buffer.
     floor = ZERO_AREA_EPS * scale * scale
     coordinates = vertices.T.copy()
-    keep = np.empty(len(triangles), dtype=bool)
+    kept = 0
     for first in range(0, len(triangles), _TRIANGLE_CHUNK):
-        block = slice(first, first + _TRIANGLE_CHUNK)
-        corners = coordinates.take(triangles[block].T, axis=1)  # [coordinate, corner, triangle]
+        block = triangles[first : first + _TRIANGLE_CHUNK]
+        corners = coordinates.take(block.T, axis=1)  # [coordinate, corner, triangle]
         a = corners[:, 0]
         u, v = corners[:, 1] - a, corners[:, 2] - a
         cx = u[1] * v[2] - u[2] * v[1]
         cy = u[2] * v[0] - u[0] * v[2]
         cz = u[0] * v[1] - u[1] * v[0]
-        np.greater(0.5 * np.sqrt(cx * cx + cy * cy + cz * cz), floor, out=keep[block])
+        keep = 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz) > floor
+        survivors = block if keep.all() else block[keep]  # a copy, so moving it down is safe
+        if kept < first or survivors is not block:
+            triangles[kept : kept + len(survivors)] = survivors
+        kept += len(survivors)
     mesh.vertices = vertices
-    mesh.triangles = triangles if keep.all() else triangles[keep]
+    mesh.triangles = triangles[:kept]
     return mesh
 
 

@@ -489,6 +489,29 @@ def test_unwritable_output_path_exit_1(tmp_path, argv, option):
     assert err.startswith("error: ") and str(target) in err
 
 
+@pytest.mark.parametrize(
+    "argv, failure, message",
+    [
+        (
+            ("surface-mesh", "--n", "1", "--d", "1", "--a", "1/2", "--q", "1"),
+            MemoryError("Unable to allocate 2.18 TiB for an array with shape (100000000000, 3)"),
+            "Unable to allocate 2.18 TiB for an array with shape (100000000000, 3)",
+        ),
+        (("figure", "3b"), MemoryError(), "an allocation failed"),
+    ],
+)
+def test_out_of_memory_exit_1(monkeypatch, tmp_path, argv, failure, message):
+    # The sampler raises as numpy does when a grid does not fit; nothing is allocated.
+    def refuse(spec, nt, ntheta):
+        raise failure
+
+    monkeypatch.setattr("chsurf.mesh.sample", refuse)
+    target = tmp_path / "mesh.obj"
+    code, out, err = invoke(*argv, "--nt", "100000", "--ntheta", "1000000", "--out", str(target))
+    assert (code, out, err) == (1, "", f"error: not enough memory: {message}\n")
+    assert not target.exists()
+
+
 # -- start-up: each command imports only its own modules ------------------------
 
 

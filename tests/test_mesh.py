@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from axis_reference import axis_meeting_parameters
 from helpers import make_spec, parse_obj
 from chsurf import cli
 from chsurf import mesh as mesh_module
-from chsurf.congruence import circle_key_close, circle_through
+from chsurf.congruence import AxisPointError, circle_key_close, circle_through
 from chsurf.curve import CurveSpec, Placement, curve_point
 from chsurf.mesh import (
     COLLAPSED,
@@ -196,21 +197,40 @@ def _candidate_triangles(rows, ntheta):
     return count
 
 
-@pytest.mark.parametrize("key, drops", [("3b", True), ("4a", False)])
+@pytest.mark.parametrize("key, drops", [("3b", True), ("4a", False), ("6c", False), ("3a", True)])
 def test_sample_matches_scalar_reference_across_triangle_blocks(monkeypatch, key, drops):
     # A block size that divides neither a row pair nor the triangle count,
     # so block edges fall inside row pairs and a short block ends the run.
-    monkeypatch.setattr(mesh_module, "_TRIANGLE_CHUNK", 1000)
+    # It is below a row pair's 192 triangles, so after a dropped sliver some
+    # blocks drop none and must still move down in the compacted buffer.
+    # 6c's 14 COLLAPSED rows add fans between the quad runs, and 3a's 14
+    # SKIPPED rows cut the runs with holes.
+    monkeypatch.setattr(mesh_module, "_TRIANGLE_CHUNK", 100)
     preset = figure_preset(key)
     mesh = sample(preset.spec, preset.nt, preset.ntheta)
     vertices, triangles, rows = _scalar_sample(preset.spec, preset.nt, preset.ntheta)
     candidates = _candidate_triangles(rows, preset.ntheta)
     assert candidates > 10 * mesh_module._TRIANGLE_CHUNK
-    # 3b drops two slivers per row pair, 4a none.
+    # 3b and 3a drop two slivers per quad row pair, 4a and 6c none.
     assert (len(triangles) < candidates) == drops
     assert mesh.rows == rows
     assert mesh.vertices.tobytes() == np.array(vertices, dtype=np.float64).tobytes()
     assert mesh.triangles.tolist() == [list(t) for t in triangles]
+
+
+def test_sample_peak_memory_is_at_most_twice_the_mesh():
+    # The triangles are built in one buffer and compacted in place, so at its
+    # peak sample holds the vertices, a coordinate-major copy of them, every
+    # candidate triangle and one block's temporaries, but no triangle copy.
+    preset = figure_preset("3b")
+    sample(preset.spec, 16, 16)  # first-use imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        mesh = sample(preset.spec, 2 * preset.nt, 2 * preset.ntheta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
 
 
 @pytest.mark.parametrize("key", preset_keys())
@@ -238,6 +258,22 @@ def test_axis_tolerance_does_not_grow_with_the_plane_height(h):
     mesh = sample(make_spec(1, 1, 1, q=1, h=h), 64, 8)
     assert mesh.skipped_rows == [32]
     assert mesh.collapsed_rows == []
+
+
+@pytest.mark.parametrize("h", ["0", "1e4", "1e6"])
+def test_circle_through_axis_test_does_not_grow_with_the_plane_height(tmp_path, h):
+    # The singular-circle scan of CH(3,1,0) at pole (1, 0) meets this point, at
+    # distance 1 from the axis; only a point on the axis itself is refused.
+    congruence = make_spec(3, 1, q=1).congruence
+    key = circle_through(congruence, (0.9999999999999999, -8.04e-17, float(h)))
+    assert key.radius > 0
+    with pytest.raises(AxisPointError):
+        circle_through(congruence, (0.0, 0.0, float(h)))
+    target = tmp_path / "circles.csv"
+    argv = ["surface-classify", "--n", "3", "--d", "1", "--q", "1", "--cx", "1", "--h", h]
+    err = io.BytesIO()
+    assert cli.run(argv + ["--singular-circles-csv", str(target)], io.BytesIO(), err) == 0, err.getvalue()
+    assert target.read_text().startswith("meridian_angle,")
 
 
 def test_export_obj_single_triangle():
