@@ -45,13 +45,6 @@ def _emit(stream, text: str) -> None:
         stream.write(text.encode("utf-8"))
 
 
-def _emit_bytes(stream, data: bytes) -> None:
-    try:
-        stream.write(data)
-    except TypeError:
-        stream.write(data.decode("ascii"))
-
-
 def _json_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":")) + "\n"
 
@@ -232,7 +225,7 @@ def _cmd_curve_sample(args, out, err) -> int:
         phi = period * k / args.samples
         x, y, z = curve_point(spec, placement, phi)
         lines.append(f"{phi:.17g},{x:.17g},{y:.17g},{z:.17g}\n")
-    _write_to(args, out, lambda sink: _emit_bytes(sink, "".join(lines).encode("ascii")))
+    _write_to(args, out, lambda sink: _emit(sink, "".join(lines)))
     return 0
 
 
@@ -241,8 +234,8 @@ def _cmd_surface_classify(args, out, err) -> int:
 
     spec = _surface_spec(args)
     result = classify(spec)
-    # Both sidecars are computed before anything is written, so a float
-    # failure leaves stdout empty.
+    # Both sidecars are computed, then written, before stdout: a float
+    # failure or an unwritable sidecar path leaves stdout empty.
     sidecars = []
     if args.singular_circles_csv:
         lines = ["meridian_angle,center_offset,radius,multiplicity\n"]
@@ -257,10 +250,10 @@ def _cmd_surface_classify(args, out, err) -> int:
         for x, y, z in zero_circle_intersections(spec):
             lines.append(f"{x:.17g},{y:.17g},{z:.17g}\n")
         sidecars.append((args.waist_points_csv, lines))
-    _emit(out, _json_line(result.to_dict()))
     for path, lines in sidecars:
         with open(path, "w") as handle:
             handle.write("".join(lines))
+    _emit(out, _json_line(result.to_dict()))
     return 0
 
 

@@ -275,8 +275,11 @@ def implicit_equation(spec: CurveSpec) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def homogeneous_implicit(spec: CurveSpec) -> MultiPoly:
-    """Implicit equation over (x0, x1, x2) with x = x1/x0, y = x2/x0."""
-    return implicit_equation(spec).rename_variables(("x1", "x2")).homogenize("x0")
+    """Implicit equation over (x0, x1, x2) with x = x1/x0, y = x2/x0, padded by powers of x0."""
+    affine = implicit_equation(spec)
+    degree = affine.total_degree
+    terms = {(degree - a - b, a, b): c for (a, b), c in affine.terms.items()}
+    return MultiPoly._valid(("x0", "x1", "x2"), terms, degree)
 
 
 # -- tangent cone at the pole ----------------------------------------------------

@@ -37,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, BinaryIO, Dict, List, Sequence
+from typing import Any, BinaryIO, Dict, List
 
 from .congruence import CongruenceSpec
 from .curve import CurveSpec, Placement, curve_point
@@ -63,28 +63,17 @@ class MeshRow:
 class Mesh:
     """A triangle mesh with the row structure it was sampled on.
 
-    ``sample`` fills ``vertices`` with an ``(N, 3)`` float64 numpy array and
+    ``sample`` fills ``vertices`` with an ``(N, 3)`` float64 numpy array,
     ``triangles`` with an ``(M, 3)`` int64 numpy array of 0-based vertex
     indices, which may be a view of the leading rows of a larger buffer
-    (its ``base``).  The fields default to empty lists so that building a
-    ``Mesh`` does not import numpy; ``export_obj`` accepts any ``(N, 3)``
-    sequence.
+    (its ``base``), and ``rows`` with one :class:`MeshRow` per grid row.
+    The fields default to empty lists so that building a ``Mesh`` does not
+    import numpy; ``export_obj`` accepts any ``(N, 3)`` sequence.
     """
 
     vertices: Any = field(default_factory=list)
     triangles: Any = field(default_factory=list)
     rows: List[MeshRow] = field(default_factory=list)
-
-    @property
-    def skipped_rows(self) -> List[int]:
-        return [row.index for row in self.rows if row.kind == SKIPPED]
-
-    @property
-    def collapsed_rows(self) -> List[int]:
-        return [row.index for row in self.rows if row.kind == COLLAPSED]
-
-    def row_parameters(self, kinds: Sequence[str]) -> List[float]:
-        return [row.t for row in self.rows if row.kind in kinds]
 
 
 def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:

@@ -7,10 +7,10 @@ cone.  ``curve`` builds them on plain integer term maps that it trusts, and
 in one pass: it drops zeros, divides out the content, pins the sign and
 wraps each coefficient once, without validating.  The public constructor,
 which validates every term it is given, is for callers outside the
-package.  The derivations (``primitive``, ``lowest_form``,
-``rename_variables`` and ``homogenize``) only divide, filter or re-key
-terms that passed one of these two, so they build their results through
-``MultiPoly._valid`` and validate nothing again.  A coefficient is a
+package.  The derivations (``primitive``, ``lowest_form`` and the
+projective form of ``curve.homogeneous_implicit``) only divide, filter or
+re-key terms that passed one of these two, so they build their results
+through ``MultiPoly._valid`` and validate nothing again.  A coefficient is a
 :class:`GaussianRational` record of two ints, so that the JSON form carries
 a real and an imaginary part; the imaginary part is zero in practice.
 Exponent vectors are dense tuples (arity here is 2 or 3) and term maps are
@@ -46,7 +46,7 @@ def _grlex_key(exponents: tuple) -> tuple:
 
 
 class MultiPoly:
-    """Sparse polynomial over an ordered variable list.
+    """Sparse polynomial over an ordered variable list, with its primitive and lowest forms.
 
     ``terms`` maps exponent tuples to nonzero :class:`GaussianRational`
     coefficients; the zero polynomial has an empty term map.
@@ -88,9 +88,9 @@ class MultiPoly:
 
         ``terms`` maps int tuples of the right arity to nonzero
         ``GaussianRational`` coefficients, and ``total_degree`` is their
-        largest degree; the caller guarantees both.  The derivations and
-        :meth:`_primitive_of_ints` build through here; outside callers use
-        the validating constructor.
+        largest degree; the caller guarantees both.  The derivations,
+        :meth:`_primitive_of_ints` and ``curve.homogeneous_implicit`` build
+        through here; outside callers use the validating constructor.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "variables", variables)
@@ -140,24 +140,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
-
-    def rename_variables(self, new_names: Sequence[str]) -> "MultiPoly":
-        new_names = tuple(new_names)
-        if len(new_names) != len(self.variables):
-            raise ValueError("variable count mismatch")
-        return MultiPoly._valid(new_names, self.terms, self.total_degree)
-
-    def homogenize(self, new_var: str) -> "MultiPoly":
-        """Prepend ``new_var`` and pad every term up to the total degree."""
-        if self.is_zero():
-            raise ValueError("cannot homogenize the zero polynomial")
-        if new_var in self.variables:
-            raise ValueError(f"variable {new_var!r} already present")
-        degree = self.total_degree
-        terms = {}
-        for exps, coeff in self.terms.items():
-            terms[(degree - sum(exps),) + exps] = coeff
-        return MultiPoly._valid((new_var,) + self.variables, terms, degree)
 
     def lowest_form(self) -> "MultiPoly":
         """Sum of all terms of minimal total degree (always homogeneous)."""

@@ -745,12 +745,13 @@ def _axis_centered_groups(spec: SurfaceSpec, samples: int, domain: float) -> Lis
 
     Such a circle has radius sqrt(q), so its passages are the parameters
     where the curve meets the sphere |p|^2 = q, grouped by meridian plane.
+    The plane z = h meets that sphere only if q >= h^2, decided in Q.
     """
-    q = spec.congruence.q_float
-    if q <= 0:
+    q, h = spec.congruence.q, spec.placement.height
+    if q <= 0 or q < h * h:
         return []
     z = spec.placement.pole_float[2]
-    roots = _periodic_roots(_gap_function(spec, z * z, -q), domain, max(4 * samples, 2048))
+    roots = _periodic_roots(_gap_function(spec, z * z, -float(q)), domain, max(4 * samples, 2048))
     axis_bound = AXIS_EPS * spec.plane_extent
     planed = []
     for t in roots:

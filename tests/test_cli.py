@@ -480,13 +480,20 @@ def test_figure_zero_resolution_exit_1(option):
             ("surface-classify", "--n", "3", "--d", "1", "--cx", "1", "--q", "-1"),
             "--singular-circles-csv",
         ),
+        # The first sidecar can be written and the second cannot.
+        (
+            ("surface-classify", "--n", "3", "--d", "1", "--cx", "1", "--q", "-1",
+             "--singular-circles-csv", "OK"),
+            "--waist-points-csv",
+        ),
     ],
 )
 def test_unwritable_output_path_exit_1(tmp_path, argv, option):
     target = tmp_path / "missing" / "output"
-    code, _, err = invoke(*argv, option, str(target))
-    assert code == 1
-    assert err.startswith("error: ") and str(target) in err
+    argv = [str(tmp_path / "ok.csv") if token == "OK" else token for token in argv]
+    code, out, err = invoke(*argv, option, str(target))
+    assert (code, out) == (1, "")  # nothing reaches stdout before the failure
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
 
 
 @pytest.mark.parametrize(

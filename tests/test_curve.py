@@ -595,8 +595,11 @@ def test_circular_point_expansion_sympy_oracle():
 
 
 def test_homogeneous_round_trip():
-    for s in [spec(3, 1), spec(2, 3, "1/2")]:
-        h = homogeneous_implicit(s)
-        assert {sum(e) for e in h.terms} == {implicit_equation(s).total_degree}
+    for s in grid_specs() + OFF_GRID_SPECS:
+        h, affine = homogeneous_implicit(s), implicit_equation(s)
+        assert h.variables == ("x0", "x1", "x2")
+        assert {sum(e) for e in h.terms} == {affine.total_degree} == {h.total_degree}
         # Dropping the x0 exponent of each term gives back the affine term map.
-        assert {exps[1:]: c for exps, c in h.terms.items()} == implicit_equation(s).terms
+        assert {exps[1:]: c for exps, c in h.terms.items()} == affine.terms
+        # The unchecked build equals the validating constructor's.
+        assert h == MultiPoly(h.variables, h.terms)

@@ -48,8 +48,8 @@ def test_sample_validates_resolution():
 def test_circle_curve_torus_mesh():
     # r = cos(t) crosses the axis at t = pi/2 and 3*pi/2 only.
     mesh = sample(make_spec(1, 1, q=1), 64, 64)
-    assert mesh.skipped_rows == [16, 48]
-    assert mesh.collapsed_rows == []
+    degenerate = [(row.index, row.kind) for row in mesh.rows if row.kind != FULL]
+    assert degenerate == [(16, SKIPPED), (48, SKIPPED)]
     full_rows = sum(1 for row in mesh.rows if row.kind == FULL)
     assert len(mesh.vertices) == full_rows * 64
     assert all(0 <= i < len(mesh.vertices) for tri in mesh.triangles for i in tri)
@@ -58,7 +58,7 @@ def test_circle_curve_torus_mesh():
 def test_vertex_count_invariant_with_collapsed_rows():
     mesh = sample(figure_preset("6b").spec, 280, 32)
     full_rows = sum(1 for row in mesh.rows if row.kind == FULL)
-    assert len(mesh.collapsed_rows) == 7
+    assert sum(row.kind == COLLAPSED for row in mesh.rows) == 7
     assert len(mesh.vertices) == full_rows * 32 + 7
 
 
@@ -73,10 +73,11 @@ def test_mesh_bounded_for_parabolic_preset():
 def test_degenerate_rows_match_singular_parameters():
     preset = figure_preset("6b")
     mesh = sample(preset.spec, preset.nt, 24)
-    collapsed = mesh.row_parameters(["collapsed"])
+    collapsed = [row.t for row in mesh.rows if row.kind == COLLAPSED]
     expected = zero_circle_parameters(preset.spec)
     assert collapsed == pytest.approx(expected, abs=1e-6)
-    skipped = sample(make_spec(3, 1, q=0, cx=-1), 256, 24).row_parameters(["skipped"])
+    rows = sample(make_spec(3, 1, q=0, cx=-1), 256, 24).rows
+    skipped = [row.t for row in rows if row.kind == SKIPPED]
     expected_axis = axis_meeting_parameters(
         CurveSpec(3, 1), Placement(Fraction(-1), Fraction(0), Fraction(0))
     )
@@ -256,8 +257,7 @@ def test_axis_tolerance_does_not_grow_with_the_plane_height(h):
     # r = 1 + cos(t) meets the axis only at its cusp t = pi, row 32 of 64; the
     # axis test compares planar distances, so the plane's height must not widen it.
     mesh = sample(make_spec(1, 1, 1, q=1, h=h), 64, 8)
-    assert mesh.skipped_rows == [32]
-    assert mesh.collapsed_rows == []
+    assert [(row.index, row.kind) for row in mesh.rows if row.kind != FULL] == [(32, SKIPPED)]
 
 
 @pytest.mark.parametrize("h", ["0", "1e4", "1e6"])

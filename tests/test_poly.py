@@ -15,11 +15,6 @@ def poly(terms):
     return MultiPoly(XY, terms)
 
 
-def dehomogenized_terms(h):
-    """Term map with the leading (homogenizing) exponent dropped from each term."""
-    return {exps[1:]: coeff for exps, coeff in h.terms.items()}
-
-
 def term_degrees(p):
     """Set of total degrees of the terms; one element for a nonzero form."""
     return {sum(e) for e in p.terms}
@@ -59,26 +54,7 @@ def test_numpy_integer_exponent_accepted():
     assert p.total_degree == 3
 
 
-# -- homogenization and forms ---------------------------------------------------
-
-
-def test_homogenize_circle():
-    p = poly({(2, 0): 1, (0, 2): 1, (1, 0): -1})
-    h = p.homogenize("x0")
-    assert h.variables == ("x0", "x", "y")
-    assert h == MultiPoly(("x0", "x", "y"), {(0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): -1})
-    assert term_degrees(h) == {2}
-    assert dehomogenized_terms(h) == p.terms
-
-
-def test_homogenize_constant():
-    one = poly({(0, 0): 1})
-    assert one.homogenize("x0") == MultiPoly(("x0", "x", "y"), {(0, 0, 0): 1})
-
-
-def test_homogenize_zero_rejected():
-    with pytest.raises(ValueError):
-        MultiPoly(XY).homogenize("x0")
+# -- forms -----------------------------------------------------------------------
 
 
 def test_lowest_form():
@@ -120,8 +96,6 @@ def test_json_round_trip_and_order():
 
 def test_structural_error_paths():
     p = poly({(1, 0): 1})
-    with pytest.raises(ValueError):
-        p.rename_variables(("x",))
     with pytest.raises(ValueError):
         MultiPoly(XY, {(1,): 1})
     with pytest.raises(ValueError):
@@ -173,16 +147,6 @@ def test_primitive_of_ints_equals_validated_primitive(terms):
 
 
 @given(polys)
-def test_homogenize_round_trip(p):
-    if p.is_zero():
-        return
-    h = p.homogenize("x0")
-    assert term_degrees(h) == {p.total_degree}
-    assert h.total_degree == p.total_degree
-    assert dehomogenized_terms(h) == p.terms
-
-
-@given(polys)
 def test_lowest_form_degree(p):
     if p.is_zero():
         return
@@ -200,9 +164,9 @@ def _rebuilt(p):
 
 @given(polys)
 def test_derivations_equal_their_validated_rebuild(p):
-    derived = [p.primitive(), p.rename_variables(("u", "v"))]
+    derived = [p.primitive()]
     if not p.is_zero():
-        derived += [p.lowest_form(), p.homogenize("x0"), p.lowest_form().primitive()]
+        derived += [p.lowest_form(), p.lowest_form().primitive()]
     for q in derived:
         rebuilt = _rebuilt(q)
         assert q == rebuilt

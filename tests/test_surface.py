@@ -32,12 +32,11 @@ from chsurf.surface import (
     parametric_point,
     radicand,
     singular_circles,
-    table_branch,
     table_row,
-    table_variant,
     zero_circle_intersections,
     zero_circle_parameters,
 )
+from chsurf.verify import grid_specs
 
 
 # -- parametric evaluation ------------------------------------------------------
@@ -358,32 +357,24 @@ def test_classify_json_record():
 
 
 def test_dual_path_agreement_over_grid():
-    """Count formulas equal the closed-form table on every instantiable row."""
-    pairs = [
-        (n, d)
-        for n, d in product(range(1, 10), range(1, 10))
-        if math.gcd(n, d) == 1
-    ]
-    checked = set()
-    for n, d in pairs:
-        for variant in ("A", "B"):
-            if variant == "A" and (n * d) % 2 == 0:
-                continue
-            curve = CurveSpec(n, d, Fraction(0 if variant == "A" else 1, 2))
-            assert table_variant(curve) == variant
-            branch = table_branch(curve)
-            for kind in (1, 2, 3, 4, 5):
-                for j in ((1, 2) if kind in (3, 4) else (None,)):
-                    incidence = IncidenceType(kind, j)
-                    expected = table_row(curve, incidence)
-                    if expected[0] <= 0 or expected[3] <= 0:
-                        # Unrealizable j for this (n, d): both paths degenerate.
-                        with pytest.raises(ValueError):
-                            count_row(curve, incidence)
-                        continue
-                    assert count_row(curve, incidence) == expected, (n, d, variant, kind, j)
-                    checked.add((kind, variant, branch))
-    assert len(checked) == 20
+    """``count_row`` raises on every Table 2 row that the grid cannot realize.
+
+    The agreement of the two paths on the realizable rows is ``verify
+    table2``'s check (acceptance criterion 6), which skips these rows.
+    """
+    unrealizable = 0
+    for curve in grid_specs(a_values=("0", "1/2")):
+        if curve.a == 0 and not curve.is_odd_rose:
+            continue  # variant A is the odd-product roses
+        for kind in (1, 2, 3, 4, 5):
+            for j in ((1, 2) if kind in (3, 4) else (None,)):
+                incidence = IncidenceType(kind, j)
+                expected = table_row(curve, incidence)
+                if expected[0] <= 0 or expected[3] <= 0:
+                    unrealizable += 1
+                    with pytest.raises(ValueError):
+                        count_row(curve, incidence)
+    assert unrealizable > 0
 
 
 # -- singular circles ----------------------------------------------------------------
@@ -832,6 +823,17 @@ def test_singular_circles_triple_point_elliptic_axis_centered():
     assert key.meridian_angle == pytest.approx(0.0, abs=1e-9)
     assert key.center_offset == pytest.approx(0.0, abs=1e-9)
     assert key.radius == pytest.approx(1.0, abs=1e-9)
+
+
+def test_no_axis_centered_circle_when_the_plane_misses_the_sphere():
+    # h^2 exceeds q = 1/4 by about 1e-12, so the sphere |p|^2 = q misses the
+    # plane z = h; a float scan of the gap alone finds four passages 5e-9 from
+    # the axis, within its bound, and a circle of radius ~1/2 through them.
+    from chsurf import surface
+
+    spec = make_spec(2, 9, "1/2", q="1/4", h=Fraction(-1, 2) - Fraction(1, 10**12))
+    assert surface._axis_centered_groups(spec, 512, spec.curve.parameter_period) == []
+    assert not any(abs(key.radius - 0.5) < 1e-6 for key, _ in singular_circles(spec))
 
 
 def test_singular_circles_trident_case():
