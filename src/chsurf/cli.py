@@ -6,8 +6,9 @@ stdout or ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
 1 domain error (invalid spec, degenerate geometry, failed verification,
 an internal consistency check, an unwritable output path, a value too
 large for the floats a sampler, mesh or numeric check uses, or a grid too
-large for memory), 2 usage error.  The mesh commands sample the whole
-mesh before they open ``--out``, so a sampling failure leaves no file.
+large for memory), 2 usage error.  A stdout closed by its reader is exit 1
+with nothing on stderr.  The mesh commands sample the whole mesh before
+they open ``--out``, so a sampling failure leaves no file.
 
 Rational options accept ``num/den`` or finite decimal strings, both parsed
 exactly, also as a separate negative argument (``--cx -1/2``,
@@ -23,6 +24,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -348,7 +350,17 @@ def run(argv: List[str], out, err) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:], sys.stdout.buffer, sys.stderr.buffer))
+    # A buffered writer takes every byte of each write, which the raw file
+    # of an unbuffered stdout may not.  After a closed pipe, fd 1 points at
+    # the null device, so no flush fails at interpreter exit.
+    out = open(sys.stdout.fileno(), "wb", closefd=False)
+    try:
+        code = run(sys.argv[1:], out, sys.stderr.buffer)
+        out.flush()
+    except BrokenPipeError:
+        code = 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -381,5 +381,5 @@ def absolute_point_multiplicity(spec: CurveSpec) -> int:
 
 
 def verified_absolute_multiplicity(spec: CurveSpec, seed: Optional[int] = None) -> int:
-    """:func:`absolute_point_multiplicity`; ``seed`` is ignored, kept for older callers."""
+    """:func:`absolute_point_multiplicity`, ``seed`` ignored; called by ``bench/cases.py`` only."""
     return absolute_point_multiplicity(spec)

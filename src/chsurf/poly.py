@@ -5,16 +5,17 @@ implicit equation, its projective form, its lowest form and the pole tangent
 cone.  ``curve`` builds them on plain integer term maps that it trusts, and
 ``MultiPoly._primitive_of_ints`` takes each map to its primitive polynomial
 in one pass: it drops zeros, divides out the content, pins the sign and
-wraps each coefficient once, without validating.  The public constructor,
-which validates every term it is given, is for callers outside the
-package.  The derivations (``primitive``, ``lowest_form`` and the
-projective form of ``curve.homogeneous_implicit``) only divide, filter or
-re-key terms that passed one of these two, so they build their results
-through ``MultiPoly._valid`` and validate nothing again.  A coefficient is a
-:class:`GaussianRational` record of two ints, so that the JSON form carries
-a real and an imaginary part; the imaginary part is zero in practice.
-Exponent vectors are dense tuples (arity here is 2 or 3) and term maps are
-sparse.
+wraps each coefficient once, without validating.  It is the one place
+where content and sign are fixed; ``primitive`` calls it too.  The public
+constructor, which validates every term it is given, is for callers
+outside the package.  ``lowest_form`` and the projective form of
+``curve.homogeneous_implicit`` only filter or re-key terms that passed one
+of these two, so they build their results through ``MultiPoly._valid`` and
+validate nothing again.  A coefficient is stored as a
+:class:`GaussianRational` record whose ``im`` is always 0: the record stays
+because the JSON form carries a real and an imaginary part, and the
+benchmark's tracer reads both.  Exponent vectors are dense tuples (arity
+here is 2 or 3) and term maps are sparse.
 
 Values are immutable after construction, so instances can be shared freely
 across threads.
@@ -25,16 +26,18 @@ equal polynomials produce byte-identical JSON.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 from operator import index
 from typing import Mapping, NamedTuple, Sequence, Union
 
 
 class GaussianRational(NamedTuple):
-    """A coefficient: integer real and imaginary parts, and no arithmetic.
+    """A coefficient: an integer real part, and an imaginary part that is always 0.
 
-    A non-empty tuple is always truthy, so test for zero on the parts.
+    Every equation the program builds has real integer coefficients.  The
+    record keeps the ``re``/``im`` shape of the JSON form and of the
+    benchmark's tracer, and has no arithmetic.  A non-empty tuple is always
+    truthy, so test for zero on ``re``.
     """
 
     re: int
@@ -49,7 +52,7 @@ class MultiPoly:
     """Sparse polynomial over an ordered variable list, with its primitive and lowest forms.
 
     ``terms`` maps exponent tuples to nonzero :class:`GaussianRational`
-    coefficients; the zero polynomial has an empty term map.
+    coefficients with ``im == 0``; the zero polynomial has an empty term map.
     ``total_degree`` is the largest term degree, -1 for the zero
     polynomial; it is computed once, as the terms never change.
     """
@@ -73,12 +76,12 @@ class MultiPoly:
                 raise ValueError(f"exponent tuple {exponents} does not match arity {arity}")
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
-            if not isinstance(coeff, GaussianRational):
-                coeff = GaussianRational(coeff)
-            if not (isinstance(coeff.re, int) and isinstance(coeff.im, int)):
-                raise ValueError(f"coefficient {coeff!r} of {exponents} has a non-integer part")
-            if coeff.re or coeff.im:
-                clean[exponents] = coeff
+            if isinstance(coeff, GaussianRational) and coeff.im == 0:
+                coeff = coeff.re
+            if not isinstance(coeff, int):
+                raise ValueError(f"coefficient {coeff!r} of {exponents} is not a real integer")
+            if coeff:
+                clean[exponents] = GaussianRational(coeff)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "total_degree", max((sum(e) for e in clean), default=-1))
 
@@ -102,13 +105,13 @@ class MultiPoly:
     def _primitive_of_ints(cls, variables: tuple, terms: Mapping[tuple, int]) -> "MultiPoly":
         """Primitive polynomial of a trusted int term map, built in one pass.
 
-        The result equals ``MultiPoly(variables, terms).primitive()``.
         ``terms`` maps int tuples of the right arity to plain ints, which
         the caller guarantees, so nothing is validated.  Zero coefficients
-        are dropped, the content is one ``gcd`` over the ints, its sign is
-        pinned by the grlex-leading term as in :meth:`primitive` (the
-        largest exponent tuple among the terms of top degree), and each
-        quotient is wrapped in a :class:`GaussianRational` once.
+        are dropped, the content is one ``gcd`` over the ints, its sign
+        makes the grlex-leading term (the largest exponent tuple among the
+        terms of top degree) positive, which pins a unique representative
+        of each class of rational multiples, and each quotient is wrapped
+        in a :class:`GaussianRational` once.
         """
         terms = {e: c for e, c in terms.items() if c}
         if not terms:
@@ -151,23 +154,9 @@ class MultiPoly:
         )
 
     def primitive(self) -> "MultiPoly":
-        """Divide out the integer content and normalize the sign.
-
-        The content is the gcd of all real and imaginary parts.  The leading
-        coefficient in canonical order ends up with a positive real part
-        (positive imaginary part when the real part is zero), which pins a
-        unique representative of each class of rational multiples.
-        """
-        if self.is_zero():
-            return self
-        content = gcd(*chain.from_iterable(self.terms.values()))
-        lead = self.terms[max(self.terms, key=_grlex_key)]
-        if lead.re < 0 or (not lead.re and lead.im < 0):
-            content = -content
-        return MultiPoly._valid(
-            self.variables,
-            {e: GaussianRational(c.re // content, c.im // content) for e, c in self.terms.items()},
-            self.total_degree,
+        """Divide out the content and make the lead positive (see :meth:`_primitive_of_ints`)."""
+        return MultiPoly._primitive_of_ints(
+            self.variables, {e: c.re for e, c in self.terms.items()}
         )
 
     def to_dict(self) -> dict:

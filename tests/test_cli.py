@@ -79,8 +79,15 @@ def test_curve_implicit_schema_and_content():
     validate(record, "polynomial.schema.json")
     assert record["vars"] == ["x", "y"]
     assert {"exp": [2, 0], "re": "1/1", "im": "0/1"} in record["terms"]
+    # The schema admits real integer coefficients only.
+    for re_part, im_part in (("1/2", "0/1"), ("1/1", "1/1"), ("1/1", "0/2")):
+        term = {"exp": [2, 0], "re": re_part, "im": im_part}
+        with pytest.raises(jsonschema.ValidationError):
+            validate(dict(record, terms=[term]), "polynomial.schema.json")
     code, out, _ = invoke("curve-implicit", "--n", "1", "--d", "1", "--homogeneous")
-    assert json.loads(out)["vars"] == ["x0", "x1", "x2"]
+    record = json.loads(out)
+    validate(record, "polynomial.schema.json")
+    assert record["vars"] == ["x0", "x1", "x2"]
 
 
 def test_curve_implicit_bytes_match_recorded_grid():
@@ -548,7 +555,9 @@ def loaded_by_command(*argv):
 
 
 def test_cli_import_does_not_load_numpy():
-    assert loaded_modules("import chsurf\ncode = 0") == (0, {"chsurf"})
+    # The package itself holds only its version; each name lives in its module.
+    names = "import chsurf\ncode = [n for n in vars(chsurf) if n == '__version__' or n[:2] != '__']"
+    assert loaded_modules(names) == (["__version__"], {"chsurf"})
     assert loaded_modules("import chsurf.cli\ncode = 0") == (0, {"chsurf", "chsurf.cli"})
 
 
@@ -601,30 +610,33 @@ def test_serial_verify_loads_no_process_pool():
     assert not modules & {"concurrent", "concurrent.futures"}
 
 
-PUBLIC_NAMES = [
-    "AxisPointError", "CircleKey", "CongruenceSpec", "CurveProperties", "CurveSpec",
-    "DegenerateCircleError", "GaussianRational", "IncidenceType", "Mesh", "MultiPoly",
-    "Placement", "ShapeClass", "SurfaceClassification", "SurfaceSpec",
-    "absolute_point_multiplicity", "circle_key_close", "circle_through",
-    "classification_from_counts", "classify", "curve_point", "curve_properties",
-    "export_obj", "figure_preset", "homogeneous_implicit", "implicit_equation",
-    "incidence_type", "origin_cone_constant", "origin_cone_constant_closed",
-    "parametric_point", "polar_radius", "preset_keys", "sample", "shape_class",
-    "singular_circles", "tangent_cone", "zero_circle_intersections",
-]
-
-
-def test_package_names_resolve_to_their_home_modules():
-    import chsurf
-
-    assert chsurf.__all__ == PUBLIC_NAMES
-    for name in chsurf.__all__:
-        value = getattr(chsurf, name)
-        assert value.__module__.startswith("chsurf.")
-        assert getattr(sys.modules[value.__module__], name) is value
-    assert set(chsurf.__all__) <= set(dir(chsurf))
-    with pytest.raises(AttributeError):
-        chsurf.no_such_name
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, read_first",
+    [
+        (("verify", "table1"), 0),
+        (("figure", "3b"), 0),
+        (("curve-sample", "--n", "7", "--d", "3", "--samples", "200000"), 10),
+    ],
+    ids=["verify-table1", "figure-3b", "curve-sample"],
+)
+def test_closed_stdout_is_a_clean_exit_1(argv, read_first, unbuffered):
+    # The reader closes the pipe before the command writes, or after 10
+    # bytes of a 12 MB sample: exit 1, nothing on stderr, with buffered and
+    # with unbuffered stdout.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "chsurf", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(child.stdout.read(read_first)) == read_first
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert (child.wait(), stderr) == (1, b"")
 
 
 def test_python_dash_m_runs_the_cli():

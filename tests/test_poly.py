@@ -1,6 +1,7 @@
 """Unit and property tests for the exact polynomial kernel."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -23,18 +24,25 @@ def term_degrees(p):
 # -- coefficients -----------------------------------------------------------------
 
 
-def test_gaussian_basics():
-    z = GaussianRational(2, -3)
-    assert (z.re, z.im) == (2, -3)
-    assert GaussianRational(5) == GaussianRational(5, 0)
+def test_real_coefficients_are_stored_with_zero_im():
+    z = GaussianRational(-2)
+    assert (z.re, z.im) == (-2, 0)
     with pytest.raises(AttributeError):
         z.re = 1
-    p = poly({(1, 0): 3, (0, 1): GaussianRational(0, -2), (0, 0): GaussianRational(0, 0)})
-    assert p.terms == {(1, 0): GaussianRational(3, 0), (0, 1): GaussianRational(0, -2)}
+    p = poly({(1, 0): 3, (0, 1): GaussianRational(-2, 0), (0, 0): GaussianRational(0, 0)})
+    assert p.terms == {(1, 0): GaussianRational(3, 0), (0, 1): GaussianRational(-2, 0)}
 
 
 @pytest.mark.parametrize(
-    "coeff", [Fraction(1, 2), Fraction(2), GaussianRational(1, Fraction(1, 3)), 1.0]
+    "coeff",
+    [
+        Fraction(1, 2),
+        Fraction(2),
+        GaussianRational(1, Fraction(1, 3)),
+        1.0,
+        GaussianRational(0, 1),
+        GaussianRational(2, -3),
+    ],
 )
 def test_non_integer_coefficient_rejected(coeff):
     with pytest.raises(ValueError):
@@ -70,27 +78,24 @@ def test_lowest_form():
 
 
 def test_primitive_divides_content_and_pins_sign():
-    p = poly({(2, 0): -6, (0, 2): -12, (1, 0): GaussianRational(0, 18)})
-    assert p.primitive() == poly({(2, 0): 1, (0, 2): 2, (1, 0): GaussianRational(0, -3)})
-    # A pure-imaginary lead is made positive; the content counts both parts.
-    q = poly({(2, 0): GaussianRational(0, -4), (0, 0): GaussianRational(6, 2)})
-    expected = poly({(2, 0): GaussianRational(0, 2), (0, 0): GaussianRational(-3, -1)})
-    assert q.primitive() == expected
+    p = poly({(2, 0): -6, (0, 2): -12, (1, 0): 18})
+    assert p.primitive() == poly({(2, 0): 1, (0, 2): 2, (1, 0): -3})
+    # The grlex-leading term (2, 0) sets the sign, not the largest coefficient.
+    q = poly({(0, 2): 9, (2, 0): -3, (0, 0): 6})
+    assert q.primitive() == poly({(0, 2): -3, (2, 0): 1, (0, 0): -2})
     assert p.primitive().primitive() == p.primitive()
 
 
 def test_json_round_trip_and_order():
-    p = poly({(0, 2): -2, (2, 0): 1, (1, 0): GaussianRational(0, -3)})
+    p = poly({(0, 2): -2, (2, 0): 1, (1, 0): -3})
     data = p.to_dict()
     assert data["terms"][0] == {"exp": [2, 0], "re": "1/1", "im": "0/1"}
     assert data["terms"][1] == {"exp": [0, 2], "re": "-2/1", "im": "0/1"}
-    assert data["terms"][2] == {"exp": [1, 0], "re": "0/1", "im": "-3/1"}
-    rebuilt = {
-        tuple(entry["exp"]): GaussianRational(
-            int(Fraction(entry["re"])), int(Fraction(entry["im"]))
-        )
-        for entry in data["terms"]
-    }
+    assert data["terms"][2] == {"exp": [1, 0], "re": "-3/1", "im": "0/1"}
+    rebuilt = {}
+    for entry in data["terms"]:
+        assert entry["im"] == "0/1"
+        rebuilt[tuple(entry["exp"])] = int(Fraction(entry["re"]))
     assert MultiPoly(data["vars"], rebuilt) == p
 
 
@@ -113,7 +118,7 @@ def test_structural_error_paths():
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
-coefficients = st.builds(GaussianRational, small_ints, st.one_of(st.just(0), small_ints))
+coefficients = small_ints
 
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
 
@@ -135,15 +140,32 @@ int_maps = st.builds(
 )
 
 
+def _reference_primitive(terms):
+    """Primitive form of an int term map, stated apart from ``poly.py``.
+
+    The gcd of the nonzero coefficients, negated when the grlex-leading
+    term (highest degree, then largest exponent tuple) is negative.
+    """
+    terms = {e: c for e, c in terms.items() if c}
+    if not terms:
+        return {}
+    lead = max(terms, key=lambda e: (sum(e), e))
+    content = gcd(*terms.values()) * (1 if terms[lead] > 0 else -1)
+    return {e: c // content for e, c in terms.items()}
+
+
 @given(int_maps)
 def test_primitive_of_ints_equals_validated_primitive(terms):
     fast = MultiPoly._primitive_of_ints(XY, terms)
     slow = MultiPoly(XY, terms).primitive()
     assert fast == slow
     assert fast.total_degree == slow.total_degree
+    expected = _reference_primitive(terms)
+    assert {e: c.re for e, c in fast.terms.items()} == expected
+    assert fast.total_degree == max(map(sum, expected), default=-1)
     for coeff in fast.terms.values():
         assert type(coeff) is GaussianRational
-        assert type(coeff.re) is int and type(coeff.im) is int
+        assert type(coeff.re) is int and coeff.im == 0 and type(coeff.im) is int
 
 
 @given(polys)
