@@ -279,7 +279,7 @@ def homogeneous_implicit(spec: CurveSpec) -> MultiPoly:
     affine = implicit_equation(spec)
     degree = affine.total_degree
     terms = {(degree - a - b, a, b): c for (a, b), c in affine.terms.items()}
-    return MultiPoly._valid(("x0", "x1", "x2"), terms, degree)
+    return MultiPoly(("x0", "x1", "x2"), terms, degree)
 
 
 # -- tangent cone at the pole ----------------------------------------------------

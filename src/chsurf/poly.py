@@ -5,17 +5,15 @@ implicit equation, its projective form, its lowest form and the pole tangent
 cone.  ``curve`` builds them on plain integer term maps that it trusts, and
 ``MultiPoly._primitive_of_ints`` takes each map to its primitive polynomial
 in one pass: it drops zeros, divides out the content, pins the sign and
-wraps each coefficient once, without validating.  It is the one place
-where content and sign are fixed; ``primitive`` calls it too.  The public
-constructor, which validates every term it is given, is for callers
-outside the package.  ``lowest_form`` and the projective form of
-``curve.homogeneous_implicit`` only filter or re-key terms that passed one
-of these two, so they build their results through ``MultiPoly._valid`` and
-validate nothing again.  A coefficient is stored as a
-:class:`GaussianRational` record whose ``im`` is always 0: the record stays
-because the JSON form carries a real and an imaginary part, and the
-benchmark's tracer reads both.  Exponent vectors are dense tuples (arity
-here is 2 or 3) and term maps are sparse.
+wraps each coefficient once.  It is the one place where content and sign
+are fixed; ``primitive`` calls it too.  The constructor validates nothing:
+``lowest_form`` and the projective form of ``curve.homogeneous_implicit``
+only filter or re-key terms that ``_primitive_of_ints`` built, and wrap
+them as they are.  A coefficient is stored as a :class:`GaussianRational`
+record whose ``im`` is always 0: the record stays because the JSON form
+carries a real and an imaginary part, and the benchmark's tracer reads
+both.  Exponent vectors are dense tuples (arity here is 2 or 3) and term
+maps are sparse.
 
 Values are immutable after construction, so instances can be shared freely
 across threads.
@@ -27,8 +25,7 @@ equal polynomials produce byte-identical JSON.
 from __future__ import annotations
 
 from math import gcd
-from operator import index
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple
 
 
 class GaussianRational(NamedTuple):
@@ -51,55 +48,21 @@ def _grlex_key(exponents: tuple) -> tuple:
 class MultiPoly:
     """Sparse polynomial over an ordered variable list, with its primitive and lowest forms.
 
-    ``terms`` maps exponent tuples to nonzero :class:`GaussianRational`
-    coefficients with ``im == 0``; the zero polynomial has an empty term map.
+    ``terms`` maps int exponent tuples of the arity of ``variables`` to
+    nonzero :class:`GaussianRational` coefficients with an int ``re`` and
+    ``im == 0``; the zero polynomial has an empty term map.
     ``total_degree`` is the largest term degree, -1 for the zero
-    polynomial; it is computed once, as the terms never change.
+    polynomial; it is stored once, as the terms never change.  The
+    constructor checks none of this: its caller guarantees it, and an int
+    term map becomes a polynomial through :meth:`_primitive_of_ints`.
     """
 
     __slots__ = ("variables", "terms", "total_degree")
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        terms: Mapping[tuple, Union[int, GaussianRational]] = (),
-    ):
-        object.__setattr__(self, "variables", tuple(variables))
-        clean = {}
-        arity = len(self.variables)
-        for exponents, coeff in dict(terms).items():
-            try:
-                exponents = tuple(map(index, exponents))
-            except TypeError:
-                raise ValueError(f"exponent tuple {exponents} has a non-integer entry") from None
-            if len(exponents) != arity:
-                raise ValueError(f"exponent tuple {exponents} does not match arity {arity}")
-            if any(e < 0 for e in exponents):
-                raise ValueError(f"negative exponent in {exponents}")
-            if isinstance(coeff, GaussianRational) and coeff.im == 0:
-                coeff = coeff.re
-            if not isinstance(coeff, int):
-                raise ValueError(f"coefficient {coeff!r} of {exponents} is not a real integer")
-            if coeff:
-                clean[exponents] = GaussianRational(coeff)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "total_degree", max((sum(e) for e in clean), default=-1))
-
-    @classmethod
-    def _valid(cls, variables: tuple, terms: dict, total_degree: int) -> "MultiPoly":
-        """Wrap terms that are already valid, unchanged and unchecked.
-
-        ``terms`` maps int tuples of the right arity to nonzero
-        ``GaussianRational`` coefficients, and ``total_degree`` is their
-        largest degree; the caller guarantees both.  The derivations,
-        :meth:`_primitive_of_ints` and ``curve.homogeneous_implicit`` build
-        through here; outside callers use the validating constructor.
-        """
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "variables", variables)
-        object.__setattr__(poly, "terms", terms)
-        object.__setattr__(poly, "total_degree", total_degree)
-        return poly
+    def __init__(self, variables: tuple, terms: dict, total_degree: int):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "total_degree", total_degree)
 
     @classmethod
     def _primitive_of_ints(cls, variables: tuple, terms: Mapping[tuple, int]) -> "MultiPoly":
@@ -115,14 +78,14 @@ class MultiPoly:
         """
         terms = {e: c for e, c in terms.items() if c}
         if not terms:
-            return cls._valid(variables, {}, -1)
+            return cls(variables, {}, -1)
         degree = max(map(sum, terms))
         lead = max([e for e in terms if sum(e) == degree])
         content = gcd(*terms.values())
         if terms[lead] < 0:
             content = -content
         new = tuple.__new__  # GaussianRational's own __new__ runs in Python
-        return cls._valid(
+        return cls(
             variables,
             {e: new(GaussianRational, (c // content, 0)) for e, c in terms.items()},
             degree,
@@ -149,7 +112,7 @@ class MultiPoly:
         if self.is_zero():
             raise ValueError("zero polynomial has no lowest form")
         low = min(map(sum, self.terms))
-        return MultiPoly._valid(
+        return MultiPoly(
             self.variables, {e: c for e, c in self.terms.items() if sum(e) == low}, low
         )
 

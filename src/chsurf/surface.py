@@ -17,7 +17,7 @@ Gaussian integers, so no float tolerance enters the classification.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
@@ -515,17 +515,20 @@ def _center_constants(spec: SurfaceSpec) -> tuple:
 
 
 def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[float, float]]]:
-    """Planar center of the generating circle at t; None when degenerate.
+    """Center of the generating circle at t, mapped into the unit disk; None when degenerate.
 
     Away from the axis, two parameters share a generating circle exactly
-    when these centers coincide at a nonzero point, so off-center singular
-    circles are self-intersections of this planar trace.  The curve point is
-    computed inline with :func:`curve.curve_point`'s operations in the
-    same order, so the centers are bit-identical to ones built on
+    when their planar centers coincide at a nonzero point, so off-center
+    singular circles are self-intersections of this trace.  The center c
+    is returned as c / (1 + |c|), an injective map of the plane into the
+    unit disk that keeps chord intersection tests meaningful where centers
+    run off to infinity near an axis crossing of the curve.  The curve
+    point is computed inline with :func:`curve.curve_point`'s operations in
+    the same order, so the points are bit-identical to ones built on
     ``curve_point`` (``test_float_once_evaluators_match_curve_point``).
     """
     n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, _ = _center_constants(spec)
-    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+    cos, sin, sqrt, hypot = math.cos, math.sin, math.sqrt, math.hypot
 
     def center(t: float) -> Optional[Tuple[float, float]]:
         r = cos(n * t / d) + a
@@ -537,20 +540,12 @@ def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[floa
         lam = (rho_sq + z_sq - q) / (2.0 * rho_sq)
         if lam * lam * rho_sq + q <= waist_bound:
             return None  # zero-radius circle on the hyperbolic waist
-        return (lam * x, lam * y)
+        x *= lam
+        y *= lam
+        factor = 1.0 / (1.0 + hypot(x, y))
+        return (x * factor, y * factor)
 
     return center
-
-
-def _compress(point: Tuple[float, float]) -> Tuple[float, float]:
-    """Injective map of the plane into the unit disk.
-
-    Keeps chord intersection tests meaningful even where circle centers
-    run off to infinity near an axis crossing of the curve.
-    """
-    norm = math.hypot(point[0], point[1])
-    factor = 1.0 / (1.0 + norm)
-    return (point[0] * factor, point[1] * factor)
 
 
 def _polish_coincidence(
@@ -561,10 +556,11 @@ def _polish_coincidence(
     ``constants`` is :func:`_center_constants` of the spec.  Returns the
     polished pair, reduced mod ``domain``, and the center there, or None.
     Each step is straight-line code with four inline copies of
-    :func:`_center_function`'s formula, each in its order of operations:
-    the centers at t1 and t2, the convergence test, and only then the step
-    centers at t1 + step and t2 + step, which the forward differences
-    reuse; so a step that converges or ends the 60 computes no step center.
+    :func:`_center_function`'s planar center, before its map into the
+    disk, each in its order of operations: the centers at t1 and t2, the
+    convergence test, and only then the step centers at t1 + step and
+    t2 + step, which the forward differences reuse; so a step that
+    converges or ends the 60 computes no step center.
     After 60 steps the pair is accepted at a looser tolerance or rejected.
     None also means a degenerate center at t1, t2 or a step point, or a
     singular Jacobian.  ``test_polish_matches_reference_on_sweep_starts``
@@ -660,8 +656,8 @@ def _off_center_coincidences(
     """Parameter pairs sharing one generating circle with nonzero offset.
 
     The float kernel of :func:`singular_circles`.  The center trace is
-    sampled with :func:`_center_function`, mapped into the unit disk, and
-    segment i joins samples i and i + 1 (mod samples).  A sweep over the
+    sampled in the unit disk with :func:`_center_function`, and segment i
+    joins samples i and i + 1 (mod samples).  A sweep over the
     segments' x-extents finds the pairs whose boxes overlap and tests each
     for a crossing on the spot, keeping only the crossings.  The crossing
     test is the one inline copy of the segment intersection, given the
@@ -679,7 +675,7 @@ def _off_center_coincidences(
     scale = constants[-1]
     ts = [domain * i / samples for i in range(samples)]
     ends = ts[1:] + [domain]
-    points = [None if c is None else _compress(c) for c in map(center, ts)]
+    points = list(map(center, ts))
     nexts = points[1:] + points[:1]
 
     # Flat boxes, one slot per sample index; a segment with a degenerate end is left out.
@@ -775,19 +771,22 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     """Circles met by the curve more than once, with their branch counts.
 
     Off-center circles come from self-intersections of the planar center
-    trace, sampled at ``samples`` parameters and mapped into the unit disk
-    (:func:`_off_center_coincidences`).  A sweep over the segments sorted by
-    x-extent tests only the pairs whose bounding boxes overlap, so the cost
-    grows with the number of overlapping pairs rather than with samples^2.
+    trace, sampled in the unit disk at ``samples`` parameters
+    (:func:`_center_function`, :func:`_off_center_coincidences`).  A sweep
+    over the segments sorted by x-extent tests only the pairs whose
+    bounding boxes overlap, so the cost grows with the number of
+    overlapping pairs rather than with samples^2.
     Each crossing is polished to an exact coincidence.  Axis-centered
     circles come from sphere crossings grouped by meridian plane
     (:func:`_axis_centered_groups`).  Each connected component of the
     coincidence graph yields one circle whose multiplicity is the number of
     distinct curve passages in it; retraced rose parameters are identified
     beforehand.  Passages within PARAM_DEDUP of each other, across the wrap
-    at the domain included, are one passage:
+    at the domain included, are one passage; one dict of buckets twice
+    PARAM_DEDUP wide indexes them.
     ``test_passage_merge_matches_three_image_lookup`` pins the merge against
-    a plain three-image lookup, at the seam and on the sweep's pairs.
+    a plain three-image lookup, at the seam, at bucket edges and on the
+    sweep's pairs.
 
     The curve point is evaluated by six inline copies of
     ``curve.curve_point``'s formula in three inner loops, five of them as
@@ -810,34 +809,32 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
 
     # Union-find over deduplicated passage parameters.  A parameter joins
     # the earliest-inserted node within PARAM_DEDUP of it, across the wrap at
-    # domain included.  ``values`` keeps the node values sorted, with their
-    # indices at the same positions in ``indices``, so only the nodes in a
-    # window around t and its two wrapped images are tested, and an image
-    # whose window lies wholly outside the stored values is skipped; a query
-    # has up to a few hundred nodes.  A new node is its own root, and each
-    # pair is united as it is read.
+    # domain included.  ``buckets`` maps floor(t / width) to the indices of
+    # the nodes in that bucket.  The buckets are twice PARAM_DEDUP wide, so
+    # a node within PARAM_DEDUP of t - domain, t or t + domain lies in the
+    # bucket of that image or in one next to it, even after the division
+    # rounds; only those buckets are tested.  Nodes lie in [0, domain], so an
+    # image farther than width outside it is skipped.  A new node is its own
+    # root, and each pair is united as it is read.
     nodes: List[float] = []
-    values: List[float] = []
-    indices: List[int] = []
+    buckets: Dict[int, List[int]] = {}
     parent: List[int] = []
-    window = 2.0 * PARAM_DEDUP
+    width = 2.0 * PARAM_DEDUP
+    floor = math.floor
 
     def node_index(t: float) -> int:
         found = len(nodes)
-        if values:
-            first, last = values[0], values[-1]
-            for image in (t - domain, t, t + domain):
-                if image + window < first or image - window > last:
-                    continue
-                low = bisect_left(values, image - window)
-                for pos in range(low, bisect_right(values, image + window, low)):
-                    existing, idx = values[pos], indices[pos]
-                    if idx < found and min(abs(existing - t), domain - abs(existing - t)) <= PARAM_DEDUP:
+        for image in (t - domain, t, t + domain):
+            if not -width <= image <= domain + width:
+                continue
+            bucket = floor(image / width)
+            for key in (bucket - 1, bucket, bucket + 1):
+                for idx in buckets.get(key, ()):
+                    gap = abs(nodes[idx] - t)
+                    if idx < found and min(gap, domain - gap) <= PARAM_DEDUP:
                         found = idx
         if found == len(nodes):
-            pos = bisect_right(values, t)
-            values.insert(pos, t)
-            indices.insert(pos, found)
+            buckets.setdefault(floor(t / width), []).append(found)
             nodes.append(t)
             parent.append(found)
         return found
@@ -857,15 +854,11 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     for idx, t in enumerate(nodes):
         components.setdefault(find(idx), []).append(t)
 
-    results = []
-    for params in components.values():
-        if len(params) < 2:
-            continue
-        key = generating_circle(spec, min(params))
-        results.append((key, len(params)))
-    for params in _axis_centered_groups(spec, samples, domain):
-        key = generating_circle(spec, min(params))
-        results.append((key, len(params)))
+    results = [
+        (generating_circle(spec, min(params)), len(params))
+        for params in [*components.values(), *_axis_centered_groups(spec, samples, domain)]
+        if len(params) >= 2
+    ]
     results.sort(key=lambda item: (item[0].meridian_angle, item[0].center_offset))
     return results
 

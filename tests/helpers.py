@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from chsurf.congruence import CongruenceSpec
 from chsurf.curve import CurveSpec, Placement
+from chsurf.poly import GaussianRational, MultiPoly
 from chsurf.surface import SurfaceSpec
 
 
@@ -26,6 +27,29 @@ def make_spec(n, d, a="0", q="0", cx="0", cy="0", h="0"):
         CongruenceSpec(Fraction(q)),
         Placement(Fraction(cx), Fraction(cy), Fraction(h)),
     )
+
+
+def make_poly(variables, terms):
+    """A polynomial from an int term map, as written: zeros dropped, nothing normalised."""
+    terms = {e: GaussianRational(c) for e, c in terms.items() if c}
+    return MultiPoly(tuple(variables), terms, max(map(sum, terms), default=-1))
+
+
+def assert_valid_poly(p):
+    """Assert what ``MultiPoly`` trusts its caller for.
+
+    Int exponent tuples of the arity of ``p.variables``, none negative;
+    nonzero ``GaussianRational`` coefficients with an int ``re`` and an int
+    ``im`` of 0; and ``total_degree`` the largest term degree, -1 if none.
+    """
+    assert type(p.variables) is tuple
+    for exponents, coeff in p.terms.items():
+        assert type(exponents) is tuple and len(exponents) == len(p.variables), exponents
+        assert all(type(e) is int and e >= 0 for e in exponents), exponents
+        assert type(coeff) is GaussianRational, (exponents, coeff)
+        assert type(coeff.re) is int and coeff.re != 0, (exponents, coeff)
+        assert type(coeff.im) is int and coeff.im == 0, (exponents, coeff)
+    assert p.total_degree == max(map(sum, p.terms), default=-1)
 
 
 def parse_obj(data: bytes):

@@ -26,9 +26,8 @@ from chsurf.curve import (
     tangent_cone,
     verified_absolute_multiplicity,
 )
-from chsurf.poly import GaussianRational, MultiPoly
 from chsurf.verify import grid_specs
-from helpers import OFF_GRID_SPECS
+from helpers import OFF_GRID_SPECS, assert_valid_poly, make_poly
 
 XY = ("x", "y")
 
@@ -100,7 +99,7 @@ def test_curve_properties(n, d, a, expected):
 
 def test_implicit_unit_circle():
     p = implicit_equation(spec(1, 1))
-    assert p == MultiPoly(XY, {(2, 0): 1, (0, 2): 1, (1, 0): -1})
+    assert p == make_poly(XY, {(2, 0): 1, (0, 2): 1, (1, 0): -1})
 
 
 def test_implicit_degree_examples():
@@ -215,21 +214,16 @@ def test_off_grid_implicit_and_cone_bytes_are_pinned():
 
 
 def test_grid_coefficients_are_integers():
-    # curve's term maps reach MultiPoly without validation, so every check
-    # the validating constructor would make is made here instead.
+    # curve's term maps reach MultiPoly without validation, so each
+    # equation is checked here, and is its own primitive form.
     for s in grid_specs() + OFF_GRID_SPECS:
         polys = [implicit_equation(s)]
         if not s.is_odd_rose:
             polys.append(tangent_cone(s))
         for p in polys:
-            for exponents, coeff in p.terms.items():
-                assert type(exponents) is tuple and len(exponents) == 2, s
-                assert all(type(e) is int and e >= 0 for e in exponents), s
-                assert type(coeff) is GaussianRational, s
-                assert type(coeff.re) is int and type(coeff.im) is int, s
-                assert coeff.re or coeff.im, s
-            assert p.total_degree == max(map(sum, p.terms)), s
-            assert p == MultiPoly(p.variables, p.terms).primitive(), s
+            assert_valid_poly(p)
+            assert p.variables == XY and p.total_degree >= 0, s
+            assert p == p.primitive(), s
 
 
 def _product(p, q):
@@ -264,7 +258,7 @@ def _reference_implicit_terms(s):
 
 
 def _assert_matches_reference(s):
-    reference = MultiPoly(XY, _reference_implicit_terms(s)).primitive()
+    reference = make_poly(XY, _reference_implicit_terms(s)).primitive()
     assert implicit_equation(s).terms == reference.terms, s
 
 
@@ -358,7 +352,7 @@ def test_cone_constant_chebyshev_oracle():
 def test_tangent_cone_explicit_quartic():
     # n = 2, d = 1, a = 2: constant is -2, so the cone is (3x^2 + y^2)^2.
     cone = tangent_cone(spec(2, 1, 2))
-    assert cone == MultiPoly(XY, {(4, 0): 9, (2, 2): 6, (0, 4): 1})
+    assert cone == make_poly(XY, {(4, 0): 9, (2, 2): 6, (0, 4): 1})
 
 
 def test_tangent_cone_matches_lowest_form():
@@ -601,5 +595,4 @@ def test_homogeneous_round_trip():
         assert {sum(e) for e in h.terms} == {affine.total_degree} == {h.total_degree}
         # Dropping the x0 exponent of each term gives back the affine term map.
         assert {exps[1:]: c for exps, c in h.terms.items()} == affine.terms
-        # The unchecked build equals the validating constructor's.
-        assert h == MultiPoly(h.variables, h.terms)
+        assert_valid_poly(h)

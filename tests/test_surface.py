@@ -1,9 +1,11 @@
 """Tests for surface evaluation, incidence detection, and classification."""
 
+import json
 import math
 import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 import sympy
@@ -381,17 +383,17 @@ def test_dual_path_agreement_over_grid():
 
 
 def brute_force_coincidences(spec, probes=240):
-    """Independent cocircularity scan: minimize center mismatch per pair."""
-    from chsurf.surface import _center_function
+    """Independent cocircularity scan: minimize center mismatch per pair.
 
-    center = _center_function(spec)
+    Centers come from ``curve_point``, so no float kernel of the scan takes part.
+    """
     domain = spec.curve.parameter_period
     if spec.curve.is_odd_rose:
         domain /= 2.0
 
     def mismatch(params):
-        c1 = center(params[0] % domain)
-        c2 = center(params[1] % domain)
+        c1 = _curve_point_center(spec, params[0] % domain)
+        c2 = _curve_point_center(spec, params[1] % domain)
         if c1 is None or c2 is None:
             return 1e6
         return (c1[0] - c2[0]) ** 2 + (c1[1] - c2[1]) ** 2
@@ -420,13 +422,22 @@ def _curve_point_center(spec, t):
 
     x, y, z = curve_point(spec.curve, spec.placement, t)
     rho_sq = x * x + y * y
-    if math.sqrt(rho_sq) <= AXIS_EPS * max(1.0, spec.extent):
+    if math.sqrt(rho_sq) <= AXIS_EPS * spec.plane_extent:
         return None
     q = float(spec.congruence.q)
     lam = (rho_sq + z * z - q) / (2.0 * rho_sq)
     if lam * lam * rho_sq + q <= RADICAND_EPS * max(1.0, spec.extent) ** 2:
         return None
     return (lam * x, lam * y)
+
+
+def _compress(center):
+    """``center`` mapped into the unit disk by c / (1 + |c|); None stays None."""
+    if center is None:
+        return None
+    norm = math.hypot(center[0], center[1])
+    factor = 1.0 / (1.0 + norm)
+    return (center[0] * factor, center[1] * factor)
 
 
 def _segment_intersection(p1, p2, p3, p4):
@@ -451,12 +462,12 @@ def _segment_intersection(p1, p2, p3, p4):
 def _all_pairs_coincidences(spec, samples, domain):
     """Reference for the segment sweep: test every pair of center-trace segments.
 
-    Centers come from ``curve_point``, crossings from
-    :func:`_segment_intersection` and polishes from
-    :func:`_polish_coincidence_reference`, so no float kernel of the sweep
-    takes part.
+    Centers come from ``curve_point`` through this module's
+    :func:`_compress`, crossings from :func:`_segment_intersection` and
+    polishes from :func:`_polish_coincidence_reference`, so no float kernel
+    of the sweep takes part.
     """
-    from chsurf.surface import PARAM_DEDUP, _compress
+    from chsurf.surface import PARAM_DEDUP
 
     ts = [domain * i / samples for i in range(samples)]
     centers = [_curve_point_center(spec, t) for t in ts]
@@ -578,7 +589,7 @@ def test_float_once_evaluators_match_curve_point():
         period = spec.curve.parameter_period
         for i in range(-300, 601):
             t = period * i / 300 + 1e-3
-            assert center(t) == _curve_point_center(spec, t), (spec, t)
+            assert center(t) == _compress(_curve_point_center(spec, t)), (spec, t)
 
 
 def _sphere_gap_reference(spec):
@@ -781,7 +792,22 @@ def test_passage_merge_matches_three_image_lookup(monkeypatch):
         (3.0 + 0.8e-6, 12.5),
         (3.0 + 1.6e-6, 13.0),
     ]
-    for crafted, multiplicities in ((at_seam, [2, 3, 6]), (chains, [2, 2, 2, 3, 3, 3])):
+    # The merge indexes passages in buckets 2 * PARAM_DEDUP wide: each pair
+    # below joins across a bucket edge, so a lookup in one bucket splits it.
+    width = 2.0 * surface.PARAM_DEDUP
+    assert 2.25e-6 - 1.25e-6 == surface.PARAM_DEDUP
+    assert math.floor(1.25e-6 / width) + 1 == math.floor(2.25e-6 / width)
+    assert 4.0 / width == 2_000_000.0
+    edges = [
+        (1.25e-6, 9.0),
+        (2.25e-6, 9.5),  # exactly PARAM_DEDUP above 1.25e-6, in the next bucket
+        (4.0 - 1e-7, 10.0),
+        (4.0 + 1e-7, 10.5),  # the other side of the edge at 4.0
+        (0.0, 11.0),
+        (domain - 1e-7, 11.5),  # just below the seam: its image -1e-7 joins 0.0
+    ]
+    cases = ((at_seam, [2, 3, 6]), (chains, [2, 2, 2, 3, 3, 3]), (edges, [3, 3, 3]))
+    for crafted, multiplicities in cases:
         monkeypatch.setattr(surface, "_off_center_coincidences", lambda spec, samples, domain: crafted)
         expected = _merged_circles_reference(spec, crafted, domain)
         assert singular_circles(spec) == expected
@@ -924,3 +950,52 @@ def test_zero_circle_grid_below_64_is_an_error(q):
             zero_circle_intersections(spec, grid=grid)
     # 64 points is enough for the 14 transversal crossings of CH(7,1,3/2).
     assert len(zero_circle_parameters(make_spec(7, 1, "3/2", q=-1), grid=64)) == 14
+
+
+# -- exact symmetries over the benchmark's query pool ----------------------------------
+
+
+def _pool_images(query):
+    """The query's placed surface and its images under exact symmetries.
+
+    The curve placed at (cx, -cy) is the mirror image in y of the one at
+    (cx, cy), and so is the congruence.  The curve is invariant under a
+    rotation by 2 pi / n about its pole and the congruence under any
+    rotation about the axis, so a pole off the axis may turn by a half
+    when n is even and by a quarter when 4 | n.  Reflecting in the plane
+    z = 0 takes h to -h.  Each image has rational data.
+    """
+    args = dict(arg[2:].split("=", 1) for arg in query["argv"][1:])
+    n, d = int(args["n"]), int(args["d"])
+    cx, cy, h = (Fraction(args[name]) for name in ("cx", "cy", "h"))
+    base = dict(n=n, d=d, a=args["a"], q=args["q"], cx=cx, cy=cy, h=h)
+    images = []
+    if cy != 0:
+        images.append(dict(base, cy=-cy))
+    if (cx, cy) != (0, 0):
+        if n % 2 == 0:
+            images.append(dict(base, cx=-cx, cy=-cy))
+        if n % 4 == 0:
+            images.append(dict(base, cx=-cy, cy=cx))
+    if h != 0:
+        images.append(dict(base, h=-h))
+    return make_spec(**base), [make_spec(**image) for image in images]
+
+
+def test_classify_and_zero_circles_agree_on_exact_pool_images():
+    # Read-only: the pool of the benchmark's surface-queries workload.
+    path = Path(__file__).resolve().parents[1] / "bench" / "references" / "surface_queries.json"
+    queries = json.loads(path.read_text())["queries"]
+    images = zero_circle_images = 0
+    for query in queries:
+        spec, specs = _pool_images(query)
+        expected = classify(spec).to_dict()
+        waist = spec.congruence.q < 0 and spec.placement.height == 0
+        count = len(zero_circle_intersections(spec)) if waist else None
+        for image in specs:
+            assert classify(image).to_dict() == expected, (query["key"], image)
+            images += 1
+            if waist:
+                assert len(zero_circle_intersections(image)) == count, (query["key"], image)
+                zero_circle_images += 1
+    assert (images, zero_circle_images) == (239, 13)

@@ -10,10 +10,9 @@ import pytest
 from chsurf import curve, verify
 from chsurf.cli import run
 from chsurf.mesh import figure_preset, preset_keys
-from chsurf.poly import MultiPoly
 from chsurf.surface import CLASSIFICATION_TABLE, incidence_type, table_branch, table_variant
 from chsurf.verify import grid_specs, max_scaled_residual, run_invariants, run_suite, run_table2
-from helpers import OFF_GRID_SPECS
+from helpers import OFF_GRID_SPECS, make_poly
 
 
 def wrong_row(n, d, j):
@@ -131,7 +130,7 @@ def test_residual_detects_a_wrong_equation(monkeypatch, edit, passed):
     spec = curve.CurveSpec(3, 1, Fraction(1, 2))
     terms = {e: c.re for e, c in curve.implicit_equation(spec).terms.items()}
     edit(terms)
-    monkeypatch.setattr(verify, "implicit_equation", lambda s: MultiPoly(("x", "y"), terms))
+    monkeypatch.setattr(verify, "implicit_equation", lambda s: make_poly(("x", "y"), terms))
     [check] = run_suite("residual", only=spec).checks
     assert check.name == "CH(3,1,1/2) residual"
     assert check.passed is passed, check.measured
