@@ -36,7 +36,7 @@ if TYPE_CHECKING:
 
 # The chsurf modules are imported inside the command that uses them, so a
 # process pays only for its own command.  The verify suite names live here
-# for the same reason; ``chsurf.verify.SUITES`` holds the same names.
+# for the same reason: ``chsurf.verify.run_suite`` takes each of them.
 VERIFY_SUITES = ("table1", "table2", "residual", "invariants", "all")
 
 
@@ -183,14 +183,14 @@ def _surface_spec(args) -> SurfaceSpec:
 
 
 def _write_to(args, out, render) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "wb") as handle:
             render(handle)
     else:
         render(out)
 
 
-def _cmd_curve_props(args, out, err) -> int:
+def _cmd_curve_props(args, out) -> int:
     from .curve import curve_properties, shape_class
 
     spec = _curve_spec(args)
@@ -205,7 +205,7 @@ def _cmd_curve_props(args, out, err) -> int:
     return 0
 
 
-def _cmd_curve_implicit(args, out, err) -> int:
+def _cmd_curve_implicit(args, out) -> int:
     from .curve import homogeneous_implicit, implicit_equation
 
     spec = _curve_spec(args)
@@ -214,7 +214,7 @@ def _cmd_curve_implicit(args, out, err) -> int:
     return 0
 
 
-def _cmd_curve_sample(args, out, err) -> int:
+def _cmd_curve_sample(args, out) -> int:
     from .curve import Placement, curve_point
 
     spec = _curve_spec(args)
@@ -231,7 +231,7 @@ def _cmd_curve_sample(args, out, err) -> int:
     return 0
 
 
-def _cmd_surface_classify(args, out, err) -> int:
+def _cmd_surface_classify(args, out) -> int:
     from .surface import classify, singular_circles, zero_circle_intersections
 
     spec = _surface_spec(args)
@@ -259,7 +259,7 @@ def _cmd_surface_classify(args, out, err) -> int:
     return 0
 
 
-def _cmd_surface_mesh(args, out, err) -> int:
+def _cmd_surface_mesh(args, out) -> int:
     from .mesh import export_obj, sample
 
     mesh = sample(_surface_spec(args), args.nt, args.ntheta)
@@ -267,7 +267,7 @@ def _cmd_surface_mesh(args, out, err) -> int:
     return 0
 
 
-def _cmd_figure(args, out, err) -> int:
+def _cmd_figure(args, out) -> int:
     from .mesh import export_obj, figure_preset, preset_keys, sample
 
     if args.list:
@@ -285,7 +285,7 @@ def _cmd_figure(args, out, err) -> int:
     return 0
 
 
-def _cmd_verify(args, out, err) -> int:
+def _cmd_verify(args, out) -> int:
     from .curve import CurveSpec
     from .verify import run_suite
 
@@ -331,7 +331,7 @@ def run(argv: List[str], out, err) -> int:
         _emit(err if exit_request.code else out, usage_buffer.getvalue())
         return int(exit_request.code or 0)
     try:
-        return _COMMANDS[args.command](args, out, err)
+        return _COMMANDS[args.command](args, out)
     except BrokenPipeError:
         return 1
     except OverflowError as failure:

@@ -70,6 +70,11 @@ class CurveSpec:
         """True for a = 0 with n*d odd: the curve retraces after d*pi."""
         return self.a == 0 and (self.n * self.d) % 2 == 1
 
+    @property
+    def trace_period(self) -> float:
+        """Length of the interval traced once: ``parameter_period``, halved for odd roses."""
+        return self.parameter_period / 2.0 if self.is_odd_rose else self.parameter_period
+
     @cached_property
     def a_float(self) -> float:
         """``float(a)``, converted once per spec for the float samplers."""

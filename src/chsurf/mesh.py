@@ -52,11 +52,11 @@ SKIPPED = "skipped"
 
 @dataclass(frozen=True)
 class MeshRow:
-    index: int
+    """Grid row at parameter t: ``ntheta`` vertices if FULL, one if COLLAPSED, none if SKIPPED."""
+
     t: float
     kind: str
     vertex_start: int
-    vertex_count: int
 
 
 @dataclass
@@ -116,7 +116,7 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
         t = period * i / nt
         frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, t))
         if frame is None:
-            mesh.rows.append(MeshRow(i, t, SKIPPED, count, 0))
+            mesh.rows.append(MeshRow(t, SKIPPED, count))
             continue
         x, y, root, norm_sq, two_rho_sq, _ = frame
         if not math.isfinite(norm_sq):
@@ -125,11 +125,11 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
             # Point circle: the whole theta ring is one vertex at the center.
             factor = (norm_sq - q) / two_rho_sq
             apexes.append((count, x * factor, y * factor))
-            mesh.rows.append(MeshRow(i, t, COLLAPSED, count, 1))
+            mesh.rows.append(MeshRow(t, COLLAPSED, count))
             count += 1
             continue
         rings.append((count, *frame))
-        mesh.rows.append(MeshRow(i, t, FULL, count, ntheta))
+        mesh.rows.append(MeshRow(t, FULL, count))
         count += ntheta
 
     if all(row.kind == SKIPPED for row in mesh.rows):

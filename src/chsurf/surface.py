@@ -63,6 +63,11 @@ class SurfaceSpec:
         """
         return self.plane_extent + abs(self.placement.pole_float[2])
 
+    @cached_property
+    def axis_bound(self) -> float:
+        """Planar distance within which a point counts as on the z axis."""
+        return AXIS_EPS * self.plane_extent
+
 
 @dataclass(frozen=True)
 class IncidenceType:
@@ -138,13 +143,13 @@ def _circle_frame(spec: SurfaceSpec, point: Tuple[float, float, float]) -> Optio
     Returns ``(x, y, root, norm_sq, two_rho_sq, two_rho)``: the point's
     planar coordinates, ``sqrt(radicand)``, ``|p|^2``, ``2*rho^2`` and
     ``2*rho`` with ``rho`` the point's distance from the z axis.  Returns
-    None when ``rho`` is within ``AXIS_EPS * plane_extent`` of the axis,
+    None when ``rho`` is within the spec's ``axis_bound`` of the axis,
     where the circle is not unique.  ``root == 0.0`` is a point circle.
     """
     x, y, z = point
     rho_sq = x * x + y * y
     rho = math.sqrt(rho_sq)
-    if rho <= AXIS_EPS * spec.plane_extent:
+    if rho <= spec.axis_bound:
         return None
     root = math.sqrt(radicand(point, spec.congruence.q_float))
     return (x, y, root, rho_sq + z * z, 2.0 * rho_sq, 2.0 * rho)
@@ -501,7 +506,7 @@ def _center_constants(spec: SurfaceSpec) -> tuple:
 
     Gathered once per query for :func:`_center_function` and
     :func:`_polish_coincidence`; ``scale`` is the extent, at least 1, and
-    ``axis_bound`` is scaled by the plane extent.
+    ``axis_bound`` is the spec's.
     """
     n, d, a, cx, cy = _plane_constants(spec)
     z = spec.placement.pole_float[2]
@@ -511,7 +516,7 @@ def _center_constants(spec: SurfaceSpec) -> tuple:
         waist_bound = RADICAND_EPS * scale ** 2
     except OverflowError:
         raise OverflowError("the squared extent of the surface overflows float64") from None
-    return (n, d, a, cx, cy, z * z, q, AXIS_EPS * spec.plane_extent, waist_bound, scale)
+    return (n, d, a, cx, cy, z * z, q, spec.axis_bound, waist_bound, scale)
 
 
 def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[float, float]]]:
@@ -650,21 +655,19 @@ def _polish_coincidence(
     return None  # not reached: iteration 60 always returns
 
 
-def _off_center_coincidences(
-    spec: SurfaceSpec, samples: int, domain: float
-) -> List[Tuple[float, float]]:
+def _off_center_coincidences(spec: SurfaceSpec, samples: int) -> List[Tuple[float, float]]:
     """Parameter pairs sharing one generating circle with nonzero offset.
 
-    The float kernel of :func:`singular_circles`.  The center trace is
-    sampled in the unit disk with :func:`_center_function`, and segment i
-    joins samples i and i + 1 (mod samples).  A sweep over the
-    segments' x-extents finds the pairs whose boxes overlap and tests each
-    for a crossing on the spot, keeping only the crossings.  The crossing
-    test is the one inline copy of the segment intersection, given the
-    lower-index segment first, with bounds of 1e-12 either side of [0, 1].
-    The crossings are then polished by :func:`_polish_coincidence` in
-    ascending segment order.  So the result is the
-    list an all-pairs scan would give, in the same order:
+    The float kernel of :func:`singular_circles`.  The center trace over
+    the curve's ``trace_period`` is sampled in the unit disk with
+    :func:`_center_function`, and segment i joins samples i and i + 1 (mod
+    samples).  A sweep over the segments' x-extents finds the pairs whose
+    boxes overlap and tests each for a crossing on the spot, keeping only
+    the crossings.  The crossing test is the one inline copy of the segment
+    intersection, given the lower-index segment first, with bounds of 1e-12
+    either side of [0, 1].  The crossings are then polished by
+    :func:`_polish_coincidence` in ascending segment order.  So the result
+    is the list an all-pairs scan would give, in the same order:
     ``test_sweep_matches_all_pairs_scan`` compares it with one built on
     ``curve_point`` and the test module's own ``_segment_intersection``, and
     ``test_surface_query_pool_byte_pin`` pins the CLI's output over the
@@ -673,6 +676,7 @@ def _off_center_coincidences(
     center = _center_function(spec)
     constants = _center_constants(spec)
     scale = constants[-1]
+    domain = spec.curve.trace_period
     ts = [domain * i / samples for i in range(samples)]
     ends = ts[1:] + [domain]
     points = list(map(center, ts))
@@ -736,23 +740,23 @@ def _off_center_coincidences(
     return pairs
 
 
-def _axis_centered_groups(spec: SurfaceSpec, samples: int, domain: float) -> List[List[float]]:
+def _axis_centered_groups(spec: SurfaceSpec, samples: int) -> List[List[float]]:
     """Passage groups on circles centered on the axis (elliptic only).
 
-    Such a circle has radius sqrt(q), so its passages are the parameters
-    where the curve meets the sphere |p|^2 = q, grouped by meridian plane.
-    The plane z = h meets that sphere only if q >= h^2, decided in Q.
+    Such a circle has radius sqrt(q), so its passages are the parameters in
+    ``trace_period`` where the curve meets the sphere |p|^2 = q, grouped by
+    meridian plane.  The plane z = h meets it only if q >= h^2, a test in Q.
     """
     q, h = spec.congruence.q, spec.placement.height
     if q <= 0 or q < h * h:
         return []
     z = spec.placement.pole_float[2]
-    roots = _periodic_roots(_gap_function(spec, z * z, -float(q)), domain, max(4 * samples, 2048))
-    axis_bound = AXIS_EPS * spec.plane_extent
+    gap = _gap_function(spec, z * z, -float(q))
+    roots = _periodic_roots(gap, spec.curve.trace_period, max(4 * samples, 2048))
     planed = []
     for t in roots:
         x, y, _ = curve_point(spec.curve, spec.placement, t)
-        if math.hypot(x, y) <= axis_bound:
+        if math.hypot(x, y) <= spec.axis_bound:
             continue
         planed.append((math.atan2(y, x) % math.pi, t))
     groups: List[List[Tuple[float, float]]] = []
@@ -780,9 +784,9 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     circles come from sphere crossings grouped by meridian plane
     (:func:`_axis_centered_groups`).  Each connected component of the
     coincidence graph yields one circle whose multiplicity is the number of
-    distinct curve passages in it; retraced rose parameters are identified
-    beforehand.  Passages within PARAM_DEDUP of each other, across the wrap
-    at the domain included, are one passage; one dict of buckets twice
+    distinct curve passages in it; the domain is the curve's
+    ``trace_period``.  Passages within PARAM_DEDUP of each other, across the
+    wrap at the domain included, are one passage; one dict of buckets twice
     PARAM_DEDUP wide indexes them.
     ``test_passage_merge_matches_three_image_lookup`` pins the merge against
     a plain three-image lookup, at the seam, at bucket edges and on the
@@ -801,11 +805,8 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     """
     if samples < 16:
         raise ValueError("samples must be at least 16")
-    curve = spec.curve
-    domain = curve.parameter_period
-    if curve.is_odd_rose:
-        domain /= 2.0  # drop the retraced half
-    pairs = _off_center_coincidences(spec, samples, domain)
+    domain = spec.curve.trace_period
+    pairs = _off_center_coincidences(spec, samples)
 
     # Union-find over deduplicated passage parameters.  A parameter joins
     # the earliest-inserted node within PARAM_DEDUP of it, across the wrap at
@@ -856,7 +857,7 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
 
     results = [
         (generating_circle(spec, min(params)), len(params))
-        for params in [*components.values(), *_axis_centered_groups(spec, samples, domain)]
+        for params in [*components.values(), *_axis_centered_groups(spec, samples)]
         if len(params) >= 2
     ]
     results.sort(key=lambda item: (item[0].meridian_angle, item[0].center_offset))

@@ -29,7 +29,6 @@ from .curve import (
 )
 from .mesh import figure_preset, preset_keys
 from .surface import (
-    AXIS_EPS,
     IncidenceType,
     _circle_frame,
     classify,
@@ -43,7 +42,6 @@ from .surface import (
 )
 
 GRID_A_VALUES = ("0", "1/4", "1/2", "1", "5/2")
-SUITES = ("table1", "table2", "residual", "invariants", "all")
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return self.failed == 0
-
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -383,11 +378,10 @@ def _preset_geometry_checks(key: str) -> List[Check]:
     touched = zero_circle_parameters(spec) if q < 0 else []
     bad = 0
     period = spec.curve.parameter_period
-    axis_tol = AXIS_EPS * spec.plane_extent
     for k in range(count):
         t = period * k / count
         point = curve_point(spec.curve, spec.placement, t)
-        if math.hypot(point[0], point[1]) <= axis_tol:
+        if math.hypot(point[0], point[1]) <= spec.axis_bound:
             continue  # parametrization undefined on the axis
         value = radicand(point, q)
         if value < 0.0:
@@ -428,18 +422,16 @@ def run_invariants() -> Report:
     return report
 
 
+_SUITES = {
+    "table1": lambda only: run_table1(),
+    "table2": lambda only: run_table2(),
+    "residual": run_residual,
+    "invariants": lambda only: run_invariants(),
+}
+
+
 def run_suite(suite: str, only: Optional[CurveSpec] = None) -> Report:
-    if suite == "table1":
-        return run_table1()
-    if suite == "table2":
-        return run_table2()
-    if suite == "residual":
-        return run_residual(only)
-    if suite == "invariants":
-        return run_invariants()
+    """One suite's report; ``all`` joins the four, and ``only`` restricts the residual suite."""
     if suite == "all":
-        report = Report("all")
-        for name in ("table1", "table2", "residual", "invariants"):
-            report.extend(run_suite(name, only if name == "residual" else None))
-        return report
-    raise ValueError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
+        return Report("all", [check for run in _SUITES.values() for check in run(only).checks])
+    return _SUITES[suite](only)

@@ -104,32 +104,35 @@ def test_criterion_6_classification_dual_path(suites):
     _report_checks(6, "classification dual path", checks, covered)
 
 
+# Type label and (order, absolute conic, axis, directing points) per
+# preset, as ``verify invariants`` prints them.
 FIGURE_EXPECTATIONS = {
-    "3b": (20, 6, 8, 14),
-    "3c": (20, 6, 8, 14),
-    "3d": (20, 6, 8, 14),
-    "5a": (40, 4, 32, 36),
-    "5b": (40, 4, 32, 36),
-    "5c": (40, 4, 32, 36),
-    "6a": (30, 2, 26, 28),
-    "6b": (30, 2, 26, 28),
-    "6c": (30, 2, 26, 28),
-    "8a": (9, 3, 3, 6),
-    "8b": (9, 3, 3, 6),
-    "8c": (15, 5, 5, 10),
-    "9a": (10, 4, 2, 6),
-    "9b": (10, 4, 2, 6),
-    "9c": (10, 4, 2, 6),
+    "3b": ("1B", (20, 6, 8, 14)),
+    "3c": ("1B", (20, 6, 8, 14)),
+    "3d": ("1B", (20, 6, 8, 14)),
+    "5a": ("2B", (40, 4, 32, 36)),
+    "5b": ("2B", (40, 4, 32, 36)),
+    "5c": ("2B", (40, 4, 32, 36)),
+    "6a": ("2B", (30, 2, 26, 28)),
+    "6b": ("2B", (30, 2, 26, 28)),
+    "6c": ("2B", (30, 2, 26, 28)),
+    "8a": ("4A", (9, 3, 3, 6)),
+    "8b": ("4A", (9, 3, 3, 6)),
+    "8c": ("4A", (15, 5, 5, 10)),
+    "9a": ("5A", (10, 4, 2, 6)),
+    "9b": ("5A", (10, 4, 2, 6)),
+    "9c": ("5A", (10, 4, 2, 6)),
     # Directing-point multiplicity follows the classification table
     # (type 3A with j=1: 2n - j = 5).
-    "7a": (8, 3, 2, 5),
+    "7a": ("3A", (8, 3, 2, 5)),
 }
 
 
 def test_criterion_7_figure_regressions():
     failures = []
     for key, expected in sorted(FIGURE_EXPECTATIONS.items()):
-        got = classify(figure_preset(key).spec).numbers()
+        result = classify(figure_preset(key).spec)
+        got = (result.type_label, result.numbers())
         if got != expected:
             failures.append((key, got, expected))
     _report(

@@ -31,7 +31,6 @@ from chsurf.mesh import (
     sample,
 )
 from chsurf.surface import (
-    AXIS_EPS,
     _circle_frame,
     generating_circle,
     parametric_point,
@@ -48,7 +47,7 @@ def test_sample_validates_resolution():
 def test_circle_curve_torus_mesh():
     # r = cos(t) crosses the axis at t = pi/2 and 3*pi/2 only.
     mesh = sample(make_spec(1, 1, q=1), 64, 64)
-    degenerate = [(row.index, row.kind) for row in mesh.rows if row.kind != FULL]
+    degenerate = [(i, row.kind) for i, row in enumerate(mesh.rows) if row.kind != FULL]
     assert degenerate == [(16, SKIPPED), (48, SKIPPED)]
     full_rows = sum(1 for row in mesh.rows if row.kind == FULL)
     assert len(mesh.vertices) == full_rows * 64
@@ -91,7 +90,7 @@ def test_vertices_map_back_to_row_circles():
         if row.kind != FULL:
             continue
         key = generating_circle(spec, row.t)
-        for offset in range(0, row.vertex_count, 5):
+        for offset in range(0, 24, 5):
             vertex = mesh.vertices[row.vertex_start + offset]
             if math.hypot(vertex[0], vertex[1]) < 1e-5:
                 continue
@@ -106,7 +105,6 @@ def _scalar_sample(spec, nt, ntheta):
     cos_t = [math.cos(v) for v in thetas]
     sin_t = [math.sin(v) for v in thetas]
     q = float(spec.congruence.q)
-    axis_tol = AXIS_EPS * max(1.0, spec.extent)
     vertices, triangles, rows = [], [], []
     for i in range(nt):
         t = period * i / nt
@@ -114,15 +112,15 @@ def _scalar_sample(spec, nt, ntheta):
         rho_sq = x * x + y * y
         rho = math.sqrt(rho_sq)
         start = len(vertices)
-        if rho <= axis_tol:
-            rows.append(MeshRow(i, t, SKIPPED, start, 0))
+        if rho <= spec.axis_bound:
+            rows.append(MeshRow(t, SKIPPED, start))
             continue
         value = radicand((x, y, z), q)
         norm_sq = rho_sq + z * z
         if value == 0.0:
             factor = (norm_sq - q) / (2.0 * rho_sq)
             vertices.append((x * factor, y * factor, 0.0))
-            rows.append(MeshRow(i, t, COLLAPSED, start, 1))
+            rows.append(MeshRow(t, COLLAPSED, start))
             continue
         root = math.sqrt(value)
         half_inv = 1.0 / (2.0 * rho_sq)
@@ -130,7 +128,7 @@ def _scalar_sample(spec, nt, ntheta):
         for j in range(ntheta):
             along = (root * cos_t[j] + norm_sq - q) * half_inv
             vertices.append((x * along, y * along, z_scale * sin_t[j]))
-        rows.append(MeshRow(i, t, FULL, start, ntheta))
+        rows.append(MeshRow(t, FULL, start))
 
     scale = max(1.0, max(max(abs(c) for c in v) for v in vertices))
     area_floor = ZERO_AREA_EPS * scale * scale
@@ -171,6 +169,9 @@ _EQUIVALENCE_CASES = [
 ] + [
     # Skipped rows; preset 6b has collapsed ones.
     pytest.param(make_spec(3, 1, q=0, cx=-1), 256, id="CH(3,1,0),cx=-1"),
+    # A raised plane: the axis test compares planar distances, so the height
+    # must not widen it (one skipped row, at the cusp).
+    pytest.param(make_spec(1, 1, 1, q=1, h="1e8"), 64, id="CH(1,1,1),h=1e8"),
 ]
 
 
@@ -257,7 +258,7 @@ def test_axis_tolerance_does_not_grow_with_the_plane_height(h):
     # r = 1 + cos(t) meets the axis only at its cusp t = pi, row 32 of 64; the
     # axis test compares planar distances, so the plane's height must not widen it.
     mesh = sample(make_spec(1, 1, 1, q=1, h=h), 64, 8)
-    assert [(row.index, row.kind) for row in mesh.rows if row.kind != FULL] == [(32, SKIPPED)]
+    assert [(i, row.kind) for i, row in enumerate(mesh.rows) if row.kind != FULL] == [(32, SKIPPED)]
 
 
 @pytest.mark.parametrize("h", ["0", "1e4", "1e6"])

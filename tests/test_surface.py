@@ -186,8 +186,7 @@ def _float_incidence(spec, tol=1e-9):
             assert residual > 1e3 * tol * scale, "reference detector is ambiguous here"
     if not hits:
         return IncidenceType(5)
-    fold = period / 2.0 if curve.is_odd_rose else period
-    folded = sorted({round(phi % fold, 9) for phi in hits})
+    folded = sorted({round(phi % curve.trace_period, 9) for phi in hits})
     deduped = [folded[0]]
     for phi in folded[1:]:
         if phi - deduped[-1] > 1e-6:
@@ -330,23 +329,6 @@ def test_classification_from_counts_rejects_bad_input():
         classification_from_counts(2, 3, 0, 0, 0)
 
 
-@pytest.mark.parametrize(
-    "spec_args,expected,label",
-    [
-        (dict(n=7, d=3, a="1/4", q="0"), (20, 6, 8, 14), "1B"),
-        (dict(n=9, d=2, a="2", q="-1", h="1"), (40, 4, 32, 36), "2B"),
-        (dict(n=7, d=1, a="2", q="-1"), (30, 2, 26, 28), "2B"),
-        (dict(n=3, d=1, a="0", q="1", cx="-1"), (9, 3, 3, 6), "4A"),
-        (dict(n=3, d=1, a="0", q="1", cx="1"), (10, 4, 2, 6), "5A"),
-        (dict(n=3, d=1, a="0", q="0", cx="-1"), (8, 3, 2, 5), "3A"),
-    ],
-)
-def test_classify_figure_cases(spec_args, expected, label):
-    result = classify(make_spec(**spec_args))
-    assert result.numbers() == expected
-    assert result.type_label == label
-
-
 def test_classify_json_record():
     record = classify(make_spec(9, 2, "2", q="-1", h="1")).to_dict()
     assert record == {
@@ -387,9 +369,7 @@ def brute_force_coincidences(spec, probes=240):
 
     Centers come from ``curve_point``, so no float kernel of the scan takes part.
     """
-    domain = spec.curve.parameter_period
-    if spec.curve.is_odd_rose:
-        domain /= 2.0
+    domain = spec.curve.trace_period
 
     def mismatch(params):
         c1 = _curve_point_center(spec, params[0] % domain)
@@ -418,15 +398,15 @@ def brute_force_coincidences(spec, probes=240):
 
 def _curve_point_center(spec, t):
     """Generating-circle center computed from ``curve_point``, per call."""
-    from chsurf.surface import AXIS_EPS, RADICAND_EPS
+    from chsurf.surface import RADICAND_EPS
 
     x, y, z = curve_point(spec.curve, spec.placement, t)
     rho_sq = x * x + y * y
-    if math.sqrt(rho_sq) <= AXIS_EPS * spec.plane_extent:
+    if math.sqrt(rho_sq) <= spec.axis_bound:
         return None
     q = float(spec.congruence.q)
     lam = (rho_sq + z * z - q) / (2.0 * rho_sq)
-    if lam * lam * rho_sq + q <= RADICAND_EPS * max(1.0, spec.extent) ** 2:
+    if lam * lam * rho_sq + q <= RADICAND_EPS * spec.extent ** 2:
         return None
     return (lam * x, lam * y)
 
@@ -471,7 +451,7 @@ def _all_pairs_coincidences(spec, samples, domain):
 
     ts = [domain * i / samples for i in range(samples)]
     centers = [_curve_point_center(spec, t) for t in ts]
-    scale = max(1.0, spec.extent)
+    scale = spec.extent
     segments = []
     for i in range(samples):
         k = (i + 1) % samples
@@ -535,7 +515,7 @@ def _polish_coincidence_reference(spec, t1, t2, domain):
             return None
         return (ca[0] - cb[0], ca[1] - cb[1])
 
-    scale = max(1.0, spec.extent)
+    scale = spec.extent
     for _ in range(60):
         f = value(t1, t2)
         if f is None:
@@ -615,10 +595,6 @@ def _waist_gap_reference(spec):
 def test_root_finders_match_curve_point_reference(monkeypatch):
     from chsurf import surface
 
-    def domain_of(spec):
-        period = spec.curve.parameter_period
-        return period / 2.0 if spec.curve.is_odd_rose else period
-
     for spec in SWEEP_SPECS:
         q, z = float(spec.congruence.q), float(spec.placement.height)
         sphere = surface._gap_function(spec, z * z, -q)
@@ -629,11 +605,11 @@ def test_root_finders_match_curve_point_reference(monkeypatch):
             assert sphere(t) == _sphere_gap_reference(spec)(t), (spec, t)
             assert waist(t) == _waist_gap_reference(spec)(t), (spec, t)
 
-    groups = [surface._axis_centered_groups(spec, 512, domain_of(spec)) for spec in SWEEP_SPECS]
+    groups = [surface._axis_centered_groups(spec, 512) for spec in SWEEP_SPECS]
     params = [zero_circle_parameters(spec) for spec in SWEEP_SPECS]
     # The same root finder and grouping, fed gaps built on curve_point.
     monkeypatch.setattr(surface, "_gap_function", lambda spec, lift, shift: _sphere_gap_reference(spec))
-    assert groups == [surface._axis_centered_groups(spec, 512, domain_of(spec)) for spec in SWEEP_SPECS]
+    assert groups == [surface._axis_centered_groups(spec, 512) for spec in SWEEP_SPECS]
     monkeypatch.setattr(surface, "_gap_function", lambda spec, lift, shift: _waist_gap_reference(spec))
     assert params == [zero_circle_parameters(spec) for spec in SWEEP_SPECS]
     assert sum(map(bool, groups)) >= 2 and sum(map(bool, params)) >= 2
@@ -649,11 +625,8 @@ def test_sweep_matches_all_pairs_scan(samples, specs):
 
     found = 0
     for spec in specs:
-        domain = spec.curve.parameter_period
-        if spec.curve.is_odd_rose:
-            domain /= 2.0
-        expected = _all_pairs_coincidences(spec, samples, domain)
-        assert _off_center_coincidences(spec, samples, domain) == expected, spec
+        expected = _all_pairs_coincidences(spec, samples, spec.curve.trace_period)
+        assert _off_center_coincidences(spec, samples) == expected, spec
         found += len(expected)
     assert found > 0
 
@@ -679,10 +652,7 @@ def test_polish_matches_reference_on_sweep_starts(monkeypatch):
     monkeypatch.setattr(surface, "_polish_coincidence", recording)
     runs = [(spec, 256) for spec in SWEEP_SPECS] + [(SINGULAR_JACOBIAN_SPEC, 512)]
     for spec, samples in runs:
-        domain = spec.curve.parameter_period
-        if spec.curve.is_odd_rose:
-            domain /= 2.0
-        surface._off_center_coincidences(spec, samples, domain)
+        surface._off_center_coincidences(spec, samples)
     exits = set()
     for spec, t1, t2, domain, result in records:
         expected, outcome = _polish_coincidence_reference(spec, t1, t2, domain)
@@ -763,9 +733,9 @@ def _merged_circles_reference(spec, pairs, domain):
 def test_passage_merge_matches_three_image_lookup(monkeypatch):
     from chsurf import surface
 
-    monkeypatch.setattr(surface, "_axis_centered_groups", lambda spec, samples, domain: [])
+    monkeypatch.setattr(surface, "_axis_centered_groups", lambda spec, samples: [])
     spec = SWEEP_SPECS[2]
-    domain = spec.curve.parameter_period
+    domain = spec.curve.trace_period
     seam = -1e-300 % domain
     assert seam == domain  # a value of exactly domain, as % can return
     at_seam = [
@@ -808,19 +778,16 @@ def test_passage_merge_matches_three_image_lookup(monkeypatch):
     ]
     cases = ((at_seam, [2, 3, 6]), (chains, [2, 2, 2, 3, 3, 3]), (edges, [3, 3, 3]))
     for crafted, multiplicities in cases:
-        monkeypatch.setattr(surface, "_off_center_coincidences", lambda spec, samples, domain: crafted)
+        monkeypatch.setattr(surface, "_off_center_coincidences", lambda spec, samples: crafted)
         expected = _merged_circles_reference(spec, crafted, domain)
         assert singular_circles(spec) == expected
         assert sorted(mult for _, mult in expected) == multiplicities
 
     monkeypatch.undo()
-    monkeypatch.setattr(surface, "_axis_centered_groups", lambda spec, samples, domain: [])
+    monkeypatch.setattr(surface, "_axis_centered_groups", lambda spec, samples: [])
     for spec in SWEEP_SPECS:
-        domain = spec.curve.parameter_period
-        if spec.curve.is_odd_rose:
-            domain /= 2.0
-        pairs = surface._off_center_coincidences(spec, 512, domain)
-        assert singular_circles(spec) == _merged_circles_reference(spec, pairs, domain), spec
+        pairs = surface._off_center_coincidences(spec, 512)
+        assert singular_circles(spec) == _merged_circles_reference(spec, pairs, spec.curve.trace_period), spec
 
 
 def test_singular_circles_empty_for_centered_circle_curve():
@@ -858,7 +825,7 @@ def test_no_axis_centered_circle_when_the_plane_misses_the_sphere():
     from chsurf import surface
 
     spec = make_spec(2, 9, "1/2", q="1/4", h=Fraction(-1, 2) - Fraction(1, 10**12))
-    assert surface._axis_centered_groups(spec, 512, spec.curve.parameter_period) == []
+    assert surface._axis_centered_groups(spec, 512) == []
     assert not any(abs(key.radius - 0.5) < 1e-6 for key, _ in singular_circles(spec))
 
 
@@ -955,8 +922,8 @@ def test_zero_circle_grid_below_64_is_an_error(q):
 # -- exact symmetries over the benchmark's query pool ----------------------------------
 
 
-def _pool_images(query):
-    """The query's placed surface and its images under exact symmetries.
+def _exact_images(n, d, a, q, cx, cy, h):
+    """A placed surface from exact values, and its images under exact symmetries.
 
     The curve placed at (cx, -cy) is the mirror image in y of the one at
     (cx, cy), and so is the congruence.  The curve is invariant under a
@@ -965,10 +932,7 @@ def _pool_images(query):
     when n is even and by a quarter when 4 | n.  Reflecting in the plane
     z = 0 takes h to -h.  Each image has rational data.
     """
-    args = dict(arg[2:].split("=", 1) for arg in query["argv"][1:])
-    n, d = int(args["n"]), int(args["d"])
-    cx, cy, h = (Fraction(args[name]) for name in ("cx", "cy", "h"))
-    base = dict(n=n, d=d, a=args["a"], q=args["q"], cx=cx, cy=cy, h=h)
+    base = dict(n=n, d=d, a=a, q=q, cx=cx, cy=cy, h=h)
     images = []
     if cy != 0:
         images.append(dict(base, cy=-cy))
@@ -982,20 +946,47 @@ def _pool_images(query):
     return make_spec(**base), [make_spec(**image) for image in images]
 
 
+def _assert_images_agree(**base):
+    """Assert that every exact image of ``base`` has its ``classify`` record.
+
+    With q < 0 and h = 0 every image also has its count of zero-circle
+    intersections.  Returns how many images, and how many zero-circle
+    images, were compared.
+    """
+    spec, images = _exact_images(**base)
+    expected = classify(spec).to_dict()
+    waist = spec.congruence.q < 0 and spec.placement.height == 0
+    count = len(zero_circle_intersections(spec)) if waist else None
+    for image in images:
+        assert classify(image).to_dict() == expected, (base, image)
+        if waist:
+            assert len(zero_circle_intersections(image)) == count, (base, image)
+    return len(images), len(images) if waist else 0
+
+
 def test_classify_and_zero_circles_agree_on_exact_pool_images():
     # Read-only: the pool of the benchmark's surface-queries workload.
     path = Path(__file__).resolve().parents[1] / "bench" / "references" / "surface_queries.json"
     queries = json.loads(path.read_text())["queries"]
     images = zero_circle_images = 0
     for query in queries:
-        spec, specs = _pool_images(query)
-        expected = classify(spec).to_dict()
-        waist = spec.congruence.q < 0 and spec.placement.height == 0
-        count = len(zero_circle_intersections(spec)) if waist else None
-        for image in specs:
-            assert classify(image).to_dict() == expected, (query["key"], image)
-            images += 1
-            if waist:
-                assert len(zero_circle_intersections(image)) == count, (query["key"], image)
-                zero_circle_images += 1
+        args = dict(arg[2:].split("=", 1) for arg in query["argv"][1:])
+        exact = {name: Fraction(args[name]) for name in ("a", "q", "cx", "cy", "h")}
+        compared, waist_compared = _assert_images_agree(n=int(args["n"]), d=int(args["d"]), **exact)
+        images += compared
+        zero_circle_images += waist_compared
     assert (images, zero_circle_images) == (239, 13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nd=st.sampled_from([(n, d) for n in range(1, 5) for d in range(1, 5) if n + d <= 5 and math.gcd(n, d) == 1]),
+    a=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 2)]),
+    q=st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 4), Fraction(1)]),
+    cx=st.sampled_from(LATTICE),
+    cy=st.sampled_from(LATTICE),
+    h=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1)]),
+)
+def test_classify_and_zero_circles_agree_on_lattice_images(nd, a, q, cx, cy, h):
+    # Coprime n + d <= 5 with poles on the half-integer lattice in [-2, 2]^2.
+    _assert_images_agree(n=nd[0], d=nd[1], a=a, q=q, cx=cx, cy=cy, h=h)
