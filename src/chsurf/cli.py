@@ -158,9 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd = sub.add_parser("verify", help="run a verification suite")
     verify_cmd.add_argument("suite", choices=list(VERIFY_SUITES))
     verify_cmd.add_argument("--format", choices=["text", "json"], default="text")
-    verify_cmd.add_argument("--n", type=int, help="restrict the residual suite to one curve")
-    verify_cmd.add_argument("--d", type=int)
-    verify_cmd.add_argument("--a", type=parse_rational)
     return parser
 
 
@@ -286,19 +283,9 @@ def _cmd_figure(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    from .curve import CurveSpec
     from .verify import run_suite
 
-    only = None
-    if (args.n, args.d, args.a) != (None, None, None):
-        if args.suite not in ("residual", "all"):
-            raise ValueError(
-                f"--n, --d and --a restrict the residual suite; {args.suite} runs the grid"
-            )
-        if args.n is None or args.d is None:
-            raise ValueError("--n and --d must be given together, and --a needs both")
-        only = CurveSpec(args.n, args.d, args.a if args.a is not None else Fraction(0))
-    report = run_suite(args.suite, only=only)
+    report = run_suite(args.suite)
     if args.format == "json":
         _emit(out, _json_line(report.to_dict()))
     else:

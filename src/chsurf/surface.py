@@ -92,22 +92,20 @@ class SurfaceClassification:
     absolute_conic: int
     axis: int
     directing_points: int
-    type_label: Optional[str] = None
+    type_label: str
     j: Optional[int] = None
 
     def numbers(self) -> Tuple[int, int, int, int]:
         return (self.order, self.absolute_conic, self.axis, self.directing_points)
 
     def to_dict(self) -> dict:
-        record = {}
-        if self.type_label is not None:
-            record["type"] = self.type_label
-        record.update(
-            order=self.order,
-            absolute_conic=self.absolute_conic,
-            axis=self.axis,
-            directing_points=self.directing_points,
-        )
+        record = {
+            "type": self.type_label,
+            "order": self.order,
+            "absolute_conic": self.absolute_conic,
+            "axis": self.axis,
+            "directing_points": self.directing_points,
+        }
         if self.j is not None:
             record["j"] = self.j
         return record
@@ -286,8 +284,8 @@ def incidence_type(spec: SurfaceSpec) -> IncidenceType:
 
 def classification_from_counts(
     m: int, conic_pairs: int, axis_points: int, p1: int, p2: int
-) -> SurfaceClassification:
-    """Surface invariants from the curve order and its incidence counts.
+) -> Tuple[int, int, int, int]:
+    """(order, absolute conic, axis, directing points) from the curve's counts.
 
     ``m``: curve order; ``conic_pairs``: multiplicity at the circular points
     at infinity; ``axis_points``: intersections with the axis; ``p1``/``p2``:
@@ -305,7 +303,7 @@ def classification_from_counts(
             f"inconsistent counts {counts}: order={order}, conic={conic}, "
             f"axis={axis}, points={points}"
         )
-    return SurfaceClassification(order, conic, axis, points)
+    return (order, conic, axis, points)
 
 
 Row = Callable[[int, int, int], Tuple[int, int, int, int]]
@@ -367,9 +365,7 @@ def count_row(curve: CurveSpec, incidence: IncidenceType) -> Tuple[int, int, int
         axis_points, p1, p2 = j, 0, 0
     else:
         axis_points, p1, p2 = 0, 0, 0
-    return classification_from_counts(
-        props.order, props.absolute_multiplicity, axis_points, p1, p2
-    ).numbers()
+    return classification_from_counts(props.order, props.absolute_multiplicity, axis_points, p1, p2)
 
 
 def classify(spec: SurfaceSpec) -> SurfaceClassification:

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .congruence import circle_key_close, circle_through
 from .curve import (
@@ -256,9 +256,8 @@ def _residual_case(spec: CurveSpec) -> List[Check]:
     return [Check(name, worst <= 1e-9, f"max={worst:.3e} bound=1e-09")]
 
 
-def run_residual(only: Optional[CurveSpec] = None) -> Report:
-    specs = [only] if only is not None else grid_specs()
-    return Report("residual", [check for spec in specs for check in _residual_case(spec)])
+def run_residual() -> Report:
+    return Report("residual", [check for spec in grid_specs() for check in _residual_case(spec)])
 
 
 # -- invariants: the cone constant and preset geometry -------------------------------
@@ -423,15 +422,15 @@ def run_invariants() -> Report:
 
 
 _SUITES = {
-    "table1": lambda only: run_table1(),
-    "table2": lambda only: run_table2(),
+    "table1": run_table1,
+    "table2": run_table2,
     "residual": run_residual,
-    "invariants": lambda only: run_invariants(),
+    "invariants": run_invariants,
 }
 
 
-def run_suite(suite: str, only: Optional[CurveSpec] = None) -> Report:
-    """One suite's report; ``all`` joins the four, and ``only`` restricts the residual suite."""
+def run_suite(suite: str) -> Report:
+    """One suite's report; ``all`` joins the four."""
     if suite == "all":
-        return Report("all", [check for run in _SUITES.values() for check in run(only).checks])
-    return _SUITES[suite](only)
+        return Report("all", [check for run in _SUITES.values() for check in run().checks])
+    return _SUITES[suite]()

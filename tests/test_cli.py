@@ -254,16 +254,6 @@ def test_verify_table2_text_and_json():
     assert record["ok"] is True
 
 
-def test_verify_single_spec_residual():
-    code, out, _ = invoke(
-        "verify", "residual", "--n", "7", "--d", "3", "--a", "1/4", "--format", "json"
-    )
-    assert code == 0
-    record = json.loads(out)
-    assert record["passed"] == 1 and record["failed"] == 0
-    assert "CH(7,3,1/4)" in record["checks"][0]["name"]
-
-
 def test_verify_deterministic_output():
     args = ("verify", "table1", "--format", "json")
     first = invoke(*args)
@@ -319,40 +309,36 @@ def test_usage_error_exit_2():
     assert "required" in err
 
 
-def test_tol_option_removed_exit_2():
-    code, _, err = invoke("surface-classify", "--n", "3", "--d", "1", "--q", "0", "--tol", "1e-9")
-    assert code == 2
-    assert "--tol" in err
-    code, out, _ = invoke("surface-classify", "--help")
-    assert code == 0
-    assert "--tol" not in out
+CLASSIFY = ("surface-classify", "--n", "3", "--d", "1", "--q", "0")
+REMOVED_OPTIONS = [
+    # The float tolerance of the incidence detector; incidence is decided exactly.
+    (CLASSIFY, ("--tol", "1e-9")),
+    # Both commands print JSON only, so --format had one value.
+    (("curve-props", "--n", "3", "--d", "1"), ("--format", "json")),
+    (CLASSIFY, ("--format", "json")),
+    # verify runs in one process, draws nothing and always checks the paper's
+    # n, d <= 9 grid, every curve of it in the residual suite too.
+    (("verify", "all"), ("--seed", "1")),
+    (("verify", "all"), ("--jobs", "2")),
+    (("verify", "all"), ("--max-nd", "3")),
+    (("verify", "residual"), ("--n", "1")),
+    (("verify", "residual"), ("--d", "1")),
+    (("verify", "residual"), ("--a", "1/2")),
+]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("curve-props", "--n", "3", "--d", "1"),
-        ("surface-classify", "--n", "3", "--d", "1", "--q", "0"),
-    ],
+    "argv,option",
+    REMOVED_OPTIONS,
+    ids=[f"{argv[0]} {option[0]}" for argv, option in REMOVED_OPTIONS],
 )
-def test_format_option_removed_exit_2(argv):
-    # Both commands print JSON only, so --format had one value and is gone.
-    code, _, err = invoke(*argv, "--format", "json")
-    assert code == 2
-    assert "--format" in err
+def test_removed_options_exit_2(argv, option):
+    code, out, err = invoke(*argv, *option)
+    assert (code, out) == (2, "")
+    assert option[0] in err
     code, out, _ = invoke(argv[0], "--help")
     assert code == 0
-    assert "--format" not in out
-
-
-@pytest.mark.parametrize("option", [("--seed", "1"), ("--jobs", "2"), ("--max-nd", "3")])
-def test_verify_removed_options_exit_2(option):
-    # verify runs in one process, draws nothing and always checks the paper's
-    # n, d <= 9 grid, so none of these options exists.
-    code, out, err = invoke("verify", "all", *option)
-    assert code == 2
-    assert out == ""
-    assert option[0] in err
+    assert option[0] not in out
 
 
 def test_back_to_back_runs_share_no_values():
@@ -367,25 +353,6 @@ def test_back_to_back_runs_share_no_values():
     assert usage[0] == 2 and usage[1] == "" and "--d" in usage[2]
     assert invoke(*tip) == first
     assert invoke(*centered) == second
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("residual", "--a", "1/2"), "--a needs both"),
-        (("residual", "--n", "1"), "--n and --d must be given together"),
-        (("table1", "--n", "1", "--d", "1"), "table1 runs the grid"),
-        (("table2", "--n", "1", "--d", "1"), "table2 runs the grid"),
-        (("invariants", "--a", "1/2"), "invariants runs the grid"),
-        (("all", "--d", "1"), "--n and --d must be given together"),
-        (("residual", "--d", "1"), "--n and --d must be given together"),
-    ],
-)
-def test_verify_ignored_options_exit_1(argv, message):
-    code, out, err = invoke("verify", *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize(
@@ -416,31 +383,6 @@ def test_rational_past_float_range_exit_1(tmp_path, argv):
     assert err.count("\n") == 1
     assert "(34," not in err  # the message is the program's, not a bare errno tuple
     assert not target.exists()
-
-
-@pytest.mark.parametrize(
-    "argv,reason",
-    [
-        (("residual", "--a=1e400"), "int too large to convert to float"),
-        (("residual", "--a=1e100"), "a power of a sample overflows float64"),
-        (("all", "--a=1e400"), "int too large to convert to float"),
-    ],
-    ids=["residual-1e400", "residual-1e100", "all-1e400"],
-)
-def test_verify_residual_past_float_range_fail_row(capfd, argv, reason):
-    suite, a, *rest = argv
-    code, out, err = invoke("verify", suite, "--n", "1", "--d", "1", a, *rest)
-    assert (code, err, capfd.readouterr().err) == (1, "", "")
-    label = f"CH(1,1,{Fraction(a.split('=')[1])}) residual"
-    lines = out.splitlines()
-    assert [line for line in lines if line.startswith("FAIL")] == [
-        f"FAIL  {label}  [cannot be computed in float64: {reason}]"
-    ]
-    assert lines[-1].startswith(f"{suite}: ") and lines[-1].endswith(" passed, 1 failed")
-    if suite == "all":  # table1, table2 and invariants keep their rows
-        assert any(line.startswith("PASS  CH(1,1,0) order  [") for line in lines)
-        assert "PASS  table rows covered  [20/20 rows]" in lines
-        assert "PASS  9c classification  [type 5A: (10, 4, 2, 6)]" in lines
 
 
 def test_exact_commands_take_rationals_past_float_range():
@@ -599,7 +541,7 @@ def test_serial_verify_loads_no_process_pool():
     code, modules = loaded_by_command("verify", "table2")
     assert code == 0
     assert not modules & {"numpy", "concurrent", "concurrent.futures"}
-    code, modules = loaded_by_command("verify", "residual", "--n", "3", "--d", "1")
+    code, modules = loaded_by_command("verify", "residual")
     assert code == 0
     assert "numpy" in modules
     assert not modules & {"concurrent", "concurrent.futures"}

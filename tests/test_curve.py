@@ -312,33 +312,6 @@ def test_implicit_symmetry_in_y():
         assert all(ey % 2 == 0 for _, ey in p.terms)
 
 
-def _max_scaled_residual(curve_spec, samples=256):
-    # A plain float loop over the term map, independent of the numpy
-    # evaluation in chsurf.verify.
-    p = implicit_equation(curve_spec)
-    terms = [(ex, ey, float(c.re)) for (ex, ey), c in p.terms.items()]
-    coeff_scale = max(abs(c) for _, _, c in terms)
-    degree = p.total_degree
-    worst = 0.0
-    period = curve_spec.parameter_period
-    for k in range(samples):
-        phi = period * k / samples
-        r = polar_radius(curve_spec, phi)
-        x, y = r * math.cos(phi), r * math.sin(phi)
-        value = sum(c * x**ex * y**ey for ex, ey, c in terms)
-        scale = coeff_scale * max(1.0, abs(r)) ** degree
-        worst = max(worst, abs(value) / scale)
-    return worst
-
-
-@pytest.mark.parametrize(
-    "n,d,a",
-    [(1, 1, "1/2"), (2, 3, "1/2"), (7, 3, "1/4"), (3, 2, "0"), (5, 3, "5/2"), (9, 8, "5/2")],
-)
-def test_polar_samples_satisfy_implicit(n, d, a):
-    assert _max_scaled_residual(spec(n, d, a)) <= 1e-9
-
-
 # -- cone constant -----------------------------------------------------------------
 
 
@@ -389,7 +362,7 @@ def test_absolute_multiplicity_examples():
     assert absolute_point_multiplicity(spec(2, 3, "1/2")) == 5
 
 
-# The two line readings below are references only.  Along the line
+# The line reading below is a reference only.  Along the line
 # x2 = i*x1 + m*x0 through the circular point, with x1 = 1 and x0 = t, the
 # equation becomes g(t) = sum c_ab t^(D-a-b) (i + m t)^b, and its order at
 # t = 0 is at least the point's multiplicity, with equality unless the line
@@ -420,65 +393,27 @@ def _absolute_multiplicity_full_expansion(s, m):
     raise RuntimeError("line lies on the curve; implicit equation is broken")
 
 
-def _absolute_multiplicity_per_term(s, m):
-    """Each term of g(t) scaled by its own slope power, then summed per order."""
-    m = Fraction(m)
-    implicit = implicit_equation(s)
-    degree = implicit.total_degree
-    num_powers = [m.numerator**k for k in range(degree + 1)]
-    den_powers = [m.denominator**k for k in range(degree + 1)]
-    i_powers = ((1, 0), (0, 1), (-1, 0), (0, -1))
-    by_shift = {}
-    for (a, b), coeff in implicit.terms.items():
-        by_shift.setdefault(degree - a - b, []).append((b, coeff.re))  # the equation is real
-    for order in range(degree + 1):
-        re = im = 0
-        for shift, terms in by_shift.items():
-            k = order - shift  # t^order takes t^k from (i + m t)^b
-            if k < 0:
-                continue
-            scale = num_powers[k] * den_powers[degree - k]
-            for b, c in terms:
-                if k > b:
-                    continue
-                value = c * math.comb(b, k) * scale
-                unit_re, unit_im = i_powers[(b - k) % 4]
-                re += unit_re * value
-                im += unit_im * value
-        if re or im:
-            return order
-    raise RuntimeError("line lies on the curve; implicit equation is broken")
+def test_absolute_multiplicity_matches_full_expansion_over_grid():
+    """The exact route equals the full expansion at every nonzero slope on the grid.
 
-
-def _check_line_reference(reference, slopes):
-    """The exact route equals ``reference`` at every nonzero slope on the grid.
-
-    At slope 0 the reference reads at least as high, and higher on some
+    At slope 0 the expansion reads at least as high, and higher on some
     spec, where the line is tangent.
     """
+    # Negative, integer and p/q slopes with p, q <= 9.
+    slopes = [Fraction(p) for p in (-9, -1, 1, 2, 7)]
+    slopes += [
+        Fraction(p, q)
+        for p, q in ((-9, 2), (-7, 9), (-3, 2), (2, 9), (4, 7), (5, 4), (8, 3), (9, 7))
+    ]
     tangent = 0
     for s in grid_specs():
         exact = absolute_point_multiplicity(s)
         for m in slopes:
-            assert reference(s, m) == exact, (s, m)
-        along_zero = reference(s, 0)
+            assert _absolute_multiplicity_full_expansion(s, m) == exact, (s, m)
+        along_zero = _absolute_multiplicity_full_expansion(s, 0)
         assert along_zero >= exact, s
         tangent += along_zero > exact
     assert tangent > 0
-
-
-def test_absolute_multiplicity_matches_full_expansion_over_grid():
-    _check_line_reference(
-        _absolute_multiplicity_full_expansion,
-        [Fraction(1), Fraction(-1), Fraction(4, 7), Fraction(-9, 2)],
-    )
-
-
-def test_absolute_multiplicity_matches_per_term_sum_over_grid():
-    # Negative, integer and p/q slopes with p, q <= 9.
-    slopes = [Fraction(p) for p in (-9, -1, 1, 2, 7)]
-    slopes += [Fraction(p, q) for p, q in ((-7, 9), (-3, 2), (2, 9), (5, 4), (8, 3), (9, 7))]
-    _check_line_reference(_absolute_multiplicity_per_term, slopes)
 
 
 def _absolute_multiplicity_gaussian_scan(s):

@@ -12,7 +12,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
-from axis_reference import axis_meeting_parameters
+from axis_reference import axis_candidates, axis_meeting_parameters
 from helpers import make_spec
 from chsurf.congruence import (
     CircleKey,
@@ -20,7 +20,7 @@ from chsurf.congruence import (
     circle_key_close,
     circle_through,
 )
-from chsurf.curve import CurveSpec, Placement, curve_point, polar_radius
+from chsurf.curve import CurveSpec, Placement, curve_point
 from chsurf.mesh import figure_preset, preset_keys
 from chsurf.surface import (
     IncidenceType,
@@ -171,15 +171,10 @@ def _float_incidence(spec, tol=1e-9):
     if placement.pole_on_axis:
         return IncidenceType(1) if placement.height**2 == q else IncidenceType(2)
     curve = spec.curve
-    period = curve.parameter_period
-    cx, cy = float(placement.cx), float(placement.cy)
-    rho_q = math.hypot(cx, cy)
-    phi_q = math.atan2(-cy, -cx)
+    rho_q = math.hypot(float(placement.cx), float(placement.cy))
     scale = max(1.0, 1.0 + float(curve.a) + rho_q)
     hits = []
-    for k in range(2 * curve.d):
-        phi = (phi_q + math.pi * k) % period
-        residual = abs(polar_radius(curve, phi) - (rho_q if k % 2 == 0 else -rho_q))
+    for residual, phi in axis_candidates(curve, placement):
         if residual <= tol * scale:
             hits.append(phi)
         else:
@@ -316,8 +311,7 @@ def test_axis_meeting_parameters_cuspidate_touch():
 
 
 def test_classification_from_counts_example():
-    got = classification_from_counts(4, 1, 0, 0, 0)
-    assert got.numbers() == (10, 4, 2, 6)
+    assert classification_from_counts(4, 1, 0, 0, 0) == (10, 4, 2, 6)
 
 
 def test_classification_from_counts_rejects_bad_input():

@@ -131,9 +131,26 @@ def test_residual_detects_a_wrong_equation(monkeypatch, edit, passed):
     terms = {e: c.re for e, c in curve.implicit_equation(spec).terms.items()}
     edit(terms)
     monkeypatch.setattr(verify, "implicit_equation", lambda s: make_poly(("x", "y"), terms))
-    [check] = run_suite("residual", only=spec).checks
+    [check] = verify._residual_case(spec)
     assert check.name == "CH(3,1,1/2) residual"
     assert check.passed is passed, check.measured
+
+
+@pytest.mark.parametrize(
+    "a,reason",
+    [
+        ("1e400", "int too large to convert to float"),
+        ("1e100", "a power of a sample overflows float64"),
+    ],
+    ids=["1e400", "1e100"],
+)
+def test_residual_past_float_range_is_a_fail_row(a, reason):
+    # The grid fits float64, but max_scaled_residual takes any spec; a value
+    # past the float range is a FAIL row, not an aborted suite.
+    spec = curve.CurveSpec(1, 1, Fraction(a))
+    assert verify._residual_case(spec) == [
+        verify.Check(f"CH(1,1,{spec.a}) residual", False, f"cannot be computed in float64: {reason}")
+    ]
 
 
 def _residual_full_rectangle(spec, samples=256):
