@@ -10,13 +10,16 @@ row are placed by ``surface.parametric_point`` (the one surface-point
 formula, shared with ``verify invariants``), and each surviving quad is
 split into two triangles with exact-zero slivers dropped.  A sampled
 ``Mesh`` holds numpy arrays: ``(N, 3)`` float64 vertices and ``(M, 3)``
-int64 triangles, the latter a view of the leading rows of the buffer the
-candidate triangles were built in.  The sliver filter and the OBJ writer
-work through these arrays in fixed blocks of triangles or vertices, so the
-temporaries of a block stay in cache and no full-size gather or copy of
-the triangles is made.  numpy is imported inside ``sample`` and
-``export_obj``, and the OBJ writer builds its lookup tables on first use,
-so importing this module (and the CLI) does not load numpy.
+triangles, int32 while N fits in it (int64 beyond), the latter a view of
+the leading rows of the buffer the candidate triangles were built in.  The
+sliver filter and the OBJ writer work through these arrays in fixed blocks
+of triangles or vertices, so the temporaries of a block stay in cache and
+no full-size gather or copy of the vertices or the triangles is made; the
+one table beyond the mesh that grows with it is the OBJ writer's, one
+label row of 8 bytes per vertex (16 from 10^6 vertices).  numpy is
+imported inside ``sample`` and ``export_obj``, and the OBJ writer builds
+its lookup tables on first use, so importing this module (and the CLI)
+does not load numpy.
 
 OBJ text is exactly what ``"%.17g"`` and ``"%d"`` print, but computed on
 arrays: the 17 significant digits of a coordinate in fixed notation are an
@@ -64,9 +67,10 @@ class Mesh:
     """A triangle mesh with the row structure it was sampled on.
 
     ``sample`` fills ``vertices`` with an ``(N, 3)`` float64 numpy array,
-    ``triangles`` with an ``(M, 3)`` int64 numpy array of 0-based vertex
-    indices, which may be a view of the leading rows of a larger buffer
-    (its ``base``), and ``rows`` with one :class:`MeshRow` per grid row.
+    ``triangles`` with an ``(M, 3)`` numpy array of 0-based vertex indices,
+    int32 while N fits in it and int64 otherwise (``_index_dtype``), which
+    may be a view of the leading rows of a larger buffer (its ``base``),
+    and ``rows`` with one :class:`MeshRow` per grid row.
     The fields default to empty lists so that building a ``Mesh`` does not
     import numpy; ``export_obj`` accepts any ``(N, 3)`` sequence.
     """
@@ -87,16 +91,16 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     circle's center, and the vertex rings of the FULL rows are one
     ``surface.parametric_point`` call on their frames as numpy columns,
     with the same bits as a call per vertex on floats.  Every candidate
-    triangle is written into one preallocated int64 buffer: a run of
-    consecutive FULL-to-FULL row pairs is six corner-wise broadcasts, a fan
-    three.  The sliver filter works through the buffer in blocks of
-    ``_TRIANGLE_CHUNK``, so its gathers and cross products stay in cache,
-    and moves each block's survivors down to the first free row; the
-    returned ``triangles`` are the buffer's leading rows, a view.  At its
-    peak ``sample`` holds the vertices, a coordinate-major copy of them, the
-    candidate buffer and one block's temporaries.  A row or vertex that is
-    not finite (a coordinate whose square overflows) is an
-    ``OverflowError``.
+    triangle is written into one preallocated buffer, int32 while the
+    vertex count fits in it: a run of consecutive FULL-to-FULL row pairs is
+    six corner-wise broadcasts, a fan three.  The sliver filter works
+    through the buffer in blocks of ``_TRIANGLE_CHUNK``, gathering each
+    block's corners as vertex rows, so its gathers and cross products stay
+    in cache, and moves each block's survivors down to the first free row;
+    the returned ``triangles`` are the buffer's leading rows, a view.  At
+    its peak ``sample`` holds the vertices, the candidate buffer and one
+    block's temporaries.  A row or vertex that is not finite (a coordinate
+    whose square overflows) is an ``OverflowError``.
     """
     import numpy as np  # only meshing needs it; the other commands start faster without
 
@@ -158,7 +162,8 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     nxt = np.roll(columns, -1)
     pairs = [(mesh.rows[i], mesh.rows[(i + 1) % nt]) for i in range(nt)]
     sizes = {(FULL, FULL): 2 * ntheta, (FULL, COLLAPSED): ntheta, (COLLAPSED, FULL): ntheta}
-    triangles = np.empty((sum(sizes.get((a.kind, b.kind), 0) for a, b in pairs), 3), dtype=np.int64)
+    candidates = sum(sizes.get((a.kind, b.kind), 0) for a, b in pairs)
+    triangles = np.empty((candidates, 3), dtype=_index_dtype(count))
     filled = 0
     for quads, run in itertools.groupby(pairs, key=lambda pair: pair[0].kind == pair[1].kind == FULL):
         if quads:
@@ -182,15 +187,14 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
             filled += ntheta
 
     # Drop exact-zero slivers: area from the cross product of b - a and c - a,
-    # one block of triangles at a time on the coordinate rows of the vertices.
+    # one block of triangles at a time, its corners gathered as vertex rows.
     # The survivors of each block move down to the first free row, so the
     # kept triangles end up as the leading rows of the same buffer.
     floor = ZERO_AREA_EPS * scale * scale
-    coordinates = vertices.T.copy()
     kept = 0
     for first in range(0, len(triangles), _TRIANGLE_CHUNK):
         block = triangles[first : first + _TRIANGLE_CHUNK]
-        corners = coordinates.take(block.T, axis=1)  # [coordinate, corner, triangle]
+        corners = vertices.take(block.T, axis=0).transpose(2, 0, 1)  # [coordinate, corner, triangle]
         a = corners[:, 0]
         u, v = corners[:, 1] - a, corners[:, 2] - a
         cx = u[1] * v[2] - u[2] * v[1]
@@ -206,6 +210,11 @@ def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
     return mesh
 
 
+def _index_dtype(count: int) -> str:
+    """Triangle index type for ``count`` vertices: int32 when the count fits in it, else int64."""
+    return "int32" if count <= 2**31 - 1 else "int64"
+
+
 def export_obj(mesh: Mesh, sink: BinaryIO) -> None:
     """Write ASCII OBJ with LF endings: ``v %.17g %.17g %.17g`` and ``f %d %d %d`` lines.
 
@@ -217,16 +226,21 @@ def export_obj(mesh: Mesh, sink: BinaryIO) -> None:
     N = h + rint(l) is exact, ties included.  X starts from floor(log10|v|)
     and takes one step when N falls outside [10^16, 10^17).  Zeros print as
     ``0`` or ``-0``; exponent notation, inf and nan go through ``%.17g``
-    itself, one value at a time.  Face indices are gathered from labels
-    built once per mesh.  Text is built and written in blocks of
+    itself, one value at a time.  Each face line is three label rows,
+    gathered from one table of a row per vertex built once per mesh and
+    framed per block.  Text is built and written in blocks of
     ``_VERTEX_CHUNK`` vertices and ``_FACE_CHUNK`` triangles, so the
-    temporaries of a block stay in cache.  A triangle index outside the
-    vertex list is a ``ValueError``.
+    temporaries of a block stay in cache.  Integer triangle arrays are read
+    in their own type, int32 included; anything else is cast to int64.  A
+    triangle index outside the vertex list is a ``ValueError``.
     """
     import numpy as np
 
     vertices = np.asarray(mesh.vertices, dtype=np.float64).reshape(-1, 3)
-    faces = np.asarray(mesh.triangles, dtype=np.int64).reshape(-1, 3)
+    faces = np.asarray(mesh.triangles)
+    if faces.dtype.kind not in "iu":
+        faces = faces.astype(np.int64)  # a list of tuples is int64 already; Mesh()'s [] is float
+    faces = faces.reshape(-1, 3)
     count = len(vertices)
     if faces.size and (faces.min() < 0 or faces.max() >= count):
         raise ValueError(f"triangle index outside the {count} vertices")
@@ -235,9 +249,9 @@ def export_obj(mesh: Mesh, sink: BinaryIO) -> None:
         sink.write(_vertex_lines(values[start : start + 3 * _VERTEX_CHUNK]))
     if faces.size:
         labels = _face_labels(count)
-        offsets = np.array([0, count, 2 * count])  # columns pick the 'f i', ' i', ' i\n' rows
         for start in range(0, len(faces), _FACE_CHUNK):
-            lines = labels.take(faces[start : start + _FACE_CHUNK] + offsets, axis=0)
+            lines = labels.take(faces[start : start + _FACE_CHUNK], axis=0)  # [face, corner, word]
+            _frame_face_lines(lines)
             sink.write(lines.tobytes().translate(None, b"\0"))
 
 
@@ -390,34 +404,52 @@ def _vertex_lines(values) -> bytes:
 
 
 def _face_labels(count: int):
-    """Rows ``f i``, `` i`` and `` i\\n`` for i = 1..count, in three blocks of ``count``.
+    """One label row per vertex: the digits of i = 1..count from byte 1, NUL-padded.
 
-    Each row is NUL-padded to whole uint64 words, so a triangle's line is
-    three gathered rows.
+    The rows are ``(count, words)`` uint64, with room for one byte before
+    the digits and one after them, so ``_frame_face_lines`` can turn three
+    gathered rows into a face line.  The table is built in blocks of
+    ``_VERTEX_CHUNK`` labels, so its temporaries do not grow with ``count``.
     """
     import numpy as np
 
     words = _obj_tables()[0]
     width = len(str(count))
     groups = -(-width // 4)
-    rest = np.arange(1, count + 1, dtype=np.int64)
-    chars = np.empty((count, groups), dtype=np.uint32)
-    leading = np.ones(count, dtype=bool)  # no nonzero digit yet
-    for j in range(groups):
-        place = _GROUP ** (groups - 1 - j)
-        group = rest // place
-        rest -= group * place
-        chars[:, j] = words[group + 2 * _GROUP * leading]
-        leading &= group == 0
-    digits = chars.view(np.uint8)[:, 4 * groups - width :]
-    size = 8 * -(-(width + 2) // 8)
-    rows = np.zeros((3, count, size), dtype=np.uint8)
-    rows[0, :, :2] = (ord("f"), ord(" "))
-    rows[0, :, 2 : 2 + width] = digits
-    rows[1:, :, 0] = ord(" ")
-    rows[1:, :, 1 : 1 + width] = digits
-    rows[2, :, 1 + width] = ord("\n")
-    return rows.reshape(3 * count, size).view("<u8")
+    labels = np.zeros((count, -(-(width + 2) // 8)), dtype=np.uint64)
+    text = labels.view(np.uint8)
+    for first in range(0, count, _VERTEX_CHUNK):
+        rest = np.arange(first + 1, min(first + _VERTEX_CHUNK, count) + 1, dtype=np.int64)
+        chars = np.empty((len(rest), groups), dtype=np.uint32)
+        leading = np.ones(len(rest), dtype=bool)  # no nonzero digit yet
+        for j in range(groups):
+            place = _GROUP ** (groups - 1 - j)
+            group = rest // place
+            rest -= group * place
+            chars[:, j] = words[group + 2 * _GROUP * leading]
+            leading &= group == 0
+        text[first : first + len(chars), 1 : 1 + width] = chars.view(np.uint8)[:, 4 * groups - width :]
+    return labels
+
+
+def _frame_face_lines(lines) -> None:
+    """Frame gathered label rows, ``[face, corner, word]``, as ``f a b c\\n`` lines in place.
+
+    The first corner's row moves up one byte, carrying across its words,
+    and gets ``f `` in front; the other two get a space in front, and the
+    last one ``\\n`` in its final byte.  The NULs between are left for the
+    caller to drop.
+    """
+    import numpy as np
+
+    first = lines[:, 0]
+    for word in range(first.shape[1] - 1, 0, -1):
+        first[:, word] <<= np.uint64(8)
+        first[:, word] |= first[:, word - 1] >> np.uint64(56)
+    first[:, 0] <<= np.uint64(8)
+    first[:, 0] |= np.uint64(ord("f") | ord(" ") << 8)
+    lines[:, 1:, 0] |= np.uint64(ord(" "))
+    lines[:, 2, -1] |= np.uint64(ord("\n") << 56)
 
 
 # -- figure presets ---------------------------------------------------------------

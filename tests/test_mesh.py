@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -181,7 +182,7 @@ def test_sample_matches_scalar_reference(spec, nt):
     vertices, triangles, rows = _scalar_sample(spec, nt, 24)
     assert mesh.rows == rows
     assert mesh.vertices.dtype == np.float64 and mesh.vertices.shape == (len(vertices), 3)
-    assert mesh.triangles.dtype == np.int64 and mesh.triangles.shape == (len(triangles), 3)
+    assert mesh.triangles.dtype == np.int32 and mesh.triangles.shape == (len(triangles), 3)
     # Bytes, not ==, so that a sign flip of a zero coordinate also fails.
     assert mesh.vertices.tobytes() == np.array(vertices, dtype=np.float64).tobytes()
     assert mesh.triangles.tolist() == [list(t) for t in triangles]
@@ -222,8 +223,8 @@ def test_sample_matches_scalar_reference_across_triangle_blocks(monkeypatch, key
 
 def test_sample_peak_memory_is_at_most_twice_the_mesh():
     # The triangles are built in one buffer and compacted in place, so at its
-    # peak sample holds the vertices, a coordinate-major copy of them, every
-    # candidate triangle and one block's temporaries, but no triangle copy.
+    # peak sample holds the vertices, every candidate triangle and one
+    # block's temporaries, but no triangle copy and no copy of the vertices.
     preset = figure_preset("3b")
     sample(preset.spec, 16, 16)  # first-use imports and caches stay out of the trace
     tracemalloc.start()
@@ -233,6 +234,30 @@ def test_sample_peak_memory_is_at_most_twice_the_mesh():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
+
+
+def test_export_obj_peak_memory_grows_by_at_most_one_label_row_per_vertex():
+    # The only table that grows with the mesh is one 8-byte label row per
+    # vertex below 10**6 vertices; the text blocks have a fixed size.
+    preset = figure_preset("3b")
+    peaks, counts = [], []
+    with open(os.devnull, "wb") as sink:  # text written to a buffer would be traced too
+        export_obj(sample(preset.spec, 16, 16), sink)  # first-use tables stay out of the trace
+        for mult in (1, 2):
+            mesh = sample(preset.spec, mult * preset.nt, mult * preset.ntheta)
+            tracemalloc.start()
+            try:
+                export_obj(mesh, sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            counts.append(len(mesh.vertices))
+    assert peaks[1] - peaks[0] <= 8 * (counts[1] - counts[0])
+
+
+def test_index_dtype_is_int32_while_the_vertex_count_fits():
+    assert np.dtype(mesh_module._index_dtype(2**31 - 1)) == np.int32
+    assert np.dtype(mesh_module._index_dtype(2**31)) == np.int64
 
 
 @pytest.mark.parametrize("key", preset_keys())
@@ -437,10 +462,12 @@ def test_obj_face_labels_across_widths(count):
     corners = sorted({0, count // 2, max(count - 2, 0), count - 1, min(8, count - 1), min(9, count - 1)})
     triangles = [(a, b, c) for a in corners for b in corners for c in corners[::-1]]
     triangles += [(i, i, i) for i in (8, 9, 10, 98, 99, 100, 9998, 9999, 10000) if i < count]
-    buffer = io.BytesIO()
-    export_obj(Mesh(vertices=vertices, triangles=triangles), buffer)
-    faces = buffer.getvalue()[len(b"v 0 0 0\n") * count :]
-    assert faces == "".join("f %d %d %d\n" % (a + 1, b + 1, c + 1) for a, b, c in triangles).encode("ascii")
+    expected = "".join("f %d %d %d\n" % (a + 1, b + 1, c + 1) for a, b, c in triangles).encode("ascii")
+    # A list, as a caller builds it, and int32, as sample returns it.
+    for given in (triangles, np.array(triangles, dtype=np.int32)):
+        buffer = io.BytesIO()
+        export_obj(Mesh(vertices=vertices, triangles=given), buffer)
+        assert buffer.getvalue()[len(b"v 0 0 0\n") * count :] == expected
 
 
 def test_export_obj_rejects_indices_outside_the_vertices():
