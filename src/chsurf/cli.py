@@ -7,8 +7,8 @@ stdout or ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
 an internal consistency check, an unwritable output path, a value too
 large for the floats a sampler, mesh or numeric check uses, or a grid too
 large for memory), 2 usage error.  A stdout closed by its reader is exit 1
-with nothing on stderr.  The mesh commands sample the whole mesh before
-they open ``--out``, so a sampling failure leaves no file.
+with nothing on stderr.  The mesh commands check every band of the mesh
+before they open ``--out``, so a sampling failure leaves no file.
 
 Rational options accept ``num/den`` or finite decimal strings, both parsed
 exactly, also as a separate negative argument (``--cx -1/2``,
@@ -257,15 +257,14 @@ def _cmd_surface_classify(args, out) -> int:
 
 
 def _cmd_surface_mesh(args, out) -> int:
-    from .mesh import export_obj, sample
+    from .mesh import obj_writer
 
-    mesh = sample(_surface_spec(args), args.nt, args.ntheta)
-    _write_to(args, out, lambda sink: export_obj(mesh, sink))
+    _write_to(args, out, obj_writer(_surface_spec(args), args.nt, args.ntheta))
     return 0
 
 
 def _cmd_figure(args, out) -> int:
-    from .mesh import export_obj, figure_preset, preset_keys, sample
+    from .mesh import figure_preset, obj_writer, preset_keys
 
     if args.list:
         for key in preset_keys():
@@ -277,8 +276,7 @@ def _cmd_figure(args, out) -> int:
     preset = figure_preset(args.id)
     nt = args.nt if args.nt is not None else preset.nt
     ntheta = args.ntheta if args.ntheta is not None else preset.ntheta
-    mesh = sample(preset.spec, nt, ntheta)
-    _write_to(args, out, lambda sink: export_obj(mesh, sink))
+    _write_to(args, out, obj_writer(preset.spec, nt, ntheta))
     return 0
 
 

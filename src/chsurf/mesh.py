@@ -8,18 +8,23 @@ keeps a hole), rows where the generating circle degenerates to a point are
 collapsed to a single vertex at its center, the vertices of every other
 row are placed by ``surface.parametric_point`` (the one surface-point
 formula, shared with ``verify invariants``), and each surviving quad is
-split into two triangles with exact-zero slivers dropped.  A sampled
-``Mesh`` holds numpy arrays: ``(N, 3)`` float64 vertices and ``(M, 3)``
-triangles, int32 while N fits in it (int64 beyond), the latter a view of
-the leading rows of the buffer the candidate triangles were built in.  The
-sliver filter and the OBJ writer work through these arrays in fixed blocks
-of triangles or vertices, so the temporaries of a block stay in cache and
-no full-size gather or copy of the vertices or the triangles is made; the
-one table beyond the mesh that grows with it is the OBJ writer's, one
-label row of 8 bytes per vertex (16 from 10^6 vertices).  numpy is
-imported inside ``sample`` and ``export_obj``, and the OBJ writer builds
-its lookup tables on first use, so importing this module (and the CLI)
-does not load numpy.
+split into two triangles with exact-zero slivers dropped.
+
+The rows are worked through in bands of consecutive rows (``_Grid``): a
+band's rings are placed, its candidate triangles built, and the sliver
+filter run on its own vertices and the next row's, so no array of the
+whole mesh is needed.  ``obj_writer``, which the ``figure`` and
+``surface-mesh`` commands use, streams the OBJ in passes over the bands:
+it places every band once to check that every vertex is finite and to take
+the largest coordinate, which the sliver floor reads, then places each
+band again to write its ``v`` lines, and again to write its ``f`` lines,
+so what it holds does not grow with ``nt``.  ``sample`` builds an
+in-memory ``Mesh`` (numpy arrays: ``(N, 3)`` float64 vertices and
+``(M, 3)`` triangles, int32 while N fits in it) from the same bands, and
+``export_obj`` writes any ``Mesh`` with the same text kernels, so the two
+routes write the same bytes.  numpy is imported inside the functions that
+use it, and the OBJ writer builds its lookup tables on first use, so
+importing this module (and the CLI) does not load numpy.
 
 OBJ text is exactly what ``"%.17g"`` and ``"%d"`` print, but computed on
 arrays: the 17 significant digits of a coordinate in fixed notation are an
@@ -36,11 +41,10 @@ the independently computed singular parameter sets.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, BinaryIO, Dict, List
+from typing import Any, BinaryIO, Callable, Dict, List
 
 from .congruence import CongruenceSpec
 from .curve import CurveSpec, Placement, curve_point
@@ -81,133 +85,240 @@ class Mesh:
 
 
 def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
-    """Grid-sample the surface into a triangle mesh.
+    """Grid-sample the surface into a triangle mesh held in memory.
 
     ``nt`` rows cover one period of the curve parameter, ``ntheta`` columns
     one turn of each generating circle; both seams are closed by reusing the
-    first row/column, never by duplicating vertices.  Each row's kind is
-    decided on its circle frame (``surface._circle_frame``): no frame is a
-    SKIPPED row, a zero root a COLLAPSED row whose one vertex is the point
-    circle's center, and the vertex rings of the FULL rows are one
-    ``surface.parametric_point`` call on their frames as numpy columns,
-    with the same bits as a call per vertex on floats.  Every candidate
-    triangle is written into one preallocated buffer, int32 while the
-    vertex count fits in it: a run of consecutive FULL-to-FULL row pairs is
-    six corner-wise broadcasts, a fan three.  The sliver filter works
-    through the buffer in blocks of ``_TRIANGLE_CHUNK``, gathering each
-    block's corners as vertex rows, so its gathers and cross products stay
-    in cache, and moves each block's survivors down to the first free row;
-    the returned ``triangles`` are the buffer's leading rows, a view.  At
-    its peak ``sample`` holds the vertices, the candidate buffer and one
-    block's temporaries.  A row or vertex that is not finite (a coordinate
-    whose square overflows) is an ``OverflowError``.
+    first row/column, never by duplicating vertices.  The mesh is built by
+    the band routine that ``obj_writer`` streams through (``_Grid``): each
+    band's vertices and its kept triangles, mapped to global vertex
+    indices, are copied into one vertex array and one buffer sized for
+    every candidate triangle, int32 while the vertex count fits in it; the
+    returned ``triangles`` are the buffer's leading rows, a view.  At its
+    peak ``sample`` holds the vertices, the candidate buffer and one band's
+    temporaries.  A row or vertex that is not finite (a coordinate whose
+    square overflows) is an ``OverflowError``.
     """
     import numpy as np  # only meshing needs it; the other commands start faster without
 
-    if nt < 8 or ntheta < 8:
-        raise ValueError("nt and ntheta must be at least 8")
-    period = spec.curve.parameter_period
-    thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
-    cos_t = np.array([math.cos(v) for v in thetas])
-    sin_t = np.array([math.sin(v) for v in thetas])
-    q = spec.congruence.q_float
-
-    mesh = Mesh()
-    rings = []  # (vertex_start, *frame) per FULL row
-    apexes = []  # (vertex_start, x, y) per COLLAPSED row
-    count = 0
-    for i in range(nt):
-        t = period * i / nt
-        frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, t))
-        if frame is None:
-            mesh.rows.append(MeshRow(t, SKIPPED, count))
-            continue
-        x, y, root, norm_sq, two_rho_sq, _ = frame
-        if not math.isfinite(norm_sq):
-            raise OverflowError(f"the squared norm of the curve point at t={t!r} overflows float64")
-        if root == 0.0:
-            # Point circle: the whole theta ring is one vertex at the center.
-            factor = (norm_sq - q) / two_rho_sq
-            apexes.append((count, x * factor, y * factor))
-            mesh.rows.append(MeshRow(t, COLLAPSED, count))
-            count += 1
-            continue
-        rings.append((count, *frame))
-        mesh.rows.append(MeshRow(t, FULL, count))
-        count += ntheta
-
-    if all(row.kind == SKIPPED for row in mesh.rows):
-        raise ValueError("every row degenerated: the curve lies on the z axis")
-
-    columns = np.arange(ntheta, dtype=np.int64)
-    vertices = np.zeros((count, 3))
-    if rings:
-        start, *frames = (np.array(values)[:, None] for values in zip(*rings))
-        ring = (start + columns).ravel()
-        for axis, coordinate in enumerate(parametric_point(frames, q, cos_t, sin_t)):
-            vertices[ring, axis] = coordinate.ravel()
-        del ring, coordinate  # two vertex columns' worth, not needed while the triangles are built
-    for start, x, y in apexes:
-        vertices[start, :2] = (x, y)
-    peak = float(np.abs(vertices).max())
-    if not math.isfinite(peak):
-        raise OverflowError("a mesh vertex is not finite in float64")
-    scale = max(1.0, peak)
-
-    # Per column j (k = j + 1 around the seam): a quad between FULL rows a, b
-    # is (a_j, b_j, b_k), (a_j, b_k, a_k); a fan from a FULL row to an apex
-    # is (f_j, f_k, apex).  Every candidate triangle is written, corner by
-    # corner, straight into one buffer, in row order; a run of consecutive
-    # quad pairs is one broadcast per corner over its pairs.
-    nxt = np.roll(columns, -1)
-    pairs = [(mesh.rows[i], mesh.rows[(i + 1) % nt]) for i in range(nt)]
-    sizes = {(FULL, FULL): 2 * ntheta, (FULL, COLLAPSED): ntheta, (COLLAPSED, FULL): ntheta}
-    candidates = sum(sizes.get((a.kind, b.kind), 0) for a, b in pairs)
-    triangles = np.empty((candidates, 3), dtype=_index_dtype(count))
-    filled = 0
-    for quads, run in itertools.groupby(pairs, key=lambda pair: pair[0].kind == pair[1].kind == FULL):
-        if quads:
-            starts = np.array([(row_a.vertex_start, row_b.vertex_start) for row_a, row_b in run])
-            a, b = starts[:, :1], starts[:, 1:]
-            end = filled + 2 * ntheta * len(starts)
-            view = triangles[filled:end].reshape(len(starts), ntheta, 6)  # [pair, column, corner]
-            sources = [(a, columns), (b, columns), (b, nxt), (a, columns), (b, nxt), (a, nxt)]
-            for corner, (start, column) in enumerate(sources):
-                np.add(start, column, out=view[:, :, corner])
-            filled = end
-            continue
-        for row_a, row_b in run:
-            if SKIPPED in (row_a.kind, row_b.kind) or row_a.kind == row_b.kind:
-                continue  # a hole at an axis crossing, or two apexes
-            full_row, apex_row = (row_a, row_b) if row_a.kind == FULL else (row_b, row_a)
-            view = triangles[filled : filled + ntheta]
-            np.add(full_row.vertex_start, columns, out=view[:, 0])
-            np.add(full_row.vertex_start, nxt, out=view[:, 1])
-            view[:, 2] = apex_row.vertex_start
-            filled += ntheta
-
-    # Drop exact-zero slivers: area from the cross product of b - a and c - a,
-    # one block of triangles at a time, its corners gathered as vertex rows.
-    # The survivors of each block move down to the first free row, so the
-    # kept triangles end up as the leading rows of the same buffer.
-    floor = ZERO_AREA_EPS * scale * scale
+    grid = _Grid(spec, nt, ntheta)
+    vertices = np.empty((grid.count, 3))
+    candidates = grid.row_pairs(np.append(grid.sizes, grid.sizes[0]))[2]
+    triangles = np.empty((candidates, 3), dtype=_index_dtype(grid.count))
     kept = 0
-    for first in range(0, len(triangles), _TRIANGLE_CHUNK):
-        block = triangles[first : first + _TRIANGLE_CHUNK]
-        corners = vertices.take(block.T, axis=0).transpose(2, 0, 1)  # [coordinate, corner, triangle]
-        a = corners[:, 0]
-        u, v = corners[:, 1] - a, corners[:, 2] - a
-        cx = u[1] * v[2] - u[2] * v[1]
-        cy = u[2] * v[0] - u[0] * v[2]
-        cz = u[0] * v[1] - u[1] * v[0]
-        keep = 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz) > floor
-        survivors = block if keep.all() else block[keep]  # a copy, so moving it down is safe
-        if kept < first or survivors is not block:
-            triangles[kept : kept + len(survivors)] = survivors
-        kept += len(survivors)
-    mesh.vertices = vertices
-    mesh.triangles = triangles[:kept]
-    return mesh
+    for first, last in grid.bands:
+        start = int(grid.starts[first])
+        band = grid.place(np.arange(first, last))
+        vertices[start : start + len(band)] = band
+        faces, ids = grid.band_faces(first, last)
+        triangles[kept : kept + len(faces)] = ids.take(faces)
+        kept += len(faces)
+    period = spec.curve.parameter_period
+    kinds = {ntheta: FULL, 1: COLLAPSED, 0: SKIPPED}
+    rows = [
+        MeshRow(period * i / nt, kinds[size], start)
+        for i, (size, start) in enumerate(zip(grid.sizes.tolist(), grid.starts.tolist()))
+    ]
+    return Mesh(vertices, triangles[:kept], rows)
+
+
+def obj_writer(spec: SurfaceSpec, nt: int, ntheta: int) -> Callable[[BinaryIO], None]:
+    """Check the mesh of ``sample(spec, nt, ntheta)``; return the function that writes its OBJ.
+
+    Every row and every band's vertices are placed and checked before this
+    returns, so a mesh that cannot be written fails here, with the
+    ``OverflowError`` or ``ValueError`` of ``sample``, before any byte is
+    written or an output file is opened.  The returned ``write(sink)``
+    writes exactly the bytes of ``export_obj(sample(spec, nt, ntheta), sink)``
+    in two passes over the bands: each band's ``v`` lines, then each
+    band's ``f`` lines, placing the band again for each, so what it holds
+    does not grow with ``nt``.
+    """
+    grid = _Grid(spec, nt, ntheta)
+
+    def write(sink: BinaryIO) -> None:
+        import numpy as np
+
+        for first, last in grid.bands:
+            _write_vertex_lines(sink, grid.place(np.arange(first, last)))
+        words = _label_words(grid.count)
+        for first, last in grid.bands:
+            faces, ids = grid.band_faces(first, last)
+            if len(faces):
+                sink.write(_face_lines(_face_labels(ids + 1, words), faces))
+
+    return write
+
+
+class _Grid:
+    """The rows of a sampled surface, and the band routine over them.
+
+    Pass 0 (the constructor) decides each row on its circle frame
+    (``surface._circle_frame``): no frame is a SKIPPED row, a zero root a
+    COLLAPSED row whose one vertex is the point circle's center, any other
+    frame a FULL row of ``ntheta`` vertices.  ``sizes[i]`` is row i's
+    vertex count (``ntheta >= 8``, so the count names the kind),
+    ``starts[i]`` its first vertex and ``frames[i]`` its frame; these numpy
+    arrays, about 60 bytes a row, are all that grows with ``nt``.
+    ``bands`` cuts the rows into runs of about ``_BAND_VERTICES`` vertices,
+    at least one row each.  Pass 1, also in the constructor, places every
+    band to check that each vertex is finite and to take the largest
+    ``|coordinate|``, which sets the sliver floor
+    ``ZERO_AREA_EPS * scale**2`` with ``scale = max(1, largest)``.
+    ``surface.parametric_point`` works elementwise, so a vertex has the
+    same bits in every band and pass that places it.
+    """
+
+    def __init__(self, spec: SurfaceSpec, nt: int, ntheta: int) -> None:
+        import numpy as np
+
+        if nt < 8 or ntheta < 8:
+            raise ValueError("nt and ntheta must be at least 8")
+        self.nt, self.ntheta = nt, ntheta
+        self.q = spec.congruence.q_float
+        thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
+        self.cos_t = np.array([math.cos(v) for v in thetas])
+        self.sin_t = np.array([math.sin(v) for v in thetas])
+        self.columns = np.arange(ntheta)
+        self.shifted = np.roll(self.columns, -1)  # column k = j + 1 around the seam
+
+        period = spec.curve.parameter_period
+        frames, sizes = [], []
+        for i in range(nt):
+            t = period * i / nt
+            frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, t))
+            if frame is None:
+                frames.append((0.0,) * 6)
+                sizes.append(0)
+                continue
+            if not math.isfinite(frame[3]):
+                raise OverflowError(f"the squared norm of the curve point at t={t!r} overflows float64")
+            frames.append(frame)
+            sizes.append(1 if frame[2] == 0.0 else ntheta)
+        if not any(sizes):
+            raise ValueError("every row degenerated: the curve lies on the z axis")
+        self.frames = np.array(frames)
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.count = int(self.sizes.sum())
+        step = max(1, _BAND_VERTICES // ntheta)
+        self.bands = [(first, min(first + step, nt)) for first in range(0, nt, step)]
+
+        peak = 0.0
+        for first, last in self.bands:
+            band_peak = float(np.abs(self.place(np.arange(first, last))).max(initial=0.0))
+            if not math.isfinite(band_peak):
+                raise OverflowError("a mesh vertex is not finite in float64")
+            peak = max(peak, band_peak)
+        scale = max(1.0, peak)
+        self.floor = ZERO_AREA_EPS * scale * scale
+
+    def place(self, index):
+        """The vertices of the rows ``index``, in that order, as an ``(N, 3)`` float64 array.
+
+        The rings of the FULL rows are one ``parametric_point`` call on
+        their frames as numpy columns; an apex is the point circle's center.
+        """
+        import numpy as np
+
+        sizes = self.sizes[index]
+        full = sizes == self.ntheta
+        frame = self.frames[index[full]].T[:, :, None]  # each entry an (n, 1) column
+        rings = np.stack(parametric_point(frame, self.q, self.cos_t, self.sin_t), axis=-1).reshape(-1, 3)
+        if full.all():
+            return rings
+        vertices = np.zeros((int(sizes.sum()), 3))
+        vertices[np.repeat(full, sizes)] = rings
+        apex = sizes == 1
+        x, y, _, norm_sq, two_rho_sq, _ = self.frames[index[apex]].T
+        factor = (norm_sq - self.q) / two_rho_sq
+        vertices[np.repeat(apex, sizes), :2] = np.stack([x * factor, y * factor], axis=-1)
+        return vertices
+
+    def row_pairs(self, sizes):
+        """``(quad, fan, candidates)`` for the pairs of consecutive rows of ``sizes``.
+
+        A pair of FULL rows is a quad ring, two candidate triangles per
+        column; a FULL row next to an apex is a fan, one per column; any
+        other pair has none.
+        """
+        quad = (sizes[:-1] == self.ntheta) & (sizes[1:] == self.ntheta)
+        fan = sizes[:-1] * sizes[1:] == self.ntheta
+        return quad, fan, int(self.ntheta * (2 * quad.sum() + fan.sum()))
+
+    def band_faces(self, first: int, last: int):
+        """The kept triangles of the row pairs (i, i + 1) for i in [first, last), seam included.
+
+        Returns ``(faces, ids)``: the kept triangles as ``(M, 3)`` indices
+        into the vertices of rows ``first..last - 1`` followed by those of
+        the next row (row 0 at the seam), and each of those vertices'
+        global index.  Per column j (k = j + 1 around the seam), a quad
+        between FULL rows a, b is (a_j, b_j, b_k), (a_j, b_k, a_k); a fan
+        from a FULL row to an apex is (f_j, f_k, apex).  The candidates are
+        written, corner by corner, in row order into one buffer; a run of
+        consecutive quad pairs is one broadcast per corner over its pairs.
+        A candidate is kept when half the norm of the cross product of
+        b - a and c - a exceeds the floor.
+        """
+        import numpy as np
+
+        nxt = last % self.nt
+        index = np.append(np.arange(first, last), nxt)
+        vertices = self.place(index)
+        start, after = int(self.starts[first]), int(self.starts[nxt])
+        own = len(vertices) - int(self.sizes[nxt])
+        ids = np.concatenate([np.arange(start, start + own), np.arange(after, after + int(self.sizes[nxt]))])
+
+        ntheta = self.ntheta
+        sizes = self.sizes[index]
+        starts = np.cumsum(sizes) - sizes  # local
+        quad, fan, candidates = self.row_pairs(sizes)
+        # Corner-major, [corner, triangle], and intp, the layout take reads
+        # its indices in without a copy.
+        triangles = np.empty((3, candidates), dtype=np.intp)
+        columns, shifted = self.columns, self.shifted
+        filled = first_pair = 0
+        for stop in [*(np.flatnonzero(quad[1:] != quad[:-1]) + 1).tolist(), len(quad)]:
+            if quad[first_pair]:  # a run of quad pairs, one broadcast per corner
+                a, b = starts[first_pair:stop, None], starts[first_pair + 1 : stop + 1, None]
+                end = filled + 2 * ntheta * len(a)
+                view = triangles[:, filled:end].reshape(3, len(a), ntheta, 2)  # [corner, pair, column, half]
+                sources = [(a, columns), (a, columns), (b, columns), (b, shifted), (b, shifted), (a, shifted)]
+                for slot, (ring, column) in enumerate(sources):
+                    np.add(ring, column, out=view[slot // 2, :, :, slot % 2])
+                filled = end
+            else:  # fans; a hole at an axis crossing, or two apexes, has none
+                for pair in np.flatnonzero(fan[first_pair:stop]) + first_pair:
+                    ring, apex = (pair, pair + 1) if sizes[pair] == ntheta else (pair + 1, pair)
+                    view = triangles[:, filled : filled + ntheta]
+                    np.add(starts[ring], columns, out=view[0])
+                    np.add(starts[ring], shifted, out=view[1])
+                    view[2] = starts[apex]
+                    filled += ntheta
+            first_pair = stop
+
+        # The same operations as 0.5 * sqrt(cx*cx + cy*cy + cz*cz) with
+        # u = b - a, v = c - a, in place: the cross product goes where the
+        # corners a were, so no other band-sized array is live.
+        corners = vertices.T.take(triangles, axis=1)  # [coordinate, corner, triangle]
+        del vertices
+        corners[:, 1:] -= corners[:, :1]
+        u, v = corners[:, 1], corners[:, 2]
+        cx, cy, cz = corners[:, 0]
+        np.multiply(u[1], v[2], out=cx)
+        cx -= u[2] * v[1]
+        np.multiply(u[2], v[0], out=cy)
+        cy -= u[0] * v[2]
+        np.multiply(u[0], v[1], out=cz)
+        cz -= u[1] * v[0]
+        cx *= cx
+        cx += np.multiply(cy, cy, out=cy)
+        cx += np.multiply(cz, cz, out=cz)
+        np.sqrt(cx, out=cx)
+        cx *= 0.5
+        keep = cx > self.floor
+        del corners, u, v, cx, cy, cz
+        return (triangles if keep.all() else triangles.compress(keep, axis=1)).T, ids
 
 
 def _index_dtype(count: int) -> str:
@@ -219,20 +330,21 @@ def export_obj(mesh: Mesh, sink: BinaryIO) -> None:
     """Write ASCII OBJ with LF endings: ``v %.17g %.17g %.17g`` and ``f %d %d %d`` lines.
 
     The bytes are exactly what those ``%`` formats print, computed with
-    array arithmetic.  A coordinate whose 17-digit decimal exponent X lies in
-    [-4, 16] (the fixed notation of ``%.17g``) gets its digits from
+    array arithmetic by the kernels ``obj_writer`` streams through.  A
+    coordinate whose 17-digit decimal exponent X lies in [-4, 16] (the
+    fixed notation of ``%.17g``) gets its digits from
     N = round_half_even(|v| * 10^(16 - X)): 10^(16 - X) is an exact double,
     Dekker's split product gives |v| * 10^(16 - X) = h + l exactly, so
     N = h + rint(l) is exact, ties included.  X starts from floor(log10|v|)
     and takes one step when N falls outside [10^16, 10^17).  Zeros print as
     ``0`` or ``-0``; exponent notation, inf and nan go through ``%.17g``
-    itself, one value at a time.  Each face line is three label rows,
-    gathered from one table of a row per vertex built once per mesh and
-    framed per block.  Text is built and written in blocks of
-    ``_VERTEX_CHUNK`` vertices and ``_FACE_CHUNK`` triangles, so the
-    temporaries of a block stay in cache.  Integer triangle arrays are read
-    in their own type, int32 included; anything else is cast to int64.  A
-    triangle index outside the vertex list is a ``ValueError``.
+    itself, one value at a time.  Each face line is a packed record of
+    three label rows from one table of a row per vertex, built once per
+    mesh.  Text is built and written in blocks of ``_VERTEX_CHUNK``
+    vertices and ``_FACE_CHUNK`` triangles, so the temporaries of a block
+    stay in cache.  Integer triangle arrays are read in their own type,
+    int32 included; anything else is cast to int64.  A triangle index
+    outside the vertex list is a ``ValueError``.
     """
     import numpy as np
 
@@ -244,24 +356,29 @@ def export_obj(mesh: Mesh, sink: BinaryIO) -> None:
     count = len(vertices)
     if faces.size and (faces.min() < 0 or faces.max() >= count):
         raise ValueError(f"triangle index outside the {count} vertices")
-    values = vertices.ravel()
-    for start in range(0, values.size, 3 * _VERTEX_CHUNK):
-        sink.write(_vertex_lines(values[start : start + 3 * _VERTEX_CHUNK]))
+    _write_vertex_lines(sink, vertices)
     if faces.size:
-        labels = _face_labels(count)
+        words = _label_words(count)
+        labels = np.empty((count, words), dtype=np.uint64)
+        for low in range(0, count, _VERTEX_CHUNK):
+            numbers = np.arange(low + 1, min(low + _VERTEX_CHUNK, count) + 1)
+            labels[low : low + len(numbers)] = _face_labels(numbers, words)
         for start in range(0, len(faces), _FACE_CHUNK):
-            lines = labels.take(faces[start : start + _FACE_CHUNK], axis=0)  # [face, corner, word]
-            _frame_face_lines(lines)
-            sink.write(lines.tobytes().translate(None, b"\0"))
+            sink.write(_face_lines(labels, faces[start : start + _FACE_CHUNK]))
 
 
 # -- exact OBJ text on arrays --------------------------------------------------------
 
-# Vertices and triangles per write, and triangles per sliver-filter block:
-# each block's temporaries stay in cache.
+# Vertices and triangles per write: each block's temporaries stay in cache.
 _VERTEX_CHUNK = 4096
 _FACE_CHUNK = 8192
-_TRIANGLE_CHUNK = 4096
+# Vertices per band of rows: two text blocks.  A band's largest temporary,
+# its gathered triangle corners, is then large enough that the C allocator
+# keeps the memory a text block frees for the next block, instead of
+# returning it to the system and faulting it back in (measured as minor
+# page faults: about 80,000 more per pass over the presets with one block).
+_BAND_VERTICES = 2 * _VERTEX_CHUNK
+_TINY = 2.2250738585072014e-308  # the smallest normal double
 _SPLIT = 134217729.0  # 2**27 + 1 splits a double into two halves of at most 26 bits
 _GROUP = 10000  # digits go in words of four ASCII characters
 
@@ -275,8 +392,8 @@ def _obj_tables():
     ``g`` as ASCII bytes in a uint64: as they are, with trailing zeros as
     NUL, and with leading zeros as NUL.  ``powers`` holds 10^k and its two
     Veltkamp halves for k in [0, 22].
-    ``templates[kind, 3 * (X + 4) + column]`` is the 32-byte slot, as four
-    uint64 words, of one coordinate of exponent X (see ``_vertex_lines``):
+    ``templates[kind, word, 3 * (X + 4) + column]`` is word ``word`` of the
+    32-byte slot of one coordinate of exponent X (see ``_vertex_lines``):
     kind 0 keeps the integer part, kind 1 the fraction, kind 2 adds the
     constant bytes.
     """
@@ -306,150 +423,217 @@ def _obj_tables():
     slots[2, :, 0, 0] = ord("v")
     slots[2, :, :, 1] = ord(" ")
     slots[2, :, 2, 26] = ord("\n")
-    templates = slots.reshape(3, 63, 32).view("<u8")
+    templates = np.ascontiguousarray(slots.reshape(3, 63, 32).view("<u8").transpose(0, 2, 1))
     return words, words << np.uint64(32), powers, templates
 
 
 def _scaled_round(magnitude, k):
-    """round_half_even(magnitude * 10^k) as int64, exactly, for k in [0, 22].
+    """round_half_even(magnitude * 10^k) as int64, exactly, for k in [0, 22]; overwrites ``magnitude``.
 
     Dekker's product: with both factors split into halves of at most 26
     bits, every partial product is exact, so ``h + error`` is the exact
     product.  A result in [10^16, 10^17) has h >= 2^53, an even integer,
-    so rint(error) rounds the sum half to even.
+    so rint(error) rounds the sum half to even.  The partial products are
+    summed in a fixed order, in place, so that few arrays are live at once.
     """
     import numpy as np
 
-    power, power_high, power_low = (table.take(k) for table in _obj_tables()[2])
-    h = magnitude * power
-    split = _SPLIT * magnitude
-    high = split - (split - magnitude)
-    low = magnitude - high
-    error = high * power_high - h
-    error += high * power_low
-    error += low * power_high
-    error += low * power_low
-    return h.astype(np.int64) + np.rint(error).astype(np.int64)
+    power, power_high, power_low = _obj_tables()[2]
+    h = power.take(k)
+    h *= magnitude
+    high = _SPLIT * magnitude
+    low = high - magnitude
+    high -= low  # split - (split - magnitude)
+    np.subtract(magnitude, high, out=low)
+    # mode="clip" lets take write into out without a buffer; every k is in range.
+    error = power_high.take(k, out=magnitude, mode="clip")
+    error *= high
+    error -= h
+    high *= power_low.take(k)
+    error += high
+    high = power_high.take(k, out=high, mode="clip")
+    high *= low
+    error += high
+    high = power_low.take(k, out=high, mode="clip")
+    low *= high
+    error += low
+    del high, low
+    digits = h.astype(np.int64)
+    del h
+    digits += np.rint(error, out=error).astype(np.int64)
+    return digits
 
 
-def _vertex_lines(values) -> bytes:
+def _write_vertex_lines(sink: BinaryIO, vertices) -> None:
+    """Write the ``v`` lines of an ``(N, 3)`` float64 array in blocks of ``_VERTEX_CHUNK``."""
+    values = vertices.ravel()
+    for start in range(0, values.size, 3 * _VERTEX_CHUNK):
+        sink.write(_vertex_lines(values[start : start + 3 * _VERTEX_CHUNK]))
+
+
+def _vertex_lines(values) -> bytearray:
     """``v x y z`` lines for a flat run of coordinates, 3 per vertex.
 
     Each coordinate fills a 32-byte slot, a row of four uint64 words in a
-    ``(count, 4)`` array: byte 0 ``v`` (first coordinate of a line), 1 a
-    space, 2 the sign, 3..24 the number, 26 ``\\n`` (last coordinate).  The
-    rows are the text in order, and each template kind is one row gather
-    by slot.  With z = "0000" + the 17 digits at bytes 3..23, the integer
-    part is z in place on bytes [start, dot) and the fraction is z moved up
-    one byte, past the dot.  Trailing zeros come from the table as NUL, the
-    template puts ``0`` back within the integer part, and the dot stays
-    only if a fraction digit follows it.  Every other byte is NUL, and the
-    NULs are dropped in one pass.
+    ``(count, 4)`` array over one byte buffer: byte 0 ``v`` (first
+    coordinate of a line), 1 a space, 2 the sign, 3..24 the number, 26
+    ``\\n`` (last coordinate).  The rows are the text in order.  With
+    z = "0000" + the 17 digits at bytes 3..23, the integer part is z in
+    place on bytes [start, dot) and the fraction is z moved up one byte,
+    past the dot.  Trailing zeros come from the table as NUL, the template
+    puts ``0`` back within the integer part, and the dot stays only if a
+    fraction digit follows it.  Every other byte is NUL, and the NULs are
+    dropped in one pass.  Each array of one word per coordinate is freed,
+    or reused in place, once it has been read, and the slot buffer is
+    built one word column at a time, so about eleven words per coordinate
+    are live at the peak.
     """
     import numpy as np
 
     words, high_words, _, templates = _obj_tables()
     count = values.size
     magnitude = np.abs(values)
-    with np.errstate(divide="ignore"):
-        estimate = np.floor(np.log10(magnitude))
+    # log10 of the smallest normal double in place of log10(0), which warns.
+    estimate = np.log10(np.maximum(magnitude, _TINY))
+    np.floor(estimate, out=estimate)
     fixed = (estimate >= -5) & (estimate <= 16)  # false for 0, inf and nan
-    exponent = np.where(fixed, estimate, 0).astype(np.int64)
-    magnitude = np.where(fixed, magnitude, 1.0)
-    digits = _scaled_round(magnitude, 16 - exponent)
+    np.copyto(estimate, 0.0, where=~fixed)
+    np.copyto(magnitude, 1.0, where=~fixed)
+    exponent = estimate.astype(np.int64)
+    del estimate
+    power = 16 - exponent
+    digits = _scaled_round(magnitude, power)
+    del magnitude, power
     # floor(log10) can miss by one next to a power of ten, and rounding to
     # 17 digits can carry into the next decade: one step corrects either.
-    off = np.flatnonzero((digits < 10**16) | (digits >= 10**17))
+    # Neither happens where the magnitude was replaced by 1.
+    off = np.flatnonzero((digits - 10**16).view(np.uint64) >= 9 * 10**16)
     if off.size:
         exponent[off] += np.where(digits[off] < 10**16, -1, 1)
-        digits[off] = _scaled_round(magnitude[off], np.clip(16 - exponent[off], 0, 22))
-    fixed &= (exponent >= -4) & (exponent <= 16)
+        digits[off] = _scaled_round(np.abs(values[off]), np.clip(16 - exponent[off], 0, 22))
+        fixed[off] &= exponent[off] <= 16
+    fixed &= exponent >= -4
     fallback = np.flatnonzero(~fixed & (values != 0.0))
-    digits[~fixed] = 0  # a zero prints as 0; the fallback overwrites its slot
-    exponent[~fixed] = 0
+    digits *= fixed  # a zero prints as 0; the fallback overwrites its slot
+    exponent *= fixed
+    del fixed
+    slot = (3 * exponent.reshape(-1, 3) + np.array([12, 13, 14])).ravel()  # 3 * (X + 4) + column
 
+    # z as three words per coordinate: z[0] = "0", then the words of the
+    # digit groups g0..g4, split in place; a word is NUL-stripped when
+    # every digit after it is zero.  Word 3 of z is zero.
     upper = digits // 10**8
-    lower = digits - upper * 10**8
-    top = upper // _GROUP
-    g0 = top // _GROUP
-    g1 = top - g0 * _GROUP
-    g2 = upper - top * _GROUP
+    lower = digits  # the last 8 digits, then g4
+    lower -= upper * 10**8
+    lower_zero = lower == 0
     g3 = lower // _GROUP
-    g4 = lower - g3 * _GROUP
-    # The slots start as z: z[0] = "0", then the words of g0..g4; a word is
-    # NUL-stripped when every digit after it is zero.
-    block = np.zeros((count, 4), dtype=np.uint64)
-    np.bitwise_or(high_words.take(g0), np.uint64(0x30000000), out=block[:, 0])
-    g1_word = words.take(g1 + _GROUP * ((g2 | lower) == 0))
-    np.bitwise_or(g1_word, high_words.take(g2 + _GROUP * (lower == 0)), out=block[:, 1])
-    np.bitwise_or(words.take(g3 + _GROUP * (g4 == 0)), high_words.take(g4 + _GROUP), out=block[:, 2])
-    # z moved up one byte; word 3 of z is zero, so no byte crosses into the next slot.
-    shifted = block << np.uint64(8)
-    shifted.reshape(-1)[1:] |= block.reshape(-1)[:-1] >> np.uint64(56)
-    slot = (3 * exponent.reshape(-1, 3) + np.array([12, 13, 14])).ravel()
+    lower -= g3 * _GROUP
+    g3 += _GROUP * (lower == 0)
+    lower += _GROUP
+    z2 = words.take(g3)
+    del g3
+    z2 |= high_words.take(lower)
+    del lower, digits
+    top = upper // _GROUP  # g0 and g1, then g1
+    upper -= top * _GROUP  # g2
+    g0 = top // _GROUP
+    top -= g0 * _GROUP
+    z0 = high_words.take(g0)
+    del g0
+    z0 |= np.uint64(0x30000000)
+    top += _GROUP * ((upper == 0) & lower_zero)
+    upper += _GROUP * lower_zero
+    z1 = words.take(top)
+    del top
+    z1 |= high_words.take(upper)
+    del upper
+
+    # Slot word w, last first: z's word w on the integer bytes, z moved up
+    # one byte (word w shifted, carrying the top byte of word w - 1) on the
+    # fraction bytes, and the constant bytes.  No byte of word 3 is an
+    # integer byte, and no byte crosses into the next slot.
+    text = bytearray(32 * count)
+    block = np.frombuffer(text, dtype=np.uint64).reshape(count, 4)
     keep_integer, keep_fraction, constant = templates
-    block &= keep_integer.take(slot, axis=0)
-    shifted &= keep_fraction.take(slot, axis=0)
-    block |= shifted
-    block |= constant.take(slot, axis=0)
+    word_text = np.empty(count, dtype=np.uint64)  # built contiguous, then stored
+    scratch = np.empty(count, dtype=np.uint64)
+    z = [z0, z1, z2]
+    del z0, z1, z2
+    for word in range(3, -1, -1):
+        if word == 3:
+            np.right_shift(z[2], np.uint64(56), out=word_text)
+        else:
+            np.left_shift(z[word], np.uint64(8), out=word_text)
+            if word:
+                word_text |= np.right_shift(z[word - 1], np.uint64(56), out=scratch)
+        word_text &= keep_fraction[word].take(slot, out=scratch, mode="clip")
+        if word < 3:  # z.pop() is z's word w, read for the last time
+            integer = keep_integer[word].take(slot, out=scratch, mode="clip")
+            word_text |= np.bitwise_and(z.pop(), integer, out=scratch)
+        word_text |= constant[word].take(slot, out=scratch, mode="clip")
+        block[:, word] = word_text
+    del word_text, scratch, integer
     block[:, 0] |= np.signbit(values) * np.uint64(ord("-") << 16)
     flat = block.view(np.uint8).reshape(-1)
-    dot = np.arange(8, 32 * count, 32) + exponent
+    dot = exponent  # each slot's dot: byte 32 * i + X + 8
+    dot += np.arange(8, 32 * count, 32)
     flat[dot] = ord(".") * (flat[dot + 1] != 0)
     if fallback.size:
         # Every %.17g form, exponent and sign included, fits in 24 characters.
-        text = (("%-24.17g" * fallback.size) % tuple(values[fallback].tolist())).replace(" ", "\0")
-        block.view(np.uint8)[fallback, 2:26] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 24)
-    return block.tobytes().translate(None, b"\0")
+        fields = (("%-24.17g" * fallback.size) % tuple(values[fallback].tolist())).replace(" ", "\0")
+        flat.reshape(count, 32)[fallback, 2:26] = np.frombuffer(fields.encode("ascii"), np.uint8).reshape(-1, 24)
+    return text.translate(None, b"\0")
 
 
-def _face_labels(count: int):
-    """One label row per vertex: the digits of i = 1..count from byte 1, NUL-padded.
+def _label_words(count: int) -> int:
+    """Words of a label row for vertices 1..count: a spare byte and the digits of ``count``."""
+    return len(str(count)) // 8 + 1
 
-    The rows are ``(count, words)`` uint64, with room for one byte before
-    the digits and one after them, so ``_frame_face_lines`` can turn three
-    gathered rows into a face line.  The table is built in blocks of
-    ``_VERTEX_CHUNK`` labels, so its temporaries do not grow with ``count``.
+
+def _face_labels(numbers, words: int):
+    """One label row per number: a space, then its digits, NUL-padded, in ``words`` uint64.
+
+    Three rows side by side are the body of a face line (``_face_lines``).
+    The digits are right-aligned in the row, so a number with fewer digits
+    than the row holds has NULs before its first digit.
     """
     import numpy as np
 
-    words = _obj_tables()[0]
-    width = len(str(count))
+    table = _obj_tables()[0]
+    width = 8 * words - 1
     groups = -(-width // 4)
-    labels = np.zeros((count, -(-(width + 2) // 8)), dtype=np.uint64)
+    rest = np.array(numbers, dtype=np.int64)
+    chars = np.empty((len(rest), groups), dtype=np.uint32)
+    leading = np.ones(len(rest), dtype=bool)  # no nonzero digit yet
+    for j in range(groups):
+        place = _GROUP ** (groups - 1 - j)
+        group = rest // place
+        rest -= group * place
+        chars[:, j] = table[group + 2 * _GROUP * leading]
+        leading &= group == 0
+    labels = np.empty((len(rest), words), dtype=np.uint64)
     text = labels.view(np.uint8)
-    for first in range(0, count, _VERTEX_CHUNK):
-        rest = np.arange(first + 1, min(first + _VERTEX_CHUNK, count) + 1, dtype=np.int64)
-        chars = np.empty((len(rest), groups), dtype=np.uint32)
-        leading = np.ones(len(rest), dtype=bool)  # no nonzero digit yet
-        for j in range(groups):
-            place = _GROUP ** (groups - 1 - j)
-            group = rest // place
-            rest -= group * place
-            chars[:, j] = words[group + 2 * _GROUP * leading]
-            leading &= group == 0
-        text[first : first + len(chars), 1 : 1 + width] = chars.view(np.uint8)[:, 4 * groups - width :]
+    text[:, 0] = ord(" ")
+    text[:, 1:] = chars.view(np.uint8)[:, 4 * groups - width :]
     return labels
 
 
-def _frame_face_lines(lines) -> None:
-    """Frame gathered label rows, ``[face, corner, word]``, as ``f a b c\\n`` lines in place.
+def _face_lines(labels, faces) -> bytearray:
+    """``f a b c\\n`` lines for ``(M, 3)`` faces that index the rows of ``labels``.
 
-    The first corner's row moves up one byte, carrying across its words,
-    and gets ``f `` in front; the other two get a space in front, and the
-    last one ``\\n`` in its final byte.  The NULs between are left for the
-    caller to drop.
+    Each line is built as a packed record: ``f``, the three corners' label
+    rows, whose spare first byte is the space before the number, and
+    ``\\n``.  The NULs that pad the rows are then dropped in one pass.
     """
     import numpy as np
 
-    first = lines[:, 0]
-    for word in range(first.shape[1] - 1, 0, -1):
-        first[:, word] <<= np.uint64(8)
-        first[:, word] |= first[:, word - 1] >> np.uint64(56)
-    first[:, 0] <<= np.uint64(8)
-    first[:, 0] |= np.uint64(ord("f") | ord(" ") << 8)
-    lines[:, 1:, 0] |= np.uint64(ord(" "))
-    lines[:, 2, -1] |= np.uint64(ord("\n") << 56)
+    rows = labels.view(np.uint8)
+    text = bytearray(len(faces) * (2 + 3 * rows.shape[1]))
+    lines = np.frombuffer(text, dtype=np.uint8).reshape(len(faces), -1)
+    lines[:, 0] = ord("f")
+    lines[:, 1:-1] = rows.take(faces, axis=0).reshape(len(faces), -1)
+    lines[:, -1] = ord("\n")
+    return text.translate(None, b"\0")
 
 
 # -- figure presets ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -455,15 +456,54 @@ def test_unwritable_output_path_exit_1(tmp_path, argv, option):
     ],
 )
 def test_out_of_memory_exit_1(monkeypatch, tmp_path, argv, failure, message):
-    # The sampler raises as numpy does when a grid does not fit; nothing is allocated.
+    # The mesher raises as numpy does when a grid does not fit; nothing is allocated.
     def refuse(spec, nt, ntheta):
         raise failure
 
-    monkeypatch.setattr("chsurf.mesh.sample", refuse)
+    monkeypatch.setattr("chsurf.mesh.obj_writer", refuse)
     target = tmp_path / "mesh.obj"
     code, out, err = invoke(*argv, "--nt", "100000", "--ntheta", "1000000", "--out", str(target))
     assert (code, out, err) == (1, "", f"error: not enough memory: {message}\n")
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("figure", "3b", "--nt", "280"),
+        ("surface-mesh", "--n", "3", "--d", "1", "--q", "1", "--cx", "1", "--nt", "256"),
+    ],
+    ids=["figure", "surface-mesh"],
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_mesh_failure_in_the_last_band_writes_nothing(monkeypatch, tmp_path, argv, to_file):
+    # The last vertex of the last band is made infinite where the rows are
+    # first placed, so the only vertex that is not finite is in the last of
+    # several bands.  Every band is checked before the first byte is
+    # written or --out is opened.
+    import chsurf.mesh
+
+    nt = int(argv[argv.index("--nt") + 1])
+    rows_per_band = chsurf.mesh._BAND_VERTICES // 96  # both meshes have 96 columns
+    bands = -(-nt // rows_per_band)
+    assert bands > 1
+    real_point = chsurf.mesh.parametric_point
+    calls = []
+
+    def point(*args):
+        x, y, z = real_point(*args)
+        calls.append(x.shape)
+        if len(calls) == bands:  # the first pass places the bands in order
+            x[-1, -1] = math.inf
+        return x, y, z
+
+    monkeypatch.setattr(chsurf.mesh, "parametric_point", point)
+    target = tmp_path / "mesh.obj"
+    code, out, err = invoke(*argv, *(["--out", str(target)] if to_file else []))
+    assert (code, out) == (1, "")
+    assert err == "error: a value is too large for floating point: a mesh vertex is not finite in float64\n"
+    assert not target.exists()
+    assert len(calls) == bands
 
 
 # -- start-up: each command imports only its own modules ------------------------

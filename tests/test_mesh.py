@@ -28,6 +28,7 @@ from chsurf.mesh import (
     MeshRow,
     export_obj,
     figure_preset,
+    obj_writer,
     preset_keys,
     sample,
 )
@@ -202,23 +203,31 @@ def _candidate_triangles(rows, ntheta):
 
 @pytest.mark.parametrize("key, drops", [("3b", True), ("4a", False), ("6c", False), ("3a", True)])
 def test_sample_matches_scalar_reference_across_triangle_blocks(monkeypatch, key, drops):
-    # A block size that divides neither a row pair nor the triangle count,
-    # so block edges fall inside row pairs and a short block ends the run.
-    # It is below a row pair's 192 triangles, so after a dropped sliver some
-    # blocks drop none and must still move down in the compacted buffer.
-    # 6c's 14 COLLAPSED rows add fans between the quad runs, and 3a's 14
-    # SKIPPED rows cut the runs with holes.
-    monkeypatch.setattr(mesh_module, "_TRIANGLE_CHUNK", 100)
+    # The sliver filter works band by band.  Bands of two and of three rows
+    # put band edges inside every quad run.  6c's 14 COLLAPSED rows are the
+    # rows 14 and 28 mod 42, so a fan crosses a band edge with its apex as
+    # the next band's first row (two-row bands) and as the band's own last
+    # row (three-row bands).  3a's 14 SKIPPED rows, 10 mod 20, sit on both
+    # sides of a band edge too, and the last band closes the seam with row 0.
     preset = figure_preset(key)
-    mesh = sample(preset.spec, preset.nt, preset.ntheta)
     vertices, triangles, rows = _scalar_sample(preset.spec, preset.nt, preset.ntheta)
     candidates = _candidate_triangles(rows, preset.ntheta)
-    assert candidates > 10 * mesh_module._TRIANGLE_CHUNK
     # 3b and 3a drop two slivers per quad row pair, 4a and 6c none.
     assert (len(triangles) < candidates) == drops
-    assert mesh.rows == rows
-    assert mesh.vertices.tobytes() == np.array(vertices, dtype=np.float64).tobytes()
-    assert mesh.triangles.tolist() == [list(t) for t in triangles]
+    kinds = [row.kind for row in rows]
+    crossings = set()  # (last row of a band, the row after it)
+    for band_rows in (2, 3):
+        monkeypatch.setattr(mesh_module, "_BAND_VERTICES", band_rows * preset.ntheta)
+        bands = mesh_module._Grid(preset.spec, preset.nt, preset.ntheta).bands
+        assert [last - first for first, last in bands[:-1]] == [band_rows] * (len(bands) - 1)
+        assert bands[-1][1] == preset.nt
+        crossings |= {(kinds[last - 1], kinds[last % preset.nt]) for _, last in bands}
+        mesh = sample(preset.spec, preset.nt, preset.ntheta)
+        assert mesh.rows == rows
+        assert mesh.vertices.tobytes() == np.array(vertices, dtype=np.float64).tobytes()
+        assert mesh.triangles.tolist() == [list(t) for t in triangles]
+    expected = {"6c": {(FULL, COLLAPSED), (COLLAPSED, FULL)}, "3a": {(FULL, SKIPPED), (SKIPPED, FULL)}}
+    assert {(FULL, FULL)} | expected.get(key, set()) <= crossings
 
 
 def test_sample_peak_memory_is_at_most_twice_the_mesh():
@@ -457,7 +466,7 @@ def test_obj_coordinates_edge_values():
 
 @pytest.mark.parametrize("count", [1, 9, 10, 11, 99, 100, 101, 9999, 10000, 10001, 10**6])
 def test_obj_face_labels_across_widths(count):
-    # The label width follows the vertex count; 10**6 vertices need two-word rows.
+    # The label width follows the vertex count.
     vertices = np.zeros((count, 3))
     corners = sorted({0, count // 2, max(count - 2, 0), count - 1, min(8, count - 1), min(9, count - 1)})
     triangles = [(a, b, c) for a in corners for b in corners for c in corners[::-1]]
@@ -477,10 +486,14 @@ def test_export_obj_rejects_indices_outside_the_vertices():
             export_obj(Mesh(vertices=vertices, triangles=[bad]), io.BytesIO())
 
 
+def _reference_digests():
+    path = Path(__file__).resolve().parents[1] / "bench" / "references" / "figures.json"
+    return json.loads(path.read_text())["presets"]
+
+
 def test_preset_obj_digests_match_bench_references():
     # Every preset at its own grid and at twice the grid in both directions.
-    path = Path(__file__).resolve().parents[1] / "bench" / "references" / "figures.json"
-    presets = json.loads(path.read_text())["presets"]
+    presets = _reference_digests()
     assert sorted(presets) == preset_keys()
     for key in preset_keys():
         preset = figure_preset(key)
@@ -491,6 +504,58 @@ def test_preset_obj_digests_match_bench_references():
             export_obj(sample(preset.spec, mult * preset.nt, mult * preset.ntheta), buffer)
             digest = hashlib.sha256(buffer.getvalue()).hexdigest()
             assert digest == presets[key]["sha256"][str(mult)], (key, mult)
+
+
+@pytest.mark.parametrize("band_rows", [None, 3], ids=["default-bands", "three-row-bands"])
+def test_streamed_obj_matches_the_references(monkeypatch, band_rows):
+    # obj_writer writes the bytes of export_obj(sample(...)), whose digests
+    # the test above pins, however the rows are cut into bands.
+    presets = _reference_digests()
+    for key in preset_keys():
+        preset = figure_preset(key)
+        for mult in (1, 2):
+            ntheta = mult * preset.ntheta
+            if band_rows:
+                monkeypatch.setattr(mesh_module, "_BAND_VERTICES", band_rows * ntheta)
+            buffer = io.BytesIO()
+            obj_writer(preset.spec, mult * preset.nt, ntheta)(buffer)
+            digest = hashlib.sha256(buffer.getvalue()).hexdigest()
+            assert digest == presets[key]["sha256"][str(mult)], (key, mult)
+
+
+def test_streamed_peak_memory_does_not_grow_with_nt():
+    # The stream holds one band at a time; what grows with nt is a few
+    # numbers per row.  Twice the rows must cost less than one band's vertices.
+    preset = figure_preset("3b")
+    ntheta = 2 * preset.ntheta
+    peaks = []
+    with open(os.devnull, "wb") as sink:  # text written to a buffer would be traced too
+        obj_writer(preset.spec, 16, 16)(sink)  # first-use tables stay out of the trace
+        for mult in (2, 4):
+            tracemalloc.start()
+            try:
+                obj_writer(preset.spec, mult * preset.nt, ntheta)(sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 24 * mesh_module._BAND_VERTICES
+
+
+def test_vertex_text_block_peak_memory():
+    # One block of vertex text holds at most 100 bytes per coordinate at its
+    # peak, the 32-byte slots and a few arrays of one word each: less than
+    # half of the 250 bytes it held with every temporary live at once.
+    preset = figure_preset("3b")
+    vertices = sample(preset.spec, 2 * preset.nt, 2 * preset.ntheta).vertices
+    values = vertices[: mesh_module._VERTEX_CHUNK].ravel().copy()
+    mesh_module._vertex_lines(values)  # first-use tables stay out of the trace
+    tracemalloc.start()
+    try:
+        mesh_module._vertex_lines(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * values.size
 
 
 # sha256 of ``surface-mesh`` stdout, recorded with the per-number ``%`` writer.
