@@ -1,4 +1,4 @@
-"""Triangle meshing of the circular surfaces, OBJ export, and figure presets.
+"""Triangle meshing of the circular surfaces, streamed OBJ export, and figure presets.
 
 The parameter rectangle [0, 2*d*pi) x [0, 2*pi) is sampled on a regular
 grid, wrapped in both directions.  Each row's generating circle is computed
@@ -18,13 +18,9 @@ whole mesh is needed.  ``obj_writer``, which the ``figure`` and
 it places every band once to check that every vertex is finite and to take
 the largest coordinate, which the sliver floor reads, then places each
 band again to write its ``v`` lines, and again to write its ``f`` lines,
-so what it holds does not grow with ``nt``.  ``sample`` builds an
-in-memory ``Mesh`` (numpy arrays: ``(N, 3)`` float64 vertices and
-``(M, 3)`` triangles, int32 while N fits in it) from the same bands, and
-``export_obj`` writes any ``Mesh`` with the same text kernels, so the two
-routes write the same bytes.  numpy is imported inside the functions that
-use it, and the OBJ writer builds its lookup tables on first use, so
-importing this module (and the CLI) does not load numpy.
+so what it holds does not grow with ``nt``.  numpy is imported inside the
+functions that use it, and the OBJ writer builds its lookup tables on
+first use, so importing this module (and the CLI) does not load numpy.
 
 OBJ text is exactly what ``"%.17g"`` and ``"%d"`` print, but computed on
 arrays: the 17 significant digits of a coordinate in fixed notation are an
@@ -42,9 +38,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, BinaryIO, Callable, Dict, List
+from typing import BinaryIO, Callable, Dict, List
 
 from .congruence import CongruenceSpec
 from .curve import CurveSpec, Placement, curve_point
@@ -52,87 +48,25 @@ from .surface import SurfaceSpec, _circle_frame, parametric_point
 
 ZERO_AREA_EPS = 1e-14
 
-FULL = "full"
-COLLAPSED = "collapsed"
-SKIPPED = "skipped"
-
-
-@dataclass(frozen=True)
-class MeshRow:
-    """Grid row at parameter t: ``ntheta`` vertices if FULL, one if COLLAPSED, none if SKIPPED."""
-
-    t: float
-    kind: str
-    vertex_start: int
-
-
-@dataclass
-class Mesh:
-    """A triangle mesh with the row structure it was sampled on.
-
-    ``sample`` fills ``vertices`` with an ``(N, 3)`` float64 numpy array,
-    ``triangles`` with an ``(M, 3)`` numpy array of 0-based vertex indices,
-    int32 while N fits in it and int64 otherwise (``_index_dtype``), which
-    may be a view of the leading rows of a larger buffer (its ``base``),
-    and ``rows`` with one :class:`MeshRow` per grid row.
-    The fields default to empty lists so that building a ``Mesh`` does not
-    import numpy; ``export_obj`` accepts any ``(N, 3)`` sequence.
-    """
-
-    vertices: Any = field(default_factory=list)
-    triangles: Any = field(default_factory=list)
-    rows: List[MeshRow] = field(default_factory=list)
-
-
-def sample(spec: SurfaceSpec, nt: int, ntheta: int) -> Mesh:
-    """Grid-sample the surface into a triangle mesh held in memory.
-
-    ``nt`` rows cover one period of the curve parameter, ``ntheta`` columns
-    one turn of each generating circle; both seams are closed by reusing the
-    first row/column, never by duplicating vertices.  The mesh is built by
-    the band routine that ``obj_writer`` streams through (``_Grid``): each
-    band's vertices and its kept triangles, mapped to global vertex
-    indices, are copied into one vertex array and one buffer sized for
-    every candidate triangle, int32 while the vertex count fits in it; the
-    returned ``triangles`` are the buffer's leading rows, a view.  At its
-    peak ``sample`` holds the vertices, the candidate buffer and one band's
-    temporaries.  A row or vertex that is not finite (a coordinate whose
-    square overflows) is an ``OverflowError``.
-    """
-    import numpy as np  # only meshing needs it; the other commands start faster without
-
-    grid = _Grid(spec, nt, ntheta)
-    vertices = np.empty((grid.count, 3))
-    candidates = grid.row_pairs(np.append(grid.sizes, grid.sizes[0]))[2]
-    triangles = np.empty((candidates, 3), dtype=_index_dtype(grid.count))
-    kept = 0
-    for first, last in grid.bands:
-        start = int(grid.starts[first])
-        band = grid.place(np.arange(first, last))
-        vertices[start : start + len(band)] = band
-        faces, ids = grid.band_faces(first, last)
-        triangles[kept : kept + len(faces)] = ids.take(faces)
-        kept += len(faces)
-    period = spec.curve.parameter_period
-    kinds = {ntheta: FULL, 1: COLLAPSED, 0: SKIPPED}
-    rows = [
-        MeshRow(period * i / nt, kinds[size], start)
-        for i, (size, start) in enumerate(zip(grid.sizes.tolist(), grid.starts.tolist()))
-    ]
-    return Mesh(vertices, triangles[:kept], rows)
-
 
 def obj_writer(spec: SurfaceSpec, nt: int, ntheta: int) -> Callable[[BinaryIO], None]:
-    """Check the mesh of ``sample(spec, nt, ntheta)``; return the function that writes its OBJ.
+    """Check the surface's ``nt`` x ``ntheta`` grid mesh; return the function that writes its OBJ.
 
-    Every row and every band's vertices are placed and checked before this
-    returns, so a mesh that cannot be written fails here, with the
-    ``OverflowError`` or ``ValueError`` of ``sample``, before any byte is
-    written or an output file is opened.  The returned ``write(sink)``
-    writes exactly the bytes of ``export_obj(sample(spec, nt, ntheta), sink)``
-    in two passes over the bands: each band's ``v`` lines, then each
-    band's ``f`` lines, placing the band again for each, so what it holds
-    does not grow with ``nt``.
+    ``nt`` rows cover one period of the curve parameter, ``ntheta`` columns
+    one turn of each generating circle; both seams are closed by reusing
+    the first row or column, never by duplicating vertices.  Every row and
+    every band's vertices are placed and checked before this returns, so a
+    mesh that cannot be written fails here, before any byte is written or
+    an output file is opened: fewer than 8 rows or columns, or a curve on
+    the z axis, is a ``ValueError``, and a row or vertex that is not finite
+    (a coordinate whose square overflows) an ``OverflowError``.
+
+    The returned ``write(sink)`` writes ASCII OBJ with LF endings: one
+    ``v %.17g %.17g %.17g`` line per vertex, row by row, then one
+    ``f %d %d %d`` line per kept triangle, 1-based, byte for byte what
+    those ``%`` formats print.  It makes two passes over the bands, each
+    band's ``v`` lines and then each band's ``f`` lines, placing the band
+    again for each, so what it holds does not grow with ``nt``.
     """
     grid = _Grid(spec, nt, ntheta)
 
@@ -151,13 +85,14 @@ def obj_writer(spec: SurfaceSpec, nt: int, ntheta: int) -> Callable[[BinaryIO], 
 
 
 class _Grid:
-    """The rows of a sampled surface, and the band routine over them.
+    """The rows of a sampled surface, and the band routine ``obj_writer`` streams through.
 
     Pass 0 (the constructor) decides each row on its circle frame
-    (``surface._circle_frame``): no frame is a SKIPPED row, a zero root a
-    COLLAPSED row whose one vertex is the point circle's center, any other
-    frame a FULL row of ``ntheta`` vertices.  ``sizes[i]`` is row i's
-    vertex count (``ntheta >= 8``, so the count names the kind),
+    (``surface._circle_frame``): no frame is a hole, a row with no
+    vertices; a zero root is an apex, one vertex at the point circle's
+    center; any other frame is a ring of ``ntheta`` vertices.
+    ``sizes[i]`` is row i's vertex count (``ntheta >= 8``, so 0, 1 and
+    ``ntheta`` name the kind),
     ``starts[i]`` its first vertex and ``frames[i]`` its frame; these numpy
     arrays, about 60 bytes a row, are all that grows with ``nt``.
     ``bands`` cuts the rows into runs of about ``_BAND_VERTICES`` vertices,
@@ -216,7 +151,7 @@ class _Grid:
     def place(self, index):
         """The vertices of the rows ``index``, in that order, as an ``(N, 3)`` float64 array.
 
-        The rings of the FULL rows are one ``parametric_point`` call on
+        The ring rows are one ``parametric_point`` call on
         their frames as numpy columns; an apex is the point circle's center.
         """
         import numpy as np
@@ -235,17 +170,6 @@ class _Grid:
         vertices[np.repeat(apex, sizes), :2] = np.stack([x * factor, y * factor], axis=-1)
         return vertices
 
-    def row_pairs(self, sizes):
-        """``(quad, fan, candidates)`` for the pairs of consecutive rows of ``sizes``.
-
-        A pair of FULL rows is a quad ring, two candidate triangles per
-        column; a FULL row next to an apex is a fan, one per column; any
-        other pair has none.
-        """
-        quad = (sizes[:-1] == self.ntheta) & (sizes[1:] == self.ntheta)
-        fan = sizes[:-1] * sizes[1:] == self.ntheta
-        return quad, fan, int(self.ntheta * (2 * quad.sum() + fan.sum()))
-
     def band_faces(self, first: int, last: int):
         """The kept triangles of the row pairs (i, i + 1) for i in [first, last), seam included.
 
@@ -253,8 +177,8 @@ class _Grid:
         into the vertices of rows ``first..last - 1`` followed by those of
         the next row (row 0 at the seam), and each of those vertices'
         global index.  Per column j (k = j + 1 around the seam), a quad
-        between FULL rows a, b is (a_j, b_j, b_k), (a_j, b_k, a_k); a fan
-        from a FULL row to an apex is (f_j, f_k, apex).  The candidates are
+        between ring rows a, b is (a_j, b_j, b_k), (a_j, b_k, a_k); a fan
+        from a ring f to an apex is (f_j, f_k, apex).  The candidates are
         written, corner by corner, in row order into one buffer; a run of
         consecutive quad pairs is one broadcast per corner over its pairs.
         A candidate is kept when half the norm of the cross product of
@@ -272,10 +196,13 @@ class _Grid:
         ntheta = self.ntheta
         sizes = self.sizes[index]
         starts = np.cumsum(sizes) - sizes  # local
-        quad, fan, candidates = self.row_pairs(sizes)
+        # A pair of rings is a quad ring, two candidate triangles per column;
+        # a ring next to an apex is a fan, one per column; any other pair has none.
+        quad = (sizes[:-1] == ntheta) & (sizes[1:] == ntheta)
+        fan = sizes[:-1] * sizes[1:] == ntheta
         # Corner-major, [corner, triangle], and intp, the layout take reads
         # its indices in without a copy.
-        triangles = np.empty((3, candidates), dtype=np.intp)
+        triangles = np.empty((3, int(ntheta * (2 * quad.sum() + fan.sum()))), dtype=np.intp)
         columns, shifted = self.columns, self.shifted
         filled = first_pair = 0
         for stop in [*(np.flatnonzero(quad[1:] != quad[:-1]) + 1).tolist(), len(quad)]:
@@ -321,57 +248,10 @@ class _Grid:
         return (triangles if keep.all() else triangles.compress(keep, axis=1)).T, ids
 
 
-def _index_dtype(count: int) -> str:
-    """Triangle index type for ``count`` vertices: int32 when the count fits in it, else int64."""
-    return "int32" if count <= 2**31 - 1 else "int64"
-
-
-def export_obj(mesh: Mesh, sink: BinaryIO) -> None:
-    """Write ASCII OBJ with LF endings: ``v %.17g %.17g %.17g`` and ``f %d %d %d`` lines.
-
-    The bytes are exactly what those ``%`` formats print, computed with
-    array arithmetic by the kernels ``obj_writer`` streams through.  A
-    coordinate whose 17-digit decimal exponent X lies in [-4, 16] (the
-    fixed notation of ``%.17g``) gets its digits from
-    N = round_half_even(|v| * 10^(16 - X)): 10^(16 - X) is an exact double,
-    Dekker's split product gives |v| * 10^(16 - X) = h + l exactly, so
-    N = h + rint(l) is exact, ties included.  X starts from floor(log10|v|)
-    and takes one step when N falls outside [10^16, 10^17).  Zeros print as
-    ``0`` or ``-0``; exponent notation, inf and nan go through ``%.17g``
-    itself, one value at a time.  Each face line is a packed record of
-    three label rows from one table of a row per vertex, built once per
-    mesh.  Text is built and written in blocks of ``_VERTEX_CHUNK``
-    vertices and ``_FACE_CHUNK`` triangles, so the temporaries of a block
-    stay in cache.  Integer triangle arrays are read in their own type,
-    int32 included; anything else is cast to int64.  A triangle index
-    outside the vertex list is a ``ValueError``.
-    """
-    import numpy as np
-
-    vertices = np.asarray(mesh.vertices, dtype=np.float64).reshape(-1, 3)
-    faces = np.asarray(mesh.triangles)
-    if faces.dtype.kind not in "iu":
-        faces = faces.astype(np.int64)  # a list of tuples is int64 already; Mesh()'s [] is float
-    faces = faces.reshape(-1, 3)
-    count = len(vertices)
-    if faces.size and (faces.min() < 0 or faces.max() >= count):
-        raise ValueError(f"triangle index outside the {count} vertices")
-    _write_vertex_lines(sink, vertices)
-    if faces.size:
-        words = _label_words(count)
-        labels = np.empty((count, words), dtype=np.uint64)
-        for low in range(0, count, _VERTEX_CHUNK):
-            numbers = np.arange(low + 1, min(low + _VERTEX_CHUNK, count) + 1)
-            labels[low : low + len(numbers)] = _face_labels(numbers, words)
-        for start in range(0, len(faces), _FACE_CHUNK):
-            sink.write(_face_lines(labels, faces[start : start + _FACE_CHUNK]))
-
-
 # -- exact OBJ text on arrays --------------------------------------------------------
 
-# Vertices and triangles per write: each block's temporaries stay in cache.
+# Vertices per write: each block's temporaries stay in cache.
 _VERTEX_CHUNK = 4096
-_FACE_CHUNK = 8192
 # Vertices per band of rows: two text blocks.  A band's largest temporary,
 # its gathered triangle corners, is then large enough that the C allocator
 # keeps the memory a text block frees for the next block, instead of
@@ -472,7 +352,14 @@ def _write_vertex_lines(sink: BinaryIO, vertices) -> None:
 
 
 def _vertex_lines(values) -> bytearray:
-    """``v x y z`` lines for a flat run of coordinates, 3 per vertex.
+    """``v x y z`` lines for a flat run of coordinates, 3 per vertex, as ``%.17g`` prints them.
+
+    A coordinate whose 17-digit decimal exponent X lies in [-4, 16] (the
+    fixed notation of ``%.17g``) gets its digits from
+    N = round_half_even(|v| * 10^(16 - X)), exactly (``_scaled_round``).
+    X starts from floor(log10|v|) and takes one step when N falls outside
+    [10^16, 10^17).  Zeros print as ``0`` or ``-0``; exponent notation, inf
+    and nan go through ``%.17g`` itself, one value at a time.
 
     Each coordinate fills a 32-byte slot, a row of four uint64 words in a
     ``(count, 4)`` array over one byte buffer: byte 0 ``v`` (first

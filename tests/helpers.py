@@ -1,10 +1,12 @@
 """Small helpers shared by the test modules."""
 
+import io
 import math
 from fractions import Fraction
 
 from chsurf.congruence import CongruenceSpec
 from chsurf.curve import CurveSpec, Placement
+from chsurf.mesh import obj_writer
 from chsurf.poly import GaussianRational, MultiPoly
 from chsurf.surface import SurfaceSpec
 
@@ -60,7 +62,15 @@ def parse_obj(data: bytes):
         if not parts:
             continue
         if parts[0] == "v":
-            vertices.append(tuple(float(p) for p in parts[1:4]))
+            vertices.append(tuple(map(float, parts[1:4])))
         elif parts[0] == "f":
-            faces.append(tuple(int(p) - 1 for p in parts[1:4]))
+            a, b, c = map(int, parts[1:4])
+            faces.append((a - 1, b - 1, c - 1))
     return vertices, faces
+
+
+def streamed_obj(spec, nt, ntheta) -> bytes:
+    """The OBJ bytes ``obj_writer`` streams, as ``figure`` and ``surface-mesh`` write them."""
+    buffer = io.BytesIO()
+    obj_writer(spec, nt, ntheta)(buffer)
+    return buffer.getvalue()

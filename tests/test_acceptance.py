@@ -8,16 +8,15 @@ their measured values.  The figure regressions, the waist points and the
 mesh round trips (criteria 7, 9 and 10) are checked only here.
 """
 
-import io
 import math
 import time
 
 import pytest
 
 from axis_reference import axis_meeting_parameters
-from helpers import parse_obj
+from helpers import parse_obj, streamed_obj
 from chsurf.curve import homogeneous_implicit, implicit_equation
-from chsurf.mesh import export_obj, figure_preset, preset_keys, sample
+from chsurf.mesh import _Grid, figure_preset, preset_keys
 from chsurf.surface import (
     classify,
     zero_circle_intersections,
@@ -169,12 +168,14 @@ def test_criterion_10_mesh_round_trip():
     failures = []
     for key in preset_keys():
         preset = figure_preset(key)
-        mesh = sample(preset.spec, preset.nt, preset.ntheta)
-        buffer = io.BytesIO()
-        export_obj(mesh, buffer)
-        vertices, faces = parse_obj(buffer.getvalue())
-        if len(vertices) != len(mesh.vertices) or len(faces) != len(mesh.triangles):
-            failures.append(f"{key}: round-trip counts differ")
+        # The bytes figure writes, read back; the rows are the grid's.
+        vertices, faces = parse_obj(streamed_obj(preset.spec, preset.nt, preset.ntheta))
+        grid = _Grid(preset.spec, preset.nt, preset.ntheta)
+        if len(vertices) != grid.count:
+            failures.append(f"{key}: {len(vertices)} vertices streamed for {grid.count} on the grid")
+            continue
+        if faces and not (min(map(min, faces)) >= 0 and max(map(max, faces)) < grid.count):
+            failures.append(f"{key}: a face index outside the {grid.count} vertices")
             continue
         singular = sorted(
             axis_meeting_parameters(preset.spec.curve, preset.spec.placement)
@@ -185,11 +186,12 @@ def test_criterion_10_mesh_round_trip():
         def near(t, params, tol):
             return any(min(abs(t - p), period - abs(t - p)) <= tol for p in params)
 
-        for row in mesh.rows:
-            if row.kind != "full" and not near(row.t, singular, 1e-6):
-                failures.append(f"{key}: spurious degenerate row at t={row.t:.6f}")
-        degenerate_ts = [row.t for row in mesh.rows if row.kind != "full"]
-        grid_ts = [row.t for row in mesh.rows]
+        grid_ts = [period * i / preset.nt for i in range(preset.nt)]
+        # A hole (size 0) or an apex (size 1) is degenerate; a ring has ntheta vertices.
+        degenerate_ts = [t for t, size in zip(grid_ts, grid.sizes.tolist()) if size != preset.ntheta]
+        for t in degenerate_ts:
+            if not near(t, singular, 1e-6):
+                failures.append(f"{key}: spurious degenerate row at t={t:.6f}")
         for p in singular:
             if near(p, grid_ts, 1e-9) and not near(p, degenerate_ts, 1e-6):
                 failures.append(f"{key}: singular parameter {p:.6f} on grid but not degenerate")

@@ -1,4 +1,10 @@
-"""Tests for mesh sampling, OBJ export, and the figure presets."""
+"""Tests for mesh sampling, OBJ export, and the figure presets.
+
+The meshes are read back from the OBJ that ``obj_writer`` streams, the
+bytes ``figure`` and ``surface-mesh`` write: ``%.17g`` round-trips every
+double, so ``parse_obj`` gives each vertex's exact bits, ``-0.0``
+included.  The rows come from ``mesh._Grid``.
+"""
 
 import hashlib
 import io
@@ -6,6 +12,7 @@ import json
 import math
 import os
 import tracemalloc
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,24 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from axis_reference import axis_meeting_parameters
-from helpers import make_spec, parse_obj
+from helpers import make_spec, parse_obj, streamed_obj
 from chsurf import cli
 from chsurf import mesh as mesh_module
 from chsurf.congruence import AxisPointError, circle_key_close, circle_through
 from chsurf.curve import CurveSpec, Placement, curve_point
-from chsurf.mesh import (
-    COLLAPSED,
-    FULL,
-    SKIPPED,
-    ZERO_AREA_EPS,
-    Mesh,
-    MeshRow,
-    export_obj,
-    figure_preset,
-    obj_writer,
-    preset_keys,
-    sample,
-)
+from chsurf.mesh import ZERO_AREA_EPS, figure_preset, obj_writer, preset_keys
 from chsurf.surface import (
     _circle_frame,
     generating_circle,
@@ -40,45 +35,63 @@ from chsurf.surface import (
     zero_circle_parameters,
 )
 
+# A grid row: its parameter, its kind and its first vertex.  A ring row has
+# ``ntheta`` vertices, an apex (a point circle) one, a hole (an axis crossing) none.
+Row = namedtuple("Row", "t kind start")
+RING, APEX, HOLE = "ring", "apex", "hole"
+
+
+def grid_rows(spec, nt, ntheta):
+    """The rows of ``_Grid(spec, nt, ntheta)``, each kind read from its size."""
+    grid = mesh_module._Grid(spec, nt, ntheta)
+    kinds = {ntheta: RING, 1: APEX, 0: HOLE}
+    period = spec.curve.parameter_period
+    sizes_starts = zip(grid.sizes.tolist(), grid.starts.tolist())
+    return [Row(period * i / nt, kinds[size], start) for i, (size, start) in enumerate(sizes_starts)]
+
+
+def streamed_mesh(spec, nt, ntheta):
+    """``(vertices, faces)`` parsed from the streamed OBJ, faces 0-based."""
+    return parse_obj(streamed_obj(spec, nt, ntheta))
+
 
 def test_sample_validates_resolution():
     with pytest.raises(ValueError):
-        sample(make_spec(1, 1, q=1), 4, 64)
+        obj_writer(make_spec(1, 1, q=1), 4, 64)
 
 
 def test_circle_curve_torus_mesh():
     # r = cos(t) crosses the axis at t = pi/2 and 3*pi/2 only.
-    mesh = sample(make_spec(1, 1, q=1), 64, 64)
-    degenerate = [(i, row.kind) for i, row in enumerate(mesh.rows) if row.kind != FULL]
-    assert degenerate == [(16, SKIPPED), (48, SKIPPED)]
-    full_rows = sum(1 for row in mesh.rows if row.kind == FULL)
-    assert len(mesh.vertices) == full_rows * 64
-    assert all(0 <= i < len(mesh.vertices) for tri in mesh.triangles for i in tri)
+    spec = make_spec(1, 1, q=1)
+    rows = grid_rows(spec, 64, 64)
+    assert [(i, row.kind) for i, row in enumerate(rows) if row.kind != RING] == [(16, HOLE), (48, HOLE)]
+    vertices, faces = streamed_mesh(spec, 64, 64)
+    assert len(vertices) == sum(row.kind == RING for row in rows) * 64
+    assert all(0 <= i < len(vertices) for face in faces for i in face)
 
 
 def test_vertex_count_invariant_with_collapsed_rows():
-    mesh = sample(figure_preset("6b").spec, 280, 32)
-    full_rows = sum(1 for row in mesh.rows if row.kind == FULL)
-    assert sum(row.kind == COLLAPSED for row in mesh.rows) == 7
-    assert len(mesh.vertices) == full_rows * 32 + 7
+    spec = figure_preset("6b").spec
+    rows = grid_rows(spec, 280, 32)
+    vertices, _ = streamed_mesh(spec, 280, 32)
+    assert sum(row.kind == APEX for row in rows) == 7
+    assert len(vertices) == sum(row.kind == RING for row in rows) * 32 + 7
 
 
 def test_mesh_bounded_for_parabolic_preset():
     preset = figure_preset("3b")
-    mesh = sample(preset.spec, 96, 24)
+    vertices, _ = streamed_mesh(preset.spec, 96, 24)
     bound = 1.0 + float(preset.spec.curve.a) + 0.05
-    for vertex in mesh.vertices:
+    for vertex in vertices:
         assert math.hypot(*vertex) <= bound
 
 
 def test_degenerate_rows_match_singular_parameters():
     preset = figure_preset("6b")
-    mesh = sample(preset.spec, preset.nt, 24)
-    collapsed = [row.t for row in mesh.rows if row.kind == COLLAPSED]
+    collapsed = [row.t for row in grid_rows(preset.spec, preset.nt, 24) if row.kind == APEX]
     expected = zero_circle_parameters(preset.spec)
     assert collapsed == pytest.approx(expected, abs=1e-6)
-    rows = sample(make_spec(3, 1, q=0, cx=-1), 256, 24).rows
-    skipped = [row.t for row in rows if row.kind == SKIPPED]
+    skipped = [row.t for row in grid_rows(make_spec(3, 1, q=0, cx=-1), 256, 24) if row.kind == HOLE]
     expected_axis = axis_meeting_parameters(
         CurveSpec(3, 1), Placement(Fraction(-1), Fraction(0), Fraction(0))
     )
@@ -87,13 +100,13 @@ def test_degenerate_rows_match_singular_parameters():
 
 def test_vertices_map_back_to_row_circles():
     spec = make_spec(3, 1, "1/2", q="9/4", h="1/2")
-    mesh = sample(spec, 48, 24)
-    for row in mesh.rows:
-        if row.kind != FULL:
+    vertices, _ = streamed_mesh(spec, 48, 24)
+    for row in grid_rows(spec, 48, 24):
+        if row.kind != RING:
             continue
         key = generating_circle(spec, row.t)
         for offset in range(0, 24, 5):
-            vertex = mesh.vertices[row.vertex_start + offset]
+            vertex = vertices[row.start + offset]
             if math.hypot(vertex[0], vertex[1]) < 1e-5:
                 continue
             recovered = circle_through(spec.congruence, vertex)
@@ -101,7 +114,7 @@ def test_vertices_map_back_to_row_circles():
 
 
 def _scalar_sample(spec, nt, ntheta):
-    """The per-vertex, per-triangle loop that ``sample`` replaced, kept as its reference."""
+    """The per-vertex, per-triangle loop the banded grid replaced, kept as its reference."""
     period = spec.curve.parameter_period
     thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
     cos_t = [math.cos(v) for v in thetas]
@@ -115,14 +128,14 @@ def _scalar_sample(spec, nt, ntheta):
         rho = math.sqrt(rho_sq)
         start = len(vertices)
         if rho <= spec.axis_bound:
-            rows.append(MeshRow(t, SKIPPED, start))
+            rows.append(Row(t, HOLE, start))
             continue
         value = radicand((x, y, z), q)
         norm_sq = rho_sq + z * z
         if value == 0.0:
             factor = (norm_sq - q) / (2.0 * rho_sq)
             vertices.append((x * factor, y * factor, 0.0))
-            rows.append(MeshRow(t, COLLAPSED, start))
+            rows.append(Row(t, APEX, start))
             continue
         root = math.sqrt(value)
         half_inv = 1.0 / (2.0 * rho_sq)
@@ -130,7 +143,7 @@ def _scalar_sample(spec, nt, ntheta):
         for j in range(ntheta):
             along = (root * cos_t[j] + norm_sq - q) * half_inv
             vertices.append((x * along, y * along, z_scale * sin_t[j]))
-        rows.append(MeshRow(t, FULL, start))
+        rows.append(Row(t, RING, start))
 
     scale = max(1.0, max(max(abs(c) for c in v) for v in vertices))
     area_floor = ZERO_AREA_EPS * scale * scale
@@ -147,23 +160,33 @@ def _scalar_sample(spec, nt, ntheta):
 
     for i in range(nt):
         row_a, row_b = rows[i], rows[(i + 1) % nt]
-        if row_a.kind == SKIPPED or row_b.kind == SKIPPED:
+        if row_a.kind == HOLE or row_b.kind == HOLE:
             continue
-        if row_a.kind == COLLAPSED and row_b.kind == COLLAPSED:
+        if row_a.kind == APEX and row_b.kind == APEX:
             continue
-        if row_a.kind == FULL and row_b.kind == FULL:
+        if row_a.kind == RING and row_b.kind == RING:
             for j in range(ntheta):
                 k = (j + 1) % ntheta
-                a0, a1 = row_a.vertex_start + j, row_a.vertex_start + k
-                b0, b1 = row_b.vertex_start + j, row_b.vertex_start + k
+                a0, a1 = row_a.start + j, row_a.start + k
+                b0, b1 = row_b.start + j, row_b.start + k
                 emit(a0, b0, b1)
                 emit(a0, b1, a1)
             continue
-        full_row, apex_row = (row_a, row_b) if row_a.kind == FULL else (row_b, row_a)
+        ring_row, apex_row = (row_a, row_b) if row_a.kind == RING else (row_b, row_a)
         for j in range(ntheta):
             k = (j + 1) % ntheta
-            emit(full_row.vertex_start + j, full_row.vertex_start + k, apex_row.vertex_start)
+            emit(ring_row.start + j, ring_row.start + k, apex_row.start)
     return vertices, triangles, rows
+
+
+def assert_stream_matches_reference(spec, nt, ntheta, reference):
+    """The streamed OBJ and the grid's rows equal ``_scalar_sample``'s, bit for bit."""
+    vertices, triangles, rows = reference
+    assert grid_rows(spec, nt, ntheta) == rows
+    streamed, faces = streamed_mesh(spec, nt, ntheta)
+    # Bytes, not ==, so that a sign flip of a zero coordinate also fails.
+    assert np.array(streamed).tobytes() == np.array(vertices).tobytes()
+    assert faces == triangles
 
 
 _EQUIVALENCE_CASES = [
@@ -174,19 +197,14 @@ _EQUIVALENCE_CASES = [
     # A raised plane: the axis test compares planar distances, so the height
     # must not widen it (one skipped row, at the cusp).
     pytest.param(make_spec(1, 1, 1, q=1, h="1e8"), 64, id="CH(1,1,1),h=1e8"),
+    # The pole on the axis: coordinates in exponent notation.
+    pytest.param(make_spec(2, 1, q=1), 64, id="CH(2,1,0),exponent-notation"),
 ]
 
 
 @pytest.mark.parametrize("spec, nt", _EQUIVALENCE_CASES)
 def test_sample_matches_scalar_reference(spec, nt):
-    mesh = sample(spec, nt, 24)
-    vertices, triangles, rows = _scalar_sample(spec, nt, 24)
-    assert mesh.rows == rows
-    assert mesh.vertices.dtype == np.float64 and mesh.vertices.shape == (len(vertices), 3)
-    assert mesh.triangles.dtype == np.int32 and mesh.triangles.shape == (len(triangles), 3)
-    # Bytes, not ==, so that a sign flip of a zero coordinate also fails.
-    assert mesh.vertices.tobytes() == np.array(vertices, dtype=np.float64).tobytes()
-    assert mesh.triangles.tolist() == [list(t) for t in triangles]
+    assert_stream_matches_reference(spec, nt, 24, _scalar_sample(spec, nt, 24))
 
 
 def _candidate_triangles(rows, ntheta):
@@ -194,9 +212,9 @@ def _candidate_triangles(rows, ntheta):
     count = 0
     for row_a, row_b in zip(rows, rows[1:] + rows[:1]):
         kinds = {row_a.kind, row_b.kind}
-        if kinds == {FULL}:
+        if kinds == {RING}:
             count += 2 * ntheta
-        elif kinds == {FULL, COLLAPSED}:
+        elif kinds == {RING, APEX}:
             count += ntheta
     return count
 
@@ -204,13 +222,14 @@ def _candidate_triangles(rows, ntheta):
 @pytest.mark.parametrize("key, drops", [("3b", True), ("4a", False), ("6c", False), ("3a", True)])
 def test_sample_matches_scalar_reference_across_triangle_blocks(monkeypatch, key, drops):
     # The sliver filter works band by band.  Bands of two and of three rows
-    # put band edges inside every quad run.  6c's 14 COLLAPSED rows are the
+    # put band edges inside every quad run.  6c's 14 apex rows are the
     # rows 14 and 28 mod 42, so a fan crosses a band edge with its apex as
     # the next band's first row (two-row bands) and as the band's own last
-    # row (three-row bands).  3a's 14 SKIPPED rows, 10 mod 20, sit on both
+    # row (three-row bands).  3a's 14 holes, 10 mod 20, sit on both
     # sides of a band edge too, and the last band closes the seam with row 0.
     preset = figure_preset(key)
-    vertices, triangles, rows = _scalar_sample(preset.spec, preset.nt, preset.ntheta)
+    reference = _scalar_sample(preset.spec, preset.nt, preset.ntheta)
+    _, triangles, rows = reference
     candidates = _candidate_triangles(rows, preset.ntheta)
     # 3b and 3a drop two slivers per quad row pair, 4a and 6c none.
     assert (len(triangles) < candidates) == drops
@@ -222,77 +241,36 @@ def test_sample_matches_scalar_reference_across_triangle_blocks(monkeypatch, key
         assert [last - first for first, last in bands[:-1]] == [band_rows] * (len(bands) - 1)
         assert bands[-1][1] == preset.nt
         crossings |= {(kinds[last - 1], kinds[last % preset.nt]) for _, last in bands}
-        mesh = sample(preset.spec, preset.nt, preset.ntheta)
-        assert mesh.rows == rows
-        assert mesh.vertices.tobytes() == np.array(vertices, dtype=np.float64).tobytes()
-        assert mesh.triangles.tolist() == [list(t) for t in triangles]
-    expected = {"6c": {(FULL, COLLAPSED), (COLLAPSED, FULL)}, "3a": {(FULL, SKIPPED), (SKIPPED, FULL)}}
-    assert {(FULL, FULL)} | expected.get(key, set()) <= crossings
-
-
-def test_sample_peak_memory_is_at_most_twice_the_mesh():
-    # The triangles are built in one buffer and compacted in place, so at its
-    # peak sample holds the vertices, every candidate triangle and one
-    # block's temporaries, but no triangle copy and no copy of the vertices.
-    preset = figure_preset("3b")
-    sample(preset.spec, 16, 16)  # first-use imports and caches stay out of the trace
-    tracemalloc.start()
-    try:
-        mesh = sample(preset.spec, 2 * preset.nt, 2 * preset.ntheta)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * (mesh.vertices.nbytes + mesh.triangles.nbytes)
-
-
-def test_export_obj_peak_memory_grows_by_at_most_one_label_row_per_vertex():
-    # The only table that grows with the mesh is one 8-byte label row per
-    # vertex below 10**6 vertices; the text blocks have a fixed size.
-    preset = figure_preset("3b")
-    peaks, counts = [], []
-    with open(os.devnull, "wb") as sink:  # text written to a buffer would be traced too
-        export_obj(sample(preset.spec, 16, 16), sink)  # first-use tables stay out of the trace
-        for mult in (1, 2):
-            mesh = sample(preset.spec, mult * preset.nt, mult * preset.ntheta)
-            tracemalloc.start()
-            try:
-                export_obj(mesh, sink)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            counts.append(len(mesh.vertices))
-    assert peaks[1] - peaks[0] <= 8 * (counts[1] - counts[0])
-
-
-def test_index_dtype_is_int32_while_the_vertex_count_fits():
-    assert np.dtype(mesh_module._index_dtype(2**31 - 1)) == np.int32
-    assert np.dtype(mesh_module._index_dtype(2**31)) == np.int64
+        assert_stream_matches_reference(preset.spec, preset.nt, preset.ntheta, reference)
+    expected = {"6c": {(RING, APEX), (APEX, RING)}, "3a": {(RING, HOLE), (HOLE, RING)}}
+    assert {(RING, RING)} | expected.get(key, set()) <= crossings
 
 
 @pytest.mark.parametrize("key", preset_keys())
 def test_full_rows_are_placed_by_parametric_point(key):
-    # Each FULL row's ring, as bytes, is the float call of the one surface-point formula.
+    # Each ring's streamed v lines are the float call of the one surface-point
+    # formula, printed by %.17g, which is one-to-one on finite doubles,
+    # -0.0 included: equal lines are equal bits.
     preset = figure_preset(key)
     spec, ntheta = preset.spec, preset.ntheta
-    mesh = sample(spec, preset.nt, ntheta)
+    lines = streamed_obj(spec, preset.nt, ntheta).split(b"\n")
     q = spec.congruence.q_float
     thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
     angles = [(math.cos(theta), math.sin(theta)) for theta in thetas]
-    full = [row for row in mesh.rows if row.kind == FULL]
-    assert full
-    for row in full:
+    rings = [row for row in grid_rows(spec, preset.nt, ntheta) if row.kind == RING]
+    assert rings
+    for row in rings:
         frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, row.t))
         expected = [parametric_point(frame, q, cos_theta, sin_theta) for cos_theta, sin_theta in angles]
-        ring = mesh.vertices[row.vertex_start : row.vertex_start + ntheta]
-        assert ring.tobytes() == np.array(expected, dtype=np.float64).tobytes(), row
+        assert lines[row.start : row.start + ntheta] == [b"v %.17g %.17g %.17g" % p for p in expected], row
 
 
 @pytest.mark.parametrize("h", ["1e8", "1e10"])
 def test_axis_tolerance_does_not_grow_with_the_plane_height(h):
     # r = 1 + cos(t) meets the axis only at its cusp t = pi, row 32 of 64; the
     # axis test compares planar distances, so the plane's height must not widen it.
-    mesh = sample(make_spec(1, 1, 1, q=1, h=h), 64, 8)
-    assert [(i, row.kind) for i, row in enumerate(mesh.rows) if row.kind != FULL] == [(32, SKIPPED)]
+    rows = grid_rows(make_spec(1, 1, 1, q=1, h=h), 64, 8)
+    assert [(i, row.kind) for i, row in enumerate(rows) if row.kind != RING] == [(32, HOLE)]
 
 
 @pytest.mark.parametrize("h", ["0", "1e4", "1e6"])
@@ -311,15 +289,12 @@ def test_circle_through_axis_test_does_not_grow_with_the_plane_height(tmp_path, 
     assert target.read_text().startswith("meridian_angle,")
 
 
-def test_export_obj_single_triangle():
-    mesh = Mesh(
-        vertices=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
-        triangles=[(0, 1, 2)],
-    )
+def test_obj_single_triangle():
     buffer = io.BytesIO()
-    export_obj(mesh, buffer)
-    text = buffer.getvalue().decode("ascii")
-    assert text.splitlines() == [
+    mesh_module._write_vertex_lines(buffer, np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]))
+    labels = mesh_module._face_labels(np.arange(1, 4), mesh_module._label_words(3))
+    buffer.write(mesh_module._face_lines(labels, np.array([(0, 1, 2)])))
+    assert buffer.getvalue().decode("ascii").splitlines() == [
         "v 0 0 0",
         "v 1 0 0",
         "v 0 1 0",
@@ -327,34 +302,25 @@ def test_export_obj_single_triangle():
     ]
 
 
-def test_export_obj_empty():
-    buffer = io.BytesIO()
-    export_obj(Mesh(), buffer)
-    assert buffer.getvalue() == b""
-
-
 def test_obj_round_trip_counts_and_coordinates():
+    # The stream is the grid's vertices, then every band's kept faces.
     preset = figure_preset("9a")
-    mesh = sample(preset.spec, 64, 24)
-    buffer = io.BytesIO()
-    export_obj(mesh, buffer)
-    vertices, faces = parse_obj(buffer.getvalue())
-    assert len(vertices) == len(mesh.vertices)
-    assert len(faces) == len(mesh.triangles)
-    assert faces == [tuple(t) for t in mesh.triangles.tolist()]
-    for parsed, original in zip(vertices, mesh.vertices):
-        assert parsed == tuple(original.tolist())  # 17 significant digits round-trip exactly
+    grid = mesh_module._Grid(preset.spec, 64, 24)
+    vertices, faces = streamed_mesh(preset.spec, 64, 24)
+    assert np.array(vertices).tobytes() == grid.place(np.arange(64)).tobytes()
+    kept = [ids.take(band) for band, ids in (grid.band_faces(first, last) for first, last in grid.bands)]
+    assert faces == [tuple(face) for face in np.concatenate(kept).tolist()]
 
 
 # -- exact OBJ text ------------------------------------------------------------------
 
 
 def formatted_coordinates(values):
-    """Each value's text in the ``v`` lines ``export_obj`` writes for it."""
+    """Each value's text in the ``v`` lines ``_write_vertex_lines`` writes for it."""
     values = list(values)
     padded = values + [0.0] * (-len(values) % 3)
     buffer = io.BytesIO()
-    export_obj(Mesh(vertices=np.array(padded, dtype=np.float64).reshape(-1, 3)), buffer)
+    mesh_module._write_vertex_lines(buffer, np.array(padded, dtype=np.float64).reshape(-1, 3))
     fields = []
     for line in buffer.getvalue().decode("ascii").split("\n")[:-1]:
         tag, *numbers = line.split(" ")
@@ -466,24 +432,15 @@ def test_obj_coordinates_edge_values():
 
 @pytest.mark.parametrize("count", [1, 9, 10, 11, 99, 100, 101, 9999, 10000, 10001, 10**6])
 def test_obj_face_labels_across_widths(count):
-    # The label width follows the vertex count.
-    vertices = np.zeros((count, 3))
+    # The label width follows the vertex count.  As in obj_writer, labels are
+    # built only for the vertices the faces use, and the faces index them.
     corners = sorted({0, count // 2, max(count - 2, 0), count - 1, min(8, count - 1), min(9, count - 1)})
     triangles = [(a, b, c) for a in corners for b in corners for c in corners[::-1]]
     triangles += [(i, i, i) for i in (8, 9, 10, 98, 99, 100, 9998, 9999, 10000) if i < count]
     expected = "".join("f %d %d %d\n" % (a + 1, b + 1, c + 1) for a, b, c in triangles).encode("ascii")
-    # A list, as a caller builds it, and int32, as sample returns it.
-    for given in (triangles, np.array(triangles, dtype=np.int32)):
-        buffer = io.BytesIO()
-        export_obj(Mesh(vertices=vertices, triangles=given), buffer)
-        assert buffer.getvalue()[len(b"v 0 0 0\n") * count :] == expected
-
-
-def test_export_obj_rejects_indices_outside_the_vertices():
-    vertices = [(0.0, 0.0, 0.0)] * 3
-    for bad in [(0, 1, 3), (0, -1, 2)]:
-        with pytest.raises(ValueError):
-            export_obj(Mesh(vertices=vertices, triangles=[bad]), io.BytesIO())
+    ids = np.unique(triangles)
+    labels = mesh_module._face_labels(ids + 1, mesh_module._label_words(count))
+    assert mesh_module._face_lines(labels, np.searchsorted(ids, triangles)) == expected
 
 
 def _reference_digests():
@@ -491,8 +448,10 @@ def _reference_digests():
     return json.loads(path.read_text())["presets"]
 
 
-def test_preset_obj_digests_match_bench_references():
-    # Every preset at its own grid and at twice the grid in both directions.
+@pytest.mark.parametrize("band_rows", [None, 3], ids=["default-bands", "three-row-bands"])
+def test_streamed_obj_matches_the_references(monkeypatch, band_rows):
+    # Every preset at its own grid and at twice the grid in both directions,
+    # the same bytes however the rows are cut into bands.
     presets = _reference_digests()
     assert sorted(presets) == preset_keys()
     for key in preset_keys():
@@ -500,26 +459,10 @@ def test_preset_obj_digests_match_bench_references():
         assert (presets[key]["nt"], presets[key]["ntheta"]) == (preset.nt, preset.ntheta), key
         assert sorted(presets[key]["sha256"]) == ["1", "2"], key
         for mult in (1, 2):
-            buffer = io.BytesIO()
-            export_obj(sample(preset.spec, mult * preset.nt, mult * preset.ntheta), buffer)
-            digest = hashlib.sha256(buffer.getvalue()).hexdigest()
-            assert digest == presets[key]["sha256"][str(mult)], (key, mult)
-
-
-@pytest.mark.parametrize("band_rows", [None, 3], ids=["default-bands", "three-row-bands"])
-def test_streamed_obj_matches_the_references(monkeypatch, band_rows):
-    # obj_writer writes the bytes of export_obj(sample(...)), whose digests
-    # the test above pins, however the rows are cut into bands.
-    presets = _reference_digests()
-    for key in preset_keys():
-        preset = figure_preset(key)
-        for mult in (1, 2):
             ntheta = mult * preset.ntheta
             if band_rows:
                 monkeypatch.setattr(mesh_module, "_BAND_VERTICES", band_rows * ntheta)
-            buffer = io.BytesIO()
-            obj_writer(preset.spec, mult * preset.nt, ntheta)(buffer)
-            digest = hashlib.sha256(buffer.getvalue()).hexdigest()
+            digest = hashlib.sha256(streamed_obj(preset.spec, mult * preset.nt, ntheta)).hexdigest()
             assert digest == presets[key]["sha256"][str(mult)], (key, mult)
 
 
@@ -546,8 +489,8 @@ def test_vertex_text_block_peak_memory():
     # peak, the 32-byte slots and a few arrays of one word each: less than
     # half of the 250 bytes it held with every temporary live at once.
     preset = figure_preset("3b")
-    vertices = sample(preset.spec, 2 * preset.nt, 2 * preset.ntheta).vertices
-    values = vertices[: mesh_module._VERTEX_CHUNK].ravel().copy()
+    grid = mesh_module._Grid(preset.spec, 2 * preset.nt, 2 * preset.ntheta)
+    values = grid.place(np.arange(*grid.bands[0]))[: mesh_module._VERTEX_CHUNK].ravel().copy()
     mesh_module._vertex_lines(values)  # first-use tables stay out of the trace
     tracemalloc.start()
     try:
