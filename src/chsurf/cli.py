@@ -7,7 +7,7 @@ stdout or ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
 an internal consistency check, an unwritable output path, a value too
 large for the floats a sampler, mesh or numeric check uses, or a grid too
 large for memory), 2 usage error.  A stdout closed by its reader is exit 1
-with nothing on stderr.  The mesh commands check every band of the mesh
+with nothing on stderr.  The mesh commands check every vertex of the mesh
 before they open ``--out``, so a sampling failure leaves no file.
 
 Rational options accept ``num/den`` or finite decimal strings, both parsed

@@ -14,13 +14,15 @@ The rows are worked through in bands of consecutive rows (``_Grid``): a
 band's rings are placed, its candidate triangles built, and the sliver
 filter run on its own vertices and the next row's, so no array of the
 whole mesh is needed.  ``obj_writer``, which the ``figure`` and
-``surface-mesh`` commands use, streams the OBJ in passes over the bands:
-it places every band once to check that every vertex is finite and to take
-the largest coordinate, which the sliver floor reads, then places each
-band again to write its ``v`` lines, and again to write its ``f`` lines,
-so what it holds does not grow with ``nt``.  numpy is imported inside the
-functions that use it, and the OBJ writer builds its lookup tables on
-first use, so importing this module (and the CLI) does not load numpy.
+``surface-mesh`` commands use, first checks the mesh without placing any
+band: each ring's vertices at its columns of extreme cosine and sine, and
+each apex, show whether every vertex is finite and give the largest
+coordinate, which the sliver floor reads.  It then streams the OBJ in two
+passes over the bands, placing each band to write its ``v`` lines and
+again to write its ``f`` lines, so what it holds does not grow with
+``nt``.  numpy is imported inside the functions that use it, and the OBJ
+writer builds its lookup tables on first use, so importing this module
+(and the CLI) does not load numpy.
 
 OBJ text is exactly what ``"%.17g"`` and ``"%d"`` print, but computed on
 arrays: the 17 significant digits of a coordinate in fixed notation are an
@@ -55,11 +57,13 @@ def obj_writer(spec: SurfaceSpec, nt: int, ntheta: int) -> Callable[[BinaryIO], 
     ``nt`` rows cover one period of the curve parameter, ``ntheta`` columns
     one turn of each generating circle; both seams are closed by reusing
     the first row or column, never by duplicating vertices.  Every row and
-    every band's vertices are placed and checked before this returns, so a
-    mesh that cannot be written fails here, before any byte is written or
-    an output file is opened: fewer than 8 rows or columns, or a curve on
-    the z axis, is a ``ValueError``, and a row or vertex that is not finite
-    (a coordinate whose square overflows) an ``OverflowError``.
+    every vertex is checked before this returns, without placing a band
+    (see ``_Grid``), so a mesh that cannot be written fails here, before
+    any byte is written or an output file is opened: fewer than 8 rows or
+    columns, or a curve on the z axis, is a ``ValueError``, a row or vertex
+    that is not finite (a coordinate whose square overflows) an
+    ``OverflowError``, and a grid too large for memory numpy's
+    ``ValueError`` or ``MemoryError``.
 
     The returned ``write(sink)`` writes ASCII OBJ with LF endings: one
     ``v %.17g %.17g %.17g`` line per vertex, row by row, then one
@@ -87,7 +91,7 @@ def obj_writer(spec: SurfaceSpec, nt: int, ntheta: int) -> Callable[[BinaryIO], 
 class _Grid:
     """The rows of a sampled surface, and the band routine ``obj_writer`` streams through.
 
-    Pass 0 (the constructor) decides each row on its circle frame
+    The constructor decides each row on its circle frame
     (``surface._circle_frame``): no frame is a hole, a row with no
     vertices; a zero root is an apex, one vertex at the point circle's
     center; any other frame is a ring of ``ntheta`` vertices.
@@ -96,12 +100,19 @@ class _Grid:
     ``starts[i]`` its first vertex and ``frames[i]`` its frame; these numpy
     arrays, about 60 bytes a row, are all that grows with ``nt``.
     ``bands`` cuts the rows into runs of about ``_BAND_VERTICES`` vertices,
-    at least one row each.  Pass 1, also in the constructor, places every
-    band to check that each vertex is finite and to take the largest
-    ``|coordinate|``, which sets the sliver floor
-    ``ZERO_AREA_EPS * scale**2`` with ``scale = max(1, largest)``.
-    ``surface.parametric_point`` works elementwise, so a vertex has the
-    same bits in every band and pass that places it.
+    at least one row each.
+
+    The constructor then checks that every vertex is finite and takes the
+    largest ``|coordinate|``, which sets the sliver floor
+    ``ZERO_AREA_EPS * scale**2`` with ``scale = max(1, largest)``, from
+    the apexes and one ``parametric_point`` call on the rings at four
+    columns: those of largest and smallest cosine and sine.  That is exact:
+    in ``along = (root*cos + |p|^2 - q) * (1/(2*rho^2))``, ``root >= 0``
+    and the factor is positive, and rounding to nearest is monotone, so a
+    ring's x and y are monotone in the cosine and its z in the sine, and
+    its largest ``|coordinate|``, or a coordinate that is not finite, is
+    at one of those columns.  ``surface.parametric_point`` works
+    elementwise, so a vertex has the same bits in every call that places it.
     """
 
     def __init__(self, spec: SurfaceSpec, nt: int, ntheta: int) -> None:
@@ -111,42 +122,51 @@ class _Grid:
             raise ValueError("nt and ntheta must be at least 8")
         self.nt, self.ntheta = nt, ntheta
         self.q = spec.congruence.q_float
-        thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
-        self.cos_t = np.array([math.cos(v) for v in thetas])
-        self.sin_t = np.array([math.sin(v) for v in thetas])
+        # The tables are allocated before they are filled, so numpy refuses a
+        # grid too large to exist before any row or column is computed.
+        # np.empty refuses every such size; np.arange returns an empty array
+        # for sizes near 2**63.
+        self.cos_t, self.sin_t = np.empty(ntheta), np.empty(ntheta)
         self.columns = np.arange(ntheta)
+        thetas = (2.0 * math.pi * self.columns / ntheta).tolist()
+        self.cos_t[:] = [math.cos(v) for v in thetas]
+        self.sin_t[:] = [math.sin(v) for v in thetas]
         self.shifted = np.roll(self.columns, -1)  # column k = j + 1 around the seam
 
         period = spec.curve.parameter_period
-        frames, sizes = [], []
+        self.frames = np.zeros((nt, 6))
+        self.sizes = np.zeros(nt, dtype=np.int64)  # a hole stays all zeros
         for i in range(nt):
             t = period * i / nt
             frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, t))
             if frame is None:
-                frames.append((0.0,) * 6)
-                sizes.append(0)
                 continue
             if not math.isfinite(frame[3]):
                 raise OverflowError(f"the squared norm of the curve point at t={t!r} overflows float64")
-            frames.append(frame)
-            sizes.append(1 if frame[2] == 0.0 else ntheta)
-        if not any(sizes):
+            self.frames[i] = frame
+            self.sizes[i] = 1 if frame[2] == 0.0 else ntheta
+        if not self.sizes.any():
             raise ValueError("every row degenerated: the curve lies on the z axis")
-        self.frames = np.array(frames)
-        self.sizes = np.array(sizes, dtype=np.int64)
         self.starts = np.cumsum(self.sizes) - self.sizes
         self.count = int(self.sizes.sum())
         step = max(1, _BAND_VERTICES // ntheta)
         self.bands = [(first, min(first + step, nt)) for first in range(0, nt, step)]
 
-        peak = 0.0
-        for first, last in self.bands:
-            band_peak = float(np.abs(self.place(np.arange(first, last))).max(initial=0.0))
-            if not math.isfinite(band_peak):
-                raise OverflowError("a mesh vertex is not finite in float64")
-            peak = max(peak, band_peak)
+        # Each ring's largest |coordinate| and any overflow are at these columns.
+        rings = self.frames[self.sizes == ntheta].T[:, :, None]
+        extremes = [self.cos_t.argmax(), self.cos_t.argmin(), self.sin_t.argmax(), self.sin_t.argmin()]
+        corners = np.ravel(parametric_point(rings, self.q, self.cos_t[extremes], self.sin_t[extremes]))
+        peak = float(np.abs(np.concatenate([corners, *self._apexes(self.sizes == 1)])).max(initial=0.0))
+        if not math.isfinite(peak):
+            raise OverflowError("a mesh vertex is not finite in float64")
         scale = max(1.0, peak)
         self.floor = ZERO_AREA_EPS * scale * scale
+
+    def _apexes(self, rows):
+        """The point circles' centers of the apex rows ``rows``, as arrays ``(x, y)``; z is 0."""
+        x, y, _, norm_sq, two_rho_sq, _ = self.frames[rows].T
+        factor = (norm_sq - self.q) / two_rho_sq
+        return x * factor, y * factor
 
     def place(self, index):
         """The vertices of the rows ``index``, in that order, as an ``(N, 3)`` float64 array.
@@ -165,9 +185,7 @@ class _Grid:
         vertices = np.zeros((int(sizes.sum()), 3))
         vertices[np.repeat(full, sizes)] = rings
         apex = sizes == 1
-        x, y, _, norm_sq, two_rho_sq, _ = self.frames[index[apex]].T
-        factor = (norm_sq - self.q) / two_rho_sq
-        vertices[np.repeat(apex, sizes), :2] = np.stack([x * factor, y * factor], axis=-1)
+        vertices[np.repeat(apex, sizes), :2] = np.stack(self._apexes(index[apex]), axis=-1)
         return vertices
 
     def band_faces(self, first: int, last: int):

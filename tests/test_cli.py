@@ -456,7 +456,7 @@ def test_unwritable_output_path_exit_1(tmp_path, argv, option):
     ],
 )
 def test_out_of_memory_exit_1(monkeypatch, tmp_path, argv, failure, message):
-    # The mesher raises as numpy does when a grid does not fit; nothing is allocated.
+    # The mesher raises as numpy does when a grid does not fit, before any output.
     def refuse(spec, nt, ntheta):
         raise failure
 
@@ -464,6 +464,18 @@ def test_out_of_memory_exit_1(monkeypatch, tmp_path, argv, failure, message):
     target = tmp_path / "mesh.obj"
     code, out, err = invoke(*argv, "--nt", "100000", "--ntheta", "1000000", "--out", str(target))
     assert (code, out, err) == (1, "", f"error: not enough memory: {message}\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("size", [2**62, 2**63 - 1, 2**64])
+@pytest.mark.parametrize("option", ["--nt", "--ntheta"])
+def test_grid_too_large_to_exist_exit_1(tmp_path, option, size):
+    # That many rows or columns is more bytes than numpy can address, so the
+    # table of rows or columns is refused before any of it is computed.
+    target = tmp_path / "mesh.obj"
+    code, out, err = invoke("figure", "3b", option, str(size), "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not target.exists()
 
 
@@ -477,24 +489,23 @@ def test_out_of_memory_exit_1(monkeypatch, tmp_path, argv, failure, message):
 )
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_mesh_failure_in_the_last_band_writes_nothing(monkeypatch, tmp_path, argv, to_file):
-    # The last vertex of the last band is made infinite where the rows are
-    # first placed, so the only vertex that is not finite is in the last of
-    # several bands.  Every band is checked before the first byte is
-    # written or --out is opened.
+    # The check evaluates every ring at its columns of extreme cosine and
+    # sine in one call.  The last ring's vertex at the first of them is made
+    # infinite there, so the only vertex that is not finite is in the last of
+    # several bands.  The check fails before the first byte is written or
+    # --out is opened, and it places no band.
     import chsurf.mesh
 
     nt = int(argv[argv.index("--nt") + 1])
     rows_per_band = chsurf.mesh._BAND_VERTICES // 96  # both meshes have 96 columns
-    bands = -(-nt // rows_per_band)
-    assert bands > 1
+    assert -(-nt // rows_per_band) > 1
     real_point = chsurf.mesh.parametric_point
     calls = []
 
     def point(*args):
         x, y, z = real_point(*args)
         calls.append(x.shape)
-        if len(calls) == bands:  # the first pass places the bands in order
-            x[-1, -1] = math.inf
+        x[-1, 0] = math.inf
         return x, y, z
 
     monkeypatch.setattr(chsurf.mesh, "parametric_point", point)
@@ -503,7 +514,7 @@ def test_mesh_failure_in_the_last_band_writes_nothing(monkeypatch, tmp_path, arg
     assert (code, out) == (1, "")
     assert err == "error: a value is too large for floating point: a mesh vertex is not finite in float64\n"
     assert not target.exists()
-    assert len(calls) == bands
+    assert len(calls) == 1 and calls[0][1] == 4  # the rings' four extreme columns
 
 
 # -- start-up: each command imports only its own modules ------------------------

@@ -265,6 +265,55 @@ def test_full_rows_are_placed_by_parametric_point(key):
         assert lines[row.start : row.start + ntheta] == [b"v %.17g %.17g %.17g" % p for p in expected], row
 
 
+def _placed_floor(grid):
+    """The sliver floor from every vertex, placed band by band: the pass the extreme columns replaced."""
+    peak = 0.0
+    for first, last in grid.bands:
+        band_peak = float(np.abs(grid.place(np.arange(first, last))).max(initial=0.0))
+        assert math.isfinite(band_peak)
+        peak = max(peak, band_peak)
+    scale = max(1.0, peak)
+    return ZERO_AREA_EPS * scale * scale
+
+
+@pytest.mark.parametrize("key", preset_keys())
+def test_floor_equals_the_floor_of_every_placed_vertex(key):
+    preset = figure_preset(key)
+    nt, ntheta = preset.nt, preset.ntheta
+    for size in [(nt, ntheta), (2 * nt, 2 * ntheta), (nt + 5, 37), (64, 24)]:
+        grid = mesh_module._Grid(preset.spec, *size)
+        assert grid.floor == _placed_floor(grid), size
+
+
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_SIGNED = st.one_of(st.floats(-10.0, 10.0), _ANY_FLOAT)
+_POSITIVE = st.one_of(st.floats(0.01, 10.0), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+_NONNEGATIVE = st.one_of(st.floats(0.0, 10.0), st.floats(min_value=0.0, allow_infinity=False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.tuples(_SIGNED, _SIGNED, _NONNEGATIVE, _SIGNED, _POSITIVE, _POSITIVE),
+    _SIGNED,
+    st.integers(min_value=8, max_value=300),
+)
+def test_ring_extremes_are_at_the_extreme_columns(frame, q, ntheta):
+    # x and y are monotone in cos(theta), z in sin(theta), after rounding
+    # too, so the columns of extreme cosine and sine hold a ring's largest
+    # |coordinate| and, if there is one, a coordinate that is not finite.
+    thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
+    cos_t = np.array([math.cos(v) for v in thetas])
+    sin_t = np.array([math.sin(v) for v in thetas])
+    extremes = [cos_t.argmax(), cos_t.argmin(), sin_t.argmax(), sin_t.argmin()]
+    with np.errstate(all="ignore"):
+        every = np.abs(parametric_point(frame, q, cos_t, sin_t))
+        chosen = np.abs(parametric_point(frame, q, cos_t[extremes], sin_t[extremes]))
+    finite = np.isfinite(every).all()
+    assert finite == np.isfinite(chosen).all()
+    if finite:
+        assert every.max().tobytes() == chosen.max().tobytes()
+
+
 @pytest.mark.parametrize("h", ["1e8", "1e10"])
 def test_axis_tolerance_does_not_grow_with_the_plane_height(h):
     # r = 1 + cos(t) meets the axis only at its cusp t = pi, row 32 of 64; the
