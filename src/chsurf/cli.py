@@ -4,9 +4,10 @@ Subcommands: curve-props, curve-implicit, curve-sample, surface-classify,
 surface-mesh, figure, verify.  Machine output (JSON / CSV / OBJ) goes to
 stdout or ``--out``; diagnostics go to stderr.  Exit codes: 0 success,
 1 domain error (invalid spec, degenerate geometry, failed verification,
-an internal consistency check, an unwritable output path, a value too
-large for the floats a sampler, mesh or numeric check uses, or a grid too
-large for memory), 2 usage error.  A stdout closed by its reader is exit 1
+an internal consistency check, an unwritable output path, both sidecars
+of ``surface-classify`` on one file, a value too large for the floats a
+sampler, mesh or numeric check uses, or a grid too large for memory),
+2 usage error.  A stdout closed by its reader is exit 1
 with nothing on stderr.  The mesh commands check every vertex of the mesh
 before they open ``--out``, so a sampling failure leaves no file.
 
@@ -231,24 +232,27 @@ def _cmd_curve_sample(args, out) -> int:
 def _cmd_surface_classify(args, out) -> int:
     from .surface import classify, singular_circles, zero_circle_intersections
 
+    circles_csv, waist_csv = args.singular_circles_csv, args.waist_points_csv
+    if circles_csv and waist_csv and os.path.realpath(circles_csv) == os.path.realpath(waist_csv):
+        raise ValueError(f"--singular-circles-csv and --waist-points-csv name one file: {waist_csv}")
     spec = _surface_spec(args)
     result = classify(spec)
     # Both sidecars are computed, then written, before stdout: a float
     # failure or an unwritable sidecar path leaves stdout empty.
     sidecars = []
-    if args.singular_circles_csv:
+    if circles_csv:
         lines = ["meridian_angle,center_offset,radius,multiplicity\n"]
         for key, multiplicity in singular_circles(spec):
             lines.append(
                 f"{key.meridian_angle:.17g},{key.center_offset:.17g},"
                 f"{key.radius:.17g},{multiplicity}\n"
             )
-        sidecars.append((args.singular_circles_csv, lines))
-    if args.waist_points_csv:
+        sidecars.append((circles_csv, lines))
+    if waist_csv:
         lines = ["x,y,z\n"]
         for x, y, z in zero_circle_intersections(spec):
             lines.append(f"{x:.17g},{y:.17g},{z:.17g}\n")
-        sidecars.append((args.waist_points_csv, lines))
+        sidecars.append((waist_csv, lines))
     for path, lines in sidecars:
         with open(path, "w") as handle:
             handle.write("".join(lines))

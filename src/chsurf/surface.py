@@ -8,6 +8,9 @@ the curve's property table and on how the curve sits relative to the axis;
 ``classify`` computes them twice, once from the general count formulas and
 once from the closed-form classification table, and insists the two agree.
 
+A circle is keyed (``circle_key``) and its points are placed
+(``parametric_point``) from the frame of one point on it (``_circle_frame``).
+
 Incidence with the axis is decided exactly over the rationals.  With the
 pole on the axis it is a comparison of the placement with q; off the axis
 the branch count is the degree of a polynomial gcd over Q(i), computed on
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .congruence import CircleKey, CongruenceSpec, circle_through
+from .congruence import CongruenceSpec
 from .curve import (
     CurveSpec,
     Placement,
@@ -111,6 +114,23 @@ class SurfaceClassification:
         return record
 
 
+@dataclass(frozen=True)
+class CircleKey:
+    """Canonical coordinates of one circle of a congruence.
+
+    Every circle of a family lies in a meridian plane (a plane containing
+    the z axis) with its center on the plane z = 0, so three numbers pin it:
+    the meridian direction modulo pi, the signed center offset in that
+    half-plane, and the radius (dependent data, radius^2 = offset^2 + q,
+    carried for convenience).  ``meridian_angle`` lies in [0, pi); flipping
+    the half-plane by pi negates ``center_offset`` and names the same circle.
+    """
+
+    meridian_angle: float
+    center_offset: float
+    radius: float
+
+
 # -- parametric evaluation -------------------------------------------------------
 
 
@@ -142,7 +162,8 @@ def _circle_frame(spec: SurfaceSpec, point: Tuple[float, float, float]) -> Optio
     planar coordinates, ``sqrt(radicand)``, ``|p|^2``, ``2*rho^2`` and
     ``2*rho`` with ``rho`` the point's distance from the z axis.  Returns
     None when ``rho`` is within the spec's ``axis_bound`` of the axis,
-    where the circle is not unique.  ``root == 0.0`` is a point circle.
+    where the circle is not unique.  ``root == 0.0`` marks a point circle;
+    with q >= 0 it is the clamp near the axis (see :func:`generating_circle`).
     """
     x, y, z = point
     rho_sq = x * x + y * y
@@ -166,9 +187,50 @@ def parametric_point(frame: tuple, q: float, cos_theta, sin_theta) -> tuple:
     return (x * along, y * along, root / two_rho * sin_theta)
 
 
+def circle_key(frame: tuple, q: float) -> CircleKey:
+    """The key of the circle of a :func:`_circle_frame`; q is the float q.
+
+    In signed meridian coordinates (u, z) the circle has center (c, 0) with
+    c = (|p|^2 - q) / (2u) and radius sqrt(c^2 + q), which is exactly the
+    distance from (c, 0) to the point p.
+    """
+    x, y, _, norm_sq, _, _ = frame
+    angle = math.atan2(y, x) % math.pi
+    if angle >= math.pi:  # atan2 output of exactly pi wraps to 0
+        angle = 0.0
+    u = x * math.cos(angle) + y * math.sin(angle)
+    offset = (norm_sq - q) / (2.0 * u)
+    return CircleKey(angle, offset, math.sqrt(offset * offset + q))
+
+
+def circle_key_close(k1: CircleKey, k2: CircleKey, tol: float) -> bool:
+    """Whether two keys name the same circle, up to the half-plane flip."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    scale = max(1.0, abs(k1.center_offset), abs(k2.center_offset), k1.radius, k2.radius)
+    if abs(k1.radius - k2.radius) > tol * scale:
+        return False
+    d_angle = abs(k1.meridian_angle - k2.meridian_angle)
+    if d_angle <= tol and abs(k1.center_offset - k2.center_offset) <= tol * scale:
+        return True
+    # Wrap across the 0/pi boundary: the flipped representative negates the offset.
+    return abs(d_angle - math.pi) <= tol and abs(k1.center_offset + k2.center_offset) <= tol * scale
+
+
 def generating_circle(spec: SurfaceSpec, t: float) -> CircleKey:
-    """CircleKey of the generating circle at curve parameter t."""
-    return circle_through(spec.congruence, curve_point(spec.curve, spec.placement, t))
+    """CircleKey of the generating circle at curve parameter t.
+
+    A ``ValueError`` on the z axis, which every circle meets, or on a point
+    circle.  Only q < 0 has point circles off the axis; with q >= 0 a zero
+    root is the radicand's clamp near the axis, and the key stands.
+    """
+    q = spec.congruence.q_float
+    frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, t))
+    if frame is None:
+        raise ValueError(f"the curve meets the z axis at t = {t!r}, so no one circle passes there")
+    if frame[2] == 0.0 and q < 0:
+        raise ValueError(f"the generating circle at t = {t!r} is a point circle")
+    return circle_key(frame, q)
 
 
 # -- incidence with the axis ------------------------------------------------------

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .congruence import circle_key_close, circle_through
 from .curve import (
     CurveSpec,
     absolute_point_multiplicity,
@@ -31,6 +30,8 @@ from .mesh import figure_preset, preset_keys
 from .surface import (
     IncidenceType,
     _circle_frame,
+    circle_key,
+    circle_key_close,
     classify,
     count_row,
     parametric_point,
@@ -302,7 +303,8 @@ def _preset_geometry_checks(key: str) -> List[Check]:
 
     Each sampled curve point comes with its circle frame
     (``surface._circle_frame``), and every circle point is placed from that
-    frame by ``surface.parametric_point``, the formula that makes the mesh.
+    frame by ``surface.parametric_point``, the formula that makes the mesh,
+    and each circle key is read from a frame by ``surface.circle_key``.
     The point's distance ``rho`` from the axis and the meridian center of
     its circle are computed once; the curve angle, the two base-point
     angles (q > 0) and the angle of the origin (q = 0) are taken from them.
@@ -326,12 +328,12 @@ def _preset_geometry_checks(key: str) -> List[Check]:
         theta = math.atan2(z, rho - center)
         got = parametric_point(frame, q, math.cos(theta), math.sin(theta))
         worst_curve = max(worst_curve, math.dist(point, got))
-        row_key = circle_through(spec.congruence, point)
+        row_key = circle_key(frame, q)
         for cos_theta, sin_theta in key_angles:
             on_circle = parametric_point(frame, q, cos_theta, sin_theta)
             if math.hypot(on_circle[0], on_circle[1]) < 1e-5 * scale:
                 continue
-            if not circle_key_close(row_key, circle_through(spec.congruence, on_circle), 1e-7):
+            if not circle_key_close(row_key, circle_key(_circle_frame(spec, on_circle), q), 1e-7):
                 worst_key_ok = False
         if q > 0:
             radius = math.sqrt(center * center + q)

@@ -165,6 +165,19 @@ def test_surface_classify_csv_sidecars(tmp_path):
     assert len(waist_lines) == 4  # three distinct contact points
 
 
+def test_surface_classify_refuses_both_sidecars_on_one_file(tmp_path, monkeypatch):
+    # The second sidecar would replace the first; one file spelled two ways.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, out, err = invoke(
+        "surface-classify", "--n", "3", "--d", "1", "--q=1", "--cx=1",
+        "--singular-circles-csv=s.csv", "--waist-points-csv", str(tmp_path / "sub" / ".." / "s.csv"),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "one file" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sub"]
+
+
 # sha256 over the exit code, stdout, stderr and both CSVs of the 160 queries
 # of the benchmark's surface-classify pool, recorded before the singular-circle
 # scan became one float kernel.  The CSV floats go through the C library's

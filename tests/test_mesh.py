@@ -24,11 +24,12 @@ from axis_reference import axis_meeting_parameters
 from helpers import make_spec, parse_obj, streamed_obj
 from chsurf import cli
 from chsurf import mesh as mesh_module
-from chsurf.congruence import AxisPointError, circle_key_close, circle_through
 from chsurf.curve import CurveSpec, Placement, curve_point
 from chsurf.mesh import ZERO_AREA_EPS, figure_preset, obj_writer, preset_keys
 from chsurf.surface import (
     _circle_frame,
+    circle_key,
+    circle_key_close,
     generating_circle,
     parametric_point,
     radicand,
@@ -109,7 +110,7 @@ def test_vertices_map_back_to_row_circles():
             vertex = vertices[row.start + offset]
             if math.hypot(vertex[0], vertex[1]) < 1e-5:
                 continue
-            recovered = circle_through(spec.congruence, vertex)
+            recovered = circle_key(_circle_frame(spec, vertex), spec.congruence.q_float)
             assert circle_key_close(key, recovered, 1e-7)
 
 
@@ -323,14 +324,9 @@ def test_axis_tolerance_does_not_grow_with_the_plane_height(h):
 
 
 @pytest.mark.parametrize("h", ["0", "1e4", "1e6"])
-def test_circle_through_axis_test_does_not_grow_with_the_plane_height(tmp_path, h):
-    # The singular-circle scan of CH(3,1,0) at pole (1, 0) meets this point, at
-    # distance 1 from the axis; only a point on the axis itself is refused.
-    congruence = make_spec(3, 1, q=1).congruence
-    key = circle_through(congruence, (0.9999999999999999, -8.04e-17, float(h)))
-    assert key.radius > 0
-    with pytest.raises(AxisPointError):
-        circle_through(congruence, (0.0, 0.0, float(h)))
+def test_singular_circles_csv_is_written_at_any_plane_height(tmp_path, h):
+    # The singular-circle scan of CH(3,1,0) at pole (1, 0) keys a circle
+    # through a curve point at distance 1 from the axis, whatever its height.
     target = tmp_path / "circles.csv"
     argv = ["surface-classify", "--n", "3", "--d", "1", "--q", "1", "--cx", "1", "--h", h]
     err = io.BytesIO()

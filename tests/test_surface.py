@@ -14,18 +14,16 @@ from scipy.optimize import minimize
 
 from axis_reference import axis_candidates, axis_meeting_parameters
 from helpers import make_spec
-from chsurf.congruence import (
-    CircleKey,
-    CongruenceSpec,
-    circle_key_close,
-    circle_through,
-)
+from chsurf.congruence import CongruenceSpec
 from chsurf.curve import CurveSpec, Placement, curve_point
 from chsurf.mesh import figure_preset, preset_keys
 from chsurf.surface import (
+    CircleKey,
     IncidenceType,
     SurfaceSpec,
     _circle_frame,
+    circle_key,
+    circle_key_close,
     classification_from_counts,
     classify,
     count_row,
@@ -118,7 +116,8 @@ def test_parametric_circle_consistency():
             point = _surface_point(spec, t, theta)
             if math.hypot(point[0], point[1]) < 1e-3:
                 continue
-            assert circle_key_close(key, circle_through(spec.congruence, point), 1e-9)
+            again = circle_key(_circle_frame(spec, point), spec.congruence.q_float)
+            assert circle_key_close(key, again, 1e-9)
 
 
 # -- incidence -------------------------------------------------------------------
