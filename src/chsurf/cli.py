@@ -169,15 +169,10 @@ def _curve_spec(args) -> CurveSpec:
 
 
 def _surface_spec(args) -> SurfaceSpec:
-    from .congruence import CongruenceSpec
     from .curve import Placement
     from .surface import SurfaceSpec
 
-    return SurfaceSpec(
-        _curve_spec(args),
-        CongruenceSpec(args.q),
-        Placement(args.cx, args.cy, args.h),
-    )
+    return SurfaceSpec(_curve_spec(args), args.q, Placement(args.cx, args.cy, args.h))
 
 
 def _write_to(args, out, render) -> None:

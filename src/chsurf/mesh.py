@@ -41,10 +41,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import BinaryIO, Callable, Dict, List
 
-from .congruence import CongruenceSpec
 from .curve import CurveSpec, Placement, curve_point
 from .surface import SurfaceSpec, _circle_frame, parametric_point
 
@@ -121,7 +119,7 @@ class _Grid:
         if nt < 8 or ntheta < 8:
             raise ValueError("nt and ntheta must be at least 8")
         self.nt, self.ntheta = nt, ntheta
-        self.q = spec.congruence.q_float
+        self.q = spec.q_float
         # The tables are allocated before they are filled, so numpy refuses a
         # grid too large to exist before any row or column is computed.
         # np.empty refuses every such size; np.arange returns an empty array
@@ -554,11 +552,7 @@ class FigurePreset:
 
 
 def _preset(key, n, d, a, q, cx, cy, h, nt, ntheta, description) -> FigurePreset:
-    spec = SurfaceSpec(
-        CurveSpec(n, d, Fraction(a)),
-        CongruenceSpec(Fraction(q)),
-        Placement(Fraction(cx), Fraction(cy), Fraction(h)),
-    )
+    spec = SurfaceSpec(CurveSpec(n, d, a), q, Placement(cx, cy, h))
     return FigurePreset(key, spec, nt, ntheta, description)
 
 

@@ -1,7 +1,7 @@
 """Circular surfaces swept by family circles through a placed curve.
 
-A surface is the union of all circles of a congruence (see
-:mod:`chsurf.congruence`) that meet a cyclic-harmonic curve placed in a
+A surface is the union of all circles of a congruence (the family fixed
+by ``SurfaceSpec.q``) that meet a cyclic-harmonic curve placed in a
 horizontal plane.  Its algebraic invariants (order, multiplicity of the
 absolute conic, of the z axis, and of the two base points) depend only on
 the curve's property table and on how the curve sits relative to the axis;
@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .congruence import CongruenceSpec
 from .curve import (
     CurveSpec,
     Placement,
@@ -43,9 +43,27 @@ DEFAULT_ROOT_GRID = 4096
 
 @dataclass(frozen=True)
 class SurfaceSpec:
+    """A placed curve and the congruence of circles through (0, 0, +-sqrt(q)).
+
+    ``q`` is the squared height of the congruence's two base points on the
+    z axis.  Its sign gives the family: elliptic (q > 0, two real base
+    points), parabolic (q = 0, the points coincide at the origin and every
+    circle is tangent to the z axis there) or hyperbolic (q < 0, the points
+    are imaginary and the real locus of zero-radius circles is the waist
+    x^2 + y^2 = -q in the plane z = 0).
+    """
+
     curve: CurveSpec
-    congruence: CongruenceSpec
+    q: Fraction
     placement: Placement
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", Fraction(self.q))
+
+    @cached_property
+    def q_float(self) -> float:
+        """``float(q)``, converted once per spec."""
+        return float(self.q)
 
     @cached_property
     def plane_extent(self) -> float:
@@ -170,7 +188,7 @@ def _circle_frame(spec: SurfaceSpec, point: Tuple[float, float, float]) -> Optio
     rho = math.sqrt(rho_sq)
     if rho <= spec.axis_bound:
         return None
-    root = math.sqrt(radicand(point, spec.congruence.q_float))
+    root = math.sqrt(radicand(point, spec.q_float))
     return (x, y, root, rho_sq + z * z, 2.0 * rho_sq, 2.0 * rho)
 
 
@@ -224,7 +242,7 @@ def generating_circle(spec: SurfaceSpec, t: float) -> CircleKey:
     circle.  Only q < 0 has point circles off the axis; with q >= 0 a zero
     root is the radicand's clamp near the axis, and the key stands.
     """
-    q = spec.congruence.q_float
+    q = spec.q_float
     frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, t))
     if frame is None:
         raise ValueError(f"the curve meets the z axis at t = {t!r}, so no one circle passes there")
@@ -330,7 +348,7 @@ def incidence_type(spec: SurfaceSpec) -> IncidenceType:
     isolated complex points of the implicit curve are none.
     """
     placement = spec.placement
-    q = spec.congruence.q
+    q = spec.q
     if placement.pole_on_axis:
         return IncidenceType(1) if placement.height**2 == q else IncidenceType(2)
     passages = _axis_passage_count(spec.curve, placement)
@@ -568,7 +586,7 @@ def _center_constants(spec: SurfaceSpec) -> tuple:
     """
     n, d, a, cx, cy = _plane_constants(spec)
     z = spec.placement.pole_float[2]
-    q = spec.congruence.q_float
+    q = spec.q_float
     scale = spec.extent
     try:
         waist_bound = RADICAND_EPS * scale ** 2
@@ -577,8 +595,10 @@ def _center_constants(spec: SurfaceSpec) -> tuple:
     return (n, d, a, cx, cy, z * z, q, spec.axis_bound, waist_bound, scale)
 
 
-def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[float, float]]]:
+def _center_function(constants: tuple) -> Callable[[float], Optional[Tuple[float, float]]]:
     """Center of the generating circle at t, mapped into the unit disk; None when degenerate.
+
+    ``constants`` is :func:`_center_constants` of the spec.
 
     Away from the axis, two parameters share a generating circle exactly
     when their planar centers coincide at a nonzero point, so off-center
@@ -590,7 +610,7 @@ def _center_function(spec: SurfaceSpec) -> Callable[[float], Optional[Tuple[floa
     the same order, so the points are bit-identical to ones built on
     ``curve_point`` (``test_float_once_evaluators_match_curve_point``).
     """
-    n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, _ = _center_constants(spec)
+    n, d, a, cx, cy, z_sq, q, axis_bound, waist_bound, _ = constants
     cos, sin, sqrt, hypot = math.cos, math.sin, math.sqrt, math.hypot
 
     def center(t: float) -> Optional[Tuple[float, float]]:
@@ -731,8 +751,8 @@ def _off_center_coincidences(spec: SurfaceSpec, samples: int) -> List[Tuple[floa
     ``test_surface_query_pool_byte_pin`` pins the CLI's output over the
     benchmark's query pool.
     """
-    center = _center_function(spec)
     constants = _center_constants(spec)
+    center = _center_function(constants)
     scale = constants[-1]
     domain = spec.curve.trace_period
     ts = [domain * i / samples for i in range(samples)]
@@ -805,7 +825,7 @@ def _axis_centered_groups(spec: SurfaceSpec, samples: int) -> List[List[float]]:
     ``trace_period`` where the curve meets the sphere |p|^2 = q, grouped by
     meridian plane.  The plane z = h meets it only if q >= h^2, a test in Q.
     """
-    q, h = spec.congruence.q, spec.placement.height
+    q, h = spec.q, spec.placement.height
     if q <= 0 or q < h * h:
         return []
     z = spec.placement.pole_float[2]
@@ -814,7 +834,7 @@ def _axis_centered_groups(spec: SurfaceSpec, samples: int) -> List[List[float]]:
     planed = []
     for t in roots:
         x, y, _ = curve_point(spec.curve, spec.placement, t)
-        if math.hypot(x, y) <= spec.axis_bound:
+        if math.sqrt(x * x + y * y) <= spec.axis_bound:
             continue
         planed.append((math.atan2(y, x) % math.pi, t))
     groups: List[List[Tuple[float, float]]] = []
@@ -936,9 +956,9 @@ def zero_circle_parameters(spec: SurfaceSpec, grid: int = DEFAULT_ROOT_GRID) -> 
     """
     if grid < 64:
         raise ValueError("grid must be at least 64")
-    if spec.congruence.q >= 0 or spec.placement.height != 0:
+    if spec.q >= 0 or spec.placement.height != 0:
         return []
-    gap = _gap_function(spec, 0.0, spec.congruence.q_float)
+    gap = _gap_function(spec, 0.0, spec.q_float)
     return _periodic_roots(gap, spec.curve.parameter_period, grid)
 
 

@@ -310,7 +310,7 @@ def _preset_geometry_checks(key: str) -> List[Check]:
     angles (q > 0) and the angle of the origin (q = 0) are taken from them.
     """
     spec = figure_preset(key).spec
-    q = spec.congruence.q_float
+    q = spec.q_float
     scale = spec.extent
     count = 64  # sampled parameters per check
     samples = _sample_parameters(spec, count)
@@ -382,7 +382,8 @@ def _preset_geometry_checks(key: str) -> List[Check]:
     for k in range(count):
         t = period * k / count
         point = curve_point(spec.curve, spec.placement, t)
-        if math.hypot(point[0], point[1]) <= spec.axis_bound:
+        x, y, _ = point
+        if math.sqrt(x * x + y * y) <= spec.axis_bound:
             continue  # parametrization undefined on the axis
         value = radicand(point, q)
         if value < 0.0:

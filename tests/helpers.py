@@ -4,7 +4,6 @@ import io
 import math
 from fractions import Fraction
 
-from chsurf.congruence import CongruenceSpec
 from chsurf.curve import CurveSpec, Placement
 from chsurf.mesh import obj_writer
 from chsurf.poly import GaussianRational, MultiPoly
@@ -26,7 +25,7 @@ def make_spec(n, d, a="0", q="0", cx="0", cy="0", h="0"):
     """A placed surface from exact values, given as strings or rationals."""
     return SurfaceSpec(
         CurveSpec(n, d, Fraction(a)),
-        CongruenceSpec(Fraction(q)),
+        Fraction(q),
         Placement(Fraction(cx), Fraction(cy), Fraction(h)),
     )
 

@@ -25,7 +25,7 @@ from chsurf.verify import _sample_parameters
 def key_at(q, point):
     """The key of the circle of the family q through an off-axis point."""
     spec = make_spec(1, 1, q=q)
-    return circle_key(_circle_frame(spec, point), spec.congruence.q_float)
+    return circle_key(_circle_frame(spec, point), spec.q_float)
 
 
 def point_on_circle(key, theta):
@@ -106,13 +106,13 @@ def test_points_of_circle_map_to_same_key(angle, rho, z, q):
     frame = _circle_frame(spec, point)
     if frame[2] == 0.0:
         return  # a point circle on the waist
-    key = circle_key(frame, spec.congruence.q_float)
+    key = circle_key(frame, spec.q_float)
     for theta in [0.3, 1.8, 2.9, 4.4, 5.6]:
         sample = point_on_circle(key, theta)
         u = math.hypot(sample[0], sample[1])
         if u < 1e-3 or key.radius < 1e-3:
             continue  # too close to the axis or the waist to recondition
-        again = circle_key(_circle_frame(spec, sample), spec.congruence.q_float)
+        again = circle_key(_circle_frame(spec, sample), spec.q_float)
         assert circle_key_close(key, again, 1e-9)
 
 
@@ -159,7 +159,7 @@ def _compare_with_reference(spec, points):
     The frame's key is compared on point circles too: ``verify`` keys its
     on-circle points whatever their frame's root.
     """
-    q = spec.congruence.q_float
+    q = spec.q_float
     compared = 0
     for point in points:
         frame = _circle_frame(spec, point)
@@ -176,7 +176,7 @@ def test_circle_key_matches_the_reference_on_the_verify_samples():
     key_angles = [(math.cos(theta), math.sin(theta)) for theta in (0.4, 1.7, 3.1, 4.9)]
     for key in preset_keys():
         spec = figure_preset(key).spec
-        q = spec.congruence.q_float
+        q = spec.q_float
         samples = _sample_parameters(spec, 64)
         on_circles = [parametric_point(frame, q, c, s) for _, frame in samples for c, s in key_angles]
         points = [point for point, _ in samples]

@@ -110,7 +110,7 @@ def test_vertices_map_back_to_row_circles():
             vertex = vertices[row.start + offset]
             if math.hypot(vertex[0], vertex[1]) < 1e-5:
                 continue
-            recovered = circle_key(_circle_frame(spec, vertex), spec.congruence.q_float)
+            recovered = circle_key(_circle_frame(spec, vertex), spec.q_float)
             assert circle_key_close(key, recovered, 1e-7)
 
 
@@ -120,7 +120,7 @@ def _scalar_sample(spec, nt, ntheta):
     thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
     cos_t = [math.cos(v) for v in thetas]
     sin_t = [math.sin(v) for v in thetas]
-    q = float(spec.congruence.q)
+    q = float(spec.q)
     vertices, triangles, rows = [], [], []
     for i in range(nt):
         t = period * i / nt
@@ -255,7 +255,7 @@ def test_full_rows_are_placed_by_parametric_point(key):
     preset = figure_preset(key)
     spec, ntheta = preset.spec, preset.ntheta
     lines = streamed_obj(spec, preset.nt, ntheta).split(b"\n")
-    q = spec.congruence.q_float
+    q = spec.q_float
     thetas = [2.0 * math.pi * j / ntheta for j in range(ntheta)]
     angles = [(math.cos(theta), math.sin(theta)) for theta in thetas]
     rings = [row for row in grid_rows(spec, preset.nt, ntheta) if row.kind == RING]
@@ -577,7 +577,7 @@ def test_preset_registry():
     assert keys[0] == "3a"
     preset = figure_preset("5b")
     assert preset.spec.curve == CurveSpec(9, 2, Fraction(2))
-    assert preset.spec.congruence.q == -1
+    assert preset.spec.q == -1
     assert preset.spec.placement.height == Fraction(1, 2)
     with pytest.raises(ValueError):
         figure_preset("10z")

@@ -14,7 +14,6 @@ from scipy.optimize import minimize
 
 from axis_reference import axis_candidates, axis_meeting_parameters
 from helpers import make_spec
-from chsurf.congruence import CongruenceSpec
 from chsurf.curve import CurveSpec, Placement, curve_point
 from chsurf.mesh import figure_preset, preset_keys
 from chsurf.surface import (
@@ -50,6 +49,21 @@ RATIONALS = st.one_of(
 FLOAT_MAX = Fraction(sys.float_info.max)
 
 
+@pytest.mark.parametrize("q", [1, "-9/4", Fraction(1, 4)])
+def test_surface_spec_stores_q_as_a_fraction(q):
+    spec = SurfaceSpec(CurveSpec(1, 1), q, Placement())
+    assert type(spec.q) is Fraction and spec.q == Fraction(q)
+    assert spec.q_float == float(spec.q)
+
+
+def test_surface_spec_equality_ignores_how_q_was_given():
+    by_int = SurfaceSpec(CurveSpec(3, 1), 1, Placement(1))
+    by_fraction = SurfaceSpec(CurveSpec(3, 1), Fraction(1), Placement(1))
+    assert by_int == by_fraction and hash(by_int) == hash(by_fraction)
+    with pytest.raises(ValueError):
+        SurfaceSpec(CurveSpec(3, 1), "x", Placement(1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=RATIONALS.map(abs), cx=RATIONALS, cy=RATIONALS, h=RATIONALS)
 @example(a=Fraction(0), cx=Fraction(0), cy=Fraction(0), h=Fraction(0))
@@ -62,7 +76,7 @@ def test_extent_is_at_least_one(a, cx, cy, h):
 def _surface_point(spec, t, theta):
     """The surface point at angle theta on the circle through the curve at t."""
     frame = _circle_frame(spec, curve_point(spec.curve, spec.placement, t))
-    return parametric_point(frame, spec.congruence.q_float, math.cos(theta), math.sin(theta))
+    return parametric_point(frame, spec.q_float, math.cos(theta), math.sin(theta))
 
 
 def test_parametric_point_elliptic_reaches_base_point():
@@ -92,7 +106,7 @@ def test_radicand_nonnegative_everywhere():
         spec = make_spec(7, 3, "1/4", q=q, h="1/2")
         for k in range(200):
             t = spec.curve.parameter_period * k / 200
-            assert radicand(curve_point(spec.curve, spec.placement, t), spec.congruence.q_float) >= 0.0
+            assert radicand(curve_point(spec.curve, spec.placement, t), spec.q_float) >= 0.0
 
 
 def test_curve_lies_on_surface():
@@ -102,7 +116,7 @@ def test_curve_lies_on_surface():
         expected = curve_point(spec.curve, spec.placement, t)
         x, y, z = expected
         rho = math.hypot(x, y)
-        center = (rho * rho + z * z - spec.congruence.q_float) / (2.0 * rho)
+        center = (rho * rho + z * z - spec.q_float) / (2.0 * rho)
         got = _surface_point(spec, t, math.atan2(z, rho - center))
         assert got == pytest.approx(expected, abs=1e-10)
 
@@ -116,7 +130,7 @@ def test_parametric_circle_consistency():
             point = _surface_point(spec, t, theta)
             if math.hypot(point[0], point[1]) < 1e-3:
                 continue
-            again = circle_key(_circle_frame(spec, point), spec.congruence.q_float)
+            again = circle_key(_circle_frame(spec, point), spec.q_float)
             assert circle_key_close(key, again, 1e-9)
 
 
@@ -166,7 +180,7 @@ def _float_incidence(spec, tol=1e-9):
     ``tol``, refuses residuals within 1000x ``tol``, and counts the accepted
     parameters modulo the retrace period of odd roses.
     """
-    placement, q = spec.placement, spec.congruence.q
+    placement, q = spec.placement, spec.q
     if placement.pole_on_axis:
         return IncidenceType(1) if placement.height**2 == q else IncidenceType(2)
     curve = spec.curve
@@ -210,7 +224,7 @@ def test_exact_incidence_matches_float_reference_on_presets():
 def test_exact_incidence_matches_float_reference_on_lattice():
     kinds = set()
     for curve, cx, cy in product(LATTICE_CURVES, LATTICE, LATTICE):
-        spec = SurfaceSpec(curve, CongruenceSpec(Fraction(1)), Placement(cx, cy))
+        spec = SurfaceSpec(curve, Fraction(1), Placement(cx, cy))
         got = incidence_type(spec)
         assert got == _float_incidence(spec), (curve, cx, cy)
         kinds.add((got.kind, got.j))
@@ -397,7 +411,7 @@ def _curve_point_center(spec, t):
     rho_sq = x * x + y * y
     if math.sqrt(rho_sq) <= spec.axis_bound:
         return None
-    q = float(spec.congruence.q)
+    q = float(spec.q)
     lam = (rho_sq + z * z - q) / (2.0 * rho_sq)
     if lam * lam * rho_sq + q <= RADICAND_EPS * spec.extent ** 2:
         return None
@@ -555,10 +569,10 @@ CUSPIDATE = SWEEP_SPECS[6]  # the centers' Newton step is most sensitive at its 
 
 
 def test_float_once_evaluators_match_curve_point():
-    from chsurf.surface import _center_function
+    from chsurf.surface import _center_constants, _center_function
 
     for spec in SWEEP_SPECS:
-        center = _center_function(spec)
+        center = _center_function(_center_constants(spec))
         period = spec.curve.parameter_period
         for i in range(-300, 601):
             t = period * i / 300 + 1e-3
@@ -566,7 +580,7 @@ def test_float_once_evaluators_match_curve_point():
 
 
 def _sphere_gap_reference(spec):
-    q = float(spec.congruence.q)
+    q = float(spec.q)
 
     def gap(t):
         x, y, z = curve_point(spec.curve, spec.placement, t)
@@ -576,7 +590,7 @@ def _sphere_gap_reference(spec):
 
 
 def _waist_gap_reference(spec):
-    q = float(spec.congruence.q)
+    q = float(spec.q)
 
     def gap(t):
         x, y, _ = curve_point(spec.curve, spec.placement, t)
@@ -589,7 +603,7 @@ def test_root_finders_match_curve_point_reference(monkeypatch):
     from chsurf import surface
 
     for spec in SWEEP_SPECS:
-        q, z = float(spec.congruence.q), float(spec.placement.height)
+        q, z = float(spec.q), float(spec.placement.height)
         sphere = surface._gap_function(spec, z * z, -q)
         waist = surface._gap_function(spec, 0.0, q)
         period = spec.curve.parameter_period
@@ -948,7 +962,7 @@ def _assert_images_agree(**base):
     """
     spec, images = _exact_images(**base)
     expected = classify(spec).to_dict()
-    waist = spec.congruence.q < 0 and spec.placement.height == 0
+    waist = spec.q < 0 and spec.placement.height == 0
     count = len(zero_circle_intersections(spec)) if waist else None
     for image in images:
         assert classify(image).to_dict() == expected, (base, image)

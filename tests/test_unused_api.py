@@ -3,9 +3,11 @@
 A name counts as used when some code in ``src/chsurf`` outside its own
 body refers to it: as a name, an attribute or an imported name.  Tests and
 the benchmark do not count, so a route that only they run shows up here.
+The last test imports each chsurf module the benchmark's worker imports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "chsurf"
@@ -54,3 +56,21 @@ def test_every_module_level_definition_has_a_caller():
     assert [entry for entry in unused if entry not in EXEMPT] == []
     # An exemption whose name got a caller, or is gone, is dropped.
     assert sorted(EXEMPT) == [entry for entry in unused if entry in EXEMPT]
+
+
+def test_the_benchmark_imports_resolve():
+    # A module kept only for the benchmark has no other test, so deleting it
+    # early would break only the benchmark run.
+    worker = SOURCES.parents[1] / "bench" / "worker.py"
+    imported = sorted(
+        {
+            alias.name
+            for node in ast.walk(ast.parse(worker.read_text(), str(worker)))
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name.split(".")[0] == "chsurf"
+        }
+    )
+    assert "chsurf" in imported
+    for name in imported:
+        importlib.import_module(name)

@@ -68,8 +68,8 @@ def test_geometry_rows_fail_on_a_shifted_surface(monkeypatch):
     for key in preset_keys():
         assert f"{key} curve on surface" in geometry
         spec = figure_preset(key).spec
-        assert (f"{key} passes base points" in geometry) == (spec.congruence.q > 0)
-        assert (f"{key} tangent at origin" in geometry) == (spec.congruence.q == 0)
+        assert (f"{key} passes base points" in geometry) == (spec.q > 0)
+        assert (f"{key} tangent at origin" in geometry) == (spec.q == 0)
     for check in report.checks:
         if check.name.endswith(("curve on surface", "passes base points", "tangent at origin")):
             assert check.measured.startswith("max gap=1.000e-06"), check
