@@ -146,6 +146,34 @@ def curve_point(
     return (cx + r * math.cos(phi), cy + r * math.sin(phi), z)
 
 
+def _gaussian_power(re: int, im: int, k: int) -> Tuple[int, int]:
+    """(re + i im)^k on ints, by repeated squaring."""
+    out_re, out_im = 1, 0
+    while k:
+        if k & 1:
+            out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
+        re, im = re * re - im * im, 2 * re * im
+        k >>= 1
+    return out_re, out_im
+
+
+def rational_point(spec: CurveSpec, u: int, v: int) -> Tuple[int, int, int]:
+    """Integers (X, Y, Z): the curve point at tan(theta/2) = u/v is (X/Z, Y/Z) from the pole.
+
+    With theta = phi/d, q = u^2 + v^2 and w_k = (v + iu)^(2k), cos k*theta
+    and sin k*theta are Re w_k / q^k and Im w_k / q^k.  With a = p/m the
+    radius is rho / (m q^n), rho = m Re w_n + p q^n, so X = rho Re w_d,
+    Y = rho Im w_d and Z = m q^(n+d).  The point is the pole exactly when
+    rho = 0, that is when cos n*theta = -a.
+    """
+    n, d, p, m = spec.n, spec.d, spec.a.numerator, spec.a.denominator
+    q = u * u + v * v
+    half = (v * v - u * u, 2 * u * v)  # w_1 = (v + iu)^2
+    rho = m * _gaussian_power(*half, n)[0] + p * q**n
+    re_d, im_d = _gaussian_power(*half, d)
+    return rho * re_d, rho * im_d, m * q ** (n + d)
+
+
 def _branch_below(spec: CurveSpec) -> bool:
     """True when the d < n table branch applies (n = d = 1 included).
 

@@ -10,10 +10,10 @@ are fixed; ``primitive`` calls it too.  The constructor validates nothing:
 ``lowest_form`` and the projective form of ``curve.homogeneous_implicit``
 only filter or re-key terms that ``_primitive_of_ints`` built, and wrap
 them as they are.  A coefficient is stored as a :class:`GaussianRational`
-record whose ``im`` is always 0: the record stays because the JSON form
-carries a real and an imaginary part, and the benchmark's tracer reads
-both.  Exponent vectors are dense tuples (arity here is 2 or 3) and term
-maps are sparse.
+record whose ``im`` is always 0: the record stays because the benchmark's
+tracer reads both parts; the JSON form writes every ``im`` as the constant
+``"0/1"``.  Exponent vectors are dense tuples (arity here is 2 or 3) and
+term maps are sparse.
 
 Values are immutable after construction, so instances can be shared freely
 across threads.
@@ -32,9 +32,9 @@ class GaussianRational(NamedTuple):
     """A coefficient: an integer real part, and an imaginary part that is always 0.
 
     Every equation the program builds has real integer coefficients.  The
-    record keeps the ``re``/``im`` shape of the JSON form and of the
-    benchmark's tracer, and has no arithmetic.  A non-empty tuple is always
-    truthy, so test for zero on ``re``.
+    record keeps the ``re``/``im`` shape that the benchmark's tracer reads,
+    and has no arithmetic.  A non-empty tuple is always truthy, so test for
+    zero on ``re``.
     """
 
     re: int
@@ -126,7 +126,7 @@ class MultiPoly:
         return {
             "vars": list(self.variables),
             "terms": [
-                {"exp": list(exps), "re": f"{c.re}/1", "im": f"{c.im}/1"}
+                {"exp": list(exps), "re": f"{c.re}/1", "im": "0/1"}
                 for exps, c in self.sorted_terms()
             ],
         }

@@ -3,9 +3,10 @@
 Each suite re-derives a tabulated property of the construction and reports
 one named check per case: symbolic degree and multiplicity checks for the
 curve table, the dual-path agreement for the surface classification table,
-sampled residuals of the implicit equations, and the geometric invariants
-of the figure presets.  Every check is deterministic, and the suites run
-in one process, in grid order, so they share the cached implicit equations.
+exact residuals of the implicit equations at integer points of the curves,
+and the geometric invariants of the figure presets.  Every check is
+deterministic, and the suites run in one process, in grid order, so they
+share the cached implicit equations.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .curve import (
     CurveSpec,
@@ -24,9 +25,11 @@ from .curve import (
     implicit_equation,
     origin_cone_constant,
     origin_cone_constant_closed,
+    rational_point,
     tangent_cone,
 )
 from .mesh import figure_preset, preset_keys
+from .poly import MultiPoly
 from .surface import (
     IncidenceType,
     _circle_frame,
@@ -190,71 +193,71 @@ def run_table2() -> Report:
     return report
 
 
-# -- residual: sampled points satisfy the implicit equation ---------------------------
+# -- residual: exact points satisfy the implicit equation ----------------------------
+
+# Half-angle parameters u/v = tan(theta/2) of the residual points, both with
+# u^2 + v^2 = 5.  For k >= 1 the real and imaginary parts of (v + iu)^(2k)
+# are prime to 5, as 2 + i and 2 - i are coprime Gaussian primes.  So X or Y
+# is 0 only at the pole, where cos n*theta = -a, a fraction of denominator
+# 5^n that no grid offset is.  Off the pole no coordinate is 0, and a change
+# to any one coefficient changes G.
+RESIDUAL_PARAMETERS = ((1, 2), (2, 1))
+
+
+def _homogeneous_value(implicit: MultiPoly, x: int, y: int, z: int) -> int:
+    """G(x, y, z) = sum c_ij x^i y^j z^(D-i-j) of the equation of degree D, exactly.
+
+    Horner's rule in x, with the powers of z, for each power of y, and then
+    Horner's rule in y over those values.  Every term is evaluated, odd y
+    exponents included.
+    """
+    degree = implicit.total_degree
+    rows = [[0] * (degree + 1 - j) for j in range(degree + 1)]  # rows[j][i] = c_ij
+    for (i, j), coeff in implicit.terms.items():
+        rows[j][i] = coeff.re  # the equation is real
+    z_powers = [1]
+    for _ in range(degree):
+        z_powers.append(z_powers[-1] * z)
+    value = 0
+    for row in reversed(rows):
+        row_value = 0
+        for coeff, z_power in zip(reversed(row), z_powers):
+            row_value *= x
+            if coeff:
+                row_value += coeff * z_power
+        value = value * y + row_value
+    return value
+
+
+def _nonzero_parameters(spec: CurveSpec) -> Iterator[Tuple[int, int]]:
+    """The residual parameters, in order, at whose point G is not 0."""
+    implicit = implicit_equation(spec)
+    for u, v in RESIDUAL_PARAMETERS:
+        if _homogeneous_value(implicit, *rational_point(spec, u, v)):
+            yield u, v
 
 
 def max_scaled_residual(spec: CurveSpec) -> float:
-    """Largest |P(point)| over 256 polar samples, scaled by the coefficient size.
+    """0.0 when the homogenized equation vanishes exactly at every residual point, else 1.0.
 
-    The coefficients of the (real) implicit equation fill a dense float table
-    ``C[ex, ey]`` with a column for every y exponent up to the degree, and
-    ``P`` is evaluated at all samples at once by Horner's rule: in y for
-    every x power, then in x.  Only the triangle ``ex + ey <= degree`` holds
-    terms, so the y step for ``ey`` runs on the rows ``ex <= degree - ey``;
-    every other row still holds the exact zero that the full rectangle
-    would leave there.  Every multiply runs, but a column ``ey`` or a row
-    ``ex`` with no term adds nothing, so its addition is skipped; the
-    equation is even in y, so that is every odd ``ey``.  Adding an exact
-    zero changes at most the sign of a zero, so the result has the same bits
-    as the full rectangle.  Each sample's value is divided by the largest
-    coefficient times ``max(1, |r|)^degree``.
-
-    Raises ``OverflowError`` when a coefficient, a sample or the value does
-    not fit a float64, so no residual can be computed.
+    Each parameter u/v of ``RESIDUAL_PARAMETERS`` gives the integer point
+    (X, Y, Z) of ``curve.rational_point``, and G(X, Y, Z) is evaluated on
+    ints by ``_homogeneous_value``, so no float and no tolerance enter, and
+    any rational spec can be checked.  The value is not a size: any
+    nonzero G gives 1.0, which is above every float bound of 1e-9.
     """
-    import numpy as np  # only this suite needs it; the other commands start faster without
+    return 1.0 if next(_nonzero_parameters(spec), None) else 0.0
 
-    implicit = implicit_equation(spec)
-    degree = implicit.total_degree
-    table = np.zeros((degree + 1, degree + 1))
-    x_exponents, y_exponents = set(), set()
-    for (ex, ey), coeff in implicit.terms.items():
-        table[ex, ey] = coeff.re  # the equation is real
-        x_exponents.add(ex)
-        y_exponents.add(ey)
-    coeff_scale = np.max(np.abs(table))
 
-    samples = 256
-    phis = np.arange(samples) * (spec.parameter_period / samples)
-    radii = np.cos(spec.n * phis / spec.d) + spec.a_float
-    xs = radii * np.cos(phis)
-    ys = radii * np.sin(phis)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = np.zeros((degree + 1, samples))
-        for ey in range(degree, -1, -1):
-            rows = inner[: degree + 1 - ey]  # a view: rows ex <= degree - ey
-            rows *= ys
-            if ey in y_exponents:
-                rows += table[: degree + 1 - ey, ey, None]
-        values = np.zeros(samples)
-        for ex in range(degree, -1, -1):
-            values *= xs
-            if ex in x_exponents:
-                values += inner[ex]
-        scales = coeff_scale * np.maximum(1.0, np.abs(radii)) ** degree
-        worst = float(np.max(np.abs(values) / scales))
-    if not math.isfinite(worst):
-        raise OverflowError("a power of a sample overflows float64")
-    return worst
+_PARAMETER_TEXT = "u/v=" + " and ".join(f"{u}/{v}" for u, v in RESIDUAL_PARAMETERS)
 
 
 def _residual_case(spec: CurveSpec) -> List[Check]:
     name = f"{_spec_label(spec)} residual"
-    try:
-        worst = max_scaled_residual(spec)
-    except OverflowError as failure:
-        return [Check(name, False, f"cannot be computed in float64: {failure}")]
-    return [Check(name, worst <= 1e-9, f"max={worst:.3e} bound=1e-09")]
+    if max_scaled_residual(spec) == 0.0:
+        return [Check(name, True, f"G=0 exactly at {_PARAMETER_TEXT}")]
+    u, v = next(_nonzero_parameters(spec))
+    return [Check(name, False, f"G!=0 at u/v={u}/{v}")]
 
 
 def run_residual() -> Report:

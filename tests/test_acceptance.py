@@ -88,7 +88,7 @@ def test_criterion_3_absolute_suite(suites):
 
 def test_criterion_4_residual_suite(suites):
     checks = _named(suites[0]["residual"], " residual")
-    _report_checks(4, "polar residuals", checks, _one_per_spec(checks, " residual"))
+    _report_checks(4, "exact residuals", checks, _one_per_spec(checks, " residual"))
 
 
 def test_criterion_5_cone_constant(suites):

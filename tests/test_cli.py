@@ -602,16 +602,29 @@ def test_figure_list_does_not_load_numpy():
 
 
 def test_serial_verify_loads_no_process_pool():
-    code, modules = loaded_by_command("verify", "table2")
-    assert code == 0
-    assert not modules & {"numpy", "concurrent", "concurrent.futures"}
-    code, modules = loaded_by_command("verify", "residual")
-    assert code == 0
-    assert "numpy" in modules
-    assert not modules & {"concurrent", "concurrent.futures"}
-    code, modules = loaded_by_command("verify", "all")
-    assert code == 0
-    assert not modules & {"concurrent", "concurrent.futures"}
+    # The residual is exact on ints, so no verify suite loads numpy.
+    for suite in ("table2", "residual", "all"):
+        code, modules = loaded_by_command("verify", suite)
+        assert code == 0
+        assert not modules & {"numpy", "concurrent", "concurrent.futures"}, suite
+
+
+def test_verify_all_runs_without_numpy():
+    # A None entry in sys.modules makes every import of numpy fail.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import runpy, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.argv = ['chsurf', 'verify', 'all']\n"
+        "runpy.run_module('chsurf', run_name='__main__')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    assert "FAIL" not in result.stdout
+    assert result.stdout.count(" residual  [G=0 exactly at u/v=1/2 and 2/1]") == len(grid_specs())
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,11 @@ def _scale_by_million(terms):
         terms[e] *= 10**6
 
 
+def _negate(terms):
+    for e in terms:
+        terms[e] = -terms[e]
+
+
 def _perturb_largest_coefficient(terms):
     # Relative 1e-6 on one coefficient, exact in integers after scaling all by 10^6.
     largest = max(terms, key=lambda e: (abs(terms[e]), e))
@@ -118,53 +124,99 @@ def _add_odd_y_term(terms):
     terms[(degree - 1, 1)] = max(terms.values(), key=abs)
 
 
+def _add_one_to_a_coefficient(terms):
+    terms[min(terms)] += 1
+
+
+def _implicit_terms(spec):
+    return {e: c.re for e, c in curve.implicit_equation(spec).terms.items()}
+
+
+def _residual_row(monkeypatch, spec, terms):
+    monkeypatch.setattr(verify, "implicit_equation", lambda s: make_poly(("x", "y"), terms))
+    [check] = verify._residual_case(spec)
+    return check
+
+
 @pytest.mark.parametrize(
     "edit,passed",
     [
         (_scale_by_million, True),
         (_perturb_largest_coefficient, False),
         (_add_odd_y_term, False),
+        (_add_one_to_a_coefficient, False),
     ],
 )
 def test_residual_detects_a_wrong_equation(monkeypatch, edit, passed):
     spec = curve.CurveSpec(3, 1, Fraction(1, 2))
-    terms = {e: c.re for e, c in curve.implicit_equation(spec).terms.items()}
+    terms = _implicit_terms(spec)
     edit(terms)
-    monkeypatch.setattr(verify, "implicit_equation", lambda s: make_poly(("x", "y"), terms))
-    [check] = verify._residual_case(spec)
+    check = _residual_row(monkeypatch, spec, terms)
     assert check.name == "CH(3,1,1/2) residual"
     assert check.passed is passed, check.measured
+    assert check.measured == ("G=0 exactly at u/v=1/2 and 2/1" if passed else "G!=0 at u/v=1/2")
 
 
-@pytest.mark.parametrize(
-    "a,reason",
-    [
-        ("1e400", "int too large to convert to float"),
-        ("1e100", "a power of a sample overflows float64"),
-    ],
-    ids=["1e400", "1e100"],
-)
-def test_residual_past_float_range_is_a_fail_row(a, reason):
-    # The grid fits float64, but max_scaled_residual takes any spec; a value
-    # past the float range is a FAIL row, not an aborted suite.
+@pytest.mark.parametrize("a", ["1e100", "1e400"])
+def test_residual_past_float_range_is_exact(monkeypatch, a):
+    # Past the float range the residual is still exact: the true equation
+    # passes and one coefficient off by one fails.
     spec = curve.CurveSpec(1, 1, Fraction(a))
     assert verify._residual_case(spec) == [
-        verify.Check(f"CH(1,1,{spec.a}) residual", False, f"cannot be computed in float64: {reason}")
+        verify.Check(f"CH(1,1,{spec.a}) residual", True, "G=0 exactly at u/v=1/2 and 2/1")
     ]
+    terms = _implicit_terms(spec)
+    _add_one_to_a_coefficient(terms)
+    assert not _residual_row(monkeypatch, spec, terms).passed
 
 
-def _residual_full_rectangle(spec, samples=256):
-    """The residual with Horner's rule on the full rectangle ``C``.
+def test_rational_point_matches_the_float_sampler():
+    # Every coordinate is nonzero, so no residual point is the pole, and a
+    # change to any one coefficient changes G by a nonzero amount.
+    for spec in grid_specs() + OFF_GRID_SPECS:
+        extent = 1.0 + spec.a_float
+        for u, v in verify.RESIDUAL_PARAMETERS:
+            x, y, z = curve.rational_point(spec, u, v)
+            assert x != 0 and y != 0 and z != 0, (spec, u, v)
+            px, py, _ = curve.curve_point(spec, curve.Placement(), 2 * spec.d * math.atan(u / v))
+            assert abs(x / z - px) <= 1e-12 * extent, (spec, u, v)
+            assert abs(y / z - py) <= 1e-12 * extent, (spec, u, v)
 
-    The program skips the rows ``ex > degree - ey`` in the y step, and the
-    additions of columns and rows that hold no term; this runs every step,
-    so both must give the same value.
+
+def _plain_sum(terms, x, y, z):
+    degree = max(map(sum, terms))
+    return sum(c * x**i * y**j * z ** (degree - i - j) for (i, j), c in terms.items())
+
+
+def test_residual_horner_matches_the_plain_sum():
+    specs = grid_specs() + OFF_GRID_SPECS
+    edits = (None, _add_one_to_a_coefficient, _add_odd_y_term, _perturb_largest_coefficient)
+    for spec in specs:
+        for edit in edits:
+            terms = _implicit_terms(spec)
+            if edit:
+                edit(terms)
+            poly = make_poly(("x", "y"), terms)
+            for u, v in verify.RESIDUAL_PARAMETERS:
+                point = curve.rational_point(spec, u, v)
+                value = verify._homogeneous_value(poly, *point)
+                assert value == _plain_sum(terms, *point), (spec, edit, u, v)
+                assert (value == 0) == (edit is None), (spec, edit, u, v)
+
+
+def _residual_full_rectangle(spec, terms, samples=256):
+    """The float residual that ``verify residual`` ran before its rows were exact.
+
+    The largest ``|P|`` over ``samples`` polar samples of the curve, with
+    ``P`` the polynomial of the int term map ``terms``, evaluated by
+    Horner's rule on the full rectangle of exponents and scaled by the
+    largest coefficient times ``max(1, |r|)^degree``.  Kept as the float
+    reference of the mutation study; a value above 1e-9 is a FAIL.
     """
-    implicit = curve.implicit_equation(spec)
-    degree = implicit.total_degree
+    degree = max(map(sum, terms))
     table = np.zeros((degree + 1, degree + 1))
-    for (ex, ey), coeff in implicit.terms.items():
-        table[ex, ey] = coeff.re
+    for (ex, ey), coeff in terms.items():
+        table[ex, ey] = coeff
     coeff_scale = np.max(np.abs(table))
     phis = np.arange(samples) * (spec.parameter_period / samples)
     radii = np.cos(spec.n * phis / spec.d) + spec.a_float
@@ -186,10 +238,47 @@ def _residual_full_rectangle(spec, samples=256):
     return worst
 
 
-def test_residual_triangle_matches_full_rectangle():
+def _mutants(terms, rng):
+    """(class, mutated term map) for the mutation classes of one equation."""
+
+    def edited(edit):
+        copy = dict(terms)
+        edit(copy)
+        return copy
+
+    key = rng.choice(sorted(terms))
+    dropped = rng.choice(sorted(terms))
+    yield "coefficient +1", edited(lambda t: t.__setitem__(key, t[key] + 1))
+    yield "coefficient -1", edited(lambda t: t.__setitem__(key, t[key] - 1))
+    yield "largest x (1 + 1e-6)", edited(_perturb_largest_coefficient)
+    yield "odd y term added", edited(_add_odd_y_term)
+    yield "one term dropped", edited(lambda t: t.pop(dropped))
+    yield "equation x 10^6", edited(_scale_by_million)
+    yield "equation x -1", edited(_negate)
+
+
+FAITHFUL = ("equation x 10^6", "equation x -1")
+
+
+def test_exact_residual_catches_every_mutation_the_float_residual_catches(monkeypatch):
+    # The mutation study behind dropping the float row: over the grid and the
+    # off-grid specs, every mutated equation that the float residual flags
+    # fails the exact row, and the rescaled equations pass both.  One
+    # coefficient per spec is sampled for the +1 and -1 classes.
+    rng = random.Random(36)
+    counts = {}
     for spec in grid_specs() + OFF_GRID_SPECS:
-        assert max_scaled_residual(spec) == _residual_full_rectangle(spec), spec
-    huge = curve.CurveSpec(1, 1, Fraction("1e100"))
-    for residual in (max_scaled_residual, _residual_full_rectangle):
-        with pytest.raises(OverflowError):
-            residual(huge)
+        for name, terms in _mutants(_implicit_terms(spec), rng):
+            poly = make_poly(("x", "y"), terms)
+            monkeypatch.setattr(verify, "implicit_equation", lambda s: poly)
+            flagged = _residual_full_rectangle(spec, terms) > 1e-9
+            exact_fails = max_scaled_residual(spec) > 1e-9
+            assert exact_fails or not flagged, (name, spec)
+            assert exact_fails is (name not in FAITHFUL), (name, spec)
+            seen = counts.setdefault(name, [0, 0, 0])
+            seen[0] += 1
+            seen[1] += flagged
+            seen[2] += exact_fails
+    for name, (total, flagged, failed) in counts.items():
+        print(f"{name}: {total} mutants, float FAIL {flagged}, exact FAIL {failed}")
+    assert all(flagged == 0 for name, (_, flagged, _) in counts.items() if name in FAITHFUL)
