@@ -470,18 +470,19 @@ def classify(spec: SurfaceSpec) -> SurfaceClassification:
 def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> List[float]:
     """Zeros of a smooth periodic function on [0, period).
 
-    Sign changes are refined by bisection; near-zero local minima of |f| are
-    refined by golden-section search, which catches tangential (even-order)
-    contacts that never change sign.  A grid value that is not finite is an
-    ``OverflowError``.
+    One pass over the grid reads each value with its two neighbours, which
+    wrap around the seam at ``period``.  An exact zero is a root; a sign
+    change with the following value is refined by bisection; a near-zero
+    local minimum of |f| is refined by golden-section search, which catches
+    tangential (even-order) contacts that never change sign.  A grid value
+    that is not finite is an ``OverflowError``.
     """
     ts = [period * i / grid for i in range(grid)]
     vals = list(map(f, ts))
     if not all(map(math.isfinite, vals)):
         # An overflowed grid makes every point look like a root.
         raise OverflowError("a sampled value of the gap is not finite in float64")
-    sizes = list(map(abs, vals))
-    scale = max(1.0, max(sizes))
+    scale = max(1.0, max(map(abs, vals)))
     step = period / grid
 
     def bisect(lo: float, hi: float, flo: float) -> float:
@@ -516,21 +517,19 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
         return 0.5 * (a + b)
 
     roots: List[float] = []
-    for i in range(grid):
-        k = (i + 1) % grid
-        if vals[i] == 0.0:
-            roots.append(ts[i])
-        elif vals[i] * vals[k] < 0.0:
-            roots.append(bisect(ts[i], ts[i] + step, vals[i]))
-    for i in range(grid):
-        here = sizes[i]
+    previous = vals[-1:] + vals[:-1]
+    following = vals[1:] + vals[:1]
+    for t, before, here, after in zip(ts, previous, vals, following):
         if here == 0.0:
+            roots.append(t)
             continue
-        if here <= sizes[i - 1] and here <= sizes[(i + 1) % grid]:
-            if here <= 1e-3 * scale:
-                candidate = golden_min(ts[i] - step, ts[i] + step) % period
-                if abs(f(candidate)) <= ROOT_EPS * scale:
-                    roots.append(candidate)
+        if here * after < 0.0:
+            roots.append(bisect(t, t + step, here))
+        size = abs(here)
+        if size <= 1e-3 * scale and size <= abs(before) and size <= abs(after):
+            candidate = golden_min(t - step, t + step) % period
+            if abs(f(candidate)) <= ROOT_EPS * scale:
+                roots.append(candidate)
     roots.sort()
     deduped: List[float] = []
     for value in roots:

@@ -836,6 +836,22 @@ def test_no_axis_centered_circle_when_the_plane_misses_the_sphere():
     assert not any(abs(key.radius - 0.5) < 1e-6 for key, _ in singular_circles(spec))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="q = h^2: the plane z = h touches the sphere |p|^2 = q only at the axis, "
+    "yet the float scan groups four passages (ROADMAP item 20)",
+)
+def test_no_axis_centered_circle_when_the_plane_touches_the_sphere():
+    # With q = h^2 the sphere meets the plane z = h in the single point on
+    # the axis, so no axis-centered circle exists; the kernel returns one
+    # four-passage group at t = 3pi, 6pi, 12pi, 15pi and a circle of offset 0
+    # and radius 1/2.
+    from chsurf import surface
+
+    spec = make_spec(2, 9, "1/2", q="1/4", h="-1/2")
+    assert surface._axis_centered_groups(spec, 512) == []
+
+
 def test_singular_circles_trident_case():
     # CH(3,2,1/2) with the pole at (1/2, 0): one triple point sits on the
     # axis (excluded, no circle there), its two rotated mates at distance
@@ -878,6 +894,44 @@ def test_singular_circles_symmetric_sphere_pairs():
         assert key.radius == pytest.approx(2.0, abs=1e-9)
     angles = sorted(key.meridian_angle for key, _ in results)
     assert angles == pytest.approx([math.pi / 4, 3 * math.pi / 4])
+
+
+# -- periodic roots ----------------------------------------------------------------
+
+
+_EPSILON = 4e-7  # 2 * _EPSILON < PARAM_DEDUP
+
+
+@pytest.mark.parametrize(
+    "f,expected,tol",
+    [
+        (lambda t: 1.0 - math.cos(t), [0.0], 0.0),
+        (lambda t: 1.0 - math.cos(t + math.pi / 64), [2 * math.pi - math.pi / 64], 1e-6),
+        (lambda t: math.sin(t + 0.01), [math.pi - 0.01, 2 * math.pi - 0.01], 1e-9),
+        (lambda t: math.cos(t) - math.cos(_EPSILON), [_EPSILON], 1e-8),
+    ],
+    ids=[
+        "tangential-zero-on-the-seam",
+        "tangential-zero-half-a-step-before-the-seam",
+        "sign-change-across-the-seam",
+        "close-pair-across-the-seam-kept-once",
+    ],
+)
+def test_periodic_roots_at_the_seam(f, expected, tol):
+    from chsurf.surface import PARAM_DEDUP, _periodic_roots
+
+    assert 2 * _EPSILON < PARAM_DEDUP
+    assert _periodic_roots(f, 2 * math.pi, 64) == pytest.approx(expected, abs=tol)
+
+
+def test_periodic_roots_exact_zero_on_a_grid_point():
+    from chsurf.surface import _periodic_roots
+
+    period = 2 * math.pi
+    zero = period * 16 / 64
+    roots = _periodic_roots(lambda t: math.sin(t - zero), period, 64)
+    assert roots[0] == zero
+    assert roots == pytest.approx([zero, zero + math.pi], abs=1e-9)
 
 
 # -- waist-circle intersections ----------------------------------------------------

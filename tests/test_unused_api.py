@@ -1,13 +1,17 @@
 """Every module-level function and class of ``chsurf`` has a caller in ``chsurf``.
 
 A name counts as used when some code in ``src/chsurf`` outside its own
-body refers to it: as a name, an attribute or an imported name.  Tests and
-the benchmark do not count, so a route that only they run shows up here.
-The last test imports each chsurf module the benchmark's worker imports.
+body refers to it: as a name, an attribute or an imported name.  A class
+member (a method, a property or a field) counts as used when such code
+refers to it as an attribute or a keyword argument; dunder methods are
+called by Python and are not checked.  Tests and the benchmark do not
+count, so a route that only they run shows up here.  The last test imports
+each chsurf module the benchmark's worker imports.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "chsurf"
@@ -18,6 +22,15 @@ EXEMPT = {
     ("curve", "verified_absolute_multiplicity"): (
         "called only by bench/cases.py; ROADMAP item 9 deletes it"
     ),
+    ("verify", "max_scaled_residual"): (
+        "called only by bench/cases.py, whose tracer names its span; the verify "
+        "residual row reads the first nonzero parameter itself"
+    ),
+}
+
+# (module, class, member): why the member may have no reader in src/chsurf.
+EXEMPT_MEMBERS = {
+    ("poly", "GaussianRational", "im"): "read only by bench/worker.py; ROADMAP item 7",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -56,6 +69,47 @@ def test_every_module_level_definition_has_a_caller():
     assert [entry for entry in unused if entry not in EXEMPT] == []
     # An exemption whose name got a caller, or is gone, is dropped.
     assert sorted(EXEMPT) == [entry for entry in unused if entry in EXEMPT]
+
+
+def _member_references(node):
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.keyword) and child.arg:
+            yield child.arg
+
+
+def _members(tree):
+    """(class, name, node) of each method, property and annotated field, dunders aside."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield node.name, item.name, item
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield node.name, item.target.id, item
+
+
+def unused_members():
+    """``(module, class, member)`` of every class member no other code in ``chsurf`` refers to."""
+    modules = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCES.glob("*.py"))}
+    everywhere = Counter(name for tree in modules.values() for name in _member_references(tree))
+    unused = []
+    for module, tree in modules.items():
+        for cls, name, node in _members(tree):
+            # A method's references to itself (recursion) do not count.
+            own = sum(1 for ref in _member_references(node) if ref == name)
+            if everywhere[name] == own:
+                unused.append((module, cls, name))
+    return sorted(unused)
+
+
+def test_every_class_member_has_a_reader():
+    unused = unused_members()
+    assert [entry for entry in unused if entry not in EXEMPT_MEMBERS] == []
+    assert sorted(EXEMPT_MEMBERS) == [entry for entry in unused if entry in EXEMPT_MEMBERS]
 
 
 def test_the_benchmark_imports_resolve():
