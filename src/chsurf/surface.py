@@ -573,6 +573,34 @@ def _gap_function(spec: SurfaceSpec, lift: float, shift: float) -> Callable[[flo
     return gap
 
 
+def _surd_positive(u: Fraction, v: Fraction, w: Fraction) -> bool:
+    """Whether u + v*sqrt(w) > 0, for rationals u, v and w >= 0, decided by squaring."""
+    if u >= 0 and v >= 0:
+        return u > 0 or v * w > 0
+    if u <= 0 and v <= 0:
+        return False
+    square = u * u - v * v * w
+    return square > 0 if u > 0 else square < 0
+
+
+def _misses_radius(spec: SurfaceSpec, radius_sq: Fraction) -> bool:
+    """Whether no curve point lies at distance R = sqrt(radius_sq) from the axis, in Q.
+
+    With the pole at c = (cx, cy) and A = 1 + a, every curve point P has
+    max(|c| - A, (a - 1) - |c|) <= |P| <= |c| + A, so the curve misses the
+    circle when R lies strictly outside that range.  Each comparison is
+    squared into the sign of u + v*|c|, with |c| = sqrt(w).
+    """
+    placement, outer = spec.placement, 1 + spec.curve.a
+    w = placement.cx * placement.cx + placement.cy * placement.cy
+
+    def exceeds(u, v) -> bool:  # u + v*|c| > R >= 0
+        return _surd_positive(u, v, w) and _surd_positive(u * u + v * v * w - radius_sq, 2 * u * v, w)
+
+    beyond = _surd_positive(radius_sq - outer * outer - w, -2 * outer, w)  # R > |c| + A
+    return beyond or exceeds(-outer, 1) or exceeds(spec.curve.a - 1, -1)
+
+
 # -- singular circles ---------------------------------------------------------------
 
 
@@ -822,13 +850,16 @@ def _axis_centered_groups(spec: SurfaceSpec, samples: int) -> List[List[float]]:
 
     Such a circle has radius sqrt(q), so its passages are the parameters in
     ``trace_period`` where the curve meets the sphere |p|^2 = q, grouped by
-    meridian plane.  The plane z = h meets it only if q >= h^2, a test in Q.
+    meridian plane.  The plane z = h meets it only if q >= h^2, and the
+    curve can reach that section, at distance sqrt(q - h^2) from the axis,
+    only where :func:`_misses_radius` does not rule it out; both are tests
+    in Q, and the root scan runs only when both pass.
     """
     q, h = spec.q, spec.placement.height
-    if q <= 0 or q < h * h:
+    if q <= 0 or q < h * h or _misses_radius(spec, q - h * h):
         return []
     z = spec.placement.pole_float[2]
-    gap = _gap_function(spec, z * z, -float(q))
+    gap = _gap_function(spec, z * z, -spec.q_float)
     roots = _periodic_roots(gap, spec.curve.trace_period, max(4 * samples, 2048))
     planed = []
     for t in roots:
@@ -859,12 +890,13 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     overlapping pairs rather than with samples^2.
     Each crossing is polished to an exact coincidence.  Axis-centered
     circles come from sphere crossings grouped by meridian plane
-    (:func:`_axis_centered_groups`).  Each connected component of the
-    coincidence graph yields one circle whose multiplicity is the number of
-    distinct curve passages in it; the domain is the curve's
-    ``trace_period``.  Passages within PARAM_DEDUP of each other, across the
-    wrap at the domain included, are one passage; one dict of buckets twice
-    PARAM_DEDUP wide indexes them.
+    (:func:`_axis_centered_groups`); that scan is skipped when a test in Q
+    (:func:`_misses_radius`) shows the curve never reaches the sphere's
+    section.  Each connected component of the coincidence graph yields one
+    circle whose multiplicity is the number of distinct curve passages in
+    it; the domain is the curve's ``trace_period``.  Passages within
+    PARAM_DEDUP of each other, across the wrap at the domain included, are
+    one passage; one dict of buckets twice PARAM_DEDUP wide indexes them.
     ``test_passage_merge_matches_three_image_lookup`` pins the merge against
     a plain three-image lookup, at the seam, at bucket edges and on the
     sweep's pairs.
@@ -951,11 +983,13 @@ def zero_circle_parameters(spec: SurfaceSpec, grid: int = DEFAULT_ROOT_GRID) -> 
     and tangential contacts (near-zero local minima of |gap|, refined by
     golden-section search); the latter matter because curtate curves often
     touch the waist circle without crossing it.  ``grid`` is the number of
-    sample points; fewer than 64 is a ``ValueError``.
+    sample points; fewer than 64 is a ``ValueError``.  When the exact range
+    test :func:`_misses_radius` shows that the curve never reaches the waist
+    circle, of radius sqrt(-q), the scan is skipped and the list is empty.
     """
     if grid < 64:
         raise ValueError("grid must be at least 64")
-    if spec.q >= 0 or spec.placement.height != 0:
+    if spec.q >= 0 or spec.placement.height != 0 or _misses_radius(spec, -spec.q):
         return []
     gap = _gap_function(spec, 0.0, spec.q_float)
     return _periodic_roots(gap, spec.curve.parameter_period, grid)

@@ -376,13 +376,16 @@ def test_back_to_back_runs_share_no_values():
             "surface-classify", "--n", "1", "--d", "1", "--a=1", "--q=-1", "--cx=1", "--h=1e400",
             "--singular-circles-csv", "OUT",
         ),
-        ("surface-classify", "--n", "1", "--d", "1", "--a=1", "--q=-1e400", "--waist-points-csv", "OUT"),
         ("surface-mesh", "--n", "1", "--d", "1", "--a=1", "--q=-1", "--cx=1e400"),
         ("curve-sample", "--n", "1", "--d", "1", "--a=1e400"),
         # Each of these fits a float, but a sample's square overflows.
         ("surface-mesh", "--n", "1", "--d", "1", "--a=1e200", "--q=1", "--nt", "8", "--ntheta", "8"),
         ("surface-mesh", "--n", "1", "--d", "1", "--a=1e160", "--q=1e300", "--nt", "8", "--ntheta", "8"),
-        ("surface-classify", "--n", "1", "--d", "1", "--a=1e200", "--q=-1", "--waist-points-csv", "OUT"),
+        # The curve reaches the waist, so its gap is scanned, and overflows.
+        (
+            "surface-classify", "--n", "1", "--d", "1", "--a=1e154", "--cx=1e154", "--q=-1e308",
+            "--waist-points-csv", "OUT",
+        ),
         # A square that overflows inside the radicand, then the surface extent.
         ("surface-mesh", "--n", "1", "--d", "1", "--a=1", "--q=1e300", "--nt", "8", "--ntheta", "8"),
         ("surface-classify", "--n", "1", "--d", "1", "--a=1e200", "--q=1", "--singular-circles-csv", "OUT"),
@@ -397,6 +400,23 @@ def test_rational_past_float_range_exit_1(tmp_path, argv):
     assert err.count("\n") == 1
     assert "(34," not in err  # the message is the program's, not a bare errno tuple
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("surface-classify", "--n", "1", "--d", "1", "--a=1", "--q=-1e400", "--waist-points-csv", "OUT"),
+        ("surface-classify", "--n", "1", "--d", "1", "--a=1e200", "--q=-1", "--waist-points-csv", "OUT"),
+    ],
+)
+def test_waist_out_of_reach_is_decided_past_float_range(tmp_path, argv):
+    # The curve never reaches the waist, which the exact range test decides
+    # in Q, so no float gap is scanned and the CSV holds only its header.
+    target = tmp_path / "out.csv"
+    code, out, err = invoke(*(str(target) if token == "OUT" else token for token in argv))
+    assert (code, err) == (0, "")
+    assert out == '{"type":"2B","order":6,"absolute_conic":2,"axis":2,"directing_points":4}\n'
+    assert target.read_bytes() == b"x,y,z\n"
 
 
 def test_exact_commands_take_rationals_past_float_range():

@@ -17,6 +17,7 @@ from helpers import make_spec
 from chsurf.curve import CurveSpec, Placement, curve_point
 from chsurf.mesh import figure_preset, preset_keys
 from chsurf.surface import (
+    DEFAULT_ROOT_GRID,
     CircleKey,
     IncidenceType,
     SurfaceSpec,
@@ -1025,23 +1026,36 @@ def _assert_images_agree(**base):
     return len(images), len(images) if waist else 0
 
 
-def test_classify_and_zero_circles_agree_on_exact_pool_images():
-    # Read-only: the pool of the benchmark's surface-queries workload.
+def _pool_values():
+    """The exact (n, d, a, q, cx, cy, h) of each query of the benchmark's pool, as keywords.
+
+    Read-only: the pool of the benchmark's surface-queries workload.
+    """
     path = Path(__file__).resolve().parents[1] / "bench" / "references" / "surface_queries.json"
-    queries = json.loads(path.read_text())["queries"]
-    images = zero_circle_images = 0
-    for query in queries:
+    values = []
+    for query in json.loads(path.read_text())["queries"]:
         args = dict(arg[2:].split("=", 1) for arg in query["argv"][1:])
         exact = {name: Fraction(args[name]) for name in ("a", "q", "cx", "cy", "h")}
-        compared, waist_compared = _assert_images_agree(n=int(args["n"]), d=int(args["d"]), **exact)
+        values.append(dict(n=int(args["n"]), d=int(args["d"]), **exact))
+    return values
+
+
+def test_classify_and_zero_circles_agree_on_exact_pool_images():
+    images = zero_circle_images = 0
+    for values in _pool_values():
+        compared, waist_compared = _assert_images_agree(**values)
         images += compared
         zero_circle_images += waist_compared
     assert (images, zero_circle_images) == (239, 13)
 
 
+# Coprime (n, d) with n + d <= 5.
+SMALL_ND = [(n, d) for n in range(1, 5) for d in range(1, 5) if n + d <= 5 and math.gcd(n, d) == 1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    nd=st.sampled_from([(n, d) for n in range(1, 5) for d in range(1, 5) if n + d <= 5 and math.gcd(n, d) == 1]),
+    nd=st.sampled_from(SMALL_ND),
     a=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 2)]),
     q=st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 4), Fraction(1)]),
     cx=st.sampled_from(LATTICE),
@@ -1051,3 +1065,113 @@ def test_classify_and_zero_circles_agree_on_exact_pool_images():
 def test_classify_and_zero_circles_agree_on_lattice_images(nd, a, q, cx, cy, h):
     # Coprime n + d <= 5 with poles on the half-integer lattice in [-2, 2]^2.
     _assert_images_agree(n=nd[0], d=nd[1], a=a, q=q, cx=cx, cy=cy, h=h)
+
+
+# -- the exact range test ------------------------------------------------------------
+
+
+def _surd_sign_by_division(u, v, w):
+    """Sign of u + v*sqrt(w), from sqrt(w) against -u/v: a route that squares after dividing."""
+    if v == 0 or w == 0:
+        return (u > 0) - (u < 0)
+    bound = -u / v  # u + v*sqrt(w) has the sign of v*(sqrt(w) - bound)
+    if bound < 0:
+        return 1 if v > 0 else -1
+    above = (w > bound * bound) - (w < bound * bound)  # sign of sqrt(w) - bound
+    return above if v > 0 else -above
+
+
+SQUARE_ROOTS = {root * root: root for root in (Fraction(k, 2) for k in range(5))}
+SURD_VALUES = [Fraction(k, 2) for k in range(-6, 7)]
+
+
+def test_surd_sign_matches_exact_squaring():
+    from chsurf.surface import _surd_positive
+
+    radicands = [*SQUARE_ROOTS, Fraction(2), Fraction(3), Fraction(8, 9), Fraction(5, 4)]
+    for u, v, w in product(SURD_VALUES, SURD_VALUES, radicands):
+        expected = _surd_sign_by_division(u, v, w)
+        assert _surd_positive(u, v, w) == (expected > 0), (u, v, w)
+        if w in SQUARE_ROOTS:
+            assert expected == (u + v * SQUARE_ROOTS[w] > 0) - (u + v * SQUARE_ROOTS[w] < 0), (u, v, w)
+    # A zero sum is not positive: 3 - 2*sqrt(9/4), -3 + 2*sqrt(9/4), 0 + 5*sqrt(0) and 0 + 0*sqrt(2).
+    for u, v, w in [(3, -2, Fraction(9, 4)), (-3, 2, Fraction(9, 4)), (0, 5, 0), (0, 0, 2)]:
+        assert not _surd_positive(Fraction(u), Fraction(v), Fraction(w))
+
+
+def test_missed_radius_holds_on_sampled_curves():
+    # Coprime n + d <= 5 with poles on the half-integer lattice in [-2, 2]^2.
+    # The curve at (cx, -cy) is the mirror image of the one at (cx, cy), and
+    # the mirrored samples are the same parameters, so cy >= 0 is enough.
+    from chsurf.surface import _misses_radius
+
+    radii_sq = [Fraction(1, 4), Fraction(1), Fraction(9, 4), Fraction(4), Fraction(9)]
+    offsets = [Fraction(0), Fraction(1, 4), Fraction(1), Fraction(5, 2)]
+    curves = [CurveSpec(n, d, a) for (n, d), a in product(SMALL_ND, offsets)]
+    outside = inside = 0
+    for curve, cx, cy in product(curves, LATTICE, LATTICE):
+        if cy < 0:
+            continue
+        spec = SurfaceSpec(curve, Fraction(0), Placement(cx, cy))
+        missed = [radius_sq for radius_sq in radii_sq if _misses_radius(spec, radius_sq)]
+        if not missed:
+            continue
+        period = curve.parameter_period
+        points = (curve_point(curve, spec.placement, period * i / 4096) for i in range(4096))
+        norms = [x * x + y * y for x, y, _ in points]
+        low, high = min(norms), max(norms)
+        for radius_sq in missed:
+            assert high < radius_sq or low > radius_sq, (spec, radius_sq, low, high)
+            outside += high < radius_sq
+            inside += low > radius_sq
+    assert outside > 0 and inside > 0
+
+
+def test_skipped_root_scans_would_find_no_root(monkeypatch):
+    # Every scan that the exact range test skips, on the benchmark's pool and
+    # the presets, gives no root when run, so no output changes.
+    from chsurf import surface
+
+    misses = surface._misses_radius
+    decided = []
+
+    def recording(spec, radius_sq):
+        missed = misses(spec, radius_sq)
+        decided.append((spec, missed))
+        return missed
+
+    def scan_roots(scan, spec):
+        if scan == "sphere":
+            z = spec.placement.pole_float[2]
+            gap = surface._gap_function(spec, z * z, -spec.q_float)
+            return surface._periodic_roots(gap, spec.curve.trace_period, 2048)
+        gap = surface._gap_function(spec, 0.0, spec.q_float)
+        return surface._periodic_roots(gap, spec.curve.parameter_period, DEFAULT_ROOT_GRID)
+
+    monkeypatch.setattr(surface, "_misses_radius", recording)
+    presets = {key: figure_preset(key).spec for key in preset_keys()}
+    sources = {"pool": [make_spec(**values) for values in _pool_values()], "presets": list(presets.values())}
+    skipped = {}
+    for (source, specs), scan in product(sources.items(), ("sphere", "waist")):
+        decided.clear()
+        for spec in specs:
+            if scan == "sphere":
+                surface._axis_centered_groups(spec, 512)
+            else:
+                zero_circle_parameters(spec)
+        skipped[source, scan] = [spec for spec, missed in decided if missed]
+        for spec in skipped[source, scan]:
+            assert scan_roots(scan, spec) == [], (scan, spec)
+        if source == "pool":
+            assert len(decided) == {"sphere": 56, "waist": 13}[scan]
+    assert (len(skipped["pool", "sphere"]), len(skipped["pool", "waist"])) == (21, 1)
+    skipped_presets = [key for key, spec in presets.items() if spec in skipped["presets", "sphere"]]
+    assert skipped_presets == ["4a", "4b", "4c"]
+    assert skipped["presets", "waist"] == []
+
+    def no_scan(*args):
+        raise AssertionError("a root scan ran")
+
+    expected = singular_circles(presets["4a"])
+    monkeypatch.setattr(surface, "_periodic_roots", no_scan)
+    assert singular_circles(presets["4a"]) == expected
