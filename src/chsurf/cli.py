@@ -266,9 +266,9 @@ def _cmd_figure(args, out) -> int:
     from .mesh import figure_preset, obj_writer, preset_keys
 
     if args.list:
-        for key in preset_keys():
-            preset = figure_preset(key)
-            _emit(out, f"{key}  nt={preset.nt} ntheta={preset.ntheta}  {preset.description}\n")
+        presets = [figure_preset(key) for key in preset_keys()]
+        lines = [f"{p.key}  nt={p.nt} ntheta={p.ntheta}  {p.description}\n" for p in presets]
+        _write_to(args, out, lambda sink: _emit(sink, "".join(lines)))
         return 0
     if not args.id:
         raise ValueError("give a preset id or --list")

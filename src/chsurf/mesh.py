@@ -10,19 +10,20 @@ row are placed by ``surface.parametric_point`` (the one surface-point
 formula, shared with ``verify invariants``), and each surviving quad is
 split into two triangles with exact-zero slivers dropped.
 
-The rows are worked through in bands of consecutive rows (``_Grid``): a
-band's rings are placed, its candidate triangles built, and the sliver
-filter run on its own vertices and the next row's, so no array of the
-whole mesh is needed.  ``obj_writer``, which the ``figure`` and
-``surface-mesh`` commands use, first checks the mesh without placing any
-band: each ring's vertices at its columns of extreme cosine and sine, and
-each apex, show whether every vertex is finite and give the largest
-coordinate, which the sliver floor reads.  It then streams the OBJ in two
-passes over the bands, placing each band to write its ``v`` lines and
-again to write its ``f`` lines, so what it holds does not grow with
-``nt``.  numpy is imported inside the functions that use it, and the OBJ
-writer builds its lookup tables on first use, so importing this module
-(and the CLI) does not load numpy.
+The rows are worked through in bands of consecutive rows (``_Grid``), so
+no array of the whole mesh is needed.  ``obj_writer``, which the
+``figure`` and ``surface-mesh`` commands use, first checks the mesh
+without placing any band: each ring's vertices at its columns of extreme
+cosine and sine, and each apex, show whether every vertex is finite and
+give the largest coordinate, which the sliver floor reads.  It then
+streams the OBJ in two passes over the bands.  The first places each band
+once, with the next row, writes the band's ``v`` lines and runs the
+sliver filter on the placed rings, keeping only the indices of the
+dropped candidates; the second builds each band's candidate triangles by
+index arithmetic alone and writes the kept ones as ``f`` lines.  numpy
+is imported inside the functions that use it, and the OBJ writer builds
+its lookup tables on first use, so importing this module (and the CLI)
+does not load numpy.
 
 OBJ text is exactly what ``"%.17g"`` and ``"%d"`` print, but computed on
 arrays: the 17 significant digits of a coordinate in fixed notation are an
@@ -66,20 +67,28 @@ def obj_writer(spec: SurfaceSpec, nt: int, ntheta: int) -> Callable[[BinaryIO], 
     The returned ``write(sink)`` writes ASCII OBJ with LF endings: one
     ``v %.17g %.17g %.17g`` line per vertex, row by row, then one
     ``f %d %d %d`` line per kept triangle, 1-based, byte for byte what
-    those ``%`` formats print.  It makes two passes over the bands, each
-    band's ``v`` lines and then each band's ``f`` lines, placing the band
-    again for each, so what it holds does not grow with ``nt``.
+    those ``%`` formats print.  It makes two passes over the bands.  The
+    first places each band and its next row once (``band``), writes the
+    band's ``v`` lines and keeps the indices of its dropped candidates
+    (``band_slivers``); the second writes each band's ``f`` lines from
+    those indices (``band_faces``) and places nothing.  Besides the grid's
+    rows, it holds only one band and the dropped indices, a few per row of
+    a mesh that drops any.
     """
     grid = _Grid(spec, nt, ntheta)
 
     def write(sink: BinaryIO) -> None:
-        import numpy as np
-
+        _hold_freed_blocks()
+        dropped = []
         for first, last in grid.bands:
-            _write_vertex_lines(sink, grid.place(np.arange(first, last)))
+            index, sizes, _ = grid.band(first, last)
+            vertices = grid.place(index)
+            _write_vertex_lines(sink, vertices[: len(vertices) - int(sizes[-1])])
+            dropped.append(grid.band_slivers(first, last, vertices))
+            del vertices
         words = _label_words(grid.count)
-        for first, last in grid.bands:
-            faces, ids = grid.band_faces(first, last)
+        for (first, last), drops in zip(grid.bands, dropped):
+            faces, ids = grid.band_faces(first, last, drops)
             if len(faces):
                 sink.write(_face_lines(_face_labels(ids + 1, words), faces))
 
@@ -87,7 +96,7 @@ def obj_writer(spec: SurfaceSpec, nt: int, ntheta: int) -> Callable[[BinaryIO], 
 
 
 class _Grid:
-    """The rows of a sampled surface, and the band routine ``obj_writer`` streams through.
+    """The rows of a sampled surface, and the band routines ``obj_writer`` streams through.
 
     The constructor decides each row on its circle frame
     (``surface._circle_frame``): no frame is a hole, a row with no
@@ -98,7 +107,11 @@ class _Grid:
     ``starts[i]`` its first vertex and ``frames[i]`` its frame; these numpy
     arrays, about 60 bytes a row, are all that grows with ``nt``.
     ``bands`` cuts the rows into runs of about ``_BAND_VERTICES`` vertices,
-    at least one row each.
+    at least one row each.  A band's triangles join each of its rows to the
+    next, so its routines take the band's rows and the row after the last
+    (``band``): ``place`` them once, decide their slivers from the placed
+    vertices (``band_slivers``), and build the kept triangles from the
+    dropped indices (``band_faces``).
 
     The constructor then checks that every vertex is finite and takes the
     largest ``|coordinate|``, which sets the sliver floor
@@ -130,6 +143,10 @@ class _Grid:
         self.cos_t[:] = [math.cos(v) for v in thetas]
         self.sin_t[:] = [math.sin(v) for v in thetas]
         self.shifted = np.roll(self.columns, -1)  # column k = j + 1 around the seam
+        # A quad row's candidates, rows a and b = a + 1 counted from a's first
+        # vertex: (a_j, b_j, b_k), (a_j, b_k, a_k) per column j.
+        j, k = self.columns, self.shifted
+        self.quad = np.stack([j, j + ntheta, k + ntheta, j, k + ntheta, k], axis=-1).reshape(-1, 3)
 
         period = spec.curve.parameter_period
         self.frames = np.zeros((nt, 6))
@@ -186,97 +203,192 @@ class _Grid:
         vertices[np.repeat(apex, sizes), :2] = np.stack(self._apexes(index[apex]), axis=-1)
         return vertices
 
-    def band_faces(self, first: int, last: int):
-        """The kept triangles of the row pairs (i, i + 1) for i in [first, last), seam included.
+    def band(self, first: int, last: int):
+        """Rows ``first..last - 1`` and the next row (row 0 at the seam): ``(index, sizes, starts)``.
 
-        Returns ``(faces, ids)``: the kept triangles as ``(M, 3)`` indices
-        into the vertices of rows ``first..last - 1`` followed by those of
-        the next row (row 0 at the seam), and each of those vertices'
-        global index.  Per column j (k = j + 1 around the seam), a quad
-        between ring rows a, b is (a_j, b_j, b_k), (a_j, b_k, a_k); a fan
-        from a ring f to an apex is (f_j, f_k, apex).  The candidates are
-        written, corner by corner, in row order into one buffer; a run of
-        consecutive quad pairs is one broadcast per corner over its pairs.
-        A candidate is kept when half the norm of the cross product of
-        b - a and c - a exceeds the floor.
+        ``starts`` are local: each row's first vertex in ``place(index)``.
         """
         import numpy as np
 
-        nxt = last % self.nt
-        index = np.append(np.arange(first, last), nxt)
-        vertices = self.place(index)
-        start, after = int(self.starts[first]), int(self.starts[nxt])
-        own = len(vertices) - int(self.sizes[nxt])
+        index = np.append(np.arange(first, last), last % self.nt)
+        sizes = self.sizes[index]
+        return index, sizes, np.cumsum(sizes) - sizes
+
+    def _runs(self, sizes):
+        """The candidate triangles of a band's row pairs, as runs in row order.
+
+        ``sizes`` are the band's rows and the next row.  A pair of rings is
+        a quad row, two candidates per column; a ring next to an apex is a
+        fan, one per column; any other pair (a hole at an axis crossing, or
+        two apexes) has none.  Returns ``(row, pairs, apex)`` per run, in
+        local rows: ``pairs`` consecutive quad rows from ``row`` on with
+        ``apex`` None, or the fan from ring ``row`` to ``apex`` with
+        ``pairs`` 1.
+        """
+        import numpy as np
+
+        ntheta = self.ntheta
+        quad = (sizes[:-1] == ntheta) & (sizes[1:] == ntheta)
+        fan = sizes[:-1] * sizes[1:] == ntheta
+        runs, first_pair = [], 0
+        for stop in [*(np.flatnonzero(quad[1:] != quad[:-1]) + 1).tolist(), len(quad)]:
+            if quad[first_pair]:
+                runs.append((first_pair, stop - first_pair, None))
+            else:
+                for pair in (np.flatnonzero(fan[first_pair:stop]) + first_pair).tolist():
+                    runs.append((pair, 1, pair + 1) if sizes[pair] == ntheta else (pair + 1, 1, pair))
+            first_pair = stop
+        return runs
+
+    def band_slivers(self, first: int, last: int, vertices):
+        """The band's dropped candidates: indices into its ``band_faces`` candidates, ascending.
+
+        ``vertices`` is ``place(band(first, last)[0])``.  A candidate
+        (a, b, c) is dropped unless half the norm of the cross product of
+        u = b - a and v = c - a exceeds the floor.  The corners are read off
+        the placed rings as ``[coordinate, row, column]`` views: a quad
+        run's rows a and b and their copies shifted by one column give u
+        and v of its triangles (a_j, b_j, b_k), and its triangles
+        (a_j, b_k, a_k) take those v as their u; a fan's ring and its
+        shifted copy give u, its apex v.
+        """
+        import numpy as np
+
+        _, sizes, starts = self.band(first, last)
+        ntheta = self.ntheta
+        coordinates = vertices.T  # [coordinate, vertex], a view
+        dropped, offset = [], 0
+        for row, pairs, apex in self._runs(sizes):
+            start = int(starts[row])
+            if apex is None:
+                rings = coordinates[:, start : start + (pairs + 1) * ntheta].reshape(3, pairs + 1, ntheta)
+                a, b = rings[:, :-1], rings[:, 1:]
+                u = np.subtract(b, a, order="C")
+                v = _next_column_minus(b, a)
+                keep = np.empty((pairs, ntheta, 2), dtype=bool)
+                _area_above(u, v, self.floor, keep[..., 0])
+                u = v  # the second triangles' u is the first's v
+                v = _next_column_minus(a, a)
+                _area_above(u, v, self.floor, keep[..., 1])
+            else:
+                ring = coordinates[:, start : start + ntheta]
+                u = _next_column_minus(ring, ring)
+                v = np.subtract(coordinates[:, int(starts[apex]), None], ring, order="C")
+                keep = np.empty(ntheta, dtype=bool)
+                _area_above(u, v, self.floor, keep)
+            del u, v
+            dropped.append(np.flatnonzero(np.logical_not(keep, out=keep)) + offset)
+            offset += keep.size
+        return np.concatenate(dropped) if dropped else np.zeros(0, dtype=np.intp)
+
+    def band_faces(self, first: int, last: int, dropped):
+        """The kept triangles of the row pairs (i, i + 1) for i in [first, last), seam included.
+
+        Returns ``(faces, ids)``: the candidates but those at the indices
+        ``dropped`` (``band_slivers``), as ``(M, 3)`` indices into the
+        vertices of rows ``first..last - 1`` followed by those of the next
+        row (row 0 at the seam), and each of those vertices' global index.
+        Per column j (k = j + 1 around the seam), a quad between ring rows
+        a, b is (a_j, b_j, b_k), (a_j, b_k, a_k); a fan from a ring f to an
+        apex is (f_j, f_k, apex).  The candidates are written in row order
+        into one buffer by index arithmetic alone: a run of quad rows is one
+        broadcast of the template ``quad`` over its rows' first vertices, a
+        fan one per corner.
+        """
+        import numpy as np
+
+        index, sizes, starts = self.band(first, last)
+        nxt = int(index[-1])
+        start, after, own = int(self.starts[first]), int(self.starts[nxt]), int(starts[-1])
         ids = np.concatenate([np.arange(start, start + own), np.arange(after, after + int(self.sizes[nxt]))])
 
         ntheta = self.ntheta
-        sizes = self.sizes[index]
-        starts = np.cumsum(sizes) - sizes  # local
-        # A pair of rings is a quad ring, two candidate triangles per column;
-        # a ring next to an apex is a fan, one per column; any other pair has none.
-        quad = (sizes[:-1] == ntheta) & (sizes[1:] == ntheta)
-        fan = sizes[:-1] * sizes[1:] == ntheta
-        # Corner-major, [corner, triangle], and intp, the layout take reads
-        # its indices in without a copy.
-        triangles = np.empty((3, int(ntheta * (2 * quad.sum() + fan.sum()))), dtype=np.intp)
+        runs = self._runs(sizes)
+        # [triangle, corner] intp, the layout _face_lines's take reads without a copy.
+        triangles = np.empty((ntheta * sum(2 * pairs if apex is None else 1 for _, pairs, apex in runs), 3), np.intp)
         columns, shifted = self.columns, self.shifted
-        filled = first_pair = 0
-        for stop in [*(np.flatnonzero(quad[1:] != quad[:-1]) + 1).tolist(), len(quad)]:
-            if quad[first_pair]:  # a run of quad pairs, one broadcast per corner
-                a, b = starts[first_pair:stop, None], starts[first_pair + 1 : stop + 1, None]
-                end = filled + 2 * ntheta * len(a)
-                view = triangles[:, filled:end].reshape(3, len(a), ntheta, 2)  # [corner, pair, column, half]
-                sources = [(a, columns), (a, columns), (b, columns), (b, shifted), (b, shifted), (a, shifted)]
-                for slot, (ring, column) in enumerate(sources):
-                    np.add(ring, column, out=view[slot // 2, :, :, slot % 2])
+        filled = 0
+        for row, pairs, apex in runs:
+            if apex is None:  # rings in a row: each quad row is the template moved by its first vertex
+                end = filled + 2 * ntheta * pairs
+                view = triangles[filled:end].reshape(pairs, 2 * ntheta, 3)
+                np.add(starts[row : row + pairs, None, None], self.quad, out=view)
                 filled = end
-            else:  # fans; a hole at an axis crossing, or two apexes, has none
-                for pair in np.flatnonzero(fan[first_pair:stop]) + first_pair:
-                    ring, apex = (pair, pair + 1) if sizes[pair] == ntheta else (pair + 1, pair)
-                    view = triangles[:, filled : filled + ntheta]
-                    np.add(starts[ring], columns, out=view[0])
-                    np.add(starts[ring], shifted, out=view[1])
-                    view[2] = starts[apex]
-                    filled += ntheta
-            first_pair = stop
+            else:
+                view = triangles[filled : filled + ntheta]
+                np.add(starts[row], columns, out=view[:, 0])
+                np.add(starts[row], shifted, out=view[:, 1])
+                view[:, 2] = starts[apex]
+                filled += ntheta
+        if len(dropped):
+            keep = np.ones(len(triangles), dtype=bool)
+            keep[dropped] = False
+            triangles = triangles.compress(keep, axis=0)
+        return triangles, ids
 
-        # The same operations as 0.5 * sqrt(cx*cx + cy*cy + cz*cz) with
-        # u = b - a, v = c - a, in place: the cross product goes where the
-        # corners a were, so no other band-sized array is live.
-        corners = vertices.T.take(triangles, axis=1)  # [coordinate, corner, triangle]
-        del vertices
-        corners[:, 1:] -= corners[:, :1]
-        u, v = corners[:, 1], corners[:, 2]
-        cx, cy, cz = corners[:, 0]
-        np.multiply(u[1], v[2], out=cx)
-        cx -= u[2] * v[1]
-        np.multiply(u[2], v[0], out=cy)
-        cy -= u[0] * v[2]
-        np.multiply(u[0], v[1], out=cz)
-        cz -= u[1] * v[0]
-        cx *= cx
-        cx += np.multiply(cy, cy, out=cy)
-        cx += np.multiply(cz, cz, out=cz)
-        np.sqrt(cx, out=cx)
-        cx *= 0.5
-        keep = cx > self.floor
-        del corners, u, v, cx, cy, cz
-        return (triangles if keep.all() else triangles.compress(keep, axis=1)).T, ids
+
+def _next_column_minus(b, a):
+    """``b`` at column j + 1 (column 0 after the last) minus ``a`` at column j, along the last axis."""
+    import numpy as np
+
+    out = np.empty(a.shape)
+    np.subtract(b[..., 1:], a[..., :-1], out=out[..., :-1])
+    np.subtract(b[..., :1], a[..., -1:], out=out[..., -1:])
+    return out
+
+
+def _area_above(u, v, floor: float, out) -> None:
+    """Write ``0.5 * sqrt(cx*cx + cy*cy + cz*cz) > floor`` into ``out``, for ``c`` = u x v.
+
+    ``u`` and ``v`` are ``[coordinate, ...]`` arrays, read only.
+    """
+    import numpy as np
+
+    cx = u[1] * v[2]
+    cx -= u[2] * v[1]
+    cy = u[2] * v[0]
+    cy -= u[0] * v[2]
+    cz = u[0] * v[1]
+    cz -= u[1] * v[0]
+    cx *= cx
+    cx += np.multiply(cy, cy, out=cy)
+    cx += np.multiply(cz, cz, out=cz)
+    np.sqrt(cx, out=cx)
+    cx *= 0.5
+    np.greater(cx, floor, out=out)
 
 
 # -- exact OBJ text on arrays --------------------------------------------------------
 
 # Vertices per write: each block's temporaries stay in cache.
 _VERTEX_CHUNK = 4096
-# Vertices per band of rows: two text blocks.  A band's largest temporary,
-# its gathered triangle corners, is then large enough that the C allocator
-# keeps the memory a text block frees for the next block, instead of
-# returning it to the system and faulting it back in (measured as minor
-# page faults: about 80,000 more per pass over the presets with one block).
+# Vertices per band of rows: two text blocks.  With freed memory held
+# (``_hold_freed_blocks``), a pass over the 44 preset meshes (each preset
+# at its grid and at twice it) takes the same time at two and three blocks,
+# within noise, and about 3% longer at one, where twice as many bands each
+# pay their fixed cost.  Streaming 3b at twice its grid peaks at 1.26,
+# 1.51 and 2.26 MB traced at one, two and three blocks.
 _BAND_VERTICES = 2 * _VERTEX_CHUNK
 _TINY = 2.2250738585072014e-308  # the smallest normal double
 _SPLIT = 134217729.0  # 2**27 + 1 splits a double into two halves of at most 26 bits
 _GROUP = 10000  # digits go in words of four ASCII characters
+
+
+@functools.cache
+def _hold_freed_blocks() -> None:
+    """Allocate and free one untouched block of 256 bytes per band vertex, once per process.
+
+    glibc's malloc returns the free memory at the top of its heap to the
+    system once it exceeds twice the largest block it has unmapped, and the
+    stream frees its working set, at most about 310 bytes per band vertex,
+    after each text block and band; the next one faulted it back in.  Over
+    one pass of the 44 preset meshes that was about 191,000 minor page
+    faults; after this block is freed, about 520.  Other allocators see one
+    allocation whose pages are never written.
+    """
+    import numpy as np
+
+    np.empty(256 * _BAND_VERTICES, dtype=np.uint8)
 
 
 @functools.cache

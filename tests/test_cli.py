@@ -15,6 +15,7 @@ import pytest
 
 from chsurf import verify
 from chsurf.cli import VERIFY_SUITES, parse_q, parse_rational, run
+from chsurf.mesh import figure_preset, preset_keys
 from chsurf.surface import CLASSIFICATION_TABLE
 from chsurf.verify import grid_specs
 from fractions import Fraction
@@ -204,6 +205,35 @@ def test_surface_query_pool_byte_pin(tmp_path):
     assert combined.hexdigest() == SURFACE_POOL_SHA256
 
 
+# sha256 over the exit code, stdout, stderr and both CSVs of surface-classify
+# on each figure preset's spec, in key order.  8b and 8c pin today's known-wrong
+# singular circles at a pole on the waist (ROADMAP item 25, which re-pins
+# them).  Like the pool digest, it is that of glibc's cos and sin on x86-64.
+PRESET_CLASSIFY_SHA256 = "6cce8455d5628a44946d3503574b3a1658d1294a3079a5b1b888da15c422b0ec"
+
+
+def test_surface_classify_preset_byte_pin(tmp_path):
+    circles, waist = tmp_path / "circles.csv", tmp_path / "waist.csv"
+    combined = hashlib.sha256()
+    for key in preset_keys():
+        spec = figure_preset(key).spec
+        curve, placement = spec.curve, spec.placement
+        argv = [
+            "surface-classify", f"--n={curve.n}", f"--d={curve.d}", f"--a={curve.a}", f"--q={spec.q}",
+            f"--cx={placement.cx}", f"--cy={placement.cy}", f"--h={placement.height}",
+            f"--singular-circles-csv={circles}", f"--waist-points-csv={waist}",
+        ]
+        for target in (circles, waist):
+            target.unlink(missing_ok=True)
+        out, err = io.BytesIO(), io.BytesIO()
+        code = run(argv, out, err)
+        combined.update(b"%d\n" % code + out.getvalue() + err.getvalue())
+        for target in (circles, waist):
+            combined.update(target.read_bytes() if target.exists() else b"<none>")
+    assert len(preset_keys()) == 22
+    assert combined.hexdigest() == PRESET_CLASSIFY_SHA256
+
+
 @pytest.mark.parametrize("cx", ["-99999999999/100000000000", "-9999999/10000000"])
 def test_surface_classify_near_miss_is_5a(cx):
     # The petal tip of CH(3,1,0) misses the axis by 1e-11 or 1e-7.
@@ -229,6 +259,13 @@ def test_figure_list_and_export(tmp_path):
     content = target.read_text()
     assert content.startswith("v ")
     assert "\nf " in content
+
+
+def test_figure_list_to_out(tmp_path):
+    target = tmp_path / "presets.txt"
+    code, out, err = invoke("figure", "--list", "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == invoke("figure", "--list")[1]
 
 
 def test_curve_sample_stdout():

@@ -353,8 +353,77 @@ def test_obj_round_trip_counts_and_coordinates():
     grid = mesh_module._Grid(preset.spec, 64, 24)
     vertices, faces = streamed_mesh(preset.spec, 64, 24)
     assert np.array(vertices).tobytes() == grid.place(np.arange(64)).tobytes()
-    kept = [ids.take(band) for band, ids in (grid.band_faces(first, last) for first, last in grid.bands)]
+    kept = []
+    for first, last in grid.bands:
+        dropped = grid.band_slivers(first, last, grid.place(grid.band(first, last)[0]))
+        band, ids = grid.band_faces(first, last, dropped)
+        kept.append(ids.take(band))
     assert faces == [tuple(face) for face in np.concatenate(kept).tolist()]
+
+
+@pytest.mark.parametrize("key", ["3a", "6c", "9a"])
+@pytest.mark.parametrize("band_rows", [None, 3], ids=["default-bands", "three-row-bands"])
+def test_obj_writer_places_each_band_once(monkeypatch, key, band_rows):
+    # One placement per band writes its v lines and decides its slivers;
+    # the f lines are index arithmetic alone.
+    preset = figure_preset(key)
+    if band_rows:
+        monkeypatch.setattr(mesh_module, "_BAND_VERTICES", band_rows * preset.ntheta)
+    calls = []
+    place = mesh_module._Grid.place
+
+    def counted(grid, index):
+        calls.append(len(index))
+        return place(grid, index)
+
+    monkeypatch.setattr(mesh_module._Grid, "place", counted)
+    bands = mesh_module._Grid(preset.spec, preset.nt, preset.ntheta).bands
+    assert not calls
+    with open(os.devnull, "wb") as sink:
+        obj_writer(preset.spec, preset.nt, preset.ntheta)(sink)
+    assert calls == [last - first + 1 for first, last in bands]
+
+
+def _gathered_slivers(grid, first, last):
+    """A band's dropped candidates from its gathered triangle corners: the test ``band_slivers`` replaced."""
+    triangles = grid.band_faces(first, last, [])[0].T  # every candidate, [corner, triangle]
+    corners = grid.place(grid.band(first, last)[0]).T.take(triangles, axis=1)  # [coordinate, corner, triangle]
+    corners[:, 1:] -= corners[:, :1]
+    u, v = corners[:, 1], corners[:, 2]
+    cx, cy, cz = corners[:, 0]
+    np.multiply(u[1], v[2], out=cx)
+    cx -= u[2] * v[1]
+    np.multiply(u[2], v[0], out=cy)
+    cy -= u[0] * v[2]
+    np.multiply(u[0], v[1], out=cz)
+    cz -= u[1] * v[0]
+    cx *= cx
+    cx += np.multiply(cy, cy, out=cy)
+    cx += np.multiply(cz, cz, out=cz)
+    np.sqrt(cx, out=cx)
+    cx *= 0.5
+    return np.flatnonzero(~(cx > grid.floor))
+
+
+def test_band_slivers_match_gathered_corner_areas(monkeypatch):
+    # Every preset at its grid and at twice it, in default bands and in
+    # bands of two and of three rows, which put fans and holes on band edges
+    # (see test_sample_matches_scalar_reference_across_triangle_blocks).
+    default = mesh_module._BAND_VERTICES
+    dropping = set()
+    for key in preset_keys():
+        preset = figure_preset(key)
+        for mult in (1, 2):
+            ntheta = mult * preset.ntheta
+            for band_rows in (None, 2, 3):
+                monkeypatch.setattr(mesh_module, "_BAND_VERTICES", band_rows * ntheta if band_rows else default)
+                grid = mesh_module._Grid(preset.spec, mult * preset.nt, ntheta)
+                for first, last in grid.bands:
+                    dropped = grid.band_slivers(first, last, grid.place(grid.band(first, last)[0]))
+                    assert dropped.tolist() == _gathered_slivers(grid, first, last).tolist(), (key, mult, first)
+                    if len(dropped):
+                        dropping.add(key)
+    assert {"3a", "3b"} <= dropping
 
 
 # -- exact OBJ text ------------------------------------------------------------------
