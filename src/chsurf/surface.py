@@ -467,6 +467,37 @@ def classify(spec: SurfaceSpec) -> SurfaceClassification:
 # -- periodic root finding ------------------------------------------------------------
 
 
+def _circular_index(period: float) -> Tuple[Callable[[float], int], List[float]]:
+    """Merge parameters in [0, period] that lie within PARAM_DEDUP around a circle.
+
+    Returns ``(index, nodes)``.  ``index(t)`` returns the id (position in
+    ``nodes``) of the earliest-made node within PARAM_DEDUP of t, across
+    the wrap at ``period`` included; if there is none, t is appended to
+    ``nodes`` as a new node.  So no two nodes lie within PARAM_DEDUP of each
+    other, and only t's nearest node on either side around the circle can
+    match: one bisection of the ascending nodes finds both.
+    """
+    nodes: List[float] = []
+    ordered: List[float] = []  # the nodes, ascending
+    ids: List[int] = []  # the id of each node of ``ordered``
+
+    def index(t: float) -> int:
+        k = bisect_right(ordered, t)
+        found = len(nodes)
+        if ordered:
+            for pos in (k - 1, k % len(ordered)):
+                gap = abs(ordered[pos] - t)
+                if ids[pos] < found and min(gap, period - gap) <= PARAM_DEDUP:
+                    found = ids[pos]
+        if found == len(nodes):
+            ordered.insert(k, t)
+            ids.insert(k, found)
+            nodes.append(t)
+        return found
+
+    return index, nodes
+
+
 def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> List[float]:
     """Zeros of a smooth periodic function on [0, period).
 
@@ -474,8 +505,10 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
     wrap around the seam at ``period``.  An exact zero is a root; a sign
     change with the following value is refined by bisection; a near-zero
     local minimum of |f| is refined by golden-section search, which catches
-    tangential (even-order) contacts that never change sign.  A grid value
-    that is not finite is an ``OverflowError``.
+    tangential (even-order) contacts that never change sign.  The sorted
+    roots are merged by :func:`_circular_index`: a root within PARAM_DEDUP
+    of an earlier kept one, across the seam included, is dropped.  A grid
+    value that is not finite is an ``OverflowError``.
     """
     ts = [period * i / grid for i in range(grid)]
     vals = list(map(f, ts))
@@ -530,13 +563,9 @@ def _periodic_roots(f: Callable[[float], float], period: float, grid: int) -> Li
             candidate = golden_min(t - step, t + step) % period
             if abs(f(candidate)) <= ROOT_EPS * scale:
                 roots.append(candidate)
-    roots.sort()
-    deduped: List[float] = []
-    for value in roots:
-        if not deduped or value - deduped[-1] > PARAM_DEDUP:
-            deduped.append(value)
-    if len(deduped) >= 2 and (deduped[0] + period) - deduped[-1] <= PARAM_DEDUP:
-        deduped.pop()
+    index, deduped = _circular_index(period)
+    for value in sorted(roots):
+        index(value)
     return deduped
 
 
@@ -850,7 +879,9 @@ def _axis_centered_groups(spec: SurfaceSpec, samples: int) -> List[List[float]]:
 
     Such a circle has radius sqrt(q), so its passages are the parameters in
     ``trace_period`` where the curve meets the sphere |p|^2 = q, grouped by
-    meridian plane.  The plane z = h meets it only if q >= h^2, and the
+    meridian plane: a passage joins the earliest group whose first angle
+    lies within PARAM_DEDUP of its own modulo pi (:func:`_circular_index`).
+    The plane z = h meets the sphere only if q >= h^2, and the
     curve can reach that section, at distance sqrt(q - h^2) from the axis,
     only where :func:`_misses_radius` does not rule it out; both are tests
     in Q, and the root scan runs only when both pass.
@@ -867,16 +898,11 @@ def _axis_centered_groups(spec: SurfaceSpec, samples: int) -> List[List[float]]:
         if math.sqrt(x * x + y * y) <= spec.axis_bound:
             continue
         planed.append((math.atan2(y, x) % math.pi, t))
-    groups: List[List[Tuple[float, float]]] = []
+    index, _ = _circular_index(math.pi)
+    groups: Dict[int, List[float]] = {}
     for angle, t in sorted(planed):
-        for group in groups:
-            delta = abs(group[0][0] - angle)
-            if min(delta, math.pi - delta) <= 1e-6:
-                group.append((angle, t))
-                break
-        else:
-            groups.append([(angle, t)])
-    return [[t for _, t in group] for group in groups if len(group) >= 2]
+        groups.setdefault(index(angle), []).append(t)
+    return [group for group in groups.values() if len(group) >= 2]
 
 
 def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[CircleKey, int]]:
@@ -894,12 +920,11 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     (:func:`_misses_radius`) shows the curve never reaches the sphere's
     section.  Each connected component of the coincidence graph yields one
     circle whose multiplicity is the number of distinct curve passages in
-    it; the domain is the curve's ``trace_period``.  Passages within
-    PARAM_DEDUP of each other, across the wrap at the domain included, are
-    one passage; one dict of buckets twice PARAM_DEDUP wide indexes them.
+    it; the domain is the curve's ``trace_period``.  A passage joins the
+    earliest-made passage within PARAM_DEDUP of it, across the wrap at the
+    domain included (:func:`_circular_index`).
     ``test_passage_merge_matches_three_image_lookup`` pins the merge against
-    a plain three-image lookup, at the seam, at bucket edges and on the
-    sweep's pairs.
+    a plain three-image lookup, at the seam and on the sweep's pairs.
 
     The curve point is evaluated by six inline copies of
     ``curve.curve_point``'s formula in three inner loops, five of them as
@@ -917,37 +942,10 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
     domain = spec.curve.trace_period
     pairs = _off_center_coincidences(spec, samples)
 
-    # Union-find over deduplicated passage parameters.  A parameter joins
-    # the earliest-inserted node within PARAM_DEDUP of it, across the wrap at
-    # domain included.  ``buckets`` maps floor(t / width) to the indices of
-    # the nodes in that bucket.  The buckets are twice PARAM_DEDUP wide, so
-    # a node within PARAM_DEDUP of t - domain, t or t + domain lies in the
-    # bucket of that image or in one next to it, even after the division
-    # rounds; only those buckets are tested.  Nodes lie in [0, domain], so an
-    # image farther than width outside it is skipped.  A new node is its own
-    # root, and each pair is united as it is read.
-    nodes: List[float] = []
-    buckets: Dict[int, List[int]] = {}
-    parent: List[int] = []
-    width = 2.0 * PARAM_DEDUP
-    floor = math.floor
-
-    def node_index(t: float) -> int:
-        found = len(nodes)
-        for image in (t - domain, t, t + domain):
-            if not -width <= image <= domain + width:
-                continue
-            bucket = floor(image / width)
-            for key in (bucket - 1, bucket, bucket + 1):
-                for idx in buckets.get(key, ()):
-                    gap = abs(nodes[idx] - t)
-                    if idx < found and min(gap, domain - gap) <= PARAM_DEDUP:
-                        found = idx
-        if found == len(nodes):
-            buckets.setdefault(floor(t / width), []).append(found)
-            nodes.append(t)
-            parent.append(found)
-        return found
+    # Union-find over the merged passages, united in pair order.
+    index, nodes = _circular_index(domain)
+    edges = [(index(t1), index(t2)) for t1, t2 in pairs]
+    parent = list(range(len(nodes)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -955,8 +953,8 @@ def singular_circles(spec: SurfaceSpec, samples: int = 512) -> List[Tuple[Circle
             i = parent[i]
         return i
 
-    for t1, t2 in pairs:
-        r1, r2 = find(node_index(t1)), find(node_index(t2))
+    for a, b in edges:
+        r1, r2 = find(a), find(b)
         if r1 != r2:
             parent[r2] = r1
 

@@ -31,6 +31,7 @@ from .curve import (
 from .mesh import figure_preset, preset_keys
 from .poly import MultiPoly
 from .surface import (
+    PARAM_DEDUP,
     IncidenceType,
     _circle_frame,
     circle_key,
@@ -393,7 +394,7 @@ def _preset_geometry_checks(key: str) -> List[Check]:
             bad += 1
         elif value == 0.0:
             near = any(
-                min(abs(t - w), period - abs(t - w)) <= 1e-6 for w in touched
+                min(abs(t - w), period - abs(t - w)) <= PARAM_DEDUP for w in touched
             )
             if not near:
                 bad += 1

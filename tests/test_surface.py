@@ -770,8 +770,8 @@ def test_passage_merge_matches_three_image_lookup(monkeypatch):
         (3.0 + 0.8e-6, 12.5),
         (3.0 + 1.6e-6, 13.0),
     ]
-    # The merge indexes passages in buckets 2 * PARAM_DEDUP wide: each pair
-    # below joins across a bucket edge, so a lookup in one bucket splits it.
+    # Each pair below straddles an edge of the buckets, 2 * PARAM_DEDUP wide,
+    # that an earlier merge indexed passages in; a lookup in one bucket split it.
     width = 2.0 * surface.PARAM_DEDUP
     assert 2.25e-6 - 1.25e-6 == surface.PARAM_DEDUP
     assert math.floor(1.25e-6 / width) + 1 == math.floor(2.25e-6 / width)
@@ -796,6 +796,112 @@ def test_passage_merge_matches_three_image_lookup(monkeypatch):
     for spec in SWEEP_SPECS:
         pairs = surface._off_center_coincidences(spec, 512)
         assert singular_circles(spec) == _merged_circles_reference(spec, pairs, spec.curve.trace_period), spec
+
+
+def _full_scan_index(period):
+    """Reference for ``_circular_index``: scan every node, keep the smallest id in reach."""
+    from chsurf.surface import PARAM_DEDUP
+
+    nodes = []
+
+    def index(t):
+        for idx, node in enumerate(nodes):
+            gap = abs(node - t)
+            if min(gap, period - gap) <= PARAM_DEDUP:
+                return idx
+        nodes.append(t)
+        return len(nodes) - 1
+
+    return index, nodes
+
+
+@pytest.mark.parametrize("period", [SWEEP_SPECS[2].curve.trace_period, math.pi], ids=["trace_period", "pi"])
+def test_circular_index_matches_a_full_scan(period):
+    import random
+
+    from chsurf.surface import PARAM_DEDUP, _circular_index
+
+    seam = -1e-300 % period
+    assert seam == period  # a value of exactly period, as % can return
+    rng = random.Random(40)
+    centres = [0.0, seam, 0.5 * period] + [rng.uniform(0.0, period) for _ in range(30)]
+    clustered = [(rng.choice(centres) + rng.uniform(-3.0, 3.0) * PARAM_DEDUP) % period for _ in range(600)]
+    spread = [rng.uniform(0.0, period) for _ in range(200)]
+    runs = {
+        "clustered": clustered,
+        "sorted": sorted(clustered),
+        "spread": spread,
+        "seam": [0.0, seam, period - 4e-7, 6e-7, period - 1.1e-6, 1.6e-6],
+        # The match is across the wrap, not the linear neighbour (1.0 here).
+        "wrap below": [1.0, 2.0, period - 4e-7, 3e-7],
+        # The match is across the wrap, the first node; t is above every node.
+        "wrap above": [5e-7, 1.0, 2.0, period - 3e-7],
+        # a, c, then b within PARAM_DEDUP of both and nearer c: b joins a.
+        "chain": [2.0, 2.0 + 1.5e-6, 2.0 + 0.9e-6],
+        "chain across the seam": [8e-7, period - 6e-7, seam],
+    }
+    expected_ids = {
+        "seam": [0, 0, 0, 0, 1, 2],
+        "wrap below": [0, 1, 2, 2],
+        "wrap above": [0, 1, 2, 0],
+        "chain": [0, 1, 0],
+        "chain across the seam": [0, 1, 0],
+    }
+    merged = {}
+    for name, values in runs.items():
+        index, nodes = _circular_index(period)
+        reference, reference_nodes = _full_scan_index(period)
+        ids = [index(t) for t in values]
+        assert ids == [reference(t) for t in values], name
+        assert nodes == reference_nodes, name
+        assert ids == expected_ids.get(name, ids), name
+        merged[name] = len(values) - len(nodes)
+    assert merged["clustered"] > 400 and merged["sorted"] > 400  # the clusters merge
+
+
+def _meridian_groups_reference(planed):
+    """Meridian groups by a scan: an angle joins the first group whose first angle is within 1e-6 mod pi."""
+    groups = []
+    for angle, t in sorted(planed):
+        for group in groups:
+            delta = abs(group[0][0] - angle)
+            if min(delta, math.pi - delta) <= 1e-6:
+                group.append((angle, t))
+                break
+        else:
+            groups.append([(angle, t)])
+    return [[t for _, t in group] for group in groups if len(group) >= 2]
+
+
+def test_meridian_groups_match_a_group_scan_at_the_seam(monkeypatch):
+    from chsurf import surface
+
+    # Directions of sphere crossings; atan2(y, x) % pi folds them onto [0, pi].
+    directions = [
+        0.0,
+        math.pi,  # just below pi: joins 0.0 across the seam
+        -4e-7,  # pi - 4e-7: joins 0.0
+        5e-7,
+        -1.5e-6,  # pi - 1.5e-6: too far from 0.0, a group of its own
+        -1.2e-6,  # joins pi - 1.5e-6: 1.2e-6 from 0.0
+        1.7e-6,  # too far from 0.0 and from pi - 1.2e-6: a group of its own
+        2.2e-6,
+        math.pi / 2,
+        math.pi / 2 + 9e-7,
+        math.pi / 3,  # alone: no group
+    ]
+    points = [(math.cos(a), math.sin(a), 0.0) for a in directions]
+    points.append((1.0, -1e-300, 0.0))  # folds to exactly pi: joins 0.0
+    ts = [float(i) for i in range(len(points))]
+    planed = [(math.atan2(y, x) % math.pi, t) for t, (x, y, _) in zip(ts, points)]
+    assert max(angle for angle, _ in planed) == math.pi
+
+    spec = make_spec(3, 1, q=1, cx=1)
+    monkeypatch.setattr(surface, "_periodic_roots", lambda f, period, grid: ts)
+    monkeypatch.setattr(surface, "curve_point", lambda curve, placement, t: points[int(t)])
+    groups = surface._axis_centered_groups(spec, 512)
+    assert groups == _meridian_groups_reference(planed)
+    assert sorted(map(sorted, groups)) == [[0.0, 1.0, 2.0, 3.0, 11.0], [4.0, 5.0], [6.0, 7.0], [8.0, 9.0]]
 
 
 def test_singular_circles_empty_for_centered_circle_curve():
